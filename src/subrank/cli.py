@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
 
     p = sub.add_parser("gmsc-bench", help="LP bound plus rounding benchmark")
-    p.add_argument("--instance", required=True, help="gmsc instance JSON path")
+    p.add_argument("--instance", required=True,
+                   help="instance JSON whose functions are all unit-weight gmsc")
     p.add_argument("--seeds", type=int, default=20, help="rounding repetitions")
     p.add_argument("--seed-base", type=int, default=None)
     p.add_argument("--out", default=None, help="per-seed results CSV")
@@ -157,15 +158,13 @@ def _cmd_generate(args) -> int:
     if args.family == "hard":
         _require(args, ["k"])
         inst = hard_family(args.k, args.delta)
-        save_instance(inst, args.out)
     elif args.family == "coverage":
         _require(args, ["n", "k", "m"])
         inst = random_coverage_instance(args.n, args.k, args.m, seed)
-        save_instance(inst, args.out)
     else:
         _require(args, ["n", "k", "m"])
-        gi = gmsc_mod.random_gmsc_instance(args.n, args.k, args.m, seed)
-        gmsc_mod.save_gmsc_instance(gi, args.out)
+        inst = gmsc_mod.random_gmsc_instance(args.n, args.k, args.m, seed)
+    save_instance(inst, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -191,21 +190,20 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_gmsc_bench(args) -> int:
-    gi = gmsc_mod.load_gmsc_instance(args.instance)
+    inst = load_instance(args.instance)
     base = args.seed_base if args.seed_base is not None else default_seed()
-    sol = gmsc_mod.solve_lp(gi)
+    sol = gmsc_mod.solve_lp(inst)
     if not sol.converged:
         print("warning: cut cap reached; bound may be loose", file=sys.stderr)
     print(f"T*: {sol.T_star:.6f}  cuts: {len(sol.cuts)}")
-    core_inst = gmsc_mod.to_instance(gi)
-    envelope = 1024.0 * max(math.log2(gi.k), 1.0) * sol.T_star
+    envelope = 1024.0 * max(math.log2(len(inst.agents)), 1.0) * sol.T_star
     from subrank.core import objective as eval_objective
 
     rows = []
     within = 0
     for s in range(base, base + args.seeds):
-        perm = gmsc_mod.gmsc_schedule(gi, s, sol)
-        cost = eval_objective(core_inst, perm, "minmax")
+        perm = gmsc_mod.gmsc_schedule(inst, s, sol)
+        cost = eval_objective(inst, perm, "minmax")
         ratio = cost / sol.T_star if sol.T_star > 0 else float("inf")
         rows.append((s, cost, ratio))
         if cost <= envelope:

@@ -109,6 +109,11 @@ def is_permutation(n: int, order: Sequence[int]) -> bool:
     return len(order) == n and sorted(order) == list(range(1, n + 1))
 
 
+def _require_permutation(inst: Instance, pi: Sequence[int]) -> None:
+    if not is_permutation(inst.n, pi):
+        raise ValueError(f"ordering is not a permutation of 1..{inst.n}")
+
+
 def normalized_gain_sum(f: FunctionOracle, order: Sequence[int]) -> float:
     """Telescoping sum of per-step gains over the residual to coverage.
 
@@ -155,7 +160,11 @@ def agent_cost(inst: Instance, agent_id: int, pi: Sequence[int]) -> float:
 
 
 def objective(inst: Instance, pi: Sequence[int], mode: str = "minmax") -> float:
-    """Aggregate agent costs: the max over agents, or their average."""
+    """Aggregate agent costs: the max over agents, or their average.
+
+    Raises ValueError unless pi is a permutation of 1..n.
+    """
+    _require_permutation(inst, pi)
     if not inst.agents:
         raise ValueError("instance has no agents")
     costs = [agent_cost(inst, a.id, pi) for a in inst.agents]
@@ -177,6 +186,8 @@ class CoverReport:
 
 
 def cover_report(inst: Instance, pi: Sequence[int]) -> CoverReport:
+    """Raises ValueError unless pi is a permutation of 1..n."""
+    _require_permutation(inst, pi)
     times = []
     costs = []
     for agent in inst.agents:

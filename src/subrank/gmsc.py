@@ -1,8 +1,9 @@
 """Generalized min-sum set cover over multiple agents.
 
-Every agent holds sets with coverage requirements; a set is covered once K
-of its members have appeared in the permutation, and an agent pays the sum
-of its sets' cover times. The fractional relaxation uses assignment
+The module works on an ``Instance`` whose functions are all unit-weight
+gmsc functions: each one is a set with a coverage requirement K, covered
+once K of its members have appeared in the permutation, and an agent pays
+the sum of its sets' cover times. The fractional relaxation uses assignment
 variables x[e,t], coverage indicators y[set,t], and a bound variable T
 minimized directly; the exponential knapsack-cover family is generated
 lazily through the separation oracle and the LP re-solved until no
@@ -13,16 +14,15 @@ interleaving independent repetitions so no agent is left behind.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import IO, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from subrank.core import Agent, Instance
-from subrank.functions import GmscSet, gmsc_function
+from subrank.core import Instance, make_instance
+from subrank.functions import GmscFunction, GmscSet, gmsc_function
 from subrank import simplex
 
 LP_TOL = 1e-7
@@ -32,44 +32,34 @@ PICK_SCALE = 8.0  # rounding probability is min(1, PICK_SCALE * prefix mass)
 PHASE_CAP_SCALE = 16  # a phase keeping more than 16 * 2^l picks is emptied
 
 
-@dataclass(frozen=True)
-class GmscInstance:
-    n: int
-    agents: tuple  # tuple of tuples of GmscSet
+def gmsc_sets(inst: Instance):
+    """Yield (set_id, agent_index, GmscSet) with 1-based ids in agent order.
 
-    def __post_init__(self):
-        for sets in self.agents:
-            for s in sets:
-                if not all(1 <= e <= self.n for e in s.members):
-                    raise ValueError("set member outside ground set")
-
-    @property
-    def k(self) -> int:
-        return len(self.agents)
-
-    def enumerate_sets(self):
-        """Yield (set_id, agent_index, GmscSet) with 1-based ids in order."""
-        set_id = 0
-        for agent_index, sets in enumerate(self.agents, start=1):
-            for s in sets:
-                set_id += 1
-                yield set_id, agent_index, s
-
-    def set_count(self) -> int:
-        return sum(len(sets) for sets in self.agents)
+    Raises ValueError unless every function is a unit-weight gmsc function
+    whose members lie in 1..n.
+    """
+    set_id = 0
+    for agent_index, agent in enumerate(inst.agents, start=1):
+        for j, (oracle, weight) in enumerate(agent.functions, start=1):
+            if not isinstance(oracle, GmscFunction) or weight != 1.0:
+                raise ValueError(
+                    f"agent {agent_index} function {j}: expected a unit-weight gmsc "
+                    f"function, got {type(oracle).__name__} with weight {weight}"
+                )
+            s = oracle.gmsc_set
+            if not all(1 <= e <= inst.n for e in s.members):
+                raise ValueError(
+                    f"agent {agent_index} function {j}: set member outside 1..{inst.n}"
+                )
+            set_id += 1
+            yield set_id, agent_index, s
 
 
-def to_instance(inst: GmscInstance) -> Instance:
-    """View as a ranking instance: one unit-weight oracle per set."""
-    agents = tuple(
-        Agent(id=i, functions=tuple((gmsc_function(s), 1.0) for s in sets))
-        for i, sets in enumerate(inst.agents, start=1)
-    )
-    return Instance(n=inst.n, agents=agents)
+def random_gmsc_instance(n: int, k: int, m: int, seed: int) -> Instance:
+    """Seeded generator of small set systems for tests and benchmarks.
 
-
-def random_gmsc_instance(n: int, k: int, m: int, seed: int) -> GmscInstance:
-    """Seeded generator of small set systems for tests and benchmarks."""
+    Every agent holds m unit-weight gmsc functions.
+    """
     rng = random.Random(seed)
     agents = []
     for _ in range(k):
@@ -78,8 +68,8 @@ def random_gmsc_instance(n: int, k: int, m: int, seed: int) -> GmscInstance:
             size = rng.randint(1, min(n, 4))
             members = frozenset(rng.sample(range(1, n + 1), size))
             sets.append(GmscSet(members=members, K=rng.randint(1, len(members))))
-        agents.append(tuple(sets))
-    return GmscInstance(n=n, agents=tuple(agents))
+        agents.append([(gmsc_function(s), 1.0) for s in sets])
+    return make_instance(n, agents)
 
 
 @dataclass(frozen=True)
@@ -129,7 +119,7 @@ def t_star(y: Union[Sequence, dict], set_id: Optional[int] = None) -> int:
     return last
 
 
-def _violated_cuts(inst, x, y, lp_tol):
+def _violated_cuts(n, sets, x, y, lp_tol):
     """One most-violating B per (set, t).
 
     For fixed (set, t) the constraint slack is additive over elements, so
@@ -137,9 +127,8 @@ def _violated_cuts(inst, x, y, lp_tol):
     y[set, t]; only constraints violated beyond lp_tol are returned.
     """
     found = []
-    n = inst.n
     prefix = np.cumsum(x, axis=1)  # prefix[e-1, t-1] = mass through time t
-    for set_id, _, s in inst.enumerate_sets():
+    for set_id, _, s in sets:
         members = sorted(s.members)
         for t in range(1, n + 1):
             y_val = y.get((set_id, t), 0.0)
@@ -155,10 +144,10 @@ def _violated_cuts(inst, x, y, lp_tol):
 
 
 def separation_oracle(
-    inst: GmscInstance, x: np.ndarray, y: dict, lp_tol: float = LP_TOL
+    inst: Instance, x: np.ndarray, y: dict, lp_tol: float = LP_TOL
 ) -> Optional[ViolatedConstraint]:
     """Most violated knapsack-cover constraint, or None when all hold."""
-    found = _violated_cuts(inst, x, y, lp_tol)
+    found = _violated_cuts(inst.n, gmsc_sets(inst), x, y, lp_tol)
     if not found:
         return None
     return max(found, key=lambda v: v.violation)
@@ -167,9 +156,9 @@ def separation_oracle(
 class _LpLayout:
     """Column layout: x[e,t] block, then y[set,t] block, then T."""
 
-    def __init__(self, inst: GmscInstance):
+    def __init__(self, inst: Instance):
         self.n = inst.n
-        self.sets = list(inst.enumerate_sets())
+        self.sets = list(gmsc_sets(inst))
         self.n_sets = len(self.sets)
         self.n_x = self.n * self.n
         self.n_cols = self.n_x + self.n_sets * self.n + 1
@@ -185,7 +174,7 @@ class _LpLayout:
         return self.n_cols - 1
 
 
-def solve_lp(inst: GmscInstance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUTS) -> FractionalSolution:
+def solve_lp(inst: Instance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUTS) -> FractionalSolution:
     """Cutting-plane solve of the fractional relaxation.
 
     T appears linearly, so it is minimized directly as a variable instead
@@ -193,7 +182,8 @@ def solve_lp(inst: GmscInstance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUT
     coverage indicators consistent with their covered-before-t meaning.
     Every violated (set, t) pair contributes its worst cut per round. If
     the cut cap is hit before separation comes back clean, the last solved
-    relaxation is returned with converged=False.
+    relaxation is returned with converged=False. Raises ValueError when a
+    function is not a unit-weight gmsc function or the LP solve fails.
     """
     if inst.n < 1:
         raise ValueError("instance has no elements")
@@ -222,7 +212,7 @@ def solve_lp(inst: GmscInstance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUT
         row[layout.y_col(set_id, n)] = 1.0
         ub_rows.append(row)
         ub_b.append(1.0)
-    for agent_index, sets in enumerate(inst.agents, start=1):
+    for agent_index in range(1, len(inst.agents) + 1):
         # sum_t sum_S (1 - y) <= T
         row = np.zeros(layout.n_cols)
         count = 0
@@ -247,14 +237,14 @@ def solve_lp(inst: GmscInstance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUT
             pivot_tol=PIVOT_TOL,
         )
         if res.status != simplex.OPTIMAL:
-            raise RuntimeError(f"LP solve failed: {res.status}")
+            raise ValueError(f"LP solve failed: {res.status}")
         x = res.x[: layout.n_x].reshape(n, n)
         y = {
             (set_id, t): float(res.x[layout.y_col(set_id, t)])
             for set_id, _, _ in layout.sets
             for t in range(1, n + 1)
         }
-        new = _violated_cuts(inst, x, y, lp_tol)
+        new = _violated_cuts(n, layout.sets, x, y, lp_tol)
         if not new:
             converged = True
             break
@@ -323,7 +313,7 @@ def _phase_seed(seed: int, phase: int, rep: int) -> np.random.SeedSequence:
 
 
 def gmsc_schedule_detailed(
-    inst: GmscInstance, seed: int, solution: Optional[FractionalSolution] = None
+    inst: Instance, seed: int, solution: Optional[FractionalSolution] = None
 ):
     """Full rounding pipeline; returns (permutation, phase outputs).
 
@@ -334,7 +324,8 @@ def gmsc_schedule_detailed(
     if solution is None:
         solution = solve_lp(inst)
     n = inst.n
-    reps = max(1, 2 * math.ceil(math.log2(inst.k)) if inst.k > 1 else 0)
+    k = len(inst.agents)
+    reps = max(1, 2 * math.ceil(math.log2(k)) if k > 1 else 0)
     phases = math.ceil(math.log2(n)) if n > 1 else 0
     outputs = []
     seen = set()
@@ -354,49 +345,10 @@ def gmsc_schedule_detailed(
 
 
 def gmsc_schedule(
-    inst: GmscInstance, seed: int, solution: Optional[FractionalSolution] = None
+    inst: Instance, seed: int, solution: Optional[FractionalSolution] = None
 ) -> tuple:
     order, _ = gmsc_schedule_detailed(inst, seed, solution)
     return order
-
-
-# --- serialization -------------------------------------------------------
-
-
-def instance_to_doc(inst: GmscInstance) -> dict:
-    return {
-        "n": inst.n,
-        "agents": [
-            [{"members": sorted(s.members), "K": s.K} for s in sets]
-            for sets in inst.agents
-        ],
-    }
-
-
-def doc_to_instance(doc: dict) -> GmscInstance:
-    agents = tuple(
-        tuple(GmscSet(members=frozenset(s["members"]), K=int(s["K"])) for s in sets)
-        for sets in doc["agents"]
-    )
-    return GmscInstance(n=int(doc["n"]), agents=agents)
-
-
-def save_gmsc_instance(inst: GmscInstance, path_or_file: Union[str, IO]) -> None:
-    text = json.dumps(instance_to_doc(inst), indent=2, sort_keys=True) + "\n"
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        with open(path_or_file, "w") as fh:
-            fh.write(text)
-
-
-def load_gmsc_instance(path_or_file: Union[str, IO]) -> GmscInstance:
-    if hasattr(path_or_file, "read"):
-        doc = json.load(path_or_file)
-    else:
-        with open(path_or_file) as fh:
-            doc = json.load(fh)
-    return doc_to_instance(doc)
 
 
 def write_fractional_csv(sol: FractionalSolution, x_path: str, y_path: str) -> None:

@@ -12,13 +12,15 @@ Document layout::
 
 Family params: coverage -> {items: [{id, w}], covers: {elem: [ids]}};
 odt -> {table_ref, row} with table_ref resolved against the top-level
-"tables" object; gmsc -> {members: [...], K}; singleton -> {element}.
-Unknown families are rejected.
+"tables" object; gmsc -> {members: [...], K} with members in 1..n;
+singleton -> {element}. Weights are positive finite numbers. Unknown
+families are rejected.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import IO, Union
 
 from subrank.core import Agent, Instance
@@ -76,30 +78,49 @@ def instance_to_doc(inst: Instance) -> dict:
 
 
 def doc_to_instance(doc: dict) -> Instance:
+    """Build an Instance; every structural fault raises InstanceFormatError."""
     try:
         n = int(doc["n"])
         agents_doc = doc["agents"]
-    except (KeyError, TypeError) as exc:
+        tables = {
+            ref: OdtTable(rows=tuple(tuple(r) for r in rows))
+            for ref, rows in doc.get("tables", {}).items()
+        }
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InstanceFormatError(f"missing or malformed field: {exc}") from exc
-    tables = {
-        ref: OdtTable(rows=tuple(tuple(r) for r in rows))
-        for ref, rows in doc.get("tables", {}).items()
-    }
+    if not isinstance(agents_doc, list):
+        raise InstanceFormatError("agents must be a list")
     agents = []
     for i, agent_doc in enumerate(agents_doc, start=1):
+        funcs_doc = agent_doc.get("functions") if isinstance(agent_doc, dict) else None
+        if not isinstance(funcs_doc, list):
+            raise InstanceFormatError(
+                f'agent {i}: agents entries must be {{"functions": [...]}}'
+            )
         funcs = []
-        for f_doc in agent_doc.get("functions", []):
-            family = f_doc.get("family")
-            params = f_doc.get("params", {})
-            weight = float(f_doc["weight"])
+        for j, f_doc in enumerate(funcs_doc, start=1):
+            where = f"agent {i} function {j}"
+            try:
+                weight = float(f_doc["weight"])
+                oracle = _build_oracle(
+                    f_doc.get("family"), f_doc.get("params", {}), tables, n, where
+                )
+            except InstanceFormatError:
+                raise
+            except KeyError as exc:
+                raise InstanceFormatError(f"{where}: missing field {exc}") from exc
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise InstanceFormatError(f"{where}: {exc}") from exc
+            if not math.isfinite(weight):
+                raise InstanceFormatError(f"{where}: non-finite weight {weight}")
             if weight <= 0:
-                raise InstanceFormatError(f"agent {i}: nonpositive weight {weight}")
-            funcs.append((_build_oracle(family, params, tables, i), weight))
+                raise InstanceFormatError(f"{where}: nonpositive weight {weight}")
+            funcs.append((oracle, weight))
         agents.append(Agent(id=i, functions=tuple(funcs)))
     return Instance(n=n, agents=tuple(agents))
 
 
-def _build_oracle(family, params, tables, agent_index):
+def _build_oracle(family, params, tables, n, where):
     if family == "coverage":
         items = [(item["id"], item["w"]) for item in params["items"]]
         covers = {int(e): ids for e, ids in params["covers"].items()}
@@ -107,13 +128,16 @@ def _build_oracle(family, params, tables, agent_index):
     if family == "odt":
         ref = params["table_ref"]
         if ref not in tables:
-            raise InstanceFormatError(f"agent {agent_index}: unknown table_ref {ref!r}")
+            raise InstanceFormatError(f"{where}: unknown table_ref {ref!r}")
         return odt_function(tables[ref], int(params["row"]))
     if family == "gmsc":
-        return gmsc_function(GmscSet(members=frozenset(params["members"]), K=int(params["K"])))
+        members = frozenset(params["members"])
+        if not all(1 <= e <= n for e in members):
+            raise InstanceFormatError(f"{where}: gmsc member outside 1..{n}")
+        return gmsc_function(GmscSet(members=members, K=int(params["K"])))
     if family == "singleton":
         return singleton_function(int(params["element"]))
-    raise InstanceFormatError(f"agent {agent_index}: unknown family {family!r}")
+    raise InstanceFormatError(f"{where}: unknown family {family!r}")
 
 
 def dumps(doc: dict) -> str:

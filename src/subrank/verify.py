@@ -17,6 +17,7 @@ import numpy as np
 from subrank.core import (
     cover_report,
     cover_time,
+    make_instance,
     normalized_gain_sum,
     objective,
     validate,
@@ -257,9 +258,7 @@ def separation_exactness_check(cases: int = 100, seed: int = 6) -> CheckResult:
         n = size
         members = frozenset(range(1, size + 1))
         K = rng.randint(1, size)
-        gi = gmsc_mod.GmscInstance(
-            n=n, agents=((GmscSet(members=members, K=K),),)
-        )
+        gi = make_instance(n, [[(gmsc_function(GmscSet(members=members, K=K)), 1.0)]])
         x = np.array([[rng.random() * 0.4 for _ in range(n)] for _ in range(n)])
         t = rng.randint(1, n)
         y_val = rng.random()
@@ -288,16 +287,16 @@ def lp_soundness_check(instances: int = 8, seed: int = 7) -> CheckResult:
         sol = gmsc_mod.solve_lp(gi)
         if not sol.converged:
             return CheckResult("gmsc", "lp_soundness", False, f"trial {trial}: cut cap")
-        opt = brute_force_opt(gmsc_mod.to_instance(gi))
+        opt = brute_force_opt(gi)
         if sol.T_star > opt.value + 1e-6:
             return CheckResult(
                 "gmsc", "lp_soundness", False,
                 f"trial {trial}: T*={sol.T_star} > OPT={opt.value}",
             )
-        for agent_index in range(1, gi.k + 1):
+        for agent_index in range(1, len(gi.agents) + 1):
             half_sum = 0.5 * sum(
                 gmsc_mod.t_star(sol.y, sid)
-                for sid, owner, _ in gi.enumerate_sets()
+                for sid, owner, _ in gmsc_mod.gmsc_sets(gi)
                 if owner == agent_index
             )
             if sol.T_star < half_sum - 1e-7:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from subrank.core import cover_time, normalized_gain_sum, objective
+from subrank.core import cover_time, make_instance, normalized_gain_sum, objective
 from subrank.functions import (
     GmscSet,
     OdtTable,
@@ -190,15 +190,15 @@ def test_criterion_5_lp_soundness():
         gi = gm.random_gmsc_instance(n, rng.randint(1, 3), rng.randint(1, 2), 2000 + i)
         sol = gm.solve_lp(gi)
         assert sol.converged
-        opt = brute_force_opt(gm.to_instance(gi))
+        opt = brute_force_opt(gi)
         assert opt.optimal
         assert sol.T_star <= opt.value + LP_OPT_TOL, (
             f"instance {i}: T*={sol.T_star} exceeds OPT={opt.value}"
         )
-        for agent_index in range(1, gi.k + 1):
+        for agent_index in range(1, len(gi.agents) + 1):
             half = 0.5 * sum(
                 gm.t_star(sol.y, sid)
-                for sid, owner, _ in gi.enumerate_sets()
+                for sid, owner, _ in gm.gmsc_sets(gi)
                 if owner == agent_index
             )
             assert sol.T_star >= half - 1e-7, f"instance {i}: half-sum bound fails"
@@ -230,7 +230,7 @@ def test_criterion_6_separation_exactness():
         n = size + rng.randint(0, 2)
         members = sorted(rng.sample(range(1, n + 1), size))
         K = rng.randint(1, size)
-        gi = gm.GmscInstance(n=n, agents=((GmscSet(members=frozenset(members), K=K),),))
+        gi = make_instance(n, [[(gmsc_function(GmscSet(members=frozenset(members), K=K)), 1.0)]])
         x = np.array([[rng.random() * 0.5 for _ in range(n)] for _ in range(n)])
         t = rng.randint(1, n)
         y_val = rng.random()
@@ -253,15 +253,14 @@ def test_criterion_7_rounding_envelope(gmsc16):
     t0 = time.perf_counter()
     inst, sol = gmsc16
     assert sol.converged
-    core_inst = gm.to_instance(inst)
-    envelope = 1024.0 * math.log2(inst.k) * sol.T_star
+    envelope = 1024.0 * math.log2(len(inst.agents)) * sol.T_star
     within = 0
     for seed in range(200):
         perm, phases = gm.gmsc_schedule_detailed(inst, seed, sol)
         assert sorted(perm) == list(range(1, 17)), f"seed {seed}: not a permutation"
         for ph in phases:
             assert ph.emptied or len(ph.picked) <= ph.cap, f"seed {seed}: cap broken"
-        cost = objective(core_inst, perm, "minmax")
+        cost = objective(inst, perm, "minmax")
         if cost <= envelope:
             within += 1
     assert within >= 150, f"only {within}/200 runs inside the envelope"

@@ -116,7 +116,12 @@ class TestGenerate:
               "--seed", "1", "--out", str(path)])
         doc = json.loads(path.read_text())
         assert set(doc) == {"n", "agents"}
-        assert "members" in doc["agents"][0][0]
+        assert len(doc["agents"]) == 2
+        for agent in doc["agents"]:
+            assert len(agent["functions"]) == 2
+            for fn in agent["functions"]:
+                assert fn["family"] == "gmsc" and fn["weight"] == 1.0
+                assert set(fn["params"]) == {"members", "K"}
 
 
 @pytest.fixture()
@@ -167,13 +172,24 @@ class TestExperiment:
         assert code == EXIT_DATA
 
 
+@pytest.fixture()
+def gmsc6(tmp_path):
+    path = tmp_path / "g.json"
+    assert main(["generate", "--family", "gmsc", "--n", "6", "--k", "2", "--m", "2",
+                 "--seed", "3", "--out", str(path)]) == EXIT_OK
+    return str(path)
+
+
+@pytest.mark.parametrize("algo", ["random", "greedy", "ng", "bag", "brute"])
+def test_generated_gmsc_file_solves(gmsc6, algo, capsys):
+    assert main(["solve", "--instance", gmsc6, "--algo", algo]) == EXIT_OK
+    assert "minmax:" in capsys.readouterr().out
+
+
 class TestGmscBench:
-    def test_bench_outputs(self, tmp_path, capsys):
-        inst = tmp_path / "g.json"
-        main(["generate", "--family", "gmsc", "--n", "6", "--k", "2", "--m", "2",
-              "--seed", "3", "--out", str(inst)])
+    def test_bench_outputs(self, gmsc6, tmp_path, capsys):
         out_csv = tmp_path / "bench.csv"
-        code = main(["gmsc-bench", "--instance", str(inst), "--seeds", "4",
+        code = main(["gmsc-bench", "--instance", gmsc6, "--seeds", "4",
                      "--out", str(out_csv), "--dump-lp", str(tmp_path / "lp")])
         assert code == EXIT_OK
         printed = capsys.readouterr().out
@@ -184,12 +200,36 @@ class TestGmscBench:
         assert (tmp_path / "lp_x.csv").exists()
         assert (tmp_path / "lp_y.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "coverage", "--n", "5", "--k", "2", "--m", "2", "--seed", "1"],
+        ["--family", "hard", "--k", "4"],
+    ])
+    def test_non_gmsc_file_is_data_error(self, argv, tmp_path, capsys):
+        path = str(tmp_path / "other.json")
+        main(["generate", *argv, "--out", path])
+        capsys.readouterr()
+        assert main(["gmsc-bench", "--instance", path, "--seeds", "1"]) == EXIT_DATA
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unit-weight gmsc" in err[0]
+
+    def test_lp_failure_is_data_error(self, gmsc6, monkeypatch, capsys):
+        from subrank import gmsc, simplex
+
+        failed = simplex.LpResult(simplex.ITERATION_LIMIT, None, None, 0)
+        monkeypatch.setattr(gmsc.simplex, "solve_dense_lp", lambda *a, **kw: failed)
+        assert main(["gmsc-bench", "--instance", gmsc6, "--seeds", "1"]) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines() == [
+            "error: LP solve failed: iteration_limit"
+        ]
+
 
 class TestVerifyCommand:
-    def test_core_suite_passes(self, capsys):
-        assert main(["verify", "--suite", "core"]) == EXIT_OK
+    def test_all_suites_pass(self, capsys):
+        assert main(["verify", "--suite", "all"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "[PASS] core/chain_bound" in out
+        assert "[PASS] gmsc/lp_soundness" in out
+        assert "12/12 checks passed" in out
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

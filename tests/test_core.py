@@ -103,6 +103,14 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective(inst, (4, 1, 2, 3, 5, 6), "median")
 
+    @pytest.mark.parametrize("pi", [(1, 2, 3, 4, 5, 6, 6), (1, 2, 3, 4, 5, 6, 99)])
+    def test_non_permutation_rejected(self, pi):
+        inst = hard_family(4, 0.01)
+        with pytest.raises(ValueError, match="not a permutation"):
+            objective(inst, pi)
+        with pytest.raises(ValueError, match="not a permutation"):
+            cover_report(inst, pi)
+
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -1,6 +1,5 @@
 """GMSC relaxation, separation oracle, and randomized rounding."""
 
-import io
 import itertools
 import math
 import random
@@ -8,29 +7,26 @@ import random
 import numpy as np
 import pytest
 
-from subrank.core import is_permutation, objective
-from subrank.functions import GmscSet
+from subrank.core import is_permutation, make_instance, objective
+from subrank.functions import GmscSet, gmsc_function, singleton_function
 from subrank.algorithms import brute_force_opt
 from subrank.gmsc import (
     LP_TOL,
-    GmscInstance,
     PhaseOutput,
     gmsc_schedule,
     gmsc_schedule_detailed,
-    load_gmsc_instance,
+    gmsc_sets,
     random_gmsc_instance,
     round_phase,
-    save_gmsc_instance,
     separation_oracle,
     solve_lp,
     t_star,
-    to_instance,
     write_fractional_csv,
 )
 
 
 def single_set_instance(n, members, K):
-    return GmscInstance(n=n, agents=((GmscSet(members=frozenset(members), K=K),),))
+    return make_instance(n, [[(gmsc_function(GmscSet(members=frozenset(members), K=K)), 1.0)]])
 
 
 class TestSeparationOracle:
@@ -76,6 +72,31 @@ class TestSeparationOracle:
             assert got is None
 
 
+class TestGmscSets:
+    def test_ids_follow_agent_then_function_order(self):
+        inst = random_gmsc_instance(6, 2, 3, 7)
+        got = list(gmsc_sets(inst))
+        assert [(sid, owner) for sid, owner, _ in got] == [
+            (1, 1), (2, 1), (3, 1), (4, 2), (5, 2), (6, 2)
+        ]
+        assert [s for _, _, s in got] == [
+            f.gmsc_set for agent in inst.agents for f, _ in agent.functions
+        ]
+
+    @pytest.mark.parametrize(
+        "function, match",
+        [
+            ((singleton_function(1), 1.0), "unit-weight gmsc"),
+            ((gmsc_function(GmscSet(members=frozenset({1}), K=1)), 2.0), "unit-weight gmsc"),
+            ((gmsc_function(GmscSet(members=frozenset({1, 9}), K=1)), 1.0), r"outside 1\.\.3"),
+        ],
+    )
+    def test_rejects_anything_but_unit_weight_gmsc(self, function, match):
+        inst = make_instance(3, [[function]])
+        with pytest.raises(ValueError, match=match):
+            solve_lp(inst)
+
+
 class TestTStar:
     def test_interior(self):
         assert t_star((0.2, 0.4, 0.6)) == 2
@@ -103,7 +124,7 @@ class TestSolveLp:
     def test_lower_bounds_integer_optimum(self, seed):
         gi = random_gmsc_instance(6, 2, 2, seed)
         sol = solve_lp(gi)
-        opt = brute_force_opt(to_instance(gi))
+        opt = brute_force_opt(gi)
         assert sol.converged and opt.optimal
         assert sol.T_star <= opt.value + 1e-6
 
@@ -111,10 +132,10 @@ class TestSolveLp:
     def test_half_sum_lower_bound_per_agent(self, seed):
         gi = random_gmsc_instance(6, 2, 2, seed)
         sol = solve_lp(gi)
-        for agent_index in range(1, gi.k + 1):
+        for agent_index in range(1, len(gi.agents) + 1):
             half = 0.5 * sum(
                 t_star(sol.y, sid)
-                for sid, owner, _ in gi.enumerate_sets()
+                for sid, owner, _ in gmsc_sets(gi)
                 if owner == agent_index
             )
             assert sol.T_star >= half - 1e-7
@@ -122,7 +143,7 @@ class TestSolveLp:
     def test_y_series_monotone(self):
         gi = random_gmsc_instance(6, 2, 2, 3)
         sol = solve_lp(gi)
-        for sid, _, _ in gi.enumerate_sets():
+        for sid, _, _ in gmsc_sets(gi):
             series = sol.y_series(sid)
             assert all(a <= b + 1e-9 for a, b in zip(series, series[1:]))
 
@@ -135,17 +156,17 @@ class TestSolveLp:
         # no remaining violated knapsack-cover constraint
         assert separation_oracle(gi, sol.x, sol.y, LP_TOL) is None
         # agent totals within the bound variable
-        for agent_index in range(1, gi.k + 1):
+        for agent_index in range(1, len(gi.agents) + 1):
             total = sum(
                 1.0 - sol.y[(sid, t)]
-                for sid, owner, _ in gi.enumerate_sets()
+                for sid, owner, _ in gmsc_sets(gi)
                 if owner == agent_index
                 for t in range(1, n + 1)
             )
             assert total <= sol.T_star + 1e-6
         # 1000 randomly sampled (set, t, B) triples
         rng = random.Random(0)
-        sets = list(gi.enumerate_sets())
+        sets = list(gmsc_sets(gi))
         prefix = np.cumsum(sol.x, axis=1)
         for _ in range(1000):
             sid, _, s = sets[rng.randrange(len(sets))]
@@ -219,26 +240,12 @@ class TestSchedule:
         sol = solve_lp(gi)
         for seed in range(10):
             _, phases = gmsc_schedule_detailed(gi, seed, sol)
-            assert len(phases) == math.ceil(math.log2(gi.n)) * 2 * math.ceil(math.log2(gi.k))
+            assert len(phases) == math.ceil(math.log2(gi.n)) * 2 * math.ceil(math.log2(len(gi.agents)))
             for ph in phases:
                 assert ph.emptied or len(ph.picked) <= ph.cap
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        gi = random_gmsc_instance(6, 2, 3, 7)
-        path = tmp_path / "gmsc.json"
-        save_gmsc_instance(gi, str(path))
-        again = load_gmsc_instance(str(path))
-        assert again == gi
-
-    def test_stream_round_trip(self):
-        gi = random_gmsc_instance(5, 2, 2, 9)
-        buf = io.StringIO()
-        save_gmsc_instance(gi, buf)
-        buf.seek(0)
-        assert load_gmsc_instance(buf) == gi
-
     def test_fractional_csv_dump(self, tmp_path):
         gi = single_set_instance(2, {1, 2}, 1)
         sol = solve_lp(gi)
@@ -252,9 +259,8 @@ class TestSerialization:
         assert len(y_lines) == 1 + 2  # one set, two times
 
 
-def test_to_instance_objective_matches_cover_semantics():
-    gi = single_set_instance(4, {1, 2, 3}, 2)
-    inst = to_instance(gi)
+def test_gmsc_objective_matches_cover_semantics():
+    inst = single_set_instance(4, {1, 2, 3}, 2)
     # K=2 of {1,2,3}: second member arrives at position 3 below
     assert objective(inst, (1, 4, 2, 3), "minmax") == 3.0
     assert objective(inst, (2, 3, 1, 4), "minmax") == 2.0

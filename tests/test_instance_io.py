@@ -2,6 +2,9 @@
 
 import io
 import json
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -138,3 +141,49 @@ def test_document_shape_matches_contract():
     fn = parsed["agents"][0]["functions"][0]
     assert set(fn) == {"family", "params", "weight"}
     assert set(fn["params"]) == {"items", "covers"}
+
+
+def _one_function_doc(**fields):
+    fn = {"family": "gmsc", "params": {"members": [1, 2], "K": 1}, "weight": 1.0}
+    fn.update(fields)
+    return {"n": 2, "agents": [{"functions": [{k: v for k, v in fn.items() if v is not None}]}]}
+
+
+MALFORMED = {
+    "missing-weight": (_one_function_doc(weight=None), "missing field 'weight'"),
+    "nan-weight": (_one_function_doc(weight=float("nan")), "non-finite weight"),
+    "inf-weight": (_one_function_doc(weight=float("inf")), "non-finite weight"),
+    "old-gmsc-layout": (
+        {"n": 2, "agents": [[{"members": [1, 2], "K": 1}]]},
+        re.escape('agents entries must be {"functions": [...]}'),
+    ),
+    "gmsc-member-outside-ground-set": (
+        _one_function_doc(params={"members": [1, 3], "K": 1}),
+        r"gmsc member outside 1\.\.2",
+    ),
+    "tables-not-an-object": (
+        {"n": 2, "agents": [], "tables": [[0, 1]]},
+        "missing or malformed field",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_structural_faults_raise_format_error(name):
+    doc, match = MALFORMED[name]
+    with pytest.raises(InstanceFormatError, match=match):
+        doc_to_instance(doc)
+
+
+def test_solve_reports_structural_faults_in_one_line(tmp_path):
+    for name, (doc, _) in sorted(MALFORMED.items()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "subrank.cli", "solve", "--instance", str(path),
+             "--algo", "ng"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, name
+        assert len(proc.stderr.splitlines()) == 1, (name, proc.stderr)
+        assert "Traceback" not in proc.stderr, name
