@@ -13,12 +13,11 @@ through a sweep harness and CLI.
 """
 
 from subrank.core import (
-    COVER_TOL,
     Agent,
     CoverReport,
-    FunctionOracle,
     Instance,
     Permutation,
+    SetSystemOracle,
     agent_cost,
     cover_report,
     cover_time,
@@ -30,7 +29,6 @@ from subrank.functions import (
     CoverageFunction,
     GmscSet,
     OdtTable,
-    SetSystemOracle,
     SingletonFunction,
     gmsc_function,
     hard_family,
@@ -50,13 +48,11 @@ from subrank.algorithms import (
 )
 
 __all__ = [
-    "COVER_TOL",
     "Agent",
     "BagConfig",
     "BruteForceResult",
     "CoverReport",
     "CoverageFunction",
-    "FunctionOracle",
     "GmscSet",
     "Instance",
     "OdtTable",

@@ -1,10 +1,14 @@
 """Ranking algorithms: random, greedy, normalized greedy, balanced
 adaptive greedy, and an exact branch-and-bound oracle.
 
-All algorithms are deterministic given their inputs (and seed, where one
-exists). Ties are always broken toward the smallest element index. Each
-run memoizes the current value of every function so a step costs one
-marginal evaluation per (candidate, function) pair.
+Greedy, normalized greedy (NG) and balanced adaptive greedy (BAG) share one
+pick kernel, ``_pick``: a candidate scores the sum of weight * gain /
+residual over the uncovered functions in play, with residual 1 - f(S) for
+NG and BAG and exactly 1 for greedy; BAG scores only a frozen set of
+lagging agents. Ties go to the smallest element index. Every function's
+covered bitmask is memoized, so a step costs one exact marginal evaluation
+per (candidate, function) pair. All algorithms are deterministic given
+their inputs (and seed, where one exists).
 """
 
 from __future__ import annotations
@@ -13,56 +17,67 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from subrank.core import Instance, objective
-from subrank.functions import SetSystemOracle
 
 
 class _FnState:
     """Incremental tracker of one function's value along the chosen prefix."""
 
-    __slots__ = ("oracle", "weight", "mask", "subset", "value", "covered")
+    __slots__ = ("agent", "oracle", "weight", "mask", "value", "covered")
 
-    def __init__(self, oracle, weight):
+    def __init__(self, agent: int, oracle, weight: float):
+        self.agent = agent
         self.oracle = oracle
         self.weight = weight
-        if isinstance(oracle, SetSystemOracle):
-            self.mask = 0
-            self.subset = None
-            self.value = oracle.numerator(0) / oracle.denominator
-            self.covered = oracle.mask_covers(0)
-        else:
-            self.mask = None
-            self.subset = frozenset()
-            self.value = oracle.evaluate(self.subset)
-            self.covered = oracle.covers(self.subset)
+        self.mask = 0
+        self.value = oracle.numerator(0) / oracle.denominator
+        self.covered = oracle.mask_covers(0)
 
     def gain(self, e: int) -> float:
-        if self.mask is not None:
-            oracle = self.oracle
-            return (
-                oracle.numerator(self.mask | oracle.element_mask(e))
-                - oracle.numerator(self.mask)
-            ) / oracle.denominator
-        return self.oracle.evaluate(self.subset | {e}) - self.value
-
-    def add(self, e: int) -> None:
-        if self.mask is not None:
-            self.mask |= self.oracle.element_mask(e)
-            self.value = self.oracle.numerator(self.mask) / self.oracle.denominator
-            self.covered = self.oracle.mask_covers(self.mask)
-        else:
-            self.subset = self.subset | {e}
-            self.value = self.oracle.evaluate(self.subset)
-            self.covered = self.oracle.covers(self.subset)
+        oracle = self.oracle
+        return (
+            oracle.numerator(self.mask | oracle.element_mask(e))
+            - oracle.numerator(self.mask)
+        ) / oracle.denominator
 
 
-def _states_by_agent(inst: Instance) -> dict:
-    return {
-        agent.id: [_FnState(f, w) for f, w in agent.functions]
-        for agent in inst.agents
-    }
+def _states(inst: Instance) -> list:
+    """One tracker per function, in agent then function order."""
+    return [_FnState(agent.id, f, w) for agent in inst.agents for f, w in agent.functions]
+
+
+def _pick(remaining: list, states: list, normalized: bool) -> tuple:
+    """(element, score) maximizing the summed weighted gain over uncovered states.
+
+    Each uncovered state adds weight * gain / residual, with residual
+    1 - value when normalized and exactly 1.0 otherwise. remaining is kept
+    ascending, so the first maximum is the smallest-index one.
+    """
+    live = [(s, 1.0 - s.value if normalized else 1.0) for s in states if not s.covered]
+    best_e, best_score = None, -math.inf
+    for e in remaining:
+        score = 0.0
+        for s, residual in live:
+            score += s.weight * s.gain(e) / residual
+        if score > best_score:
+            best_e, best_score = e, score
+    return best_e, best_score
+
+
+def _advance(states: list, e: int) -> list:
+    """Add e to every uncovered state; return the states it newly covers."""
+    newly = []
+    for s in states:
+        if not s.covered:
+            oracle = s.oracle
+            s.mask |= oracle.element_mask(e)
+            s.value = oracle.numerator(s.mask) / oracle.denominator
+            s.covered = oracle.mask_covers(s.mask)
+            if s.covered:
+                newly.append(s)
+    return newly
 
 
 def random_order(inst: Instance, seed: int) -> tuple:
@@ -72,23 +87,22 @@ def random_order(inst: Instance, seed: int) -> tuple:
     return tuple(order)
 
 
-def greedy(inst: Instance) -> tuple:
-    """Pick the element with maximum total weighted marginal gain each step."""
-    states = [s for group in _states_by_agent(inst).values() for s in group]
+def _greedy_order(inst: Instance, normalized: bool) -> tuple:
+    """Repeated _pick over every function of every agent."""
+    states = _states(inst)
     remaining = list(range(1, inst.n + 1))
     chosen = []
     while remaining:
-        best_e, best_score = None, -math.inf
-        for e in remaining:
-            score = sum(s.weight * s.gain(e) for s in states if not s.covered)
-            if score > best_score:
-                best_e, best_score = e, score
-        chosen.append(best_e)
-        remaining.remove(best_e)
-        for s in states:
-            if not s.covered:
-                s.add(best_e)
+        e, _ = _pick(remaining, states, normalized)
+        chosen.append(e)
+        remaining.remove(e)
+        _advance(states, e)
     return tuple(chosen)
+
+
+def greedy(inst: Instance) -> tuple:
+    """Pick the element with maximum total weighted marginal gain each step."""
+    return _greedy_order(inst, normalized=False)
 
 
 def normalized_greedy(inst: Instance) -> tuple:
@@ -97,24 +111,7 @@ def normalized_greedy(inst: Instance) -> tuple:
     All functions of all agents are stacked into one pool; covered functions
     contribute nothing.
     """
-    states = [s for group in _states_by_agent(inst).values() for s in group]
-    remaining = list(range(1, inst.n + 1))
-    chosen = []
-    while remaining:
-        best_e, best_score = None, -math.inf
-        for e in remaining:
-            score = 0.0
-            for s in states:
-                if not s.covered:
-                    score += s.weight * s.gain(e) / (1.0 - s.value)
-            if score > best_score:
-                best_e, best_score = e, score
-        chosen.append(best_e)
-        remaining.remove(best_e)
-        for s in states:
-            if not s.covered:
-                s.add(best_e)
-    return tuple(chosen)
+    return _greedy_order(inst, normalized=True)
 
 
 @dataclass(frozen=True)
@@ -203,11 +200,13 @@ def balanced_adaptive_greedy(inst: Instance, cfg: Optional[BagConfig] = None):
     Returns (permutation, trace).
     """
     cfg = cfg or BagConfig()
-    by_agent = _states_by_agent(inst)
+    states = _states(inst)
+    by_agent_id = sorted(states, key=lambda s: s.agent)  # stable: function order kept
     agent_ids = [a.id for a in inst.agents]
-    rem_weight = {
-        i: sum(s.weight for s in by_agent[i] if not s.covered) for i in agent_ids
-    }
+    rem_weight = dict.fromkeys(agent_ids, 0)
+    for s in states:
+        if not s.covered:
+            rem_weight[s.agent] += s.weight
     remaining = list(range(1, inst.n + 1))
     chosen = []
     trace = RunTrace()
@@ -235,26 +234,15 @@ def balanced_adaptive_greedy(inst: Instance, cfg: Optional[BagConfig] = None):
                 start_t=t,
             )
             trace.passes.append(pass_rec)
-            frozen_states = [s for i in frozen for s in by_agent[i]]
+            frozen_states = [s for s in by_agent_id if s.agent in active]
             while len(active) >= cfg.drop_fraction * len(frozen):
-                if not remaining:  # only reachable on malformed oracles
+                if not remaining:  # only reachable when some f(U) < 1
                     break
-                best_e, best_score = None, -math.inf
-                for e in remaining:
-                    score = 0.0
-                    for s in frozen_states:
-                        if not s.covered:
-                            score += s.weight * s.gain(e) / (1.0 - s.value)
-                    if score > best_score:
-                        best_e, best_score = e, score
+                best_e, best_score = _pick(remaining, frozen_states, True)
                 chosen.append(best_e)
                 remaining.remove(best_e)
-                for i in agent_ids:
-                    for s in by_agent[i]:
-                        if not s.covered:
-                            s.add(best_e)
-                            if s.covered:
-                                rem_weight[i] -= s.weight
+                for s in _advance(states, best_e):
+                    rem_weight[s.agent] -= s.weight
                 active = lagging(b)
                 trace.picks.append(
                     PickRecord(
@@ -298,22 +286,21 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     """
     ng = normalized_greedy(inst)
     incumbent = {"perm": ng, "value": objective(inst, ng, "minmax")}
-    by_agent = _states_by_agent(inst)
+    states = _states(inst)
     agent_ids = [a.id for a in inst.agents]
     n = inst.n
     state = {"nodes": 0, "limit_hit": False}
     partial = {i: 0.0 for i in agent_ids}
     chosen: list = []
     in_use = [False] * (n + 1)
-    all_states = [(i, s) for i in agent_ids for s in by_agent[i]]
 
     def bound(depth: int) -> float:
         # every still-uncovered function has cover time >= depth + 1
-        return max(
-            partial[i]
-            + (depth + 1) * sum(s.weight for s in by_agent[i] if not s.covered)
-            for i in agent_ids
-        )
+        uncovered = dict.fromkeys(agent_ids, 0)
+        for s in states:
+            if not s.covered:
+                uncovered[s.agent] += s.weight
+        return max(partial[i] + (depth + 1) * uncovered[i] for i in agent_ids)
 
     def close_leaf():
         value = max(partial.values())
@@ -327,7 +314,7 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
         if state["nodes"] > node_limit:
             state["limit_hit"] = True
             return
-        if all(s.covered for _, s in all_states):
+        if all(s.covered for s in states):
             close_leaf()
             return
         if bound(depth) >= incumbent["value"]:
@@ -335,23 +322,20 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
         for e in range(1, n + 1):
             if in_use[e] or state["limit_hit"]:
                 continue
-            if not any(not s.covered and s.gain(e) > 0 for _, s in all_states):
+            if not any(not s.covered and s.gain(e) > 0 for s in states):
                 continue  # zero gain now means zero gain forever; leave for the tail
-            snapshot = [(s, s.mask, s.subset, s.value, s.covered) for _, s in all_states]
+            snapshot = [(s, s.mask, s.value, s.covered) for s in states]
             saved_partial = dict(partial)
-            for i, s in all_states:
-                if not s.covered:
-                    s.add(e)
-                    if s.covered:
-                        partial[i] += s.weight * (depth + 1)
+            for s in _advance(states, e):
+                partial[s.agent] += s.weight * (depth + 1)
             in_use[e] = True
             chosen.append(e)
             search(depth + 1)
             chosen.pop()
             in_use[e] = False
             partial.update(saved_partial)
-            for s, mask, subset, value, covered in snapshot:
-                s.mask, s.subset, s.value, s.covered = mask, subset, value, covered
+            for s, mask, value, covered in snapshot:
+                s.mask, s.value, s.covered = mask, value, covered
 
     search(0)
     return BruteForceResult(

@@ -46,6 +46,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def default_seed() -> int:
     return int(os.environ.get("SUBRANK_SEED", "0"))
 
@@ -82,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gmsc-bench", help="LP bound plus rounding benchmark")
     p.add_argument("--instance", required=True,
                    help="instance JSON whose functions are all unit-weight gmsc")
-    p.add_argument("--seeds", type=int, default=20, help="rounding repetitions")
+    p.add_argument("--seeds", type=positive_int, default=20, help="rounding repetitions")
     p.add_argument("--seed-base", type=int, default=None)
     p.add_argument("--out", default=None, help="per-seed results CSV")
     p.add_argument("--dump-lp", metavar="PREFIX", default=None,

@@ -2,40 +2,62 @@
 
 Ground set is ``{1..n}``. Each agent holds weighted monotone submodular
 functions mapping element subsets to ``[0, 1]`` with full value 1 on the
-whole ground set. All operations here are pure; instances are immutable
-after construction and safe to share across parallel workers.
+whole ground set. Every function is a ``SetSystemOracle``: its value is an
+integer numerator over a fixed integer denominator, so coverage is an exact
+integer comparison with no float tolerance. All operations here are pure;
+instances are immutable after construction and safe to share across
+parallel workers.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-# Threshold slack for float-valued oracles. Set-system families override
-# covers() with exact integer arithmetic and never consult this.
-COVER_TOL = 1e-12
 
 # An ordering of the ground set: a tuple containing each of 1..n exactly once.
 Permutation = tuple
 
 
-class FunctionOracle:
-    """Monotone submodular set function on {1..n} with values in [0, 1].
+class SetSystemOracle:
+    """Monotone submodular function num(union of element masks) / denominator.
 
-    Subclasses implement evaluate(); min_nonzero_marginal is the analytic
-    lower bound on any strict value increase (the per-function epsilon).
+    Subclasses provide element_mask (element id -> int bitmask) and
+    numerator(mask); the denominator is fixed. Monotonicity and
+    submodularity hold because numerator is a monotone submodular function
+    of the bit set (a weighted coverage count, possibly capped).
+    min_nonzero_marginal is the analytic lower bound on any strict value
+    increase (the per-function epsilon).
     """
 
+    denominator: int = 1
     min_nonzero_marginal: float = 1.0
 
-    def evaluate(self, subset: Iterable[int]) -> float:
+    def element_mask(self, e: int) -> int:
         raise NotImplementedError
+
+    def numerator(self, mask: int) -> int:
+        raise NotImplementedError
+
+    def union_mask(self, subset: Iterable[int]) -> int:
+        mask = 0
+        for e in subset:
+            mask |= self.element_mask(e)
+        return mask
+
+    def evaluate(self, subset: Iterable[int]) -> float:
+        return self.numerator(self.union_mask(subset)) / self.denominator
 
     def covers(self, subset: Iterable[int]) -> bool:
         """Whether the subset reaches the unit threshold."""
-        return self.evaluate(subset) >= 1.0 - COVER_TOL
+        return self.mask_covers(self.union_mask(subset))
+
+    def mask_covers(self, mask: int) -> bool:
+        return self.numerator(mask) == self.denominator
+
+    def to_params(self) -> dict:
+        """JSON-serializable family parameters (see instance_io)."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -43,7 +65,7 @@ class Agent:
     """One agent: an id in 1..k and a list of (oracle, weight) pairs."""
 
     id: int
-    functions: tuple  # tuple of (FunctionOracle, float)
+    functions: tuple  # tuple of (SetSystemOracle, float)
 
     def total_weight(self) -> float:
         return sum(w for _, w in self.functions)
@@ -55,7 +77,8 @@ class Instance:
 
     epsilon and W are derived from the agents when not given explicitly:
     epsilon is the minimum oracle-reported nonzero marginal over all
-    functions, W the maximum per-agent total weight.
+    functions, W the maximum per-agent total weight. Raises TypeError on a
+    function that is not a SetSystemOracle.
     """
 
     n: int
@@ -64,6 +87,12 @@ class Instance:
     W: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        for agent in self.agents:
+            for f, _ in agent.functions:
+                if not isinstance(f, SetSystemOracle):
+                    raise TypeError(
+                        f"agent {agent.id}: {type(f).__name__} is not a SetSystemOracle"
+                    )
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", derived_epsilon(self.agents))
         if self.W is None:
@@ -74,12 +103,6 @@ class Instance:
             if agent.id == agent_id:
                 return agent
         raise KeyError(f"unknown agent id {agent_id}")
-
-    def all_functions(self):
-        """Yield (agent, oracle, weight) over every function in the instance."""
-        for agent in self.agents:
-            for oracle, weight in agent.functions:
-                yield agent, oracle, weight
 
 
 def derived_epsilon(agents: Sequence[Agent]) -> float:
@@ -114,7 +137,7 @@ def _require_permutation(inst: Instance, pi: Sequence[int]) -> None:
         raise ValueError(f"ordering is not a permutation of 1..{inst.n}")
 
 
-def normalized_gain_sum(f: FunctionOracle, order: Sequence[int]) -> float:
+def normalized_gain_sum(f: SetSystemOracle, order: Sequence[int]) -> float:
     """Telescoping sum of per-step gains over the residual to coverage.
 
     Along the prefix chain of order, accumulates
@@ -123,32 +146,30 @@ def normalized_gain_sum(f: FunctionOracle, order: Sequence[int]) -> float:
     minimum nonzero marginal eps this never exceeds 1 + ln(1/eps).
     """
     total = 0.0
-    prefix: set = set()
-    value = f.evaluate(prefix)
-    covered = f.covers(prefix)
+    mask = 0
+    value = f.numerator(mask) / f.denominator
     for e in order:
-        if covered:
+        if f.mask_covers(mask):
             break
-        prefix.add(e)
-        new_value = f.evaluate(prefix)
+        mask |= f.element_mask(e)
+        new_value = f.numerator(mask) / f.denominator
         total += (new_value - value) / (1.0 - value)
         value = new_value
-        covered = f.covers(prefix)
     return total
 
 
-def cover_time(f: FunctionOracle, pi: Sequence[int]) -> int:
+def cover_time(f: SetSystemOracle, pi: Sequence[int]) -> int:
     """Smallest t such that the first t elements of pi reach the threshold.
 
     Returns 0 when the empty set already covers. Requires f to reach 1 on
     the full ground set; raises otherwise.
     """
-    prefix = set()
-    if f.covers(prefix):
+    mask = 0
+    if f.mask_covers(mask):
         return 0
     for t, e in enumerate(pi, start=1):
-        prefix.add(e)
-        if f.covers(prefix):
+        mask |= f.element_mask(e)
+        if f.mask_covers(mask):
             return t
     raise ValueError("function never reaches the unit threshold on this permutation")
 
@@ -223,18 +244,14 @@ class Violation:
         return f"[{self.severity}] {self.where}: {self.message}"
 
 
-def validate(inst: Instance, spot_checks: int = 50, seed: int = 0) -> list:
+def validate(inst: Instance) -> list:
     """Check instance invariants; returns violations, never raises.
 
-    Exact set-system families are checked exactly for f(U) = 1. Other oracle
-    types get randomized monotonicity/submodularity spot checks on random
-    (S, S', e) triples.
+    Every function is checked exactly for f(U) = 1; monotonicity and
+    submodularity hold by construction of SetSystemOracle.
     """
-    from subrank.functions import SetSystemOracle
-
     violations = []
     universe = list(range(1, inst.n + 1))
-    rng = random.Random(seed)
 
     for agent in inst.agents:
         if not agent.functions:
@@ -255,17 +272,9 @@ def validate(inst: Instance, spot_checks: int = 50, seed: int = 0) -> list:
                         f"min_nonzero_marginal out of (0,1]: {f.min_nonzero_marginal}",
                     )
                 )
-            full = f.evaluate(universe)
-            exact = isinstance(f, SetSystemOracle)
-            if (exact and not f.covers(universe)) or (
-                not exact and abs(full - 1.0) > COVER_TOL
-            ):
+            if not f.covers(universe):
                 violations.append(
-                    Violation(SEVERITY_ERROR, where, f"f(U) != 1 (f(U)={full})")
-                )
-            if not exact:
-                violations.extend(
-                    _spot_check(f, universe, where, rng, spot_checks)
+                    Violation(SEVERITY_ERROR, where, f"f(U) != 1 (f(U)={f.evaluate(universe)})")
                 )
 
     eps = derived_epsilon(inst.agents)
@@ -287,31 +296,6 @@ def validate(inst: Instance, spot_checks: int = 50, seed: int = 0) -> list:
             )
         )
     return violations
-
-
-def _spot_check(f: FunctionOracle, universe: list, where: str, rng, trials: int):
-    """Randomized monotone/submodular checks for oracles without exact structure."""
-    found = []
-    for _ in range(trials):
-        small = set(e for e in universe if rng.random() < 0.4)
-        large = small | set(e for e in universe if rng.random() < 0.3)
-        outside = [e for e in universe if e not in large]
-        v_small, v_large = f.evaluate(small), f.evaluate(large)
-        if v_small > v_large + COVER_TOL:
-            found.append(
-                Violation(SEVERITY_ERROR, where, "monotonicity violated on random pair")
-            )
-            break
-        if outside:
-            e = rng.choice(outside)
-            gain_small = f.evaluate(small | {e}) - v_small
-            gain_large = f.evaluate(large | {e}) - v_large
-            if gain_small < gain_large - COVER_TOL:
-                found.append(
-                    Violation(SEVERITY_ERROR, where, "submodularity violated on random triple")
-                )
-                break
-    return found
 
 
 def errors_only(violations: Iterable[Violation]) -> list:

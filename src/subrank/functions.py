@@ -1,9 +1,10 @@
 """Concrete submodular function families and instance generators.
 
-All four families share one structure: the function value is a ratio of
-integers determined by the union of per-element "hit" sets, so coverage
-checks are exact integer comparisons rather than float thresholds. Each
-family reports its minimum nonzero marginal analytically.
+All four families are ``SetSystemOracle`` subclasses (defined in core):
+the function value is a ratio of integers determined by the union of
+per-element "hit" sets, so coverage checks are exact integer comparisons
+rather than float thresholds. Each family reports its minimum nonzero
+marginal analytically.
 """
 
 from __future__ import annotations
@@ -13,44 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Sequence
 
-from subrank.core import Agent, FunctionOracle, Instance
-
-
-class SetSystemOracle(FunctionOracle):
-    """Oracle whose value is num(union of element masks) / denominator.
-
-    Subclasses provide element_masks (element id -> int bitmask) and
-    numerator(mask); the denominator is fixed. Monotonicity and
-    submodularity hold because numerator is a monotone submodular function
-    of the bit set (a weighted coverage count, possibly capped).
-    """
-
-    denominator: int = 1
-
-    def element_mask(self, e: int) -> int:
-        raise NotImplementedError
-
-    def numerator(self, mask: int) -> int:
-        raise NotImplementedError
-
-    def union_mask(self, subset: Iterable[int]) -> int:
-        mask = 0
-        for e in subset:
-            mask |= self.element_mask(e)
-        return mask
-
-    def evaluate(self, subset: Iterable[int]) -> float:
-        return self.numerator(self.union_mask(subset)) / self.denominator
-
-    def covers(self, subset: Iterable[int]) -> bool:
-        return self.numerator(self.union_mask(subset)) == self.denominator
-
-    def mask_covers(self, mask: int) -> bool:
-        return self.numerator(mask) == self.denominator
-
-    def to_params(self) -> dict:
-        """JSON-serializable family parameters (see instance_io)."""
-        raise NotImplementedError
+from subrank.core import Agent, Instance, SetSystemOracle
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,8 @@ def doc_to_instance(doc: dict) -> Instance:
         raise InstanceFormatError(f"missing or malformed field: {exc}") from exc
     if not isinstance(agents_doc, list):
         raise InstanceFormatError("agents must be a list")
+    if not agents_doc:
+        raise InstanceFormatError("instance has no agents")
     agents = []
     for i, agent_doc in enumerate(agents_doc, start=1):
         funcs_doc = agent_doc.get("functions") if isinstance(agent_doc, dict) else None

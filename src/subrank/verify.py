@@ -59,8 +59,8 @@ class CheckResult:
         return f"[{status}] {self.suite}/{self.name}{tail}"
 
 
-def _random_family_oracles(rng: random.Random, n: int):
-    """One oracle of each family over {1..n}."""
+def random_family_oracles(rng: random.Random, n: int) -> list:
+    """One oracle of each family over {1..n}: coverage, odt, gmsc, singleton."""
     items = [(i, rng.randint(1, 4)) for i in range(1, rng.randint(2, 4) + 1)]
     covers = {
         e: {i for i, _ in items if rng.random() < 0.5} for e in range(1, n + 1)
@@ -87,7 +87,7 @@ def chain_bound_check(chains_per_family: int = 100, seed: int = 0) -> CheckResul
     n = 8
     worst = -math.inf
     for trial in range(chains_per_family):
-        for f in _random_family_oracles(rng, n):
+        for f in random_family_oracles(rng, n):
             order = list(range(1, n + 1))
             rng.shuffle(order)
             bound = 1.0 + math.log(1.0 / f.min_nonzero_marginal)

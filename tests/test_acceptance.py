@@ -16,13 +16,9 @@ import pytest
 from subrank.core import cover_time, make_instance, normalized_gain_sum, objective
 from subrank.functions import (
     GmscSet,
-    OdtTable,
-    coverage_function,
     gmsc_function,
     hard_family,
-    odt_function,
     random_coverage_instance,
-    singleton_function,
 )
 from subrank.algorithms import (
     BagConfig,
@@ -34,6 +30,7 @@ from subrank.algorithms import (
 from subrank import gmsc as gm
 from subrank.harness import ExperimentConfig, sweep
 from subrank.instance_io import dumps, instance_to_doc
+from subrank.verify import random_family_oracles
 
 CHAIN_TOL = 1e-9
 LP_OPT_TOL = 1e-6
@@ -149,29 +146,12 @@ def test_criterion_3_approximation_envelopes():
     report(3, f"50 instances; worst ng/opt={worst_ng:.2f}, bag/opt={worst_bag:.2f} ({elapsed:.1f}s)")
 
 
-def _chain_case(rng, n):
-    items = [(i, rng.randint(1, 4)) for i in range(1, rng.randint(2, 4) + 1)]
-    covers = {e: {i for i, _ in items if rng.random() < 0.5} for e in range(1, n + 1)}
-    for i, _ in items:
-        covers[rng.randint(1, n)].add(i)
-    rows = None
-    while rows is None or len(set(rows)) < len(rows):
-        rows = tuple(tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(2, 5)))
-    members = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
-    return [
-        coverage_function(items, covers),
-        odt_function(OdtTable(rows=rows), 1),
-        gmsc_function(GmscSet(members=members, K=rng.randint(1, len(members)))),
-        singleton_function(rng.randint(1, n)),
-    ]
-
-
 def test_criterion_4_chain_bound():
     t0 = time.perf_counter()
     rng = random.Random(777)
     n = 8
     for _ in range(100):  # 100 chains per family
-        for f in _chain_case(rng, n):
+        for f in random_family_oracles(rng, n):
             order = list(range(1, n + 1))
             rng.shuffle(order)
             bound = 1.0 + math.log(1.0 / f.min_nonzero_marginal)

@@ -6,6 +6,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subrank.core import Agent, Instance, is_permutation, objective
 from subrank.functions import (
@@ -258,3 +260,62 @@ def test_all_algorithms_emit_permutations():
         ]
         for perm in perms:
             assert is_permutation(inst.n, perm)
+
+
+@st.composite
+def tie_prone_instances(draw):
+    """Small coverage instances with integer item and function weights."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    agents = []
+    for i in range(1, draw(st.integers(min_value=1, max_value=3)) + 1):
+        funcs = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            n_items = draw(st.integers(min_value=1, max_value=3))
+            items = [(j, draw(st.integers(min_value=1, max_value=3))) for j in range(1, n_items + 1)]
+            covers = {
+                e: draw(st.sets(st.integers(min_value=1, max_value=n_items)))
+                for e in range(1, n + 1)
+            }
+            funcs.append((coverage_function(items, covers), float(draw(st.integers(1, 3)))))
+        agents.append(Agent(id=i, functions=tuple(funcs)))
+    return Instance(n=n, agents=tuple(agents))
+
+
+def reference_order(inst, normalized):
+    """Greedy rescored from scratch each step; the first maximum wins."""
+    functions = [(f, w) for agent in inst.agents for f, w in agent.functions]
+    chosen = []
+    while len(chosen) < inst.n:
+
+        def score(e):
+            total = 0.0
+            for f, w in functions:
+                before = f.numerator(f.union_mask(chosen))
+                if before == f.denominator:
+                    continue  # covered functions contribute nothing
+                gain = (f.numerator(f.union_mask(chosen + [e])) - before) / f.denominator
+                residual = 1.0 - before / f.denominator if normalized else 1.0
+                total += w * gain / residual
+            return total
+
+        remaining = [e for e in range(1, inst.n + 1) if e not in chosen]
+        chosen.append(max(remaining, key=score))  # max keeps the first of equals
+    return tuple(chosen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=tie_prone_instances())
+def test_pick_kernel_matches_reference(inst):
+    assert greedy(inst) == reference_order(inst, normalized=False)
+    assert normalized_greedy(inst) == reference_order(inst, normalized=True)
+
+
+def test_instance_rejects_non_set_system_functions():
+    class FloatOracle:
+        min_nonzero_marginal = 1.0
+
+        def evaluate(self, subset):
+            return float(bool(subset))
+
+    with pytest.raises(TypeError, match="FloatOracle is not a SetSystemOracle"):
+        Instance(n=1, agents=(Agent(id=1, functions=((FloatOracle(), 1.0),)),))

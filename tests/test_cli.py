@@ -212,6 +212,14 @@ class TestGmscBench:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "unit-weight gmsc" in err[0]
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_nonpositive_seed_count_is_usage_error(self, seeds, tmp_path, capsys):
+        absent = str(tmp_path / "absent.json")  # rejected before any file is read
+        with pytest.raises(SystemExit) as err:
+            main(["gmsc-bench", "--instance", absent, "--seeds", seeds])
+        assert err.value.code == EXIT_USAGE
+        assert f"--seeds: must be at least 1, got {int(seeds)}" in capsys.readouterr().err
+
     def test_lp_failure_is_data_error(self, gmsc6, monkeypatch, capsys):
         from subrank import gmsc, simplex
 

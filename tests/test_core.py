@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from subrank.core import (
     Agent,
-    FunctionOracle,
     Instance,
     agent_cost,
     cover_report,
@@ -21,16 +20,13 @@ from subrank.core import (
     validate,
 )
 from subrank.functions import (
-    GmscSet,
-    OdtTable,
     coverage_function,
-    gmsc_function,
     hard_family,
-    odt_function,
     random_coverage_instance,
     singleton_function,
 )
 from subrank.algorithms import normalized_greedy
+from subrank.verify import random_family_oracles
 
 
 def two_item_coverage():
@@ -155,63 +151,16 @@ def test_tail_exchange_preserves_objectives():
     assert checked >= 5
 
 
-def random_chain_families(rng, n):
-    items = [(i, rng.randint(1, 4)) for i in range(1, rng.randint(2, 4) + 1)]
-    covers = {e: {i for i, _ in items if rng.random() < 0.5} for e in range(1, n + 1)}
-    for i, _ in items:
-        covers[rng.randint(1, n)].add(i)
-    rows = None
-    while rows is None or len(set(rows)) < len(rows):
-        rows = tuple(
-            tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(rng.randint(2, 5))
-        )
-    members = frozenset(rng.sample(range(1, n + 1), rng.randint(1, n)))
-    return [
-        coverage_function(items, covers),
-        odt_function(OdtTable(rows=rows), 1),
-        gmsc_function(GmscSet(members=members, K=rng.randint(1, len(members)))),
-        singleton_function(rng.randint(1, n)),
-    ]
-
-
 def test_normalized_gain_chain_bound():
     # 100 random chains per family, tolerance 1e-9
     rng = random.Random(424242)
     n = 8
     for _ in range(100):
-        for f in random_chain_families(rng, n):
+        for f in random_family_oracles(rng, n):
             order = list(range(1, n + 1))
             rng.shuffle(order)
             bound = 1.0 + math.log(1.0 / f.min_nonzero_marginal)
             assert normalized_gain_sum(f, order) <= bound + 1e-9
-
-
-class BrokenTopOracle(FunctionOracle):
-    """Float-valued oracle that tops out below 1."""
-
-    min_nonzero_marginal = 0.3
-
-    def evaluate(self, subset):
-        return 0.3 * min(len(set(subset)), 3)
-
-
-class NonMonotoneOracle(FunctionOracle):
-    min_nonzero_marginal = 0.5
-
-    def evaluate(self, subset):
-        size = len(set(subset))
-        if size == 1:
-            return 0.9
-        if size == 2:
-            return 0.5  # drops below the singleton value
-        return min(1.0, size / 3.0)
-
-
-class SupermodularOracle(FunctionOracle):
-    min_nonzero_marginal = 1.0 / 16.0
-
-    def evaluate(self, subset):
-        return (len(set(subset)) / 4.0) ** 2
 
 
 class TestValidate:
@@ -226,20 +175,11 @@ class TestValidate:
         assert any("weight < 1" in m for m in messages)
 
     def test_partial_coverage_flagged(self):
-        inst = Instance(n=4, agents=(Agent(id=1, functions=((BrokenTopOracle(), 1.0),)),))
+        # item 2 is hit by no element, so f(U) = 1/3
+        f = coverage_function([(1, 1), (2, 2)], {1: {1}, 2: set()})
+        inst = Instance(n=2, agents=(Agent(id=1, functions=((f, 1.0),)),))
         messages = [v.message for v in errors_only(validate(inst))]
         assert any("f(U) != 1" in m for m in messages)
-
-    def test_non_monotone_oracle_caught(self):
-        # violates monotonicity and (hence) submodularity; either label is a catch
-        inst = Instance(n=4, agents=(Agent(id=1, functions=((NonMonotoneOracle(), 1.0),)),))
-        messages = [v.message for v in errors_only(validate(inst))]
-        assert any("monotonicity" in m or "submodularity" in m for m in messages)
-
-    def test_supermodular_oracle_caught(self):
-        inst = Instance(n=4, agents=(Agent(id=1, functions=((SupermodularOracle(), 1.0),)),))
-        messages = [v.message for v in errors_only(validate(inst))]
-        assert any("submodularity" in m for m in messages)
 
     def test_epsilon_and_weight_mismatch_flagged(self):
         base = hard_family(9, 0.01)

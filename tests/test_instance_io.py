@@ -161,6 +161,7 @@ MALFORMED = {
         _one_function_doc(params={"members": [1, 3], "K": 1}),
         r"gmsc member outside 1\.\.2",
     ),
+    "no-agents": ({"n": 3, "agents": []}, "instance has no agents"),
     "tables-not-an-object": (
         {"n": 2, "agents": [], "tables": [[0, 1]]},
         "missing or malformed field",
