@@ -5,79 +5,130 @@ Greedy, normalized greedy (NG) and balanced adaptive greedy (BAG) share one
 pick kernel, ``_pick``: a candidate scores the sum of weight * gain /
 residual over the uncovered functions in play, with residual 1 - f(S) for
 NG and BAG and exactly 1 for greedy; BAG scores only a frozen set of
-lagging agents. Ties go to the smallest element index. Every function's
-covered bitmask is memoized, so a step costs one exact marginal evaluation
-per (candidate, function) pair. All algorithms are deterministic given
-their inputs (and seed, where one exists).
+lagging agents. Ties go to the smallest element index. This is the
+normalized greedy of Azar & Gamzu, "Ranking with submodular valuations"
+(SODA 2011).
+
+The kernel keeps one tracker per distinct oracle, shared by every
+(agent, weight) pair that holds it, and scores all candidates at once in
+numpy. Every oracle's numerator is a weighted coverage count capped at its
+denominator, and the cap cannot bind in a one-element step of an uncovered
+function, so each gain is the live weight of the items a candidate hits:
+an element x item incidence matrix times the live item weights, summed per
+oracle. These integer sums are exact in float64 (Instance caps the
+denominator at 2**53). A candidate's terms are summed with a sequential
+accumulate in state order, which reproduces a scalar ``+=`` loop bit for
+bit; a matrix product would reorder the sum and could flip near-ties. Lazy
+(Minoux) evaluation is not used: a normalized gain can grow as the prefix
+grows. All algorithms are deterministic given their inputs (and seed,
+where one exists).
 """
 
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from subrank.core import Instance, objective
 
-
-class _FnState:
-    """Incremental tracker of one function's value along the chosen prefix."""
-
-    __slots__ = ("agent", "oracle", "weight", "mask", "value", "covered")
-
-    def __init__(self, agent: int, oracle, weight: float):
-        self.agent = agent
-        self.oracle = oracle
-        self.weight = weight
-        self.mask = 0
-        self.value = oracle.numerator(0) / oracle.denominator
-        self.covered = oracle.mask_covers(0)
-
-    def gain(self, e: int) -> float:
-        oracle = self.oracle
-        return (
-            oracle.numerator(self.mask | oracle.element_mask(e))
-            - oracle.numerator(self.mask)
-        ) / oracle.denominator
+# Cells per numpy pass when scoring candidates: candidate rows are taken in
+# chunks so a pick's float temporaries stay near this size.
+_CHUNK_CELLS = 1 << 14
 
 
-def _states(inst: Instance) -> list:
-    """One tracker per function, in agent then function order."""
-    return [_FnState(agent.id, f, w) for agent in inst.agents for f, w in agent.functions]
+class _Kernel:
+    """Selection state of one run: trackers, items and (agent, weight) states.
+
+    Trackers are the instance's distinct oracles (Instance.oracles); num,
+    den and covered hold each one's numerator, denominator and coverage.
+    Items are the oracles' bit positions, stacked in tracker order: hits is
+    the element x item incidence (row e - 1 for element e) and live the
+    weight of each item not yet hit by a pick. States are the
+    (agent, function) pairs in agent then function order; fn maps each to
+    its tracker, and pairs holds its (agent id, weight) as Python numbers
+    for the callers' scalar sums.
+    """
+
+    def __init__(self, inst: Instance):
+        oracles = inst.oracles
+        self.pairs = [(a.id, w) for a in inst.agents for _, w in a.functions]
+        self.agent = np.array([a for a, _ in self.pairs], dtype=np.int64)
+        self.weight = np.array([w for _, w in self.pairs], dtype=float)
+        self.fn = np.array([j for index in inst.oracle_index for j in index], dtype=np.intp)
+        # An oracle without items gets one dead column so reduceat's
+        # segments stay nonempty.
+        blocks = [f.incidence(inst.n) if f.item_weights else np.zeros((inst.n, 1), np.uint8)
+                  for f in oracles]
+        widths = [block.shape[1] for block in blocks]
+        self.hits = np.concatenate(blocks, axis=1) if blocks else np.zeros((inst.n, 0), np.uint8)
+        self.live = np.array([w for f in oracles for w in f.item_weights or (0,)], dtype=float)
+        self.starts = np.cumsum([0] + widths[:-1]).astype(np.intp)
+        self.den = np.array([f.denominator for f in oracles], dtype=float)
+        self.num = np.array([f.numerator(0) for f in oracles], dtype=float)
+        self.covered = np.array([f.mask_covers(0) for f in oracles], dtype=bool)
+
+    def gains(self, rows: np.ndarray) -> np.ndarray:
+        """Numerator gains, candidate rows x trackers (exact for uncovered ones)."""
+        return np.add.reduceat(self.hits[rows] * self.live, self.starts, axis=1)
+
+    def pairs_where(self, mask: np.ndarray) -> list:
+        """(agent id, weight) of the states where mask holds, in state order."""
+        return [self.pairs[j] for j in mask.nonzero()[0].tolist()]
+
+    def uncovered(self) -> list:
+        return self.pairs_where(~self.covered[self.fn])
+
+    def save(self) -> tuple:
+        return self.num.copy(), self.covered.copy(), self.live.copy()
+
+    def restore(self, saved: tuple) -> None:
+        self.num, self.covered, self.live = saved
 
 
-def _pick(remaining: list, states: list, normalized: bool) -> tuple:
+def _pick(kernel: _Kernel, remaining: list, states: np.ndarray, normalized: bool) -> tuple:
     """(element, score) maximizing the summed weighted gain over uncovered states.
 
-    Each uncovered state adds weight * gain / residual, with residual
-    1 - value when normalized and exactly 1.0 otherwise. remaining is kept
-    ascending, so the first maximum is the smallest-index one.
+    Each uncovered state of states, in the given order, adds
+    weight * gain / residual, with residual 1 - value when normalized and
+    exactly 1.0 otherwise. remaining is kept ascending, so the first
+    maximum is the smallest-index one.
     """
-    live = [(s, 1.0 - s.value if normalized else 1.0) for s in states if not s.covered]
-    best_e, best_score = None, -math.inf
-    for e in remaining:
-        score = 0.0
-        for s, residual in live:
-            score += s.weight * s.gain(e) / residual
-        if score > best_score:
-            best_e, best_score = e, score
-    return best_e, best_score
+    uncovered = states[~kernel.covered[kernel.fn[states]]]
+    if not uncovered.size:
+        return remaining[0], 0.0
+    fn = kernel.fn[uncovered]
+    weight = kernel.weight[uncovered]
+    residual = 1.0 - kernel.num[fn] / kernel.den[fn] if normalized else np.ones(fn.size)
+    candidates = np.array(remaining, dtype=np.intp) - 1
+    step = max(1, _CHUNK_CELLS // max(fn.size, kernel.live.size))
+    scores = np.empty(candidates.size)
+    for lo in range(0, candidates.size, step):
+        gains = kernel.gains(candidates[lo:lo + step]) / kernel.den
+        terms = gains[:, fn]
+        terms *= weight
+        terms /= residual
+        # a sequential accumulate, so the sum matches a scalar += loop bit for bit
+        scores[lo:lo + step] = np.cumsum(terms, axis=1, out=terms)[:, -1]
+    best = int(np.argmax(scores))  # first maximum
+    return remaining[best], float(scores[best])
 
 
-def _advance(states: list, e: int) -> list:
-    """Add e to every uncovered state; return the states it newly covers."""
-    newly = []
-    for s in states:
-        if not s.covered:
-            oracle = s.oracle
-            s.mask |= oracle.element_mask(e)
-            s.value = oracle.numerator(s.mask) / oracle.denominator
-            s.covered = oracle.mask_covers(s.mask)
-            if s.covered:
-                newly.append(s)
-    return newly
+def _advance(kernel: _Kernel, e: int) -> list:
+    """Add e to every tracker; return the (agent id, weight) pairs it newly covers.
+
+    The pairs come in state order. A covered tracker's numerator may grow
+    past its denominator here; only uncovered trackers' values are read.
+    """
+    hit = kernel.hits[e - 1]
+    kernel.num += np.add.reduceat(hit * kernel.live, kernel.starts)
+    kernel.live[hit != 0] = 0.0
+    was_covered = kernel.covered
+    kernel.covered = kernel.num >= kernel.den
+    return kernel.pairs_where((kernel.covered > was_covered)[kernel.fn])
 
 
 def random_order(inst: Instance, seed: int) -> tuple:
@@ -89,14 +140,15 @@ def random_order(inst: Instance, seed: int) -> tuple:
 
 def _greedy_order(inst: Instance, normalized: bool) -> tuple:
     """Repeated _pick over every function of every agent."""
-    states = _states(inst)
+    kernel = _Kernel(inst)
+    states = np.arange(len(kernel.pairs))
     remaining = list(range(1, inst.n + 1))
     chosen = []
     while remaining:
-        e, _ = _pick(remaining, states, normalized)
+        e, _ = _pick(kernel, remaining, states, normalized)
         chosen.append(e)
         remaining.remove(e)
-        _advance(states, e)
+        _advance(kernel, e)
     return tuple(chosen)
 
 
@@ -195,18 +247,19 @@ def balanced_adaptive_greedy(inst: Instance, cfg: Optional[BagConfig] = None):
     maximize the renormalized gain summed over the frozen agents only, and
     the snapshot is retaken once the live lagging set shrinks below
     drop_fraction of it. Elements left over once every agent meets the
-    current baseline are appended in index order.
+    current baseline are appended in index order. The run also ends once
+    every element is placed, which leaves agents lagging only when one of
+    their functions never reaches 1.
 
     Returns (permutation, trace).
     """
     cfg = cfg or BagConfig()
-    states = _states(inst)
-    by_agent_id = sorted(states, key=lambda s: s.agent)  # stable: function order kept
+    kernel = _Kernel(inst)
+    by_agent_id = np.argsort(kernel.agent, kind="stable")  # function order kept
     agent_ids = [a.id for a in inst.agents]
     rem_weight = dict.fromkeys(agent_ids, 0)
-    for s in states:
-        if not s.covered:
-            rem_weight[s.agent] += s.weight
+    for agent, w in kernel.uncovered():
+        rem_weight[agent] += w
     remaining = list(range(1, inst.n + 1))
     chosen = []
     trace = RunTrace()
@@ -219,11 +272,11 @@ def balanced_adaptive_greedy(inst: Instance, cfg: Optional[BagConfig] = None):
     def lagging(b: float) -> set:
         return {i for i in agent_ids if rem_weight[i] > b}
 
-    while lagging(baseline(p)):
+    while remaining and lagging(baseline(p)):
         b = baseline(p)
         q = 1
         active = lagging(b)
-        while active:
+        while remaining and active:
             frozen = tuple(sorted(active))
             pass_rec = PassRecord(
                 round_index=p,
@@ -234,15 +287,13 @@ def balanced_adaptive_greedy(inst: Instance, cfg: Optional[BagConfig] = None):
                 start_t=t,
             )
             trace.passes.append(pass_rec)
-            frozen_states = [s for s in by_agent_id if s.agent in active]
-            while len(active) >= cfg.drop_fraction * len(frozen):
-                if not remaining:  # only reachable when some f(U) < 1
-                    break
-                best_e, best_score = _pick(remaining, frozen_states, True)
+            frozen_states = by_agent_id[np.isin(kernel.agent[by_agent_id], frozen)]
+            while remaining and len(active) >= cfg.drop_fraction * len(frozen):
+                best_e, best_score = _pick(kernel, remaining, frozen_states, True)
                 chosen.append(best_e)
                 remaining.remove(best_e)
-                for s in _advance(states, best_e):
-                    rem_weight[s.agent] -= s.weight
+                for agent, w in _advance(kernel, best_e):
+                    rem_weight[agent] -= w
                 active = lagging(b)
                 trace.picks.append(
                     PickRecord(
@@ -286,7 +337,7 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     """
     ng = normalized_greedy(inst)
     incumbent = {"perm": ng, "value": objective(inst, ng, "minmax")}
-    states = _states(inst)
+    kernel = _Kernel(inst)
     agent_ids = [a.id for a in inst.agents]
     n = inst.n
     state = {"nodes": 0, "limit_hit": False}
@@ -297,9 +348,8 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     def bound(depth: int) -> float:
         # every still-uncovered function has cover time >= depth + 1
         uncovered = dict.fromkeys(agent_ids, 0)
-        for s in states:
-            if not s.covered:
-                uncovered[s.agent] += s.weight
+        for agent, w in kernel.uncovered():
+            uncovered[agent] += w
         return max(partial[i] + (depth + 1) * uncovered[i] for i in agent_ids)
 
     def close_leaf():
@@ -314,28 +364,27 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
         if state["nodes"] > node_limit:
             state["limit_hit"] = True
             return
-        if all(s.covered for s in states):
+        if kernel.covered.all():
             close_leaf()
             return
         if bound(depth) >= incumbent["value"]:
             return
+        # zero gain now means zero gain forever; such elements wait for the tail
+        useful = (kernel.gains(np.arange(n))[:, ~kernel.covered] > 0).any(axis=1)
         for e in range(1, n + 1):
-            if in_use[e] or state["limit_hit"]:
+            if in_use[e] or state["limit_hit"] or not useful[e - 1]:
                 continue
-            if not any(not s.covered and s.gain(e) > 0 for s in states):
-                continue  # zero gain now means zero gain forever; leave for the tail
-            snapshot = [(s, s.mask, s.value, s.covered) for s in states]
+            saved = kernel.save()
             saved_partial = dict(partial)
-            for s in _advance(states, e):
-                partial[s.agent] += s.weight * (depth + 1)
+            for agent, w in _advance(kernel, e):
+                partial[agent] += w * (depth + 1)
             in_use[e] = True
             chosen.append(e)
             search(depth + 1)
             chosen.pop()
             in_use[e] = False
             partial.update(saved_partial)
-            for s, mask, value, covered in snapshot:
-                s.mask, s.value, s.covered = mask, value, covered
+            kernel.restore(saved)
 
     search(0)
     return BruteForceResult(

@@ -13,25 +13,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
+
+import numpy as np
 
 # An ordering of the ground set: a tuple containing each of 1..n exactly once.
 Permutation = tuple
+
+#: Largest accepted denominator. Numerators up to it are exact in float64,
+#: which the vectorised selection kernel relies on.
+MAX_DENOMINATOR = 2**53
 
 
 class SetSystemOracle:
     """Monotone submodular function num(union of element masks) / denominator.
 
-    Subclasses provide element_mask (element id -> int bitmask) and
-    numerator(mask); the denominator is fixed. Monotonicity and
-    submodularity hold because numerator is a monotone submodular function
-    of the bit set (a weighted coverage count, possibly capped).
-    min_nonzero_marginal is the analytic lower bound on any strict value
-    increase (the per-function epsilon).
+    Subclasses provide element_mask (element id -> int bitmask over item
+    positions), item_weights (the integer weight of each item position)
+    and numerator(mask); the denominator is fixed. numerator is a weighted
+    coverage count: the summed item_weights of the set bits, possibly
+    capped at the denominator. So while a function is uncovered, adding one
+    element raises the numerator by exactly the weights of the items it
+    newly hits, which is what the selection kernel computes. Monotonicity
+    and submodularity follow. min_nonzero_marginal is the analytic lower
+    bound on any strict value increase (the per-function epsilon).
     """
 
     denominator: int = 1
     min_nonzero_marginal: float = 1.0
+    item_weights: tuple = ()
 
     def element_mask(self, e: int) -> int:
         raise NotImplementedError
@@ -54,6 +65,24 @@ class SetSystemOracle:
 
     def mask_covers(self, mask: int) -> bool:
         return self.numerator(mask) == self.denominator
+
+    def incidence(self, n: int) -> np.ndarray:
+        """uint8 matrix (n, len(item_weights)): row e - 1 marks the items e hits.
+
+        Built once per ground-set size and kept on the oracle, so every run
+        on an instance that holds it reuses the matrix.
+        """
+        cached = self.__dict__.get("_incidence")
+        if cached is None or cached.shape[0] != n:
+            width = len(self.item_weights)
+            nbytes = (width + 7) // 8
+            raw = b"".join(self.element_mask(e).to_bytes(nbytes, "little") for e in range(1, n + 1))
+            bits = np.unpackbits(
+                np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes), axis=1, bitorder="little"
+            )
+            cached = np.ascontiguousarray(bits[:, :width])
+            object.__setattr__(self, "_incidence", cached)
+        return cached
 
     def to_params(self) -> dict:
         """JSON-serializable family parameters (see instance_io)."""
@@ -78,21 +107,47 @@ class Instance:
     epsilon and W are derived from the agents when not given explicitly:
     epsilon is the minimum oracle-reported nonzero marginal over all
     functions, W the maximum per-agent total weight. Raises TypeError on a
-    function that is not a SetSystemOracle.
+    function that is not a SetSystemOracle, and ValueError on duplicate
+    agent ids or a denominator above MAX_DENOMINATOR.
+
+    oracles lists the distinct oracles (by identity) in first-appearance
+    order, and oracle_index holds, per agent, the position in oracles of
+    each of its functions, so evaluators can handle a shared oracle once.
     """
 
     n: int
     agents: tuple
     epsilon: float = field(default=None)  # type: ignore[assignment]
     W: float = field(default=None)  # type: ignore[assignment]
+    oracles: tuple = field(init=False, repr=False, compare=False)
+    oracle_index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        seen = set()
+        oracles: list = []
+        position: dict = {}  # id(oracle) -> its index in oracles
+        index = []
         for agent in self.agents:
+            if agent.id in seen:
+                raise ValueError(f"duplicate agent id {agent.id}")
+            seen.add(agent.id)
+            agent_index = []
             for f, _ in agent.functions:
                 if not isinstance(f, SetSystemOracle):
                     raise TypeError(
                         f"agent {agent.id}: {type(f).__name__} is not a SetSystemOracle"
                     )
+                if f.denominator > MAX_DENOMINATOR:
+                    raise ValueError(
+                        f"agent {agent.id}: denominator {f.denominator} exceeds 2**53"
+                    )
+                if id(f) not in position:
+                    position[id(f)] = len(oracles)
+                    oracles.append(f)
+                agent_index.append(position[id(f)])
+            index.append(tuple(agent_index))
+        object.__setattr__(self, "oracles", tuple(oracles))
+        object.__setattr__(self, "oracle_index", tuple(index))
         if self.epsilon is None:
             object.__setattr__(self, "epsilon", derived_epsilon(self.agents))
         if self.W is None:
@@ -185,14 +240,11 @@ def objective(inst: Instance, pi: Sequence[int], mode: str = "minmax") -> float:
 
     Raises ValueError unless pi is a permutation of 1..n.
     """
-    _require_permutation(inst, pi)
-    if not inst.agents:
-        raise ValueError("instance has no agents")
-    costs = [agent_cost(inst, a.id, pi) for a in inst.agents]
+    report = cover_report(inst, pi)
     if mode == "minmax":
-        return max(costs)
+        return report.minmax
     if mode == "average":
-        return sum(costs) / len(costs)
+        return report.average
     raise ValueError(f"unknown objective mode {mode!r}")
 
 
@@ -207,18 +259,23 @@ class CoverReport:
 
 
 def cover_report(inst: Instance, pi: Sequence[int]) -> CoverReport:
-    """Raises ValueError unless pi is a permutation of 1..n."""
+    """Cover times and costs of every agent under pi.
+
+    Each distinct oracle (by identity) is timed once, however many agents
+    hold it. Raises ValueError unless pi is a permutation of 1..n.
+    """
     _require_permutation(inst, pi)
-    times = []
-    costs = []
-    for agent in inst.agents:
-        agent_times = tuple(cover_time(f, pi) for f, _ in agent.functions)
-        times.append(agent_times)
-        costs.append(sum(w * t for (_, w), t in zip(agent.functions, agent_times)))
-    if not costs:
+    if not inst.agents:
         raise ValueError("instance has no agents")
+    by_oracle = [cover_time(f, pi) for f in inst.oracles]
+    times = tuple(tuple(map(by_oracle.__getitem__, index)) for index in inst.oracle_index)
+    # an agent's cost sums weight * time over its functions in order
+    costs = [
+        sum(map(mul, map(itemgetter(1), agent.functions), agent_times))
+        for agent, agent_times in zip(inst.agents, times)
+    ]
     return CoverReport(
-        cover_times=tuple(times),
+        cover_times=times,
         agent_costs=tuple(costs),
         minmax=max(costs),
         average=sum(costs) / len(costs),

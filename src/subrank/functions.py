@@ -39,7 +39,7 @@ class CoverageFunction(SetSystemOracle):
                 m |= 1 << index[item_id]
             masks[e] = m
         object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_weights", tuple(w for _, w in self.items))
+        object.__setattr__(self, "item_weights", tuple(w for _, w in self.items))
         total = sum(w for _, w in self.items)
         object.__setattr__(self, "denominator", total if total else 1)
         mnm = (min(w for _, w in self.items) / total) if self.items else 1.0
@@ -55,7 +55,7 @@ class CoverageFunction(SetSystemOracle):
         pos = 0
         while mask:
             if mask & 1:
-                num += self._weights[pos]
+                num += self.item_weights[pos]
             mask >>= 1
             pos += 1
         return num
@@ -136,6 +136,7 @@ class OdtFunction(SetSystemOracle):
                     m_bits |= 1 << other
             masks[col + 1] = m_bits
         object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "item_weights", (1,) * m)
         object.__setattr__(self, "denominator", m - 1)
         object.__setattr__(self, "min_nonzero_marginal", 1.0 / (m - 1))
 
@@ -178,6 +179,7 @@ class GmscFunction(SetSystemOracle):
         members = sorted(self.gmsc_set.members)
         masks = {e: 1 << i for i, e in enumerate(members)}
         object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "item_weights", (1,) * len(members))
         object.__setattr__(self, "denominator", self.gmsc_set.K)
         object.__setattr__(self, "min_nonzero_marginal", 1.0 / self.gmsc_set.K)
 
@@ -202,6 +204,7 @@ class SingletonFunction(SetSystemOracle):
     element: int
 
     def __post_init__(self):
+        object.__setattr__(self, "item_weights", (1,))
         object.__setattr__(self, "denominator", 1)
         object.__setattr__(self, "min_nonzero_marginal", 1.0)
 

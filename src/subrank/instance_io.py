@@ -13,8 +13,9 @@ Document layout::
 Family params: coverage -> {items: [{id, w}], covers: {elem: [ids]}};
 odt -> {table_ref, row} with table_ref resolved against the top-level
 "tables" object; gmsc -> {members: [...], K} with members in 1..n;
-singleton -> {element}. Weights are positive finite numbers. Unknown
-families are rejected.
+singleton -> {element}. Weights are positive finite numbers. A function's
+denominator (a coverage function's total item weight) may not exceed
+2**53. Unknown families are rejected.
 """
 
 from __future__ import annotations
@@ -119,7 +120,10 @@ def doc_to_instance(doc: dict) -> Instance:
                 raise InstanceFormatError(f"{where}: nonpositive weight {weight}")
             funcs.append((oracle, weight))
         agents.append(Agent(id=i, functions=tuple(funcs)))
-    return Instance(n=n, agents=tuple(agents))
+    try:
+        return Instance(n=n, agents=tuple(agents))
+    except ValueError as exc:  # a denominator too large for exact float64 gains
+        raise InstanceFormatError(str(exc)) from exc
 
 
 def _build_oracle(family, params, tables, n, where):

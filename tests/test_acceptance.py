@@ -262,7 +262,7 @@ def test_criterion_8_experiment_trend(trend_sweeps):
 
 
 def _csv_without_runtime(table):
-    rows = [table.CSV_HEADER.rsplit(",", 1)[0]]
+    rows = [table.CSV_HEADER.rsplit(",", 2)[0]]  # drop tune_ms and runtime_ms
     for r in table.rows:
         ratio = "" if r.ratio is None else repr(r.ratio)
         rows.append(
@@ -299,9 +299,9 @@ def test_criterion_9_determinism(gmsc16, trend_sweeps, tmp_path):
     for seed in range(10):
         assert gm.gmsc_schedule(gi, seed, sol) == gm.gmsc_schedule(gi, seed, sol2)
 
-    # sweeps: byte-identical CSVs up to the wall-clock runtime_ms column
+    # sweeps: byte-identical CSVs up to the wall-clock tune_ms and runtime_ms columns
     for mode, results in trend_sweeps.items():
         again = run_trend_sweep(mode)
         assert _csv_without_runtime(results) == _csv_without_runtime(again)
 
-    report(9, "all repeated artifacts bit-identical (runtime_ms column excluded)")
+    report(9, "all repeated artifacts bit-identical (tune_ms, runtime_ms columns excluded)")

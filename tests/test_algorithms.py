@@ -1,16 +1,21 @@
 """Ranking algorithms: golden traces, invariants, and the exact oracle."""
 
+import copy
 import itertools
 import json
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from subrank.core import Agent, Instance, is_permutation, objective
+from subrank.core import Agent, Instance, cover_report, is_permutation, objective
 from subrank.functions import (
+    GmscSet,
+    OdtTable,
+    gmsc_function,
+    odt_function,
     coverage_function,
     hard_family,
     random_coverage_instance,
@@ -25,6 +30,7 @@ from subrank.algorithms import (
     random_order,
     write_trace_jsonl,
 )
+from subrank.harness import synthetic_table
 
 
 class TestRandomOrder:
@@ -100,6 +106,15 @@ class TestBalancedAdaptiveGreedy:
         perm, trace = balanced_adaptive_greedy(inst)
         assert perm == (1, 2, 3)
         assert trace.picks == []
+
+    def test_stops_when_a_function_never_covers(self):
+        # item 1 is hit by no element, so f(U) = 0 and agent 1 lags forever;
+        # the run used to loop without end once every element was placed
+        f = coverage_function([(1, 3)], {1: set(), 2: set()})
+        inst = Instance(n=2, agents=(Agent(id=1, functions=((f, 1.0), (singleton_function(1), 1.0))),))
+        perm, trace = balanced_adaptive_greedy(inst)
+        assert perm == (1, 2)
+        assert [rec.element for rec in trace.picks] == [1, 2]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -303,11 +318,106 @@ def reference_order(inst, normalized):
     return tuple(chosen)
 
 
+def _odt_oracles(n, seed, m):
+    """Oracles of m distinct rows of a small clustered table with n columns."""
+    values = synthetic_table(40, n, 3, seed).values
+    rows = list(dict.fromkeys(tuple(r) for r in values))[:m]
+    assume(len(rows) >= 2)
+    table = OdtTable(rows=tuple(rows))
+    return [odt_function(table, j) for j in range(1, len(rows) + 1)]
+
+
+@st.composite
+def family_oracles(draw, n):
+    """A few oracles of one family (or of all four mixed) over 1..n."""
+    kind = draw(st.sampled_from(["coverage", "odt", "gmsc", "singleton", "mixed"]))
+    elements = st.integers(min_value=1, max_value=n)
+    pool = []
+    if kind in ("odt", "mixed"):
+        pool += _odt_oracles(n, draw(st.integers(0, 30)), draw(st.integers(2, 4)))
+    if kind in ("gmsc", "mixed"):
+        for _ in range(draw(st.integers(1, 3))):
+            members = draw(st.frozensets(elements, min_size=1))
+            pool.append(gmsc_function(GmscSet(members, draw(st.integers(1, len(members))))))
+    if kind in ("singleton", "mixed"):
+        pool += [singleton_function(draw(elements)) for _ in range(draw(st.integers(1, 3)))]
+    if kind in ("coverage", "mixed"):
+        for _ in range(draw(st.integers(1, 3))):
+            n_items = draw(st.integers(0, 3))
+            items = [(j, draw(st.integers(1, 3))) for j in range(1, n_items + 1)]
+            covers = {e: draw(st.sets(st.integers(1, n_items))) if n_items else set()
+                      for e in range(1, n + 1)}
+            pool.append(coverage_function(items, covers))
+    return pool
+
+
+@st.composite
+def shared_oracle_instances(draw):
+    """Agents holding integer-weighted oracles drawn, with repeats, from one pool."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    pool = draw(family_oracles(n))
+    agents = []
+    for i in range(1, draw(st.integers(min_value=1, max_value=3)) + 1):
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        funcs = tuple((f, float(draw(st.integers(1, 3)))) for f in picks)
+        agents.append(Agent(id=i, functions=funcs))
+    return Instance(n=n, agents=tuple(agents))
+
+
 @settings(max_examples=150, deadline=None)
-@given(inst=tie_prone_instances())
+@given(inst=st.one_of(tie_prone_instances(), shared_oracle_instances()))
 def test_pick_kernel_matches_reference(inst):
     assert greedy(inst) == reference_order(inst, normalized=False)
     assert normalized_greedy(inst) == reference_order(inst, normalized=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_one_element_gain_is_linear_in_item_incidence(data):
+    """The invariant the kernel's gain matrix rests on, for every family."""
+    n = data.draw(st.integers(min_value=2, max_value=6))
+    for f in data.draw(family_oracles(n)):
+        width = len(f.item_weights)
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+        assume(f.numerator(mask) < f.denominator)
+        for e in range(1, n + 1):
+            bits = f.element_mask(e)
+            assert list(f.incidence(n)[e - 1]) == [(bits >> b) & 1 for b in range(width)]
+            new = bits & ~mask
+            expected = sum(w for b, w in enumerate(f.item_weights) if (new >> b) & 1)
+            assert f.numerator(mask | bits) - f.numerator(mask) == expected
+
+
+def _bag_outputs(inst):
+    out = []
+    for ratio in (0.1, 0.35, 2.0 / 3.0, 0.9):
+        perm, trace = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio, trace=True))
+        out.append((perm, trace.pick_lines(), trace.passes))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=shared_oracle_instances())
+def test_shared_and_distinct_oracles_give_identical_outputs(inst):
+    """Sharing trackers between agents changes no output, bit for bit."""
+    distinct = Instance(n=inst.n, agents=tuple(
+        Agent(id=a.id, functions=tuple((copy.deepcopy(f), w) for f, w in a.functions))
+        for a in inst.agents
+    ))
+    perms = [greedy(inst), normalized_greedy(inst)]
+    assert perms == [greedy(distinct), normalized_greedy(distinct)]
+    assert _bag_outputs(inst) == _bag_outputs(distinct)
+    for perm in perms:
+        assert _outcome(cover_report, inst, perm) == _outcome(cover_report, distinct, perm)
+    assert _outcome(brute_force_opt, inst) == _outcome(brute_force_opt, distinct)
+
+
+def _outcome(fn, *args):
+    """fn's result, or its error message: evaluators raise when some f(U) < 1."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 def test_instance_rejects_non_set_system_functions():

@@ -143,7 +143,9 @@ class TestExperiment:
         out = tmp_path / "exp"
         assert main(["experiment", "--config", experiment_config, "--out", str(out)]) == EXIT_OK
         results = (out / "results.csv").read_text().splitlines()
-        assert results[0] == "algorithm,K,M,ratio,seed,objective_minmax,objective_avg,runtime_ms"
+        assert results[0] == (
+            "algorithm,K,M,ratio,seed,objective_minmax,objective_avg,tune_ms,runtime_ms"
+        )
         assert len(results) == 1 + 2 * 4  # seeds x algorithms
         assert (out / "summary.csv").exists()
 
@@ -154,7 +156,7 @@ class TestExperiment:
 
         def stripped(path):
             lines = (path / "results.csv").read_text().splitlines()
-            return [line.rsplit(",", 1)[0] for line in lines]
+            return [line.rsplit(",", 2)[0] for line in lines]  # drop tune_ms, runtime_ms
 
         assert stripped(out1) == stripped(out2)
 

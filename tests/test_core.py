@@ -213,3 +213,24 @@ def test_instance_derives_epsilon_and_weight():
     assert inst.W == 3.0
     assert inst.epsilon == 1.0
     assert inst.agent_by_id(9).id == 9
+
+
+def test_duplicate_agent_ids_rejected():
+    # objective looked agents up by id while cover_report walked them in
+    # order, so the two disagreed (1.0 against 2.0 on this instance)
+    agents = (
+        Agent(id=1, functions=((singleton_function(1), 1.0),)),
+        Agent(id=1, functions=((singleton_function(2), 1.0),)),
+    )
+    with pytest.raises(ValueError, match="duplicate agent id 1"):
+        Instance(n=2, agents=agents)
+
+
+def test_denominator_above_2_53_rejected():
+    def inst(weight):
+        f = coverage_function([(1, weight)], {1: {1}})
+        return Instance(n=1, agents=(Agent(id=1, functions=((f, 1.0),)),))
+
+    assert inst(2**53).n == 1
+    with pytest.raises(ValueError, match=r"exceeds 2\*\*53"):
+        inst(2**53 + 1)

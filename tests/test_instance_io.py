@@ -162,6 +162,11 @@ MALFORMED = {
         r"gmsc member outside 1\.\.2",
     ),
     "no-agents": ({"n": 3, "agents": []}, "instance has no agents"),
+    "denominator-above-2**53": (
+        _one_function_doc(family="coverage",
+                          params={"items": [{"id": 1, "w": 2**60}], "covers": {"1": [1]}}),
+        r"denominator 1152921504606846976 exceeds 2\*\*53",
+    ),
     "tables-not-an-object": (
         {"n": 2, "agents": [], "tables": [[0, 1]]},
         "missing or malformed field",
