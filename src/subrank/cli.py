@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -96,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write fractional solution to PREFIX_x.csv / PREFIX_y.csv")
 
     p = sub.add_parser("verify", help="run the property suites")
-    p.add_argument("--suite", default="all", choices=("core", "algorithms", "gmsc", "all"))
+    p.add_argument("--suite", default="all", choices=(*verify_mod.SUITES, "all"))
     return parser
 
 
@@ -203,7 +202,7 @@ def _cmd_gmsc_bench(args) -> int:
     if not sol.converged:
         print("warning: cut cap reached; bound may be loose", file=sys.stderr)
     print(f"T*: {sol.T_star:.6f}  cuts: {len(sol.cuts)}")
-    envelope = 1024.0 * max(math.log2(len(inst.agents)), 1.0) * sol.T_star
+    envelope = gmsc_mod.rounding_envelope(len(inst.agents), sol.T_star)
     from subrank.core import objective as eval_objective
 
     rows = []

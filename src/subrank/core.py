@@ -230,9 +230,13 @@ def cover_time(f: SetSystemOracle, pi: Sequence[int]) -> int:
 
 
 def agent_cost(inst: Instance, agent_id: int, pi: Sequence[int]) -> float:
-    """Total weighted cover time of one agent under permutation pi."""
-    agent = inst.agent_by_id(agent_id)
-    return sum(w * cover_time(f, pi) for f, w in agent.functions)
+    """Total weighted cover time of one agent under permutation pi.
+
+    Raises KeyError on an unknown agent id, and ValueError unless pi is a
+    permutation of 1..n.
+    """
+    index = inst.agents.index(inst.agent_by_id(agent_id))
+    return cover_report(inst, pi).agent_costs[index]
 
 
 def objective(inst: Instance, pi: Sequence[int], mode: str = "minmax") -> float:

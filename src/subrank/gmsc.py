@@ -351,6 +351,14 @@ def gmsc_schedule(
     return order
 
 
+def rounding_envelope(k: int, T_star: float) -> float:
+    """Proven cost envelope of a rounded schedule: 1024 max(log2 k, 1) T*.
+
+    The max keeps the envelope positive for a single agent, where log2 k = 0.
+    """
+    return 1024.0 * max(math.log2(k), 1.0) * T_star
+
+
 def write_fractional_csv(sol: FractionalSolution, x_path: str, y_path: str) -> None:
     n = sol.x.shape[0]
     with open(x_path, "w") as fh:

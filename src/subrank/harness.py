@@ -127,13 +127,11 @@ def synthetic_table(rows: int, cols: int, values: int, seed: int) -> DataTable:
 
 
 def _streams(seed: int):
-    root = np.random.SeedSequence(entropy=seed)
     rows_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     weight_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
     algo_seed = int(
         np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,))).integers(2**31)
     )
-    del root
     return rows_rng, weight_rng, algo_seed
 
 

@@ -272,3 +272,14 @@ def test_console_entry_point_runs():
     assert proc.returncode == 0
     for name in ("solve", "generate", "experiment", "gmsc-bench", "verify"):
         assert name in proc.stdout
+
+
+def test_cli_import_loads_no_test_tooling():
+    # cli imports verify at start-up, so a test dependency pulled into
+    # verify would slow down and enlarge every command
+    code = "import sys, subrank.cli; print(*sorted({m.split('.')[0] for m in sys.modules}))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "subrank" in loaded
+    assert loaded.isdisjoint({"pytest", "_pytest", "hypothesis", "scipy"})

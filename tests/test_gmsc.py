@@ -1,6 +1,5 @@
 """GMSC relaxation, separation oracle, and randomized rounding."""
 
-import itertools
 import math
 import random
 
@@ -9,7 +8,6 @@ import pytest
 
 from subrank.core import is_permutation, make_instance, objective
 from subrank.functions import GmscSet, gmsc_function, singleton_function
-from subrank.algorithms import brute_force_opt
 from subrank.gmsc import (
     LP_TOL,
     PhaseOutput,
@@ -23,6 +21,7 @@ from subrank.gmsc import (
     t_star,
     write_fractional_csv,
 )
+from subrank.verify import lp_soundness_check, separation_exactness_check
 
 
 def single_set_instance(n, members, K):
@@ -47,29 +46,8 @@ class TestSeparationOracle:
 
     @pytest.mark.parametrize("seed", range(30))
     def test_agrees_with_exhaustive_enumeration(self, seed):
-        rng = random.Random(seed)
-        size = rng.randint(1, 12)
-        n = size
-        K = rng.randint(1, size)
-        gi = single_set_instance(n, set(range(1, size + 1)), K)
-        x = np.array([[rng.random() * 0.4 for _ in range(n)] for _ in range(n)])
-        t = rng.randint(1, n)
-        y_val = rng.random()
-        y = {(1, tt): (y_val if tt == t else 0.0) for tt in range(1, n + 1)}
-        got = separation_oracle(gi, x, y, lp_tol=1e-12)
-        prefix = np.cumsum(x, axis=1)
-        members = sorted(range(1, size + 1))
-        best = max(
-            (K - len(B)) * y_val
-            - sum(prefix[e - 1, t - 2] if t >= 2 else 0.0 for e in members if e not in B)
-            for r in range(size + 1)
-            for B in itertools.combinations(members, r)
-        )
-        if best > 1e-12:
-            assert got is not None
-            assert got.violation == pytest.approx(best, abs=1e-9)
-        else:
-            assert got is None
+        result = separation_exactness_check(1, seed)
+        assert result.passed, result.detail
 
 
 class TestGmscSets:
@@ -122,23 +100,13 @@ class TestSolveLp:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lower_bounds_integer_optimum(self, seed):
-        gi = random_gmsc_instance(6, 2, 2, seed)
-        sol = solve_lp(gi)
-        opt = brute_force_opt(gi)
-        assert sol.converged and opt.optimal
-        assert sol.T_star <= opt.value + 1e-6
+        result = lp_soundness_check(1, seed)
+        assert result.passed, result.detail
 
     @pytest.mark.parametrize("seed", range(6))
     def test_half_sum_lower_bound_per_agent(self, seed):
-        gi = random_gmsc_instance(6, 2, 2, seed)
-        sol = solve_lp(gi)
-        for agent_index in range(1, len(gi.agents) + 1):
-            half = 0.5 * sum(
-                t_star(sol.y, sid)
-                for sid, owner, _ in gmsc_sets(gi)
-                if owner == agent_index
-            )
-            assert sol.T_star >= half - 1e-7
+        result = lp_soundness_check(1, seed)
+        assert result.passed, result.detail
 
     def test_y_series_monotone(self):
         gi = random_gmsc_instance(6, 2, 2, 3)
