@@ -7,7 +7,9 @@ the sum of its sets' cover times. The fractional relaxation uses assignment
 variables x[e,t], coverage indicators y[set,t], and a bound variable T
 minimized directly; the exponential knapsack-cover family is generated
 lazily through the separation oracle and the LP re-solved until no
-constraint is violated. Rounding runs doubling-horizon phases, picking
+constraint is violated. The LP is one sparse HiGHS model (see
+``simplex``) that grows by the new cuts each round and is re-solved from
+its last basis. Rounding runs doubling-horizon phases, picking
 each element independently with probability min(1, 8 * prefix mass) and
 interleaving independent repetitions so no agent is left behind.
 """
@@ -26,7 +28,6 @@ from subrank.functions import GmscFunction, GmscSet, gmsc_function
 from subrank import simplex
 
 LP_TOL = 1e-7
-PIVOT_TOL = 1e-9
 MAX_CUTS = 10_000
 PICK_SCALE = 8.0  # rounding probability is min(1, PICK_SCALE * prefix mass)
 PHASE_CAP_SCALE = 16  # a phase keeping more than 16 * 2^l picks is emptied
@@ -87,6 +88,8 @@ class FractionalSolution:
     T_star: float
     cuts: list = field(default_factory=list)  # (set_id, t, frozenset B) generated
     converged: bool = True
+    rounds: int = 0  # LP solves, one per round of cuts
+    iterations: int = 0  # simplex iterations summed over the rounds
 
     def prefix_mass(self, e: int, t: int) -> float:
         """Sum of x[e, t'] over t' < t (t may exceed n)."""
@@ -154,7 +157,7 @@ def separation_oracle(
 
 
 class _LpLayout:
-    """Column layout: x[e,t] block, then y[set,t] block, then T."""
+    """Column layout: x[e,t] block (row-major in e), then y[set,t] block, then T."""
 
     def __init__(self, inst: Instance):
         self.n = inst.n
@@ -162,9 +165,6 @@ class _LpLayout:
         self.n_sets = len(self.sets)
         self.n_x = self.n * self.n
         self.n_cols = self.n_x + self.n_sets * self.n + 1
-
-    def x_col(self, e: int, t: int) -> int:
-        return (e - 1) * self.n + (t - 1)
 
     def y_col(self, set_id: int, t: int) -> int:
         return self.n_x + (set_id - 1) * self.n + (t - 1)
@@ -180,62 +180,52 @@ def solve_lp(inst: Instance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUTS) -
     T appears linearly, so it is minimized directly as a variable instead
     of being binary searched. Monotonicity rows y[s,t] <= y[s,t+1] keep the
     coverage indicators consistent with their covered-before-t meaning.
-    Every violated (set, t) pair contributes its worst cut per round. If
-    the cut cap is hit before separation comes back clean, the last solved
+    The model is built once, sparse; every violated (set, t) pair adds its
+    worst cut per round, and HiGHS re-solves from its last basis. If the
+    cut cap is hit before separation comes back clean, the last solved
     relaxation is returned with converged=False. Raises ValueError when a
     function is not a unit-weight gmsc function or the LP solve fails.
     """
     if inst.n < 1:
         raise ValueError("instance has no elements")
     layout = _LpLayout(inst)
-    n, n_sets = layout.n, layout.n_sets
-
-    A_eq = np.zeros((2 * n, layout.n_cols))
-    b_eq = np.ones(2 * n)
-    for t in range(1, n + 1):
-        for e in range(1, n + 1):
-            A_eq[t - 1, layout.x_col(e, t)] = 1.0
-    for e in range(1, n + 1):
-        for t in range(1, n + 1):
-            A_eq[n + e - 1, layout.x_col(e, t)] = 1.0
-
-    ub_rows = []
-    ub_b = []
-    for set_id, _, _ in layout.sets:
-        for t in range(1, n):  # y[s,t] - y[s,t+1] <= 0
-            row = np.zeros(layout.n_cols)
-            row[layout.y_col(set_id, t)] = 1.0
-            row[layout.y_col(set_id, t + 1)] = -1.0
-            ub_rows.append(row)
-            ub_b.append(0.0)
-        row = np.zeros(layout.n_cols)  # y[s,n] <= 1 caps the whole chain
-        row[layout.y_col(set_id, n)] = 1.0
-        ub_rows.append(row)
-        ub_b.append(1.0)
-    for agent_index in range(1, len(inst.agents) + 1):
-        # sum_t sum_S (1 - y) <= T
-        row = np.zeros(layout.n_cols)
-        count = 0
-        for set_id, owner, _ in layout.sets:
-            if owner == agent_index:
-                count += 1
-                for t in range(1, n + 1):
-                    row[layout.y_col(set_id, t)] = -1.0
-        row[layout.t_col] = -1.0
-        ub_rows.append(row)
-        ub_b.append(-float(n * count))
+    n = layout.n
 
     costs = np.zeros(layout.n_cols)
     costs[layout.t_col] = 1.0
+    model = simplex.LpModel(costs)
 
+    # every time slot and every element carries unit x-mass
+    x_cols = np.arange(layout.n_x).reshape(n, n)  # x_cols[e-1, t-1]
+    ones = np.ones(n)
+    rows = [(cols, ones) for cols in (*x_cols.T, *x_cols)]
+    model.add_rows(rows, upper=np.ones(2 * n), lower=np.ones(2 * n))
+
+    rows, upper = [], []
+    for set_id, _, _ in layout.sets:
+        first = layout.y_col(set_id, 1)
+        for t in range(n - 1):  # y[s,t] - y[s,t+1] <= 0
+            rows.append(((first + t, first + t + 1), (1.0, -1.0)))
+            upper.append(0.0)
+        rows.append(((first + n - 1,), (1.0,)))  # y[s,n] <= 1 caps the whole chain
+        upper.append(1.0)
+    for agent_index in range(1, len(inst.agents) + 1):
+        # sum_t sum_S (1 - y) <= T
+        owned = [set_id for set_id, owner, _ in layout.sets if owner == agent_index]
+        cols = [layout.y_col(set_id, t) for set_id in owned for t in range(1, n + 1)]
+        cols.append(layout.t_col)
+        rows.append((cols, np.full(len(cols), -1.0)))
+        upper.append(-float(n * len(owned)))
+    model.add_rows(rows, upper)
+
+    sets_by_id = {sid: s for sid, _, s in layout.sets}
     cuts = []
+    rounds = iterations = 0
     converged = False
     while True:
-        A_ub = np.vstack(ub_rows)
-        res = simplex.solve_dense_lp(
-            costs, A_ub=A_ub, b_ub=np.asarray(ub_b), A_eq=A_eq, b_eq=b_eq,
-            pivot_tol=PIVOT_TOL,
-        )
+        res = simplex.solve_dense_lp(model)
+        rounds += 1
+        iterations += res.iterations
         if res.status != simplex.OPTIMAL:
             raise ValueError(f"LP solve failed: {res.status}")
         x = res.x[: layout.n_x].reshape(n, n)
@@ -250,21 +240,22 @@ def solve_lp(inst: Instance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUTS) -
             break
         if len(cuts) + len(new) > max_cuts:
             break
-        sets_by_id = {sid: s for sid, _, s in layout.sets}
+        rows = []
         for cut in new:
             s = sets_by_id[cut.set_id]
             # (K - |B|) y[s,t] - sum_{e in S\B} sum_{t'<t} x[e,t'] <= 0
-            row = np.zeros(layout.n_cols)
-            row[layout.y_col(cut.set_id, cut.time)] = float(s.K - len(cut.subset))
-            for e in sorted(s.members - cut.subset):
-                for tp in range(1, cut.time):
-                    row[layout.x_col(e, tp)] = -1.0
-            ub_rows.append(row)
-            ub_b.append(0.0)
+            cols = [layout.y_col(cut.set_id, cut.time)]
+            cols.extend(x_cols[e - 1, tp] for e in sorted(s.members - cut.subset)
+                        for tp in range(cut.time - 1))
+            vals = np.full(len(cols), -1.0)
+            vals[0] = float(s.K - len(cut.subset))
+            rows.append((cols, vals))
             cuts.append((cut.set_id, cut.time, cut.subset))
+        model.add_rows(rows, np.zeros(len(rows)))
 
     return FractionalSolution(
-        x=x, y=y, T_star=float(res.objective), cuts=cuts, converged=converged
+        x=x, y=y, T_star=float(res.objective), cuts=cuts, converged=converged,
+        rounds=rounds, iterations=iterations,
     )
 
 

@@ -38,8 +38,6 @@ from subrank.functions import (
     singleton_function,
 )
 
-FAMILIES = ("coverage", "odt", "gmsc", "singleton")
-
 
 class InstanceFormatError(ValueError):
     """Raised when an instance document is structurally invalid."""

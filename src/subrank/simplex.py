@@ -1,14 +1,26 @@
-"""Dense two-phase primal simplex over nonnegative variables.
+"""The LP solver behind the GMSC bound: HiGHS, as bundled with scipy.
 
-Minimizes c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0. Dantzig
-pricing by default with a switch to Bland's rule after a long degenerate
-streak, so cycling cannot occur. Dense numpy tableau; intended for the
-desk-scale LPs produced by the cutting-plane solver, not for large
-programs.
+An ``LpModel`` minimizes costs . x over x >= 0 and grows by blocks of rows
+``lower <= A x <= upper``. ``solve_dense_lp`` solves it again after every
+block; HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018) then
+restarts from the last optimal basis, which is the cutting-plane pattern
+of ``gmsc.solve_lp``. The name ``solve_dense_lp`` is kept for its callers;
+nothing here is dense.
+
+Only scipy's compiled HiGHS module is loaded, on the first model, without
+running ``scipy.optimize/__init__`` (which costs about 47 MB and 0.6 s).
+It is registered under its own dotted name, so a later
+``import scipy.optimize`` reuses it; a second copy of the module cannot be
+loaded ("type ... is already registered"). The layout of scipy 1.17 is
+assumed.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,170 +31,105 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
 
-PIVOT_TOL = 1e-9
-_DEGENERATE_STREAK_LIMIT = 200
+# HighsModelStatus member name -> status; other statuses keep HiGHS's text
+_STATUS_NAMES = {
+    "kOptimal": OPTIMAL,
+    "kInfeasible": INFEASIBLE,
+    "kUnbounded": UNBOUNDED,
+    "kIterationLimit": ITERATION_LIMIT,
+}
+
+HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 
 @dataclass
 class LpResult:
     status: str
-    x: Optional[np.ndarray]  # structural variables only
+    x: Optional[np.ndarray]
     objective: Optional[float]
-    iterations: int
+    iterations: int  # simplex iterations of this solve
 
 
-class _Tableau:
-    def __init__(self, tab, b, basis, n_columns):
-        self.tab = tab
-        self.b = b
-        self.basis = basis
-        self.n_columns = n_columns
-        self.iterations = 0
+def _highs_core():
+    """scipy's HiGHS extension module, loaded once and shared with scipy.
 
-    def pivot(self, r: int, j: int) -> None:
-        tab, b = self.tab, self.b
-        piv = tab[r, j]
-        tab[r] /= piv
-        b[r] /= piv
-        col = tab[:, j].copy()
-        col[r] = 0.0
-        self.tab -= np.outer(col, tab[r])
-        self.b -= col * b[r]
-        self.basis[r] = j
-        self.iterations += 1
-
-    def reduced_costs(self, costs: np.ndarray) -> np.ndarray:
-        cbar = costs.copy()
-        for r, v in enumerate(self.basis):
-            cv = costs[v]
-            if cv != 0.0:
-                cbar -= cv * self.tab[r]
-        return cbar
-
-    def solution(self, size: int) -> np.ndarray:
-        x = np.zeros(self.n_columns)
-        x[self.basis] = np.maximum(self.b, 0.0)
-        return x[:size]
-
-    def minimize(self, costs, allowed, pivot_tol, max_iterations) -> str:
-        """Run the pivot loop; allowed masks columns that may enter."""
-        cbar = self.reduced_costs(costs)
-        degenerate = 0
-        bland = False
-        while self.iterations < max_iterations:
-            if bland:
-                candidates = np.nonzero(allowed & (cbar < -pivot_tol))[0]
-                if candidates.size == 0:
-                    return OPTIMAL
-                j = int(candidates[0])
-            else:
-                priced = np.where(allowed, cbar, np.inf)
-                j = int(np.argmin(priced))
-                if priced[j] >= -pivot_tol:
-                    return OPTIMAL
-            col = self.tab[:, j]
-            positive = col > pivot_tol
-            if not positive.any():
-                return UNBOUNDED
-            ratios = np.full(col.shape, np.inf)
-            ratios[positive] = self.b[positive] / col[positive]
-            if bland:
-                best = ratios.min()
-                ties = np.nonzero(ratios <= best + 1e-12)[0]
-                r = int(min(ties, key=lambda rr: self.basis[rr]))
-            else:
-                r = int(np.argmin(ratios))
-            if ratios[r] <= pivot_tol:
-                degenerate += 1
-                if degenerate > _DEGENERATE_STREAK_LIMIT:
-                    bland = True
-            else:
-                degenerate = 0
-            cj = cbar[j]
-            self.pivot(r, j)
-            cbar -= cj * self.tab[r]
-            cbar[j] = 0.0
-        return ITERATION_LIMIT
+    Raises ImportError naming the directory searched when the file is absent.
+    """
+    core = sys.modules.get(HIGHS_MODULE)
+    if core is not None:
+        return core
+    scipy_spec = importlib.util.find_spec("scipy")  # locates without importing
+    roots = scipy_spec.submodule_search_locations if scipy_spec is not None else None
+    if not roots:
+        raise ImportError("HiGHS solver not found: scipy is not installed")
+    folder = os.path.join(roots[0], "optimize", "_highspy")
+    paths = [os.path.join(folder, "_core" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"HiGHS solver not found: no _core extension module in {folder}")
+    spec = importlib.util.spec_from_file_location(HIGHS_MODULE, path)
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[HIGHS_MODULE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[HIGHS_MODULE]
+        raise
+    return core
 
 
-def solve_dense_lp(
-    c,
-    A_ub=None,
-    b_ub=None,
-    A_eq=None,
-    b_eq=None,
-    pivot_tol: float = PIVOT_TOL,
-    max_iterations: int = 200_000,
-) -> LpResult:
-    c = np.asarray(c, dtype=float)
-    n_struct = c.size
-    A_ub = np.zeros((0, n_struct)) if A_ub is None else np.asarray(A_ub, dtype=float)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float)
-    A_eq = np.zeros((0, n_struct)) if A_eq is None else np.asarray(A_eq, dtype=float)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float)
-    n_ub, n_eq = A_ub.shape[0], A_eq.shape[0]
-    m = n_ub + n_eq
+class LpModel:
+    """minimize costs . x subject to x >= 0 and the rows added so far."""
 
-    # columns: structural | one slack per ub row | artificials as needed
-    art_rows = [i for i in range(n_ub) if b_ub[i] < 0] + list(range(n_ub, m))
-    n_art = len(art_rows)
-    total = n_struct + n_ub + n_art
-    tab = np.zeros((m, total))
-    b = np.empty(m)
-    tab[:n_ub, :n_struct] = A_ub
-    b[:n_ub] = b_ub
-    tab[n_ub:, :n_struct] = A_eq
-    b[n_ub:] = b_eq
-    for i in range(n_ub):
-        tab[i, n_struct + i] = 1.0
-    for i in range(m):
-        if b[i] < 0:
-            tab[i] *= -1.0
-            b[i] *= -1.0
-    basis = np.empty(m, dtype=int)
-    art_col = {}
-    next_art = n_struct + n_ub
-    for i in range(m):
-        if i < n_ub and tab[i, n_struct + i] > 0:
-            basis[i] = n_struct + i
-        else:
-            art_col[i] = next_art
-            tab[i, next_art] = 1.0
-            basis[i] = next_art
-            next_art += 1
+    def __init__(self, costs):
+        core = _highs_core()
+        self._core = core
+        self._highs = core._Highs()
+        self._require(self._highs.setOptionValue("output_flag", False), "setOptionValue")
+        costs = np.asarray(costs, dtype=float)
+        n = costs.size
+        self._require(self._highs.addVars(n, np.zeros(n), np.full(n, core.kHighsInf)), "addVars")
+        cols = np.flatnonzero(costs).astype(np.int32)
+        self._require(self._highs.changeColsCost(cols.size, cols, costs[cols]), "changeColsCost")
 
-    t = _Tableau(tab, b, basis, total)
-    artificial = np.zeros(total, dtype=bool)
-    artificial[n_struct + n_ub :] = True
+    def add_rows(self, rows, upper, lower=None) -> None:
+        """Add rows lower <= a . x <= upper; each row is (column indices, values).
 
-    if n_art:
-        phase1_costs = artificial.astype(float)
-        all_columns = np.ones(total, dtype=bool)
-        status = t.minimize(phase1_costs, all_columns, pivot_tol, max_iterations)
-        if status == ITERATION_LIMIT:
-            return LpResult(ITERATION_LIMIT, None, None, t.iterations)
-        full = np.zeros(total)
-        full[t.basis] = np.maximum(t.b, 0.0)
-        if float(phase1_costs @ full) > 1e-7:
-            return LpResult(INFEASIBLE, None, None, t.iterations)
-        # drive basic artificials out; drop rows that turn out redundant
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if artificial[t.basis[r]]:
-                row = t.tab[r, : n_struct + n_ub]
-                j = int(np.argmax(np.abs(row)))
-                if abs(row[j]) > pivot_tol:
-                    t.pivot(r, j)
-                else:
-                    keep[r] = False
-        if not keep.all():
-            t.tab = t.tab[keep]
-            t.b = t.b[keep]
-            t.basis = t.basis[keep]
+        lower defaults to no lower bound on any row.
+        """
+        if not rows:
+            return
+        upper = np.asarray(upper, dtype=float)
+        lower = (np.full(upper.size, -self._core.kHighsInf) if lower is None
+                 else np.asarray(lower, dtype=float))
+        starts = np.zeros(len(rows), dtype=np.int32)
+        np.cumsum([len(cols) for cols, _ in rows[:-1]], out=starts[1:])
+        indices = np.concatenate([np.asarray(cols, dtype=np.int32) for cols, _ in rows])
+        values = np.concatenate([np.asarray(vals, dtype=float) for _, vals in rows])
+        self._require(
+            self._highs.addRows(len(rows), lower, upper, indices.size, starts, indices, values),
+            "addRows",
+        )
 
-    allowed = ~artificial
-    status = t.minimize(np.concatenate([c, np.zeros(total - n_struct)]), allowed, pivot_tol, max_iterations)
-    if status != OPTIMAL:
-        return LpResult(status, None, None, t.iterations)
-    x = t.solution(n_struct)
-    return LpResult(OPTIMAL, x, float(c @ x), t.iterations)
+    def _require(self, status, call: str) -> None:
+        if status == self._core.HighsStatus.kError:
+            raise ValueError(f"HiGHS {call} failed")
+
+
+def solve_dense_lp(model: LpModel) -> LpResult:
+    """Solve the model, warm-started from the basis of its previous solve.
+
+    x is clipped at 0 (HiGHS meets bounds only within its tolerance); x and
+    objective are None unless the status is OPTIMAL.
+    """
+    highs = model._highs
+    highs.run()
+    status = highs.getModelStatus()
+    info = highs.getInfo()
+    name = _STATUS_NAMES.get(status.name) or highs.modelStatusToString(status)
+    if name != OPTIMAL:
+        return LpResult(name, None, None, info.simplex_iteration_count)
+    x = np.maximum(np.asarray(highs.getSolution().col_value), 0.0)
+    return LpResult(OPTIMAL, x, float(info.objective_function_value),
+                    info.simplex_iteration_count)

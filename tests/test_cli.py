@@ -1,13 +1,12 @@
 """CLI surface: flags, outputs, and exit codes."""
 
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-from subrank.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from subrank.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from subrank.instance_io import load_instance
 from subrank.core import validate
 
@@ -221,6 +220,18 @@ class TestGmscBench:
             main(["gmsc-bench", "--instance", absent, "--seeds", seeds])
         assert err.value.code == EXIT_USAGE
         assert f"--seeds: must be at least 1, got {int(seeds)}" in capsys.readouterr().err
+
+    def test_seed_27_instance_solves(self, tmp_path, capsys):
+        # the dense simplex this LP once ran on hit its iteration limit here
+        path = str(tmp_path / "g27.json")
+        assert main(["generate", "--family", "gmsc", "--n", "16", "--k", "4", "--m", "2",
+                     "--seed", "27", "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["gmsc-bench", "--instance", path, "--seeds", "1"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        t_star = float(captured.out.split("T*:")[1].split()[0])
+        assert t_star == pytest.approx(10.0, rel=1e-6)
 
     def test_lp_failure_is_data_error(self, gmsc6, monkeypatch, capsys):
         from subrank import gmsc, simplex

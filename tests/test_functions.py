@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from subrank.core import cover_time, objective, validate
+from subrank.core import objective, validate
 from subrank.functions import (
     GmscSet,
     OdtTable,

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from subrank import gmsc
 from subrank.core import is_permutation, make_instance, objective
 from subrank.functions import GmscSet, gmsc_function, singleton_function
 from subrank.gmsc import (
@@ -100,13 +101,24 @@ class TestSolveLp:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lower_bounds_integer_optimum(self, seed):
+        # also the per-agent half-sum bound: lp_soundness_check asserts both
         result = lp_soundness_check(1, seed)
         assert result.passed, result.detail
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_half_sum_lower_bound_per_agent(self, seed):
-        result = lp_soundness_check(1, seed)
-        assert result.passed, result.detail
+    def test_counts_rounds_and_iterations(self, monkeypatch):
+        calls = []
+        real = gmsc.simplex.solve_dense_lp
+
+        def counted(model):
+            calls.append(model)
+            return real(model)
+
+        monkeypatch.setattr(gmsc.simplex, "solve_dense_lp", counted)
+        sol = solve_lp(random_gmsc_instance(8, 3, 2, 5))
+        assert sol.converged and sol.cuts
+        assert sol.rounds == len(calls) > 1
+        assert len(set(map(id, calls))) == 1  # one model, re-solved every round
+        assert sol.iterations > 0
 
     def test_y_series_monotone(self):
         gi = random_gmsc_instance(6, 2, 2, 3)

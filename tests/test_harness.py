@@ -18,7 +18,7 @@ from subrank.harness import (
     synthetic_table,
     tune_ratio,
 )
-from subrank.algorithms import BagConfig, balanced_adaptive_greedy, normalized_greedy
+from subrank.algorithms import BagConfig, balanced_adaptive_greedy
 from subrank.functions import hard_family
 
 
