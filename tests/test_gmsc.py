@@ -101,7 +101,11 @@ class TestSolveLp:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_lower_bounds_integer_optimum(self, seed):
-        # also the per-agent half-sum bound: lp_soundness_check asserts both
+        result = lp_soundness_check(1, seed)
+        assert result.passed, result.detail
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_half_sum_lower_bound_per_agent(self, seed):
         result = lp_soundness_check(1, seed)
         assert result.passed, result.detail
 
