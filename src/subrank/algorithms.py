@@ -20,8 +20,14 @@ denominator at 2**53). A candidate's terms are summed with a sequential
 accumulate in state order, which reproduces a scalar ``+=`` loop bit for
 bit; a matrix product would reorder the sum and could flip near-ties. Lazy
 (Minoux) evaluation is not used: a normalized gain can grow as the prefix
-grows. All algorithms are deterministic given their inputs (and seed,
-where one exists).
+grows.
+
+BAG runs through one engine, _bag_runs, that takes a list of ratios and
+runs them in lockstep: a ratio changes only the round and pass control,
+so ratios that share a prefix of picks and freeze the same lagging set
+share one _pick call. A single BAG run is the one-ratio case, and ratio
+tuning runs the whole grid at once. All algorithms are deterministic given
+their inputs (and seed, where one exists).
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -239,6 +245,141 @@ def write_trace_jsonl(trace: RunTrace, path: str, include_details: bool = True) 
             fh.write(line + "\n")
 
 
+class _BagRun:
+    """Round and pass control of one ratio's run, and its trace.
+
+    Between picks the run only reads the shared remaining weights, so runs
+    of different ratios can follow one prefix of picks together.
+    """
+
+    def __init__(self, ratio: float, drop_fraction: float, total: float):
+        self.ratio = ratio
+        self.drop_fraction = drop_fraction
+        self.total = total
+        self.trace = RunTrace()
+        self.perm: Optional[tuple] = None  # set when the run ends
+        self.p = 0
+        self.b = 0.0
+        self.active: tuple = ()  # lagging agents after the last pick
+        self.open: Optional[PassRecord] = None
+
+    def baseline(self, power: int) -> float:
+        return (self.ratio ** power) * self.total
+
+    @staticmethod
+    def lagging(rem_weight: dict, b: float) -> tuple:
+        return tuple(sorted(i for i, w in rem_weight.items() if w > b))
+
+    def request(self, rem_weight: dict, depth: int, more: bool) -> Optional[tuple]:
+        """Frozen agents of this run's next pick after depth picks; None when it ends.
+
+        more says whether elements remain. A pass keeps its frozen set while
+        the lagging set after the last pick is at least drop_fraction of
+        it; the next pass freezes that lagging set, and once it is empty
+        the next round lowers the baseline. The run ends when no element
+        remains or no agent lags behind the new baseline.
+        """
+        rec = self.open
+        if rec is not None:
+            if more and len(self.active) >= self.drop_fraction * len(rec.frozen_agents):
+                return rec.frozen_agents
+            rec.end_t = depth
+            if more and self.active:
+                return self._open_pass(rec.pass_index + 1, self.active, depth)
+        if not more:
+            return None
+        self.p += 1
+        self.b = self.baseline(self.p)
+        active = self.lagging(rem_weight, self.b)
+        return self._open_pass(1, active, depth) if active else None
+
+    def _open_pass(self, q: int, frozen: tuple, depth: int) -> tuple:
+        self.open = PassRecord(
+            round_index=self.p,
+            pass_index=q,
+            frozen_agents=frozen,
+            baseline=self.b,
+            prev_baseline=self.baseline(self.p - 1),
+            start_t=depth + 1,
+        )
+        self.trace.passes.append(self.open)
+        return frozen
+
+    def record(self, t: int, e: int, score: float, rem_weight: dict, weights) -> None:
+        self.active = self.lagging(rem_weight, self.b)
+        self.trace.picks.append(
+            PickRecord(
+                t=t,
+                element=e,
+                round_index=self.p,
+                pass_index=self.open.pass_index,
+                score=score,
+                active_after=self.active,
+                remaining_weights=weights,
+            )
+        )
+
+
+def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, trace: bool) -> list:
+    """(permutation, trace) of balanced adaptive greedy for each ratio, in one pass.
+
+    A ratio steers its run only through its round and pass control, and the
+    kernel state and remaining weights depend only on the prefix of picks.
+    So runs that share a prefix and ask for a pick with the same frozen set
+    get the same pick, bit for bit, from one _pick call. The runs walk a
+    tree of prefixes depth first on an explicit stack; a node with more
+    than one child snapshots its state for each later child (as
+    brute_force_opt does), and every run's output equals that of its run
+    alone.
+    """
+    kernel = _Kernel(inst)
+    by_agent_id = np.argsort(kernel.agent, kind="stable")  # function order kept
+    frozen_states: dict = {}  # frozen agents -> their states in agent order
+    rem_weight = dict.fromkeys((a.id for a in inst.agents), 0)
+    for agent, w in kernel.uncovered():
+        rem_weight[agent] += w
+    remaining = list(range(1, inst.n + 1))
+    chosen: list = []
+    runs = [_BagRun(r, drop_fraction, inst.W) for r in ratios]
+    # (kernel snapshot, remaining weights, remaining, depth, element, [(run, score)])
+    stack: list = []
+    group = runs
+    while True:
+        requests: dict = {}  # frozen agents -> the runs asking
+        for run in group:
+            frozen = run.request(rem_weight, len(chosen), bool(remaining))
+            if frozen is None:
+                run.perm = tuple(chosen) + tuple(remaining)
+            else:
+                requests.setdefault(frozen, []).append(run)
+        children: dict = {}  # element -> [(run, score)]
+        for frozen, asking in requests.items():
+            if frozen not in frozen_states:
+                frozen_states[frozen] = by_agent_id[np.isin(kernel.agent[by_agent_id], frozen)]
+            e, score = _pick(kernel, remaining, frozen_states[frozen], True)
+            children.setdefault(e, []).extend((run, score) for run in asking)
+        if children:
+            (e, picked), *others = children.items()
+            for other in others:
+                node = (kernel.save(), dict(rem_weight), list(remaining), len(chosen))
+                stack.append((*node, *other))
+        elif stack:
+            saved, rem_weight, remaining, depth, e, picked = stack.pop()
+            kernel.restore(saved)
+            del chosen[depth:]
+        else:
+            break
+        chosen.append(e)
+        remaining.remove(e)
+        for agent, w in _advance(kernel, e):
+            rem_weight[agent] -= w
+        weights = dict(rem_weight) if trace else None
+        for run, score in picked:
+            run.record(len(chosen), e, score, rem_weight, weights)
+        group = [run for run, _ in picked]
+    return [(run.perm, run.trace) for run in runs]
+
+
 def balanced_adaptive_greedy(inst: Instance, cfg: Optional[BagConfig] = None):
     """Normalized greedy restricted to a frozen snapshot of lagging agents.
 
@@ -249,71 +390,13 @@ def balanced_adaptive_greedy(inst: Instance, cfg: Optional[BagConfig] = None):
     drop_fraction of it. Elements left over once every agent meets the
     current baseline are appended in index order. The run also ends once
     every element is placed, which leaves agents lagging only when one of
-    their functions never reaches 1.
+    their functions never reaches 1. This is the one-ratio case of the
+    engine that runs a whole ratio grid in lockstep (_bag_runs).
 
     Returns (permutation, trace).
     """
     cfg = cfg or BagConfig()
-    kernel = _Kernel(inst)
-    by_agent_id = np.argsort(kernel.agent, kind="stable")  # function order kept
-    agent_ids = [a.id for a in inst.agents]
-    rem_weight = dict.fromkeys(agent_ids, 0)
-    for agent, w in kernel.uncovered():
-        rem_weight[agent] += w
-    remaining = list(range(1, inst.n + 1))
-    chosen = []
-    trace = RunTrace()
-    t = 1
-    p = 1
-
-    def baseline(power: int) -> float:
-        return (cfg.ratio ** power) * inst.W
-
-    def lagging(b: float) -> set:
-        return {i for i in agent_ids if rem_weight[i] > b}
-
-    while remaining and lagging(baseline(p)):
-        b = baseline(p)
-        q = 1
-        active = lagging(b)
-        while remaining and active:
-            frozen = tuple(sorted(active))
-            pass_rec = PassRecord(
-                round_index=p,
-                pass_index=q,
-                frozen_agents=frozen,
-                baseline=b,
-                prev_baseline=baseline(p - 1),
-                start_t=t,
-            )
-            trace.passes.append(pass_rec)
-            frozen_states = by_agent_id[np.isin(kernel.agent[by_agent_id], frozen)]
-            while remaining and len(active) >= cfg.drop_fraction * len(frozen):
-                best_e, best_score = _pick(kernel, remaining, frozen_states, True)
-                chosen.append(best_e)
-                remaining.remove(best_e)
-                for agent, w in _advance(kernel, best_e):
-                    rem_weight[agent] -= w
-                active = lagging(b)
-                trace.picks.append(
-                    PickRecord(
-                        t=t,
-                        element=best_e,
-                        round_index=p,
-                        pass_index=q,
-                        score=best_score,
-                        active_after=tuple(sorted(active)),
-                        remaining_weights=dict(rem_weight) if cfg.trace else None,
-                    )
-                )
-                t += 1
-            pass_rec.end_t = t - 1
-            q += 1
-        p += 1
-
-    for e in remaining:
-        chosen.append(e)
-    return tuple(chosen), trace
+    return _bag_runs(inst, (cfg.ratio,), cfg.drop_fraction, cfg.trace)[0]
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from subrank.core import Agent, Instance, cover_report
 from subrank.functions import OdtTable, odt_function
 from subrank.algorithms import (
     BagConfig,
+    _bag_runs,
     balanced_adaptive_greedy,
     greedy,
     normalized_greedy,
@@ -38,6 +39,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_MAX_VALUES = 10
 DEFAULT_RATIO_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05..0.95
+OBJECTIVES = ("minmax", "average")
 WEIGHT_LOW, WEIGHT_HIGH = 1.0, 100.0
 
 EXPECTED_DATASET_SHAPES = {
@@ -46,7 +48,8 @@ EXPECTED_DATASET_SHAPES = {
     "ctg": (2126, 23),
 }
 
-# Stand-in source used when no dataset CSV is supplied (MFCC-like width).
+# Stand-in table for a config that gives neither a dataset nor a synthetic
+# spec (MFCC-like width).
 DEFAULT_SYNTHETIC_ODT = {"rows": 600, "cols": 22, "values": 10, "seed": 20}
 
 
@@ -173,25 +176,35 @@ def tune_ratio(
 ):
     """Best baseline-decay ratio for balanced adaptive greedy on one instance.
 
-    Returns (ratio, objective); ties go to the smaller ratio. Grid values
-    outside (0, 1) are dropped since the baseline must decay strictly.
+    Returns (ratio, objective) for mode "minmax" or "average"; ties go to
+    the smaller ratio. Grid values outside (0, 1) are dropped since the
+    baseline must decay strictly. All ratios run in one lockstep pass that
+    shares their common picks (algorithms._bag_runs), and each distinct
+    permutation is scored once.
     """
-    usable = [r for r in grid if 0.0 < r < 1.0]
+    if mode not in OBJECTIVES:
+        raise ValueError(f"unknown objective {mode!r}; expected one of {', '.join(OBJECTIVES)}")
+    usable = sorted(r for r in grid if 0.0 < r < 1.0)
     if not usable:
         raise ValueError("ratio grid is empty after filtering endpoints")
+    values: dict = {}  # permutation -> its objective
     best = None
-    for r in sorted(usable):
-        perm, _ = balanced_adaptive_greedy(inst, BagConfig(ratio=r))
-        report = cover_report(inst, perm)
-        value = report.minmax if mode == "minmax" else report.average
-        if best is None or value < best[1]:
-            best = (r, value)
+    for r, (perm, _) in zip(usable, _bag_runs(inst, usable, BagConfig().drop_fraction, False)):
+        if perm not in values:
+            report = cover_report(inst, perm)
+            values[perm] = report.minmax if mode == "minmax" else report.average
+        if best is None or values[perm] < best[1]:
+            best = (r, values[perm])
     return best
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: dataset or synthetic source, (K, M) cells, seeds."""
+    """One sweep: dataset or synthetic source, (K, M) cells, seeds.
+
+    With neither a dataset nor a synthetic spec, cells sample
+    DEFAULT_SYNTHETIC_ODT.
+    """
 
     K: tuple
     M: tuple
@@ -209,21 +222,78 @@ class ExperimentConfig:
         return [(k, m) for k in self.K for m in self.M]
 
     @staticmethod
-    def from_doc(doc: dict) -> "ExperimentConfig":
-        def aslist(v):
-            return tuple(v) if isinstance(v, (list, tuple)) else (v,)
+    def from_doc(doc) -> "ExperimentConfig":
+        """Config from a parsed JSON document.
 
+        Raises ValueError naming the first field of the wrong type or range.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, not {type(doc).__name__}")
+
+        def ints(key, default, least):
+            value = doc.get(key, default)
+            values = tuple(value) if isinstance(value, list) else (value,)
+            if not values or not all(_is_int(v) and v >= least for v in values):
+                raise ValueError(f"config {key!r} must be an integer >= {least} "
+                                 f"or a nonempty list of them, got {value!r}")
+            return values
+
+        grid = doc.get("ratio_grid", list(DEFAULT_RATIO_GRID))
+        if not (isinstance(grid, list) and all(_is_number(r) for r in grid)
+                and any(0 < r < 1 for r in grid)):
+            raise ValueError(f"config 'ratio_grid' must be a list of numbers with "
+                             f"at least one in (0, 1), got {grid!r}")
+        objective = doc.get("objective", "minmax")
+        if objective not in OBJECTIVES:
+            raise ValueError(f"config 'objective' must be one of {', '.join(OBJECTIVES)}, "
+                             f"got {objective!r}")
+        dataset = doc.get("dataset")
+        if dataset is not None and not isinstance(dataset, str):
+            raise ValueError(f"config 'dataset' must be a CSV path, got {dataset!r}")
+        synthetic = doc.get("synthetic")
+        if synthetic is not None:
+            _check_synthetic(synthetic)
+        max_values = doc.get("max_values", DEFAULT_MAX_VALUES)
+        if not (_is_int(max_values) and max_values >= 1):
+            raise ValueError(f"config 'max_values' must be an integer >= 1, got {max_values!r}")
         return ExperimentConfig(
-            K=aslist(doc.get("K", 10)),
-            M=aslist(doc.get("M", 10)),
-            seeds=tuple(doc.get("seeds", [0, 1, 2, 3])),
-            ratio_grid=tuple(doc.get("ratio_grid", DEFAULT_RATIO_GRID)),
-            objective=doc.get("objective", "minmax"),
-            dataset=doc.get("dataset"),
-            synthetic=doc.get("synthetic"),
+            K=ints("K", 10, 1),
+            M=ints("M", 10, 1),
+            seeds=ints("seeds", [0, 1, 2, 3], 0),
+            ratio_grid=tuple(grid),
+            objective=objective,
+            dataset=dataset,
+            synthetic=synthetic,
             pair_km=bool(doc.get("pair_km", False)),
-            max_values=int(doc.get("max_values", DEFAULT_MAX_VALUES)),
+            max_values=max_values,
         )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Keys each synthetic family spec must give; a spec without "family" is a table.
+_FAMILY_KEYS = {"hard": ("k",), "coverage": ("n", "k", "m")}
+
+
+def _check_synthetic(spec) -> None:
+    if not isinstance(spec, dict):
+        raise ValueError(f"config 'synthetic' must be an object, got {spec!r}")
+    family = spec.get("family")
+    if "family" in spec and family not in _FAMILY_KEYS:
+        raise ValueError(f"unknown synthetic family {family!r}")
+    missing = [key for key in _FAMILY_KEYS.get(family, ()) if key not in spec]
+    if missing:
+        raise ValueError(f"synthetic family {family!r} needs " + ", ".join(map(repr, missing)))
+    for key, value in spec.items():
+        if key != "family" and not (_is_number(value) if key == "delta" else _is_int(value)):
+            raise ValueError(f"synthetic {key!r} must be "
+                             f"{'a number' if key == 'delta' else 'an integer'}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -307,10 +377,11 @@ def _family_instance(spec: dict) -> Instance:
 
 
 def _source_table(cfg: ExperimentConfig) -> Optional[DataTable]:
+    """The discretized table the cells sample, or None for a family spec."""
     if cfg.dataset:
         return discretize(ingest(cfg.dataset), cfg.max_values)
-    if cfg.synthetic and "family" not in cfg.synthetic:
-        spec = cfg.synthetic
+    spec = DEFAULT_SYNTHETIC_ODT if cfg.synthetic is None else cfg.synthetic
+    if "family" not in spec:
         raw = synthetic_table(
             int(spec.get("rows", 500)),
             int(spec.get("cols", 22)),
@@ -360,11 +431,11 @@ def _sweep_cell(cfg: ExperimentConfig, table: Optional[DataTable], K: int, M: in
 def sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
     """Run Random / Greedy / NG / tuned BAG over every (cell, seed).
 
-    Per-cell failures are logged and skipped rather than aborting the whole
-    sweep. The tuned ratio targets cfg.objective; both objectives are
-    recorded for every run. Cells are independent, so jobs > 1 fans them
-    out over processes; rows come back in a fixed canonical order either
-    way.
+    Cells that fail on their data (ValueError) are logged and skipped
+    rather than aborting the whole sweep; any other error propagates. The
+    tuned ratio targets cfg.objective; both objectives are recorded for
+    every run. Cells are independent, so jobs > 1 fans them out over
+    processes; rows come back in a fixed canonical order either way.
     """
     table = _source_table(cfg)
     tasks = [(K, M, seed) for K, M in cfg.cells() for seed in cfg.seeds]
@@ -373,7 +444,7 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
         for K, M, seed in tasks:
             try:
                 rows.extend(_sweep_cell(cfg, table, K, M, seed))
-            except Exception:
+            except ValueError:
                 log.exception("cell K=%s M=%s seed=%s failed; continuing", K, M, seed)
     else:
         from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -387,7 +458,7 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
                 K, M, seed = futures[fut]
                 try:
                     rows.extend(fut.result())
-                except Exception:
+                except ValueError:
                     log.exception("cell K=%s M=%s seed=%s failed; continuing", K, M, seed)
     rows.sort(key=lambda r: (r.K, r.M, r.seed, _ALGO_ORDER[r.algorithm]))
     return ResultTable(rows=rows)

@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subrank.core import Agent, Instance, cover_report, is_permutation, objective
@@ -22,6 +22,7 @@ from subrank.functions import (
 )
 from subrank.algorithms import (
     BagConfig,
+    _bag_runs,
     balanced_adaptive_greedy,
     brute_force_opt,
     greedy,
@@ -30,7 +31,7 @@ from subrank.algorithms import (
     write_trace_jsonl,
 )
 from subrank import verify
-from subrank.harness import synthetic_table
+from subrank.harness import DEFAULT_RATIO_GRID, synthetic_table, tune_ratio
 
 
 class TestRandomOrder:
@@ -162,6 +163,20 @@ class TestBagTraceInvariants:
                 ]
                 assert picks, "every pass makes at least one pick"
                 assert len(picks[-1].active_after) < 0.75 * len(rec.frozen_agents)
+
+    def test_passes_tile_the_picks(self):
+        # pass k owns picks start_t..end_t, and pass k + 1 starts right after
+        for seed in range(10):
+            inst = random_coverage_instance(7, 3, 2, seed)
+            _, trace = bag_trace(inst)
+            t = 1
+            for rec in trace.passes:
+                owned = [x.t for x in trace.picks
+                         if (x.round_index, x.pass_index) == (rec.round_index, rec.pass_index)]
+                assert rec.start_t == t
+                assert owned == list(range(rec.start_t, rec.end_t + 1))
+                t = rec.end_t + 1
+            assert t == len(trace.picks) + 1
 
     def test_live_set_stays_inside_snapshot(self):
         result = verify.trace_invariants_check(10, 0)
@@ -389,6 +404,43 @@ def test_shared_and_distinct_oracles_give_identical_outputs(inst):
     for perm in perms:
         assert _outcome(cover_report, inst, perm) == _outcome(cover_report, distinct, perm)
     assert _outcome(brute_force_opt, inst) == _outcome(brute_force_opt, distinct)
+
+
+def reference_tune(inst, grid, mode):
+    """tune_ratio as one solo BAG run and one cover_report per ratio."""
+    best = None
+    for r in sorted(x for x in grid if 0 < x < 1):
+        perm, _ = balanced_adaptive_greedy(inst, BagConfig(ratio=r))
+        report = cover_report(inst, perm)
+        value = report.minmax if mode == "minmax" else report.average
+        if best is None or value < best[1]:
+            best = (r, value)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inst=st.one_of(tie_prone_instances(), shared_oracle_instances()),
+    ratios=st.lists(st.sampled_from(DEFAULT_RATIO_GRID), min_size=1, max_size=12),
+    drop_fraction=st.sampled_from([0.5, 0.75, 1.0]),
+)
+# the full grid branches three ways at one prefix of this instance
+@example(inst=random_coverage_instance(8, 3, 3, 2), ratios=list(DEFAULT_RATIO_GRID),
+         drop_fraction=0.75)
+def test_lockstep_grid_matches_solo_runs(inst, ratios, drop_fraction):
+    """Every ratio of a grid run records exactly what its run alone records."""
+    runs = _bag_runs(inst, ratios, drop_fraction, True)
+    assert len(runs) == len(ratios)
+    for ratio, (perm, trace) in zip(ratios, runs):
+        cfg = BagConfig(ratio=ratio, drop_fraction=drop_fraction, trace=True)
+        solo_perm, solo = balanced_adaptive_greedy(inst, cfg)
+        assert perm == solo_perm
+        assert trace.pick_lines() == solo.pick_lines()
+        assert trace.picks == solo.picks
+        assert trace.passes == solo.passes
+    for mode in ("minmax", "average"):
+        assert (_outcome(tune_ratio, inst, ratios, mode)
+                == _outcome(reference_tune, inst, ratios, mode))
 
 
 def _outcome(fn, *args):

@@ -173,6 +173,24 @@ class TestExperiment:
         assert code == EXIT_DATA
 
 
+@pytest.mark.parametrize("doc", [
+    [{"K": [2]}],
+    {"dataset": {"path": "data.csv"}},
+    {"K": "x"},
+    {"ratio_grid": [0, 1]},
+    {"objective": "median"},
+], ids=["list", "dataset-object", "K-string", "empty-grid", "unknown-objective"])
+def test_bad_config_is_one_line_data_error(doc, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                 "--jobs", "1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert len(err.splitlines()) == 1 and err.startswith("error: config")
+    assert "Traceback" not in err
+
+
 @pytest.fixture()
 def gmsc6(tmp_path):
     path = tmp_path / "g.json"

@@ -6,8 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from subrank import harness
 from subrank.core import objective
 from subrank.harness import (
+    DEFAULT_RATIO_GRID,
+    DEFAULT_SYNTHETIC_ODT,
     EXPECTED_DATASET_SHAPES,
     DataTable,
     ExperimentConfig,
@@ -177,6 +180,10 @@ class TestTuneRatio:
         expected = min(r for r, v in per_ratio.items() if v == best_value)
         assert tune_ratio(inst, grid=grid) == (expected, best_value)
 
+    def test_unknown_objective_rejected(self):
+        with pytest.raises(ValueError, match="unknown objective 'median'"):
+            tune_ratio(hard_family(9, 0.01), mode="median")
+
 
 def small_synthetic_cfg(**overrides):
     base = dict(
@@ -206,11 +213,7 @@ class TestSweep:
     def test_rerun_identical_modulo_runtime(self):
         cfg = small_synthetic_cfg()
         a, b = sweep(cfg), sweep(cfg)
-        strip = lambda rows: [
-            (r.algorithm, r.K, r.M, r.ratio, r.seed, r.objective_minmax, r.objective_avg)
-            for r in rows
-        ]
-        assert strip(a.rows) == strip(b.rows)
+        assert _strip(a.rows) == _strip(b.rows)
 
     def test_hard_family_spec_keeps_known_gap(self):
         cfg = ExperimentConfig(
@@ -235,14 +238,62 @@ class TestSweep:
         res = sweep(cfg)
         assert res.rows == []
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args):
+            raise TypeError("not a data error")
+
+        monkeypatch.setattr(harness, "build_instance", broken)
+        with pytest.raises(TypeError, match="not a data error"):
+            sweep(small_synthetic_cfg())
+
+    def test_default_table_when_no_source_given(self):
+        doc = {"K": [2], "M": [3], "seeds": [0], "ratio_grid": [0.5]}
+        cfg = ExperimentConfig.from_doc(doc)
+        assert harness._source_table(cfg).shape == (600, 22)
+        explicit = ExperimentConfig.from_doc({**doc, "synthetic": DEFAULT_SYNTHETIC_ODT})
+        rows = sweep(cfg).rows
+        assert len(rows) == 4 and _strip(rows) == _strip(sweep(explicit).rows)
+
     def test_jobs_parallelism_matches_serial(self):
         cfg = small_synthetic_cfg()
         serial, parallel = sweep(cfg, jobs=1), sweep(cfg, jobs=2)
-        strip = lambda rows: [
-            (r.algorithm, r.K, r.M, r.ratio, r.seed, r.objective_minmax, r.objective_avg)
-            for r in rows
-        ]
-        assert strip(serial.rows) == strip(parallel.rows)
+        assert _strip(serial.rows) == _strip(parallel.rows)
+
+
+def _strip(rows):
+    return [(r.algorithm, r.K, r.M, r.ratio, r.seed, r.objective_minmax, r.objective_avg)
+            for r in rows]
+
+
+class TestConfigFromDoc:
+    def test_defaults(self):
+        cfg = ExperimentConfig.from_doc({})
+        assert (cfg.K, cfg.M, cfg.seeds, cfg.objective) == ((10,), (10,), (0, 1, 2, 3), "minmax")
+        assert cfg.ratio_grid == DEFAULT_RATIO_GRID and cfg.synthetic is None
+
+    @pytest.mark.parametrize("doc, match", [
+        ([1, 2], "JSON object"),
+        ({"K": 0}, "'K'"),
+        ({"K": True}, "'K'"),
+        ({"M": [2, 1.5]}, "'M'"),
+        ({"M": []}, "'M'"),
+        ({"seeds": [-1]}, "'seeds'"),
+        ({"max_values": 0}, "'max_values'"),
+        ({"max_values": [5]}, "'max_values'"),
+        ({"ratio_grid": 0.5}, "'ratio_grid'"),
+        ({"ratio_grid": ["0.5"]}, "'ratio_grid'"),
+        ({"ratio_grid": [1, 2]}, "'ratio_grid'"),
+        ({"objective": "median"}, "'objective'"),
+        ({"dataset": 3}, "'dataset'"),
+        ({"synthetic": "table"}, "'synthetic'"),
+        ({"synthetic": {"family": "cube"}}, "unknown synthetic family 'cube'"),
+        ({"synthetic": {"family": "coverage", "n": 5}}, "needs 'k', 'm'"),
+        ({"synthetic": {"rows": "many"}}, "'rows' must be an integer"),
+        ({"synthetic": {"family": "hard", "k": 4, "delta": "x"}}, "'delta' must be a number"),
+    ])
+    def test_bad_field_is_value_error(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_doc(doc)
 
 
 def test_result_csv_round_trip(tmp_path):
