@@ -11,6 +11,7 @@ subcommand.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,7 +57,13 @@ def default_seed() -> int:
     return int(os.environ.get("SUBRANK_SEED", "0"))
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The subrank parser, built once per process.
+
+    No default depends on the environment: seeds default to None and
+    default_seed() reads SUBRANK_SEED when a command runs.
+    """
     parser = _Parser(prog="subrank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

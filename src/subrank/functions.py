@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Sequence
+
+import numpy as np
 
 from subrank.core import Agent, Instance, SetSystemOracle
 
@@ -80,9 +82,13 @@ class OdtTable:
 
     Row j is identifiable when every other row differs from it in some
     column; duplicated rows make the corresponding function top out below 1.
+    codes holds one integer per entry (rows x columns), equal exactly where
+    the entries are equal under ==, so 1, 1.0 and True share a code and
+    "1" does not. Entries must be hashable.
     """
 
     rows: tuple  # tuple of tuples, all the same length
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.rows) < 2:
@@ -90,6 +96,14 @@ class OdtTable:
         widths = {len(r) for r in self.rows}
         if len(widths) != 1:
             raise ValueError("rows have unequal lengths")
+        index: dict = {}
+        try:
+            # NaN differs from everything, itself included, so each gets a fresh key
+            codes = [[index.setdefault(v if v == v else object(), len(index)) for v in r]
+                     for r in self.rows]
+        except TypeError as exc:
+            raise ValueError(f"table entries must be hashable: {exc}") from None
+        object.__setattr__(self, "codes", np.array(codes, dtype=np.intp))
 
     @property
     def m(self) -> int:
@@ -98,15 +112,6 @@ class OdtTable:
     @property
     def n_columns(self) -> int:
         return len(self.rows[0])
-
-    def duplicates_of(self, row_index: int) -> list:
-        """Indices of other rows identical to the given row (1-based)."""
-        target = self.rows[row_index - 1]
-        return [
-            j
-            for j, r in enumerate(self.rows, start=1)
-            if j != row_index and r == target
-        ]
 
 
 @dataclass(frozen=True)
@@ -125,23 +130,33 @@ class OdtFunction(SetSystemOracle):
         m = self.table.m
         if not 1 <= self.row <= m:
             raise ValueError(f"row {self.row} outside 1..{m}")
-        if self.table.duplicates_of(self.row):
+        codes = self.table.codes
+        differs = codes != codes[self.row - 1]  # rows x columns; own row all False
+        if np.count_nonzero(differs.any(axis=1)) < m - 1:
             raise ValueError(f"row not identifiable: row {self.row} duplicates another row")
-        mine = self.table.rows[self.row - 1]
-        masks = {}
-        for col in range(self.table.n_columns):
-            m_bits = 0
-            for other, r in enumerate(self.table.rows):
-                if other != self.row - 1 and r[col] != mine[col]:
-                    m_bits |= 1 << other
-            masks[col + 1] = m_bits
+        hits = np.ascontiguousarray(differs.T, dtype=np.uint8)  # columns x rows
+        packed = np.packbits(hits, axis=1, bitorder="little")
+        masks = {col: int.from_bytes(bits.tobytes(), "little")
+                 for col, bits in enumerate(packed, start=1)}
         object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_hits", hits)
         object.__setattr__(self, "item_weights", (1,) * m)
         object.__setattr__(self, "denominator", m - 1)
         object.__setattr__(self, "min_nonzero_marginal", 1.0 / (m - 1))
 
     def element_mask(self, e: int) -> int:
         return self._masks.get(e, 0)
+
+    def incidence(self, n: int) -> np.ndarray:
+        """The column x row differences, cut or zero-padded to n elements.
+
+        Elements past the last column rule out no row.
+        """
+        hits = self._hits
+        if hits.shape[0] != n:
+            hits = np.zeros((n, self.table.m), dtype=np.uint8)
+            hits[: self._hits.shape[0]] = self._hits[:n]
+        return hits
 
     def numerator(self, mask: int) -> int:
         return bin(mask).count("1")

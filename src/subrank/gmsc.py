@@ -351,12 +351,11 @@ def rounding_envelope(k: int, T_star: float) -> float:
 
 
 def write_fractional_csv(sol: FractionalSolution, x_path: str, y_path: str) -> None:
-    n = sol.x.shape[0]
     with open(x_path, "w") as fh:
         fh.write("e,t,x\n")
-        for e in range(1, n + 1):
-            for t in range(1, n + 1):
-                fh.write(f"{e},{t},{sol.x[e - 1, t - 1]!r}\n")
+        for e, row in enumerate(sol.x.tolist(), start=1):  # Python floats, not np.float64
+            for t, value in enumerate(row, start=1):
+                fh.write(f"{e},{t},{value!r}\n")
     with open(y_path, "w") as fh:
         fh.write("set_id,t,y\n")
         for (set_id, t), value in sorted(sol.y.items()):

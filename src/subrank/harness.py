@@ -256,15 +256,20 @@ class ExperimentConfig:
         max_values = doc.get("max_values", DEFAULT_MAX_VALUES)
         if not (_is_int(max_values) and max_values >= 1):
             raise ValueError(f"config 'max_values' must be an integer >= 1, got {max_values!r}")
+        K, M = ints("K", 10, 1), ints("M", 10, 1)
+        pair_km = bool(doc.get("pair_km", False))
+        if pair_km and len(K) != len(M):
+            raise ValueError(f"config 'pair_km' needs K and M of equal length, "
+                             f"got {len(K)} and {len(M)}")
         return ExperimentConfig(
-            K=ints("K", 10, 1),
-            M=ints("M", 10, 1),
+            K=K,
+            M=M,
             seeds=ints("seeds", [0, 1, 2, 3], 0),
             ratio_grid=tuple(grid),
             objective=objective,
             dataset=dataset,
             synthetic=synthetic,
-            pair_km=bool(doc.get("pair_km", False)),
+            pair_km=pair_km,
             max_values=max_values,
         )
 
@@ -431,11 +436,12 @@ def _sweep_cell(cfg: ExperimentConfig, table: Optional[DataTable], K: int, M: in
 def sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
     """Run Random / Greedy / NG / tuned BAG over every (cell, seed).
 
-    Cells that fail on their data (ValueError) are logged and skipped
-    rather than aborting the whole sweep; any other error propagates. The
-    tuned ratio targets cfg.objective; both objectives are recorded for
-    every run. Cells are independent, so jobs > 1 fans them out over
-    processes; rows come back in a fixed canonical order either way.
+    Cells that fail on their data (ValueError) are logged on one line each
+    and skipped rather than aborting the whole sweep; any other error
+    propagates. The tuned ratio targets cfg.objective; both objectives are
+    recorded for every run. Cells are independent, so jobs > 1 fans them
+    out over processes; rows come back in a fixed canonical order either
+    way.
     """
     table = _source_table(cfg)
     tasks = [(K, M, seed) for K, M in cfg.cells() for seed in cfg.seeds]
@@ -444,8 +450,8 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
         for K, M, seed in tasks:
             try:
                 rows.extend(_sweep_cell(cfg, table, K, M, seed))
-            except ValueError:
-                log.exception("cell K=%s M=%s seed=%s failed; continuing", K, M, seed)
+            except ValueError as exc:
+                log.warning("cell K=%s M=%s seed=%s failed: %s; continuing", K, M, seed, exc)
     else:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
@@ -458,7 +464,8 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
                 K, M, seed = futures[fut]
                 try:
                     rows.extend(fut.result())
-                except ValueError:
-                    log.exception("cell K=%s M=%s seed=%s failed; continuing", K, M, seed)
+                except ValueError as exc:
+                    log.warning("cell K=%s M=%s seed=%s failed: %s; continuing",
+                                K, M, seed, exc)
     rows.sort(key=lambda r: (r.K, r.M, r.seed, _ALGO_ORDER[r.algorithm]))
     return ResultTable(rows=rows)

@@ -372,11 +372,14 @@ def test_one_element_gain_is_linear_in_item_incidence(data):
     n = data.draw(st.integers(min_value=2, max_value=6))
     for f in data.draw(family_oracles(n)):
         width = len(f.item_weights)
-        mask = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
-        assume(f.numerator(mask) < f.denominator)
         for e in range(1, n + 1):
             bits = f.element_mask(e)
             assert list(f.incidence(n)[e - 1]) == [(bits >> b) & 1 for b in range(width)]
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+        if f.numerator(mask) == f.denominator:
+            continue  # a covered numerator is capped: the gain law holds only below the cap
+        for e in range(1, n + 1):
+            bits = f.element_mask(e)
             new = bits & ~mask
             expected = sum(w for b, w in enumerate(f.item_weights) if (new >> b) & 1)
             assert f.numerator(mask | bits) - f.numerator(mask) == expected

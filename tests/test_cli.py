@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from subrank.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from subrank.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from subrank.instance_io import load_instance
 from subrank.core import validate
 
@@ -172,6 +173,18 @@ class TestExperiment:
         code = main(["experiment", "--config", cfg_path.as_posix(), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
 
+    def test_failed_cells_log_one_line_each(self, tmp_path, capsys, caplog):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synthetic": {"family": "hard", "k": 5},
+                                        "K": [2], "M": [2], "seeds": [0, 1]}))
+        code = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                     "--jobs", "1"])
+        assert code == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err + caplog.text
+        failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        assert failed == [f"cell K=2 M=2 seed={seed} failed: k=5 is not a perfect square >= 4; "
+                          f"continuing" for seed in (0, 1)]
+
 
 @pytest.mark.parametrize("doc", [
     [{"K": [2]}],
@@ -179,7 +192,9 @@ class TestExperiment:
     {"K": "x"},
     {"ratio_grid": [0, 1]},
     {"objective": "median"},
-], ids=["list", "dataset-object", "K-string", "empty-grid", "unknown-objective"])
+    {"K": [2, 3], "M": [3], "pair_km": True},
+], ids=["list", "dataset-object", "K-string", "empty-grid", "unknown-objective",
+        "pair-km-lengths"])
 def test_bad_config_is_one_line_data_error(doc, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -292,6 +307,43 @@ def test_env_seed_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SUBRANK_SEED", "1")
     assert run() == first
     assert first != second
+
+
+def test_cached_parser_matches_fresh_parser(tmp_path, capsys, monkeypatch):
+    """main reuses one parser; commands run on it as on a newly built one."""
+    inst, gmsc = str(tmp_path / "cov.json"), str(tmp_path / "gmsc.json")
+    script = [
+        ("1", ["generate", "--family", "coverage", "--n", "6", "--k", "2", "--m", "2",
+               "--out", inst]),
+        ("1", ["solve", "--instance", inst, "--algo", "random"]),
+        ("2", ["solve", "--instance", inst, "--algo", "random"]),
+        ("2", ["solve", "--instance", inst, "--algo", "bag", "--ratio", "0.5"]),
+        ("2", ["generate", "--family", "gmsc", "--n", "6", "--k", "2", "--m", "2",
+               "--out", gmsc]),
+        ("2", ["gmsc-bench", "--instance", gmsc, "--seeds", "2"]),
+        ("3", ["generate", "--family", "coverage", "--n", "6", "--k", "2", "--m", "2",
+               "--out", inst]),
+    ]
+
+    def session(fresh):
+        outputs = []
+        for seed, argv in script:
+            monkeypatch.setenv("SUBRANK_SEED", seed)
+            if fresh:
+                build_parser.cache_clear()
+            code = main(argv)
+            out = [line for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith("runtime_ms")]
+            written = Path(argv[-1]).read_text() if argv[0] == "generate" else None
+            outputs.append((code, out, written))
+        return outputs
+
+    cached = session(fresh=False)
+    assert cached == session(fresh=True)
+    assert all(code == EXIT_OK for code, _, _ in cached)
+    assert cached[1][1][0] != cached[2][1][0]  # SUBRANK_SEED 1 vs 2: another random order
+    assert cached[0][2] != cached[-1][2]  # and another generated file
+    assert build_parser() is build_parser()
 
 
 def test_console_entry_point_runs():

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subrank.core import objective, validate
 from subrank.functions import (
@@ -61,6 +63,68 @@ class TestOdtFunction:
                         if idx != j
                     )
                     assert f.covers(cols) == fully_identified
+
+
+def reference_odt_masks(rows, row):
+    """The row x column loop OdtFunction was built with before its one comparison."""
+    mine = rows[row - 1]
+    if any(j != row and r == mine for j, r in enumerate(rows, start=1)):
+        raise ValueError(f"row not identifiable: row {row} duplicates another row")
+    masks = {}
+    for col in range(len(mine)):
+        bits = 0
+        for other, r in enumerate(rows):
+            if other != row - 1 and r[col] != mine[col]:
+                bits |= 1 << other
+        masks[col + 1] = bits
+    return masks
+
+
+# Repeated values that are equal across types (1, 1.0, True) beside ones that
+# are not ("1", None), so rows can be duplicates under == without being identical.
+ODT_ENTRIES = st.sampled_from([0, 1, 2, 0.0, 1.0, 2.5, True, False, "1", "a", None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_vectorised_odt_build_matches_row_loop(data):
+    cols = data.draw(st.integers(0, 4))
+    rows = data.draw(st.lists(st.lists(ODT_ENTRIES, min_size=cols, max_size=cols).map(tuple),
+                              min_size=2, max_size=6))
+    if data.draw(st.booleans()):  # an exact copy of some row
+        rows.insert(data.draw(st.integers(0, len(rows))), data.draw(st.sampled_from(rows)))
+    m = len(rows)
+    table = OdtTable(rows=tuple(rows))
+    for row in range(1, m + 1):
+        try:
+            masks = reference_odt_masks(rows, row)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                odt_function(table, row)
+            continue
+        f = odt_function(table, row)
+        assert [f.element_mask(e) for e in range(cols + 3)] == [
+            masks.get(e, 0) for e in range(cols + 3)
+        ]
+        for n in range(cols + 3):  # below, at and above the table width
+            hits = f.incidence(n)
+            assert hits.dtype.name == "uint8" and hits.shape == (n, m)
+            assert hits.tolist() == [
+                [(masks.get(e, 0) >> b) & 1 for b in range(m)] for e in range(1, n + 1)
+            ]
+        assert f.denominator == m - 1 and f.item_weights == (1,) * m
+
+
+def test_nan_entry_differs_from_every_row():
+    nan = float("nan")  # one object, as json.load returns for every NaN
+    table = OdtTable(rows=((nan, 0), (nan, 0), (0.0, 1)))
+    masks = [[odt_function(table, row).element_mask(e) for e in (1, 2)] for row in (1, 2, 3)]
+    assert masks == [[0b110, 0b100], [0b101, 0b100], [0b011, 0b011]]
+
+
+def test_unhashable_entry_rejected():
+    with pytest.raises(ValueError, match="table entries must be hashable"):
+        OdtTable(rows=(([0],), ([1],)))
 
 
 class TestGmscFunction:

@@ -241,6 +241,10 @@ class TestSerialization:
         assert y_lines[0] == "set_id,t,y"
         assert len(x_lines) == 1 + 4  # 2x2 grid
         assert len(y_lines) == 1 + 2  # one set, two times
+        x_values = [float(line.split(",")[2]) for line in x_lines[1:]]
+        y_values = [float(line.split(",")[2]) for line in y_lines[1:]]
+        assert x_values == [sol.x[e, t] for e in range(2) for t in range(2)]
+        assert y_values == [sol.y[(1, t)] for t in (1, 2)]
 
 
 def test_gmsc_objective_matches_cover_semantics():
