@@ -46,15 +46,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def positive_int(text: str) -> int:
+def _at_least(least: int, text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
 
 
+def positive_int(text: str) -> int:
+    return _at_least(1, text)
+
+
+def nonnegative_int(text: str) -> int:
+    return _at_least(0, text)
+
+
 def default_seed() -> int:
-    return int(os.environ.get("SUBRANK_SEED", "0"))
+    text = os.environ.get("SUBRANK_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"SUBRANK_SEED must be an integer, got {text!r}") from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -80,9 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write an instance file")
     p.add_argument("--family", required=True, choices=("hard", "coverage", "gmsc"))
-    p.add_argument("--k", type=int, help="agents (hard: must be a perfect square)")
-    p.add_argument("--n", type=int, help="elements (coverage/gmsc)")
-    p.add_argument("--m", type=int, help="functions or sets per agent (coverage/gmsc)")
+    p.add_argument("--k", type=positive_int, help="agents (hard: must be a perfect square)")
+    p.add_argument("--n", type=positive_int, help="elements (coverage/gmsc)")
+    p.add_argument("--m", type=positive_int, help="functions or sets per agent (coverage/gmsc)")
     p.add_argument("--delta", type=float, default=0.01, help="hard-family tie margin")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
@@ -96,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True,
                    help="instance JSON whose functions are all unit-weight gmsc")
     p.add_argument("--seeds", type=positive_int, default=20, help="rounding repetitions")
-    p.add_argument("--seed-base", type=int, default=None)
+    p.add_argument("--seed-base", type=nonnegative_int, default=None)
     p.add_argument("--out", default=None, help="per-seed results CSV")
     p.add_argument("--dump-lp", metavar="PREFIX", default=None,
                    help="write fractional solution to PREFIX_x.csv / PREFIX_y.csv")
@@ -107,6 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
+    if args.trace and args.algo != "bag":
+        print("error: --trace is only meaningful with --algo bag", file=sys.stderr)
+        return EXIT_USAGE
     inst = load_instance(args.instance)
     problems = validate(inst)
     errors = [v for v in problems if v.severity == SEVERITY_ERROR]
@@ -141,9 +156,6 @@ def _cmd_solve(args) -> int:
     print(f"average: {report.average:.6f}")
     print(f"runtime_ms: {runtime_ms:.3f}")
     if args.trace:
-        if trace is None:
-            print("error: --trace is only meaningful with --algo bag", file=sys.stderr)
-            return EXIT_USAGE
         write_trace_jsonl(trace, args.trace)
     if args.out:
         doc = {
@@ -203,8 +215,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_gmsc_bench(args) -> int:
-    inst = load_instance(args.instance)
     base = args.seed_base if args.seed_base is not None else default_seed()
+    if base < 0:  # rounding seeds feed np.random.SeedSequence
+        raise ValueError(f"SUBRANK_SEED must be non-negative for gmsc-bench, got {base}")
+    inst = load_instance(args.instance)
     sol = gmsc_mod.solve_lp(inst)
     if not sol.converged:
         print("warning: cut cap reached; bound may be loose", file=sys.stderr)

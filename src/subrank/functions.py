@@ -10,6 +10,7 @@ marginal analytically.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Sequence
@@ -180,6 +181,9 @@ class GmscSet:
     def __post_init__(self):
         if not self.members:
             raise ValueError("set has no members")
+        for e in self.members:
+            if isinstance(e, bool) or not isinstance(e, numbers.Integral):
+                raise ValueError(f"set member {e!r} is not an integer")
         if not 1 <= self.K <= len(self.members):
             raise ValueError(f"K={self.K} outside 1..{len(self.members)}")
 

@@ -4,14 +4,15 @@ The module works on an ``Instance`` whose functions are all unit-weight
 gmsc functions: each one is a set with a coverage requirement K, covered
 once K of its members have appeared in the permutation, and an agent pays
 the sum of its sets' cover times. The fractional relaxation uses assignment
-variables x[e,t], coverage indicators y[set,t], and a bound variable T
-minimized directly; the exponential knapsack-cover family is generated
-lazily through the separation oracle and the LP re-solved until no
-constraint is violated. The LP is one sparse HiGHS model (see
-``simplex``) that grows by the new cuts each round and is re-solved from
-its last basis. Rounding runs doubling-horizon phases, picking
-each element independently with probability min(1, 8 * prefix mass) and
-interleaving independent repetitions so no agent is left behind.
+variables x[e,t], held as an (n x n) array, coverage indicators y[set,t],
+held as a (sets x n) array with one row per set in ``gmsc_sets`` order, and
+a bound variable T minimized directly; the exponential knapsack-cover
+family is generated lazily through the separation oracle and the LP
+re-solved until no constraint is violated. The LP is one sparse HiGHS
+model (see ``simplex``) that grows by the new cuts each round and is
+re-solved from its last basis. Rounding runs doubling-horizon phases,
+picking each element independently with probability min(1, 8 * prefix
+mass) and interleaving independent repetitions so no agent is left behind.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -83,38 +84,22 @@ class ViolatedConstraint:
 
 @dataclass
 class FractionalSolution:
+    """An LP optimum; set ids index the rows of y as gmsc_sets numbers them."""
+
     x: np.ndarray  # shape (n, n); x[e-1, t-1]
-    y: dict  # (set_id, t) -> value
+    y: np.ndarray  # shape (sets, n); y[set_id-1, t-1]
     T_star: float
     cuts: list = field(default_factory=list)  # (set_id, t, frozenset B) generated
     converged: bool = True
     rounds: int = 0  # LP solves, one per round of cuts
     iterations: int = 0  # simplex iterations summed over the rounds
 
-    def prefix_mass(self, e: int, t: int) -> float:
-        """Sum of x[e, t'] over t' < t (t may exceed n)."""
-        hi = min(t - 1, self.x.shape[0])
-        return float(self.x[e - 1, :hi].sum())
 
-    def y_series(self, set_id: int) -> tuple:
-        n = self.x.shape[0]
-        return tuple(self.y[(set_id, t)] for t in range(1, n + 1))
+def t_star(series: Sequence) -> int:
+    """Last time t with y value <= 1/2 in one set's series; 0 when above 1/2 at t = 1.
 
-
-def t_star(y: Union[Sequence, dict], set_id: Optional[int] = None) -> int:
-    """Last time t with y value <= 1/2; 0 when already above 1/2 at t = 1.
-
-    Accepts either one set's value series or the full y map plus a set id.
     Meaningful when the series is nondecreasing, which solve_lp enforces.
     """
-    if isinstance(y, dict):
-        series = []
-        t = 1
-        while (set_id, t) in y:
-            series.append(y[(set_id, t)])
-            t += 1
-    else:
-        series = list(y)
     last = 0
     for t, value in enumerate(series, start=1):
         if value <= 0.5:
@@ -122,56 +107,39 @@ def t_star(y: Union[Sequence, dict], set_id: Optional[int] = None) -> int:
     return last
 
 
-def _violated_cuts(n, sets, x, y, lp_tol):
-    """One most-violating B per (set, t).
+def _violated_cuts(sets, x, y, lp_tol):
+    """One most-violating B per (set, t), in (set, t) order.
 
     For fixed (set, t) the constraint slack is additive over elements, so
-    the worst B contains exactly the members whose prefix mass exceeds
-    y[set, t]; only constraints violated beyond lp_tol are returned.
+    the worst B contains exactly the members whose mass before t exceeds
+    y[set, t]; only constraints violated beyond lp_tol are returned. The
+    mass outside B is summed sequentially in member order, because a
+    regrouped sum can move a violation by an ulp.
     """
+    before = np.zeros_like(x)  # before[e-1, t-1] = x-mass of e placed before t
+    np.cumsum(x[:, :-1], axis=1, out=before[:, 1:])
     found = []
-    prefix = np.cumsum(x, axis=1)  # prefix[e-1, t-1] = mass through time t
     for set_id, _, s in sets:
-        members = sorted(s.members)
-        for t in range(1, n + 1):
-            y_val = y.get((set_id, t), 0.0)
-            if y_val <= 0.0:
-                continue
-            mass = {e: (prefix[e - 1, t - 2] if t >= 2 else 0.0) for e in members}
-            subset = frozenset(e for e in members if mass[e] > y_val)
-            lhs = sum(mass[e] for e in members if e not in subset)
-            violation = (s.K - len(subset)) * y_val - lhs
-            if violation > lp_tol:
-                found.append(ViolatedConstraint(set_id, t, subset, violation))
+        members = np.array(sorted(s.members))
+        mass = before[members - 1]  # (members, n)
+        y_row = y[set_id - 1]
+        inside = mass > y_row
+        outside = np.cumsum(np.where(inside, 0.0, mass), axis=0)[-1]
+        violation = (s.K - inside.sum(axis=0)) * y_row - outside
+        for t in np.flatnonzero((y_row > 0.0) & (violation > lp_tol)).tolist():
+            subset = frozenset(members[inside[:, t]].tolist())
+            found.append(ViolatedConstraint(set_id, t + 1, subset, float(violation[t])))
     return found
 
 
 def separation_oracle(
-    inst: Instance, x: np.ndarray, y: dict, lp_tol: float = LP_TOL
+    inst: Instance, x: np.ndarray, y: np.ndarray, lp_tol: float = LP_TOL
 ) -> Optional[ViolatedConstraint]:
     """Most violated knapsack-cover constraint, or None when all hold."""
-    found = _violated_cuts(inst.n, gmsc_sets(inst), x, y, lp_tol)
+    found = _violated_cuts(gmsc_sets(inst), x, y, lp_tol)
     if not found:
         return None
     return max(found, key=lambda v: v.violation)
-
-
-class _LpLayout:
-    """Column layout: x[e,t] block (row-major in e), then y[set,t] block, then T."""
-
-    def __init__(self, inst: Instance):
-        self.n = inst.n
-        self.sets = list(gmsc_sets(inst))
-        self.n_sets = len(self.sets)
-        self.n_x = self.n * self.n
-        self.n_cols = self.n_x + self.n_sets * self.n + 1
-
-    def y_col(self, set_id: int, t: int) -> int:
-        return self.n_x + (set_id - 1) * self.n + (t - 1)
-
-    @property
-    def t_col(self) -> int:
-        return self.n_cols - 1
 
 
 def solve_lp(inst: Instance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUTS) -> FractionalSolution:
@@ -188,37 +156,37 @@ def solve_lp(inst: Instance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUTS) -
     """
     if inst.n < 1:
         raise ValueError("instance has no elements")
-    layout = _LpLayout(inst)
-    n = layout.n
+    n = inst.n
+    sets = list(gmsc_sets(inst))
+    # columns: x[e,t] row-major in e, then y[set,t] row-major in set, then T
+    x_cols = np.arange(n * n).reshape(n, n)
+    y_cols = n * n + np.arange(len(sets) * n).reshape(len(sets), n)
+    t_col = n * n + y_cols.size
 
-    costs = np.zeros(layout.n_cols)
-    costs[layout.t_col] = 1.0
+    costs = np.zeros(t_col + 1)
+    costs[t_col] = 1.0
     model = simplex.LpModel(costs)
 
     # every time slot and every element carries unit x-mass
-    x_cols = np.arange(layout.n_x).reshape(n, n)  # x_cols[e-1, t-1]
     ones = np.ones(n)
     rows = [(cols, ones) for cols in (*x_cols.T, *x_cols)]
     model.add_rows(rows, upper=np.ones(2 * n), lower=np.ones(2 * n))
 
     rows, upper = [], []
-    for set_id, _, _ in layout.sets:
-        first = layout.y_col(set_id, 1)
+    for cols in y_cols:
         for t in range(n - 1):  # y[s,t] - y[s,t+1] <= 0
-            rows.append(((first + t, first + t + 1), (1.0, -1.0)))
+            rows.append(((cols[t], cols[t + 1]), (1.0, -1.0)))
             upper.append(0.0)
-        rows.append(((first + n - 1,), (1.0,)))  # y[s,n] <= 1 caps the whole chain
+        rows.append(((cols[-1],), (1.0,)))  # y[s,n] <= 1 caps the whole chain
         upper.append(1.0)
     for agent_index in range(1, len(inst.agents) + 1):
         # sum_t sum_S (1 - y) <= T
-        owned = [set_id for set_id, owner, _ in layout.sets if owner == agent_index]
-        cols = [layout.y_col(set_id, t) for set_id in owned for t in range(1, n + 1)]
-        cols.append(layout.t_col)
+        owned = [set_id - 1 for set_id, owner, _ in sets if owner == agent_index]
+        cols = np.append(y_cols[owned].ravel(), t_col)
         rows.append((cols, np.full(len(cols), -1.0)))
         upper.append(-float(n * len(owned)))
     model.add_rows(rows, upper)
 
-    sets_by_id = {sid: s for sid, _, s in layout.sets}
     cuts = []
     rounds = iterations = 0
     converged = False
@@ -228,13 +196,8 @@ def solve_lp(inst: Instance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUTS) -
         iterations += res.iterations
         if res.status != simplex.OPTIMAL:
             raise ValueError(f"LP solve failed: {res.status}")
-        x = res.x[: layout.n_x].reshape(n, n)
-        y = {
-            (set_id, t): float(res.x[layout.y_col(set_id, t)])
-            for set_id, _, _ in layout.sets
-            for t in range(1, n + 1)
-        }
-        new = _violated_cuts(n, layout.sets, x, y, lp_tol)
+        x, y = res.x[x_cols], res.x[y_cols]
+        new = _violated_cuts(sets, x, y, lp_tol)
         if not new:
             converged = True
             break
@@ -242,11 +205,11 @@ def solve_lp(inst: Instance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUTS) -
             break
         rows = []
         for cut in new:
-            s = sets_by_id[cut.set_id]
+            s = sets[cut.set_id - 1][2]
+            outside = np.array(sorted(s.members - cut.subset), dtype=int)
             # (K - |B|) y[s,t] - sum_{e in S\B} sum_{t'<t} x[e,t'] <= 0
-            cols = [layout.y_col(cut.set_id, cut.time)]
-            cols.extend(x_cols[e - 1, tp] for e in sorted(s.members - cut.subset)
-                        for tp in range(cut.time - 1))
+            cols = np.append(y_cols[cut.set_id - 1, cut.time - 1],
+                             x_cols[outside - 1, : cut.time - 1].ravel())
             vals = np.full(len(cols), -1.0)
             vals[0] = float(s.K - len(cut.subset))
             rows.append((cols, vals))
@@ -263,7 +226,6 @@ def solve_lp(inst: Instance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUTS) -
 class PhaseOutput:
     phase: int  # doubling index l; horizon is 2^l
     picked: tuple  # element ids in index order; () when emptied
-    prefix_mass: tuple  # per element 1..n
     emptied: bool
     raw_count: int  # picks before the cap was applied
 
@@ -286,13 +248,12 @@ def round_phase(x: np.ndarray, phase: int, seed) -> PhaseOutput:
     probs = np.minimum(1.0, PICK_SCALE * mass)
     rng = np.random.default_rng(seed)
     draws = rng.random(n)
-    picked = tuple(int(e) for e in range(1, n + 1) if draws[e - 1] < probs[e - 1])
+    picked = tuple((np.flatnonzero(draws < probs) + 1).tolist())
     cap = PHASE_CAP_SCALE * horizon
     emptied = len(picked) > cap
     return PhaseOutput(
         phase=phase,
         picked=() if emptied else picked,
-        prefix_mass=tuple(float(v) for v in mass),
         emptied=emptied,
         raw_count=len(picked),
     )
@@ -351,12 +312,9 @@ def rounding_envelope(k: int, T_star: float) -> float:
 
 
 def write_fractional_csv(sol: FractionalSolution, x_path: str, y_path: str) -> None:
-    with open(x_path, "w") as fh:
-        fh.write("e,t,x\n")
-        for e, row in enumerate(sol.x.tolist(), start=1):  # Python floats, not np.float64
-            for t, value in enumerate(row, start=1):
-                fh.write(f"{e},{t},{value!r}\n")
-    with open(y_path, "w") as fh:
-        fh.write("set_id,t,y\n")
-        for (set_id, t), value in sorted(sol.y.items()):
-            fh.write(f"{set_id},{t},{value!r}\n")
+    for path, header, grid in ((x_path, "e,t,x", sol.x), (y_path, "set_id,t,y", sol.y)):
+        with open(path, "w") as fh:
+            fh.write(header + "\n")
+            for i, row in enumerate(grid.tolist(), start=1):  # Python floats, not np.float64
+                for t, value in enumerate(row, start=1):
+                    fh.write(f"{i},{t},{value!r}\n")

@@ -290,15 +290,17 @@ def _check_synthetic(spec) -> None:
     if not isinstance(spec, dict):
         raise ValueError(f"config 'synthetic' must be an object, got {spec!r}")
     family = spec.get("family")
-    if "family" in spec and family not in _FAMILY_KEYS:
+    if "family" in spec and not (isinstance(family, str) and family in _FAMILY_KEYS):
         raise ValueError(f"unknown synthetic family {family!r}")
     missing = [key for key in _FAMILY_KEYS.get(family, ()) if key not in spec]
     if missing:
         raise ValueError(f"synthetic family {family!r} needs " + ", ".join(map(repr, missing)))
     for key, value in spec.items():
-        if key != "family" and not (_is_number(value) if key == "delta" else _is_int(value)):
-            raise ValueError(f"synthetic {key!r} must be "
-                             f"{'a number' if key == 'delta' else 'an integer'}, got {value!r}")
+        if key == "delta" and not _is_number(value):
+            raise ValueError(f"synthetic 'delta' must be a number, got {value!r}")
+        least = 0 if key == "seed" else 1  # every other key is a size
+        if key not in ("family", "delta") and not (_is_int(value) and value >= least):
+            raise ValueError(f"synthetic {key!r} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -337,7 +337,8 @@ def separation_exactness_check(cases: int = 100, seed: int = 6) -> str:
         x = np.array([[rng.random() * 0.5 for _ in range(n)] for _ in range(n)])
         t = rng.randint(1, n)
         y_val = rng.random()
-        y = {(1, tt): (y_val if tt == t else 0.0) for tt in range(1, n + 1)}
+        y = np.zeros((1, n))
+        y[0, t - 1] = y_val
         got = gmsc_mod.separation_oracle(inst, x, y, lp_tol=1e-12)
         prefix = np.cumsum(x, axis=1)
         xbar = [float(prefix[e - 1, t - 2]) if t >= 2 else 0.0 for e in members]
@@ -374,7 +375,7 @@ def lp_soundness_check(instances: int = 8, seed: int = 7) -> str:
         )
         t_sums = [0] * len(inst.agents)
         for sid, owner, _ in gmsc_mod.gmsc_sets(inst):
-            t_sums[owner - 1] += gmsc_mod.t_star(sol.y, sid)
+            t_sums[owner - 1] += gmsc_mod.t_star(sol.y[sid - 1])
         _require(
             all(sol.T_star >= 0.5 * total - HALF_SUM_TOL for total in t_sums),
             f"seed {s}: half-sum bound fails",

@@ -79,6 +79,7 @@ class TestSolve:
             ["solve", "--instance", hard4, "--algo", "ng", "--trace", str(tmp_path / "t.jsonl")]
         )
         assert code == EXIT_USAGE
+        assert capsys.readouterr().out == ""  # rejected before any ranking runs
 
     def test_report_json(self, hard4, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -109,6 +110,20 @@ class TestGenerate:
     def test_missing_params_is_data_error(self, tmp_path, capsys):
         code = main(["generate", "--family", "coverage", "--out", str(tmp_path / "x.json")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--family", "gmsc", "--n", "5", "--k", "0", "--m", "2"], "--k"),
+        (["--family", "coverage", "--n", "5", "--k", "2", "--m", "0"], "--m"),
+        (["--family", "coverage", "--n", "-2", "--k", "2", "--m", "2"], "--n"),
+        (["--family", "hard", "--k", "-4"], "--k"),
+    ])
+    def test_nonpositive_size_is_usage_error(self, argv, flag, tmp_path, capsys):
+        path = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as err:
+            main(["generate", *argv, "--out", str(path)])
+        assert err.value.code == EXIT_USAGE
+        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_gmsc_family_writes_set_system(self, tmp_path, capsys):
         path = tmp_path / "g.json"
@@ -253,6 +268,26 @@ class TestGmscBench:
             main(["gmsc-bench", "--instance", absent, "--seeds", seeds])
         assert err.value.code == EXIT_USAGE
         assert f"--seeds: must be at least 1, got {int(seeds)}" in capsys.readouterr().err
+
+    def test_negative_seed_base_is_usage_error(self, gmsc6, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["gmsc-bench", "--instance", gmsc6, "--seed-base", "-1"])
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--seed-base: must be at least 0, got -1" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value, message", [
+        ("-1", "error: SUBRANK_SEED must be non-negative for gmsc-bench, got -1"),
+        ("abc", "error: SUBRANK_SEED must be an integer, got 'abc'"),
+    ])
+    def test_bad_env_seed_fails_before_the_lp(self, value, message, gmsc6, capsys,
+                                              monkeypatch):
+        monkeypatch.setenv("SUBRANK_SEED", value)
+        assert main(["gmsc-bench", "--instance", gmsc6]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""  # no T* line: the LP never ran
 
     def test_seed_27_instance_solves(self, tmp_path, capsys):
         # the dense simplex this LP once ran on hit its iteration limit here

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subrank import gmsc
 from subrank.core import is_permutation, make_instance, objective
@@ -33,13 +35,13 @@ class TestSeparationOracle:
     def test_zero_y_never_violates(self):
         gi = single_set_instance(3, {1, 2}, 2)
         x = np.full((3, 3), 1.0 / 3.0)
-        y = {(1, t): 0.0 for t in range(1, 4)}
+        y = np.zeros((1, 3))
         assert separation_oracle(gi, x, y) is None
 
     def test_worked_example(self):
         gi = single_set_instance(2, {1, 2}, 2)
         x = np.array([[0.9, 0.1], [0.1, 0.9]])
-        y = {(1, 1): 0.0, (1, 2): 0.5}
+        y = np.array([[0.0, 0.5]])
         got = separation_oracle(gi, x, y)
         assert got.subset == frozenset({1})
         assert got.violation == pytest.approx(0.4, abs=1e-12)
@@ -49,6 +51,71 @@ class TestSeparationOracle:
     def test_agrees_with_exhaustive_enumeration(self, seed):
         result = separation_exactness_check(1, seed)
         assert result.passed, result.detail
+
+
+def loop_violated_cuts(n, sets, x, y, lp_tol):
+    """Reference for gmsc._violated_cuts: one Python pass per (set, t) pair."""
+    found = []
+    prefix = np.cumsum(x, axis=1)
+    for set_id, _, s in sets:
+        members = sorted(s.members)
+        for t in range(1, n + 1):
+            y_val = float(y[set_id - 1, t - 1])
+            if y_val <= 0.0:
+                continue
+            mass = {e: (prefix[e - 1, t - 2] if t >= 2 else 0.0) for e in members}
+            subset = frozenset(e for e in members if mass[e] > y_val)
+            lhs = sum(mass[e] for e in members if e not in subset)
+            violation = (s.K - len(subset)) * y_val - lhs
+            if violation > lp_tol:
+                found.append((set_id, t, subset, violation))
+    return found
+
+
+def assert_cuts_match_loop(inst, x, y, lp_tol):
+    sets = list(gmsc_sets(inst))
+    got = [(c.set_id, c.time, c.subset, c.violation)
+           for c in gmsc._violated_cuts(sets, x, y, lp_tol)]
+    assert got == loop_violated_cuts(inst.n, sets, x, y, lp_tol)
+
+
+# grid values make prefix masses tie with y; negatives and zeros probe the y > 0 filter
+GRID = st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5, -0.05])
+VALUES = st.one_of(GRID, st.floats(-0.1, 1.0))
+
+
+@st.composite
+def separation_inputs(draw):
+    n = draw(st.integers(1, 10))  # numpy's np.sum regroups from 8 terms on
+    agents = []
+    for _ in range(draw(st.integers(1, 3))):
+        sets = []
+        for _ in range(draw(st.integers(1, 3))):
+            members = draw(st.one_of(st.sets(st.integers(1, n), min_size=1),
+                                     st.just(set(range(1, n + 1)))))
+            K = draw(st.integers(1, len(members)))
+            sets.append((gmsc_function(GmscSet(members=frozenset(members), K=K)), 1.0))
+        agents.append(sets)
+    inst = make_instance(n, agents)
+    n_sets = sum(len(a) for a in agents)
+    x = np.array(draw(st.lists(VALUES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    y = np.array(draw(st.lists(VALUES, min_size=n_sets * n, max_size=n_sets * n)))
+    lp_tol = draw(st.sampled_from([LP_TOL, 1e-12, 0.0, -1.0]))
+    return inst, x, y.reshape(n_sets, n), lp_tol
+
+
+class TestViolatedCutsMatchLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(args=separation_inputs())
+    def test_random_x_and_y(self, args):
+        assert_cuts_match_loop(*args)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lp_solutions(self, seed):
+        inst = random_gmsc_instance(8 + seed, 3, 2, seed)
+        sol = solve_lp(inst)
+        for lp_tol in (LP_TOL, 0.0, -1.0):  # -1 keeps every (set, t) with y > 0
+            assert_cuts_match_loop(inst, sol.x, sol.y, lp_tol)
 
 
 class TestGmscSets:
@@ -87,8 +154,8 @@ class TestTStar:
         assert t_star((0.0, 0.0, 0.0, 0.0)) == 4
 
     def test_from_solution_map(self):
-        y = {(7, 1): 0.1, (7, 2): 0.8}
-        assert t_star(y, 7) == 1
+        y = np.array([[0.9, 0.9], [0.1, 0.8]])
+        assert t_star(y[1]) == 1
 
 
 class TestSolveLp:
@@ -128,7 +195,7 @@ class TestSolveLp:
         gi = random_gmsc_instance(6, 2, 2, 3)
         sol = solve_lp(gi)
         for sid, _, _ in gmsc_sets(gi):
-            series = sol.y_series(sid)
+            series = sol.y[sid - 1]
             assert all(a <= b + 1e-9 for a, b in zip(series, series[1:]))
 
     def test_final_solution_feasible_everywhere(self):
@@ -142,7 +209,7 @@ class TestSolveLp:
         # agent totals within the bound variable
         for agent_index in range(1, len(gi.agents) + 1):
             total = sum(
-                1.0 - sol.y[(sid, t)]
+                1.0 - sol.y[sid - 1, t - 1]
                 for sid, owner, _ in gmsc_sets(gi)
                 if owner == agent_index
                 for t in range(1, n + 1)
@@ -158,7 +225,7 @@ class TestSolveLp:
             members = sorted(s.members)
             B = {e for e in members if rng.random() < 0.5}
             lhs = sum(prefix[e - 1, t - 2] if t >= 2 else 0.0 for e in members if e not in B)
-            rhs = (s.K - len(B)) * sol.y[(sid, t)]
+            rhs = (s.K - len(B)) * sol.y[sid - 1, t - 1]
             assert lhs >= rhs - LP_TOL
 
     def test_deterministic(self):
@@ -166,7 +233,7 @@ class TestSolveLp:
         a, b = solve_lp(gi), solve_lp(gi)
         assert a.T_star == b.T_star
         assert np.array_equal(a.x, b.x)
-        assert a.y == b.y
+        assert np.array_equal(a.y, b.y)
 
 
 class TestRoundPhase:
@@ -193,7 +260,7 @@ class TestRoundPhase:
         assert hits / 100_000 == pytest.approx(0.4, abs=0.02)
 
     def test_phase_cap_applies(self):
-        assert PhaseOutput(phase=2, picked=(), prefix_mass=(), emptied=True, raw_count=99).cap == 64
+        assert PhaseOutput(phase=2, picked=(), emptied=True, raw_count=99).cap == 64
 
 
 class TestSchedule:
@@ -244,7 +311,7 @@ class TestSerialization:
         x_values = [float(line.split(",")[2]) for line in x_lines[1:]]
         y_values = [float(line.split(",")[2]) for line in y_lines[1:]]
         assert x_values == [sol.x[e, t] for e in range(2) for t in range(2)]
-        assert y_values == [sol.y[(1, t)] for t in (1, 2)]
+        assert y_values == [sol.y[0, t] for t in range(2)]
 
 
 def test_gmsc_objective_matches_cover_semantics():

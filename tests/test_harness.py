@@ -290,6 +290,12 @@ class TestConfigFromDoc:
         ({"synthetic": {"family": "coverage", "n": 5}}, "needs 'k', 'm'"),
         ({"synthetic": {"rows": "many"}}, "'rows' must be an integer"),
         ({"synthetic": {"family": "hard", "k": 4, "delta": "x"}}, "'delta' must be a number"),
+        ({"synthetic": {"family": ["hard"], "k": 4}}, r"unknown synthetic family \['hard'\]"),
+        ({"synthetic": {"family": {}, "k": 4}}, "unknown synthetic family {}"),
+        ({"synthetic": {"family": "coverage", "n": 5, "k": 2, "m": 0}}, "'m' must be an integer >= 1"),
+        ({"synthetic": {"rows": 20, "cols": 4, "values": 0}}, "'values' must be an integer >= 1"),
+        ({"synthetic": {"rows": 20, "cols": 4, "values": 3, "seed": -2}},
+         "'seed' must be an integer >= 0"),
     ])
     def test_bad_field_is_value_error(self, doc, match):
         with pytest.raises(ValueError, match=match):

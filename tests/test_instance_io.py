@@ -161,6 +161,14 @@ MALFORMED = {
         _one_function_doc(params={"members": [1, 3], "K": 1}),
         r"gmsc member outside 1\.\.2",
     ),
+    "gmsc-float-member": (
+        _one_function_doc(params={"members": [1, 2.0], "K": 1}),
+        "set member 2.0 is not an integer",
+    ),
+    "gmsc-bool-member": (
+        _one_function_doc(params={"members": [True, 2], "K": 1}),
+        "set member True is not an integer",
+    ),
     "no-agents": ({"n": 3, "agents": []}, "instance has no agents"),
     "denominator-above-2**53": (
         _one_function_doc(family="coverage",
