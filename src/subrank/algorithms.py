@@ -222,7 +222,7 @@ class RunTrace:
     picks: list = field(default_factory=list)
     passes: list = field(default_factory=list)
 
-    def pick_lines(self, include_details: bool = True) -> list:
+    def pick_lines(self) -> list:
         lines = []
         for rec in self.picks:
             doc = {
@@ -230,18 +230,17 @@ class RunTrace:
                 "element": rec.element,
                 "p": rec.round_index,
                 "q": rec.pass_index,
+                "score": rec.score,
             }
-            if include_details:
-                doc["score"] = rec.score
-                if rec.remaining_weights is not None:
-                    doc["remaining_weights"] = rec.remaining_weights
+            if rec.remaining_weights is not None:
+                doc["remaining_weights"] = rec.remaining_weights
             lines.append(json.dumps(doc, sort_keys=True))
         return lines
 
 
-def write_trace_jsonl(trace: RunTrace, path: str, include_details: bool = True) -> None:
+def write_trace_jsonl(trace: RunTrace, path: str) -> None:
     with open(path, "w") as fh:
-        for line in trace.pick_lines(include_details):
+        for line in trace.pick_lines():
             fh.write(line + "\n")
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ import time
 
 from subrank import verify as verify_mod
 from subrank import gmsc as gmsc_mod
-from subrank.core import SEVERITY_ERROR, cover_report, validate
+from subrank.core import SEVERITY_ERROR, cover_report, errors_only, validate
 from subrank.functions import hard_family, random_coverage_instance
 from subrank.instance_io import InstanceFormatError, load_instance, save_instance
 from subrank.algorithms import (
@@ -82,10 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="rank one instance file")
     p.add_argument("--instance", required=True, help="instance JSON path")
     p.add_argument("--algo", required=True, choices=("random", "greedy", "ng", "bag", "brute"))
-    p.add_argument("--ratio", type=float, default=2.0 / 3.0, help="bag baseline decay")
-    p.add_argument("--drop-fraction", type=float, default=3.0 / 4.0)
+    p.add_argument("--ratio", type=float, default=BagConfig.ratio, help="bag baseline decay")
+    p.add_argument("--drop-fraction", type=float, default=BagConfig.drop_fraction)
     p.add_argument("--seed", type=int, default=None, help="seed for --algo random")
-    p.add_argument("--node-limit", type=int, default=2_000_000, help="brute-force cap")
+    p.add_argument("--node-limit", type=int, help="brute-force cap",
+                   default=inspect.signature(brute_force_opt).parameters["node_limit"].default)
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write bag pick trace as JSON lines")
     p.add_argument("--out", default=None, help="also write the report as JSON")
@@ -124,11 +126,10 @@ def _cmd_solve(args) -> int:
         return EXIT_USAGE
     inst = load_instance(args.instance)
     problems = validate(inst)
-    errors = [v for v in problems if v.severity == SEVERITY_ERROR]
     for v in problems:
         print(f"warning: {v}" if v.severity != SEVERITY_ERROR else f"error: {v}",
               file=sys.stderr)
-    if errors:
+    if errors_only(problems):
         return EXIT_DATA
     seed = args.seed if args.seed is not None else default_seed()
     trace = None

@@ -11,7 +11,6 @@ parallel workers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import itemgetter, mul
 from typing import Iterable, Sequence
@@ -29,26 +28,30 @@ MAX_DENOMINATOR = 2**53
 class SetSystemOracle:
     """Monotone submodular function num(union of element masks) / denominator.
 
-    Subclasses provide element_mask (element id -> int bitmask over item
-    positions), item_weights (the integer weight of each item position)
-    and numerator(mask); the denominator is fixed. numerator is a weighted
-    coverage count: the summed item_weights of the set bits, possibly
-    capped at the denominator. So while a function is uncovered, adding one
-    element raises the numerator by exactly the weights of the items it
-    newly hits, which is what the selection kernel computes. Monotonicity
-    and submodularity follow. min_nonzero_marginal is the analytic lower
-    bound on any strict value increase (the per-function epsilon).
+    A family sets item_weights (the integer weight of each item position),
+    the fixed denominator and _masks (element id -> int bitmask over item
+    positions; absent elements hit nothing), and defines numerator(mask):
+    the summed item_weights of the set bits, possibly capped at the
+    denominator. So while a function is uncovered, adding one element
+    raises the numerator by exactly the weights of the items it newly hits,
+    which is what the selection kernel computes. Monotonicity and
+    submodularity follow, and min_nonzero_marginal, the per-function
+    epsilon, is the smallest item weight over the denominator.
     """
 
     denominator: int = 1
-    min_nonzero_marginal: float = 1.0
     item_weights: tuple = ()
+    _masks: dict
 
     def element_mask(self, e: int) -> int:
-        raise NotImplementedError
+        return self._masks.get(e, 0)
 
     def numerator(self, mask: int) -> int:
         raise NotImplementedError
+
+    @property
+    def min_nonzero_marginal(self) -> float:
+        return min(self.item_weights) / self.denominator if self.item_weights else 1.0
 
     def union_mask(self, subset: Iterable[int]) -> int:
         mask = 0
@@ -70,7 +73,8 @@ class SetSystemOracle:
         """uint8 matrix (n, len(item_weights)): row e - 1 marks the items e hits.
 
         Built once per ground-set size and kept on the oracle, so every run
-        on an instance that holds it reuses the matrix.
+        on an instance that holds it reuses the matrix. A family that has
+        the matrix already may seed the cache by setting _incidence.
         """
         cached = self.__dict__.get("_incidence")
         if cached is None or cached.shape[0] != n:
@@ -83,10 +87,6 @@ class SetSystemOracle:
             cached = np.ascontiguousarray(bits[:, :width])
             object.__setattr__(self, "_incidence", cached)
         return cached
-
-    def to_params(self) -> dict:
-        """JSON-serializable family parameters (see instance_io)."""
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,10 @@ class Agent:
 class Instance:
     """A shared ground set {1..n} plus the agents ranking it.
 
-    epsilon and W are derived from the agents when not given explicitly:
-    epsilon is the minimum oracle-reported nonzero marginal over all
-    functions, W the maximum per-agent total weight. Raises TypeError on a
-    function that is not a SetSystemOracle, and ValueError on duplicate
-    agent ids or a denominator above MAX_DENOMINATOR.
+    epsilon (the smallest min_nonzero_marginal, or 1.0) and W (the largest
+    agent total weight, or 0.0) are derived from the agents. Raises
+    TypeError on a function that is not a SetSystemOracle, and ValueError
+    on duplicate agent ids or a denominator above MAX_DENOMINATOR.
 
     oracles lists the distinct oracles (by identity) in first-appearance
     order, and oracle_index holds, per agent, the position in oracles of
@@ -117,8 +116,8 @@ class Instance:
 
     n: int
     agents: tuple
-    epsilon: float = field(default=None)  # type: ignore[assignment]
-    W: float = field(default=None)  # type: ignore[assignment]
+    epsilon: float = field(init=False)
+    W: float = field(init=False)
     oracles: tuple = field(init=False, repr=False, compare=False)
     oracle_index: tuple = field(init=False, repr=False, compare=False)
 
@@ -148,26 +147,15 @@ class Instance:
             index.append(tuple(agent_index))
         object.__setattr__(self, "oracles", tuple(oracles))
         object.__setattr__(self, "oracle_index", tuple(index))
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", derived_epsilon(self.agents))
-        if self.W is None:
-            object.__setattr__(self, "W", derived_max_weight(self.agents))
+        eps = min((f.min_nonzero_marginal for f in oracles), default=1.0)
+        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "W", max((a.total_weight() for a in self.agents), default=0.0))
 
     def agent_by_id(self, agent_id: int) -> Agent:
         for agent in self.agents:
             if agent.id == agent_id:
                 return agent
         raise KeyError(f"unknown agent id {agent_id}")
-
-
-def derived_epsilon(agents: Sequence[Agent]) -> float:
-    marginals = [f.min_nonzero_marginal for a in agents for f, _ in a.functions]
-    return min(marginals) if marginals else 1.0
-
-
-def derived_max_weight(agents: Sequence[Agent]) -> float:
-    totals = [a.total_weight() for a in agents]
-    return max(totals) if totals else 0.0
 
 
 def make_instance(n: int, agent_functions: Sequence[Sequence[tuple]]) -> Instance:
@@ -338,24 +326,6 @@ def validate(inst: Instance) -> list:
                     Violation(SEVERITY_ERROR, where, f"f(U) != 1 (f(U)={f.evaluate(universe)})")
                 )
 
-    eps = derived_epsilon(inst.agents)
-    if not math.isclose(inst.epsilon, eps, rel_tol=0, abs_tol=1e-12):
-        violations.append(
-            Violation(
-                SEVERITY_ERROR,
-                "instance",
-                f"epsilon={inst.epsilon} disagrees with function minimum {eps}",
-            )
-        )
-    max_w = derived_max_weight(inst.agents)
-    if not math.isclose(inst.W, max_w, rel_tol=0, abs_tol=1e-12):
-        violations.append(
-            Violation(
-                SEVERITY_ERROR,
-                "instance",
-                f"W={inst.W} disagrees with max agent total {max_w}",
-            )
-        )
     return violations
 
 

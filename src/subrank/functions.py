@@ -3,8 +3,10 @@
 All four families are ``SetSystemOracle`` subclasses (defined in core):
 the function value is a ratio of integers determined by the union of
 per-element "hit" sets, so coverage checks are exact integer comparisons
-rather than float thresholds. Each family reports its minimum nonzero
-marginal analytically.
+rather than float thresholds. Each family sets its item weights,
+denominator and element masks and computes its own numerator; the base
+class derives the rest (element_mask, incidence, min_nonzero_marginal).
+JSON params live in instance_io.
 """
 
 from __future__ import annotations
@@ -45,11 +47,6 @@ class CoverageFunction(SetSystemOracle):
         object.__setattr__(self, "item_weights", tuple(w for _, w in self.items))
         total = sum(w for _, w in self.items)
         object.__setattr__(self, "denominator", total if total else 1)
-        mnm = (min(w for _, w in self.items) / total) if self.items else 1.0
-        object.__setattr__(self, "min_nonzero_marginal", mnm)
-
-    def element_mask(self, e: int) -> int:
-        return self._masks.get(e, 0)
 
     def numerator(self, mask: int) -> int:
         if not self.items:
@@ -62,12 +59,6 @@ class CoverageFunction(SetSystemOracle):
             mask >>= 1
             pos += 1
         return num
-
-    def to_params(self) -> dict:
-        return {
-            "items": [{"id": i, "w": w} for i, w in self.items],
-            "covers": {str(e): sorted(ids) for e, ids in sorted(self.covers_by_element.items())},
-        }
 
 
 def coverage_function(items: Sequence[tuple], covers: Dict[int, Iterable[int]]) -> CoverageFunction:
@@ -140,31 +131,12 @@ class OdtFunction(SetSystemOracle):
         masks = {col: int.from_bytes(bits.tobytes(), "little")
                  for col, bits in enumerate(packed, start=1)}
         object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_hits", hits)
+        object.__setattr__(self, "_incidence", hits)  # the incidence at n = columns
         object.__setattr__(self, "item_weights", (1,) * m)
         object.__setattr__(self, "denominator", m - 1)
-        object.__setattr__(self, "min_nonzero_marginal", 1.0 / (m - 1))
-
-    def element_mask(self, e: int) -> int:
-        return self._masks.get(e, 0)
-
-    def incidence(self, n: int) -> np.ndarray:
-        """The column x row differences, cut or zero-padded to n elements.
-
-        Elements past the last column rule out no row.
-        """
-        hits = self._hits
-        if hits.shape[0] != n:
-            hits = np.zeros((n, self.table.m), dtype=np.uint8)
-            hits[: self._hits.shape[0]] = self._hits[:n]
-        return hits
 
     def numerator(self, mask: int) -> int:
         return bin(mask).count("1")
-
-    def to_params(self) -> dict:
-        # table_ref is filled in by the writer, which owns table dedup
-        return {"row": self.row}
 
 
 def odt_function(table: OdtTable, row: int) -> OdtFunction:
@@ -200,16 +172,9 @@ class GmscFunction(SetSystemOracle):
         object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "item_weights", (1,) * len(members))
         object.__setattr__(self, "denominator", self.gmsc_set.K)
-        object.__setattr__(self, "min_nonzero_marginal", 1.0 / self.gmsc_set.K)
-
-    def element_mask(self, e: int) -> int:
-        return self._masks.get(e, 0)
 
     def numerator(self, mask: int) -> int:
         return min(bin(mask).count("1"), self.gmsc_set.K)
-
-    def to_params(self) -> dict:
-        return {"members": sorted(self.gmsc_set.members), "K": self.gmsc_set.K}
 
 
 def gmsc_function(gmsc_set: GmscSet) -> GmscFunction:
@@ -223,18 +188,11 @@ class SingletonFunction(SetSystemOracle):
     element: int
 
     def __post_init__(self):
+        object.__setattr__(self, "_masks", {self.element: 1})
         object.__setattr__(self, "item_weights", (1,))
-        object.__setattr__(self, "denominator", 1)
-        object.__setattr__(self, "min_nonzero_marginal", 1.0)
-
-    def element_mask(self, e: int) -> int:
-        return 1 if e == self.element else 0
 
     def numerator(self, mask: int) -> int:
         return mask & 1
-
-    def to_params(self) -> dict:
-        return {"element": self.element}
 
 
 def singleton_function(element: int) -> SingletonFunction:

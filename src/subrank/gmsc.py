@@ -142,15 +142,16 @@ def separation_oracle(
     return max(found, key=lambda v: v.violation)
 
 
-def solve_lp(inst: Instance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUTS) -> FractionalSolution:
+def solve_lp(inst: Instance) -> FractionalSolution:
     """Cutting-plane solve of the fractional relaxation.
 
     T appears linearly, so it is minimized directly as a variable instead
     of being binary searched. Monotonicity rows y[s,t] <= y[s,t+1] keep the
     coverage indicators consistent with their covered-before-t meaning.
     The model is built once, sparse; every violated (set, t) pair adds its
-    worst cut per round, and HiGHS re-solves from its last basis. If the
-    cut cap is hit before separation comes back clean, the last solved
+    worst cut per round, and HiGHS re-solves from its last basis. Cuts
+    must be violated by more than LP_TOL. If adding a round's cuts would
+    pass MAX_CUTS before separation comes back clean, the last solved
     relaxation is returned with converged=False. Raises ValueError when a
     function is not a unit-weight gmsc function or the LP solve fails.
     """
@@ -197,11 +198,11 @@ def solve_lp(inst: Instance, lp_tol: float = LP_TOL, max_cuts: int = MAX_CUTS) -
         if res.status != simplex.OPTIMAL:
             raise ValueError(f"LP solve failed: {res.status}")
         x, y = res.x[x_cols], res.x[y_cols]
-        new = _violated_cuts(sets, x, y, lp_tol)
+        new = _violated_cuts(sets, x, y, LP_TOL)
         if not new:
             converged = True
             break
-        if len(cuts) + len(new) > max_cuts:
+        if len(cuts) + len(new) > MAX_CUTS:
             break
         rows = []
         for cut in new:

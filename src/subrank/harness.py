@@ -26,6 +26,7 @@ import numpy as np
 
 from subrank.core import Agent, Instance, cover_report
 from subrank.functions import OdtTable, odt_function
+from subrank.instance_io import is_integer, is_number
 from subrank.algorithms import (
     BagConfig,
     _bag_runs,
@@ -233,13 +234,13 @@ class ExperimentConfig:
         def ints(key, default, least):
             value = doc.get(key, default)
             values = tuple(value) if isinstance(value, list) else (value,)
-            if not values or not all(_is_int(v) and v >= least for v in values):
+            if not values or not all(is_integer(v) and v >= least for v in values):
                 raise ValueError(f"config {key!r} must be an integer >= {least} "
                                  f"or a nonempty list of them, got {value!r}")
             return values
 
         grid = doc.get("ratio_grid", list(DEFAULT_RATIO_GRID))
-        if not (isinstance(grid, list) and all(_is_number(r) for r in grid)
+        if not (isinstance(grid, list) and all(is_number(r) for r in grid)
                 and any(0 < r < 1 for r in grid)):
             raise ValueError(f"config 'ratio_grid' must be a list of numbers with "
                              f"at least one in (0, 1), got {grid!r}")
@@ -254,7 +255,7 @@ class ExperimentConfig:
         if synthetic is not None:
             _check_synthetic(synthetic)
         max_values = doc.get("max_values", DEFAULT_MAX_VALUES)
-        if not (_is_int(max_values) and max_values >= 1):
+        if not (is_integer(max_values) and max_values >= 1):
             raise ValueError(f"config 'max_values' must be an integer >= 1, got {max_values!r}")
         K, M = ints("K", 10, 1), ints("M", 10, 1)
         pair_km = bool(doc.get("pair_km", False))
@@ -274,14 +275,6 @@ class ExperimentConfig:
         )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # Keys each synthetic family spec must give; a spec without "family" is a table.
 _FAMILY_KEYS = {"hard": ("k",), "coverage": ("n", "k", "m")}
 
@@ -296,10 +289,10 @@ def _check_synthetic(spec) -> None:
     if missing:
         raise ValueError(f"synthetic family {family!r} needs " + ", ".join(map(repr, missing)))
     for key, value in spec.items():
-        if key == "delta" and not _is_number(value):
+        if key == "delta" and not is_number(value):
             raise ValueError(f"synthetic 'delta' must be a number, got {value!r}")
         least = 0 if key == "seed" else 1  # every other key is a size
-        if key not in ("family", "delta") and not (_is_int(value) and value >= least):
+        if key not in ("family", "delta") and not (is_integer(value) and value >= least):
             raise ValueError(f"synthetic {key!r} must be an integer >= {least}, got {value!r}")
 
 

@@ -10,18 +10,21 @@ Document layout::
       "tables": {"t0": [[0, 1], [1, 0]]}        # only when odt functions appear
     }
 
-Family params: coverage -> {items: [{id, w}], covers: {elem: [ids]}};
-odt -> {table_ref, row} with table_ref resolved against the top-level
-"tables" object; gmsc -> {members: [...], K} with members in 1..n;
-singleton -> {element}. Weights are positive finite numbers. A function's
-denominator (a coverage function's total item weight) may not exceed
-2**53. Unknown families are rejected.
+This module is the only home of family params: coverage -> {items: [{id,
+w}], covers: {elem: [ids]}} with distinct ids, w >= 1 and each element in
+1..n once; odt -> {table_ref, row} with table_ref resolved against the
+top-level "tables" object; gmsc -> {members: [...], K} with members in
+1..n; singleton -> {element}. n, ids, w, elements, row, members and K are
+JSON integers, never floats or booleans. Weights are positive finite
+numbers. A denominator (a coverage function's total item weight) may not
+exceed 2**53. Every fault raises an InstanceFormatError naming the field.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import sys
+from itertools import chain
 from typing import IO, Union
 
 from subrank.core import Agent, Instance
@@ -43,27 +46,40 @@ class InstanceFormatError(ValueError):
     """Raised when an instance document is structurally invalid."""
 
 
+def is_integer(value) -> bool:
+    """Whether value is a JSON integer (a bool is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """Whether value is a JSON number (a bool is not one)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def instance_to_doc(inst: Instance) -> dict:
     tables: dict = {}
-    table_refs: dict = {}  # id(table.rows) -> ref
+    table_refs: dict = {}  # table rows -> ref
     agents_doc = []
     for agent in inst.agents:
         funcs_doc = []
         for oracle, weight in agent.functions:
             if isinstance(oracle, CoverageFunction):
-                family, params = "coverage", oracle.to_params()
+                family, params = "coverage", {
+                    "items": [{"id": i, "w": w} for i, w in oracle.items],
+                    "covers": {str(e): sorted(ids)
+                               for e, ids in sorted(oracle.covers_by_element.items())},
+                }
             elif isinstance(oracle, OdtFunction):
-                rows = oracle.table.rows
-                key = rows  # tuples hash by content, deduping identical tables
-                if key not in table_refs:
-                    table_refs[key] = f"t{len(table_refs)}"
-                    tables[table_refs[key]] = [list(r) for r in rows]
-                family = "odt"
-                params = {"table_ref": table_refs[key], "row": oracle.row}
+                rows = oracle.table.rows  # tuples hash by content, deduping identical tables
+                if rows not in table_refs:
+                    table_refs[rows] = f"t{len(table_refs)}"
+                    tables[table_refs[rows]] = [list(r) for r in rows]
+                family, params = "odt", {"table_ref": table_refs[rows], "row": oracle.row}
             elif isinstance(oracle, GmscFunction):
-                family, params = "gmsc", oracle.to_params()
+                gmsc_set = oracle.gmsc_set
+                family, params = "gmsc", {"members": sorted(gmsc_set.members), "K": gmsc_set.K}
             elif isinstance(oracle, SingletonFunction):
-                family, params = "singleton", oracle.to_params()
+                family, params = "singleton", {"element": oracle.element}
             else:
                 raise InstanceFormatError(
                     f"oracle type {type(oracle).__name__} has no JSON family"
@@ -76,19 +92,18 @@ def instance_to_doc(inst: Instance) -> dict:
     return doc
 
 
-def doc_to_instance(doc: dict) -> Instance:
+def doc_to_instance(doc) -> Instance:
     """Build an Instance; every structural fault raises InstanceFormatError."""
     try:
-        n = int(doc["n"])
-        agents_doc = doc["agents"]
-        tables = {
-            ref: OdtTable(rows=tuple(tuple(r) for r in rows))
-            for ref, rows in doc.get("tables", {}).items()
-        }
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InstanceFormatError(f"missing or malformed field: {exc}") from exc
-    if not isinstance(agents_doc, list):
-        raise InstanceFormatError("agents must be a list")
+        doc = _typed(doc, dict, "instance")
+        n = _integer(doc["n"], "n")
+        agents_doc = _typed(doc["agents"], list, "agents")
+        tables = {ref: _table(ref, rows)
+                  for ref, rows in _typed(doc.get("tables", {}), dict, "tables").items()}
+    except KeyError as exc:
+        raise InstanceFormatError(f"missing field {exc}") from exc
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from exc
     if not agents_doc:
         raise InstanceFormatError("instance has no agents")
     agents = []
@@ -102,21 +117,21 @@ def doc_to_instance(doc: dict) -> Instance:
         for j, f_doc in enumerate(funcs_doc, start=1):
             where = f"agent {i} function {j}"
             try:
-                weight = float(f_doc["weight"])
-                oracle = _build_oracle(
-                    f_doc.get("family"), f_doc.get("params", {}), tables, n, where
-                )
-            except InstanceFormatError:
-                raise
+                f_doc = _typed(f_doc, dict, "function")
+                weight = f_doc["weight"]
+                if not is_number(weight):
+                    raise ValueError(f"weight {weight!r:.40} is not a number")
+                if not abs(weight) <= sys.float_info.max:  # NaN, inf, or an int past float64
+                    raise ValueError(f"non-finite weight {weight!r:.40}")
+                params = _typed(f_doc.get("params", {}), dict, "params")
+                oracle = _build_oracle(f_doc.get("family"), params, tables, n)
             except KeyError as exc:
                 raise InstanceFormatError(f"{where}: missing field {exc}") from exc
-            except (TypeError, ValueError, AttributeError) as exc:
+            except ValueError as exc:
                 raise InstanceFormatError(f"{where}: {exc}") from exc
-            if not math.isfinite(weight):
-                raise InstanceFormatError(f"{where}: non-finite weight {weight}")
             if weight <= 0:
                 raise InstanceFormatError(f"{where}: nonpositive weight {weight}")
-            funcs.append((oracle, weight))
+            funcs.append((oracle, float(weight)))
         agents.append(Agent(id=i, functions=tuple(funcs)))
     try:
         return Instance(n=n, agents=tuple(agents))
@@ -124,24 +139,78 @@ def doc_to_instance(doc: dict) -> Instance:
         raise InstanceFormatError(str(exc)) from exc
 
 
-def _build_oracle(family, params, tables, n, where):
+def _integer(value, name: str) -> int:
+    if not is_integer(value):
+        raise ValueError(f"{name} {value!r:.40} is not an integer")
+    return value
+
+
+def _typed(value, kind: type, name: str):
+    """value when it is a kind (list or dict); raises ValueError otherwise."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {_KIND_NAMES[kind]}, got {value!r:.40}")
+    return value
+
+
+_KIND_NAMES = {list: "list", dict: "JSON object"}
+
+
+def _table(ref, rows) -> OdtTable:
+    try:
+        rows = _typed(rows, list, "rows")
+        return OdtTable(rows=tuple(tuple(_typed(r, list, "row")) for r in rows))
+    except ValueError as exc:
+        raise ValueError(f"table {ref!r}: {exc}") from None
+
+
+def _covers(doc, ids: set, n: int) -> dict:
+    """covers as {element: [item ids]}; checked in bulk, since most keys name few ids."""
+    outside = f"covers keys must be elements of 1..{n}"
+    doc = _typed(doc, dict, "covers")
+    try:
+        covers = {int(key): hit for key, hit in doc.items()}
+    except ValueError:
+        raise ValueError(outside) from None
+    if covers and not (min(covers) >= 1 and max(covers) <= n):
+        raise ValueError(outside)
+    if len(covers) < len(doc):  # "1" and "01" name one element
+        raise ValueError("covers names an element twice")
+    if not set(map(type, covers.values())) <= {list}:
+        raise ValueError("covers values must be lists of item ids")
+    named = list(chain.from_iterable(covers.values()))
+    if not (set(map(type, named)) <= {int} and ids.issuperset(named)):
+        bad = next(i for i in named if type(i) is not int or i not in ids)
+        raise ValueError(f"covers names {bad!r:.40}, which is not an item id")
+    return covers
+
+
+def _build_oracle(family, params, tables, n):
     if family == "coverage":
-        items = [(item["id"], item["w"]) for item in params["items"]]
-        covers = {int(e): ids for e, ids in params["covers"].items()}
-        return coverage_function(items, covers)
+        items = []
+        for item in _typed(params["items"], list, "items"):
+            item = _typed(item, dict, "item")
+            item_id, w = _integer(item["id"], "item id"), _integer(item["w"], "item w")
+            if w < 1:
+                raise ValueError(f"item {item_id}: w must be at least 1, got {w}")
+            items.append((item_id, w))
+        ids = {i for i, _ in items}
+        if len(ids) < len(items):
+            raise ValueError("item ids repeat")
+        return coverage_function(items, _covers(params["covers"], ids, n))
     if family == "odt":
         ref = params["table_ref"]
-        if ref not in tables:
-            raise InstanceFormatError(f"{where}: unknown table_ref {ref!r}")
-        return odt_function(tables[ref], int(params["row"]))
+        if not isinstance(ref, str) or ref not in tables:
+            raise ValueError(f"unknown table_ref {ref!r:.40}")
+        return odt_function(tables[ref], _integer(params["row"], "row"))
     if family == "gmsc":
-        members = frozenset(params["members"])
+        members = _typed(params["members"], list, "members")
+        members = [_integer(e, "set member") for e in members]
         if not all(1 <= e <= n for e in members):
-            raise InstanceFormatError(f"{where}: gmsc member outside 1..{n}")
-        return gmsc_function(GmscSet(members=members, K=int(params["K"])))
+            raise ValueError(f"gmsc member outside 1..{n}")
+        return gmsc_function(GmscSet(members=frozenset(members), K=_integer(params["K"], "K")))
     if family == "singleton":
-        return singleton_function(int(params["element"]))
-    raise InstanceFormatError(f"{where}: unknown family {family!r}")
+        return singleton_function(_integer(params["element"], "element"))
+    raise ValueError(f"unknown family {family!r:.40}")
 
 
 def dumps(doc: dict) -> str:

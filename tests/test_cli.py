@@ -301,6 +301,19 @@ class TestGmscBench:
         t_star = float(captured.out.split("T*:")[1].split()[0])
         assert t_star == pytest.approx(10.0, rel=1e-6)
 
+    def test_cut_cap_warns_and_succeeds(self, tmp_path, monkeypatch, capsys):
+        from subrank import gmsc
+
+        path = str(tmp_path / "g.json")  # its LP needs cuts to converge
+        assert main(["generate", "--family", "gmsc", "--n", "8", "--k", "3", "--m", "2",
+                     "--seed", "5", "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(gmsc, "MAX_CUTS", 0)
+        assert main(["gmsc-bench", "--instance", path, "--seeds", "1"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["warning: cut cap reached; bound may be loose"]
+        assert "T*:" in captured.out
+
     def test_lp_failure_is_data_error(self, gmsc6, monkeypatch, capsys):
         from subrank import gmsc, simplex
 

@@ -161,13 +161,6 @@ class TestValidate:
         messages = [v.message for v in errors_only(validate(inst))]
         assert any("f(U) != 1" in m for m in messages)
 
-    def test_epsilon_and_weight_mismatch_flagged(self):
-        base = hard_family(9, 0.01)
-        tweaked = Instance(n=base.n, agents=base.agents, epsilon=0.5, W=base.W + 1)
-        messages = [v.message for v in validate(tweaked)]
-        assert any("epsilon" in m for m in messages)
-        assert any("W=" in m for m in messages)
-
     def test_never_raises_on_empty_agent(self):
         inst = Instance(n=1, agents=(Agent(id=1, functions=()),))
         assert validate(inst)  # reported, not raised

@@ -20,6 +20,7 @@ from subrank.functions import (
     singleton_function,
 )
 from subrank.algorithms import normalized_greedy
+from subrank.verify import random_family_oracles
 
 
 class TestOdtFunction:
@@ -262,19 +263,26 @@ def test_families_monotone_submodular_at_n10():
 
 
 def test_min_marginal_is_a_true_lower_bound():
-    # every observed strict increase along chains respects the reported bound
+    # in every family, every observed strict increase along chains respects
+    # the derived bound, which matches each family's closed form
     rng = random.Random(11)
-    for seed in range(10):
-        inst = random_coverage_instance(6, 2, 2, seed)
-        for agent in inst.agents:
-            for f, _ in agent.functions:
-                order = list(range(1, 7))
-                rng.shuffle(order)
-                prev = f.evaluate(set())
-                prefix = set()
-                for e in order:
-                    prefix.add(e)
-                    now = f.evaluate(prefix)
-                    if now > prev:
-                        assert now - prev >= f.min_nonzero_marginal - 1e-12
-                    prev = now
+    n = 6
+    for _ in range(40):
+        oracles = random_family_oracles(rng, n)
+        coverage, odt, gmsc, singleton = oracles
+        weights = [w for _, w in coverage.items]
+        assert coverage.min_nonzero_marginal == min(weights) / sum(weights)
+        assert odt.min_nonzero_marginal == 1.0 / (odt.table.m - 1)
+        assert gmsc.min_nonzero_marginal == 1.0 / gmsc.gmsc_set.K
+        assert singleton.min_nonzero_marginal == 1.0
+        for f in oracles:
+            order = list(range(1, n + 1))
+            rng.shuffle(order)
+            prev = f.evaluate(set())
+            prefix = set()
+            for e in order:
+                prefix.add(e)
+                now = f.evaluate(prefix)
+                if now > prev:
+                    assert now - prev >= f.min_nonzero_marginal - 1e-12
+                prev = now

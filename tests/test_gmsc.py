@@ -191,6 +191,17 @@ class TestSolveLp:
         assert len(set(map(id, calls))) == 1  # one model, re-solved every round
         assert sol.iterations > 0
 
+    @pytest.mark.parametrize("cap", [0, 5])
+    def test_cut_cap_returns_the_last_relaxation_unconverged(self, cap, monkeypatch):
+        gi = random_gmsc_instance(8, 3, 2, 5)
+        full = solve_lp(gi)
+        assert len(full.cuts) > cap
+        monkeypatch.setattr(gmsc, "MAX_CUTS", cap)
+        capped = solve_lp(gi)
+        assert not capped.converged
+        assert len(capped.cuts) <= cap
+        assert capped.T_star <= full.T_star + 1e-9  # fewer cuts, a weaker bound
+
     def test_y_series_monotone(self):
         gi = random_gmsc_instance(6, 2, 2, 3)
         sol = solve_lp(gi)

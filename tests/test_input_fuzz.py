@@ -112,6 +112,9 @@ FUZZ = settings(max_examples=150, deadline=None,
 
 @FUZZ
 @given(doc=mutated(INSTANCE_DOCS), algo=st.sampled_from(["random", "greedy", "ng", "bag", "brute"]))
+@example(doc={"n": 2, "agents": [{"functions": [  # used to die in a ZeroDivisionError
+    {"family": "coverage", "params": {"items": [{"id": 1, "w": 0}], "covers": {"1": [1]}},
+     "weight": 1.0}]}]}, algo="ng")
 def test_solve_survives_mutated_instances(doc, algo, capsys, caplog):
     assert_clean_exit(["solve", "--instance", "{doc}", "--algo", algo, "--node-limit", "200"],
                       doc, "inst.json", capsys, caplog)

@@ -149,6 +149,12 @@ def _one_function_doc(**fields):
     return {"n": 2, "agents": [{"functions": [{k: v for k, v in fn.items() if v is not None}]}]}
 
 
+def _coverage_doc(items=({"id": 1, "w": 1},), covers=None):
+    """A one-function coverage document over n = 2 with the given params."""
+    return _one_function_doc(family="coverage", params={
+        "items": list(items), "covers": covers or {"1": [1], "2": [1]}})
+
+
 MALFORMED = {
     "missing-weight": (_one_function_doc(weight=None), "missing field 'weight'"),
     "nan-weight": (_one_function_doc(weight=float("nan")), "non-finite weight"),
@@ -177,7 +183,64 @@ MALFORMED = {
     ),
     "tables-not-an-object": (
         {"n": 2, "agents": [], "tables": [[0, 1]]},
-        "missing or malformed field",
+        r"tables must be a JSON object, got \[\[0, 1\]\]",
+    ),
+    # integer fields are not truncated, and weights and coverage ids are checked
+    "float-n": ({**_one_function_doc(), "n": 2.9}, "n 2.9 is not an integer"),
+    "bool-n": ({**_one_function_doc(), "n": True}, "n True is not an integer"),
+    "float-gmsc-K": (
+        _one_function_doc(params={"members": [1, 2], "K": 1.5}), "K 1.5 is not an integer"
+    ),
+    "bool-gmsc-K": (
+        _one_function_doc(params={"members": [1, 2], "K": True}), "K True is not an integer"
+    ),
+    "float-singleton-element": (
+        _one_function_doc(family="singleton", params={"element": 1.0}),
+        "element 1.0 is not an integer",
+    ),
+    "float-odt-row": (
+        {**_one_function_doc(family="odt", params={"table_ref": "t0", "row": 1.5}),
+         "tables": {"t0": [[0, 1], [1, 0]]}},
+        "row 1.5 is not an integer",
+    ),
+    "float-coverage-item-id": (
+        _coverage_doc(items=[{"id": 1.5, "w": 1}], covers={"1": [1.5]}),
+        "item id 1.5 is not an integer",
+    ),
+    "float-coverage-item-w": (
+        _coverage_doc(items=[{"id": 1, "w": 2.5}]), "item w 2.5 is not an integer"
+    ),
+    "bool-coverage-item-w": (
+        _coverage_doc(items=[{"id": 1, "w": True}]), "item w True is not an integer"
+    ),
+    "zero-coverage-item-w": (
+        _coverage_doc(items=[{"id": 1, "w": 0}]), "item 1: w must be at least 1, got 0"
+    ),
+    "float-covers-id": (
+        _coverage_doc(covers={"1": [1.0], "2": [1]}), "covers names 1.0, which is not an item id"
+    ),
+    "covers-key-outside-ground-set": (
+        _coverage_doc(covers={"1": [1], "3": [1]}), r"covers keys must be elements of 1\.\.2"
+    ),
+    "float-covers-key": (
+        _coverage_doc(covers={"1.0": [1]}), r"covers keys must be elements of 1\.\.2"
+    ),
+    "repeated-coverage-item-id": (  # used to fail validation as f(U) = 2/3
+        _coverage_doc(items=[{"id": 1, "w": 1}, {"id": 1, "w": 2}]), "item ids repeat"
+    ),
+    "aliased-covers-keys": (  # "01" used to overwrite what "1" covers
+        _coverage_doc(covers={"1": [1], "2": [1], "01": []}), "covers names an element twice"
+    ),
+    "string-weight": (_one_function_doc(weight="2"), "weight '2' is not a number"),
+    "bool-weight": (_one_function_doc(weight=True), "weight True is not a number"),
+    # messages name the field, not Python internals
+    "null-document": (None, "instance must be a JSON object, got None"),
+    "null-params": (
+        {"n": 2, "agents": [{"functions": [{"family": "gmsc", "params": None, "weight": 1.0}]}]},
+        "agent 1 function 1: params must be a JSON object",
+    ),
+    "unknown-covers-item-id": (
+        _coverage_doc(covers={"1": [1], "2": [7]}), "covers names 7, which is not an item id"
     ),
 }
 
