@@ -10,17 +10,21 @@ normalized greedy of Azar & Gamzu, "Ranking with submodular valuations"
 (SODA 2011).
 
 The kernel keeps one tracker per distinct oracle, shared by every
-(agent, weight) pair that holds it, and scores all candidates at once in
-numpy. Every oracle's numerator is a weighted coverage count capped at its
-denominator, and the cap cannot bind in a one-element step of an uncovered
-function, so each gain is the live weight of the items a candidate hits:
-an element x item incidence matrix times the live item weights, summed per
-oracle. These integer sums are exact in float64 (Instance caps the
-denominator at 2**53). A candidate's terms are summed with a sequential
-accumulate in state order, which reproduces a scalar ``+=`` loop bit for
-bit; a matrix product would reorder the sum and could flip near-ties. Lazy
-(Minoux) evaluation is not used: a normalized gain can grow as the prefix
-grows.
+(agent, weight) pair that holds it, and the elements not yet picked, in
+ascending order. Every oracle's numerator is a weighted coverage count
+capped at its denominator, and the cap cannot bind in a one-element step
+of an uncovered function, so each gain is the live weight of the items a
+candidate hits: an element x item incidence matrix times the live item
+weights, summed per oracle. These integer sums are exact in float64
+(Instance caps the denominator at 2**53). The gains depend only on the
+kernel state, not on which states a pick scores, so the kernel computes
+the remaining x trackers gain matrix once per state, on the first ask
+after a pick; every _pick at that state (BAG's frozen sets, the ratios of
+a tuning grid) and brute force's zero-gain test read it. A candidate's
+terms are summed with a sequential accumulate in state order, which
+reproduces a scalar ``+=`` loop bit for bit; a matrix product would
+reorder the sum and could flip near-ties. Lazy (Minoux) evaluation is not
+used: a normalized gain can grow as the prefix grows.
 
 BAG runs through one engine, _bag_runs, that takes a list of ratios and
 runs them in lockstep: a ratio changes only the round and pass control,
@@ -47,7 +51,7 @@ _CHUNK_CELLS = 1 << 14
 
 
 class _Kernel:
-    """Selection state of one run: trackers, items and (agent, weight) states.
+    """Selection state of one run: trackers, items, states and remaining elements.
 
     Trackers are the instance's distinct oracles (Instance.oracles); num,
     den and covered hold each one's numerator, denominator and coverage.
@@ -56,7 +60,10 @@ class _Kernel:
     weight of each item not yet hit by a pick. States are the
     (agent, function) pairs in agent then function order; fn maps each to
     its tracker, and pairs holds its (agent id, weight) as Python numbers
-    for the callers' scalar sums.
+    for the callers' scalar sums. remaining lists the unpicked elements in
+    ascending order, and gains() their gain matrix, computed once per
+    state. _advance rebinds remaining and drops the matrix; neither is ever
+    changed in place, so save and restore carry both by reference.
     """
 
     def __init__(self, inst: Instance):
@@ -72,14 +79,28 @@ class _Kernel:
         widths = [block.shape[1] for block in blocks]
         self.hits = np.concatenate(blocks, axis=1) if blocks else np.zeros((inst.n, 0), np.uint8)
         self.live = np.array([w for f in oracles for w in f.item_weights or (0,)], dtype=float)
-        self.starts = np.cumsum([0] + widths[:-1]).astype(np.intp)
+        self.starts = np.cumsum([0] + widths, dtype=np.intp)[:-1]
         self.den = np.array([f.denominator for f in oracles], dtype=float)
         self.num = np.array([f.numerator(0) for f in oracles], dtype=float)
         self.covered = np.array([f.mask_covers(0) for f in oracles], dtype=bool)
+        self.remaining = list(range(1, inst.n + 1))
+        self._gains: Optional[np.ndarray] = None
 
-    def gains(self, rows: np.ndarray) -> np.ndarray:
-        """Numerator gains, candidate rows x trackers (exact for uncovered ones)."""
-        return np.add.reduceat(self.hits[rows] * self.live, self.starts, axis=1)
+    def gains(self) -> np.ndarray:
+        """Numerator gains, remaining elements x trackers (exact for uncovered ones)."""
+        if self._gains is None:
+            self._gains = self._fill_gains()
+        return self._gains
+
+    def _fill_gains(self) -> np.ndarray:
+        rows = np.array(self.remaining, dtype=np.intp) - 1
+        out = np.empty((rows.size, self.den.size))
+        # rows in chunks, so the product's temporaries stay near _CHUNK_CELLS
+        step = max(1, _CHUNK_CELLS // max(1, self.live.size))
+        for lo in range(0, rows.size, step):
+            block = self.hits[rows[lo:lo + step]] * self.live
+            np.add.reduceat(block, self.starts, axis=1, out=out[lo:lo + step])
+        return out
 
     def pairs_where(self, mask: np.ndarray) -> list:
         """(agent id, weight) of the states where mask holds, in state order."""
@@ -89,32 +110,34 @@ class _Kernel:
         return self.pairs_where(~self.covered[self.fn])
 
     def save(self) -> tuple:
-        return self.num.copy(), self.covered.copy(), self.live.copy()
+        return self.num.copy(), self.covered.copy(), self.live.copy(), self.remaining, self._gains
 
     def restore(self, saved: tuple) -> None:
-        self.num, self.covered, self.live = saved
+        self.num, self.covered, self.live, self.remaining, self._gains = saved
 
 
-def _pick(kernel: _Kernel, remaining: list, states: np.ndarray, normalized: bool) -> tuple:
+def _pick(kernel: _Kernel, states: np.ndarray, normalized: bool) -> tuple:
     """(element, score) maximizing the summed weighted gain over uncovered states.
 
     Each uncovered state of states, in the given order, adds
     weight * gain / residual, with residual 1 - value when normalized and
-    exactly 1.0 otherwise. remaining is kept ascending, so the first
-    maximum is the smallest-index one.
+    exactly 1.0 otherwise. Candidates are kernel.remaining, which is
+    ascending, so the first maximum is the smallest-index one.
     """
+    remaining = kernel.remaining
     uncovered = states[~kernel.covered[kernel.fn[states]]]
     if not uncovered.size:
         return remaining[0], 0.0
     fn = kernel.fn[uncovered]
+    den = kernel.den[fn]
     weight = kernel.weight[uncovered]
-    residual = 1.0 - kernel.num[fn] / kernel.den[fn] if normalized else np.ones(fn.size)
-    candidates = np.array(remaining, dtype=np.intp) - 1
-    step = max(1, _CHUNK_CELLS // max(fn.size, kernel.live.size))
-    scores = np.empty(candidates.size)
-    for lo in range(0, candidates.size, step):
-        gains = kernel.gains(candidates[lo:lo + step]) / kernel.den
-        terms = gains[:, fn]
+    residual = 1.0 - kernel.num[fn] / den if normalized else np.ones(fn.size)
+    gains = kernel.gains()
+    step = max(1, _CHUNK_CELLS // fn.size)
+    scores = np.empty(len(remaining))
+    for lo in range(0, scores.size, step):
+        terms = gains[lo:lo + step, fn]
+        terms /= den
         terms *= weight
         terms /= residual
         # a sequential accumulate, so the sum matches a scalar += loop bit for bit
@@ -134,6 +157,10 @@ def _advance(kernel: _Kernel, e: int) -> list:
     kernel.live[hit != 0] = 0.0
     was_covered = kernel.covered
     kernel.covered = kernel.num >= kernel.den
+    remaining = kernel.remaining.copy()
+    remaining.remove(e)
+    kernel.remaining = remaining
+    kernel._gains = None
     return kernel.pairs_where((kernel.covered > was_covered)[kernel.fn])
 
 
@@ -148,12 +175,10 @@ def _greedy_order(inst: Instance, normalized: bool) -> tuple:
     """Repeated _pick over every function of every agent."""
     kernel = _Kernel(inst)
     states = np.arange(len(kernel.pairs))
-    remaining = list(range(1, inst.n + 1))
     chosen = []
-    while remaining:
-        e, _ = _pick(kernel, remaining, states, normalized)
+    while kernel.remaining:
+        e, _ = _pick(kernel, states, normalized)
         chosen.append(e)
-        remaining.remove(e)
         _advance(kernel, e)
     return tuple(chosen)
 
@@ -337,39 +362,37 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, tra
     rem_weight = dict.fromkeys((a.id for a in inst.agents), 0)
     for agent, w in kernel.uncovered():
         rem_weight[agent] += w
-    remaining = list(range(1, inst.n + 1))
     chosen: list = []
     runs = [_BagRun(r, drop_fraction, inst.W) for r in ratios]
-    # (kernel snapshot, remaining weights, remaining, depth, element, [(run, score)])
+    # (kernel snapshot, remaining weights, depth, element, [(run, score)])
     stack: list = []
     group = runs
     while True:
         requests: dict = {}  # frozen agents -> the runs asking
         for run in group:
-            frozen = run.request(rem_weight, len(chosen), bool(remaining))
+            frozen = run.request(rem_weight, len(chosen), bool(kernel.remaining))
             if frozen is None:
-                run.perm = tuple(chosen) + tuple(remaining)
+                run.perm = tuple(chosen) + tuple(kernel.remaining)
             else:
                 requests.setdefault(frozen, []).append(run)
         children: dict = {}  # element -> [(run, score)]
         for frozen, asking in requests.items():
             if frozen not in frozen_states:
                 frozen_states[frozen] = by_agent_id[np.isin(kernel.agent[by_agent_id], frozen)]
-            e, score = _pick(kernel, remaining, frozen_states[frozen], True)
+            e, score = _pick(kernel, frozen_states[frozen], True)
             children.setdefault(e, []).extend((run, score) for run in asking)
         if children:
             (e, picked), *others = children.items()
             for other in others:
-                node = (kernel.save(), dict(rem_weight), list(remaining), len(chosen))
+                node = (kernel.save(), dict(rem_weight), len(chosen))
                 stack.append((*node, *other))
         elif stack:
-            saved, rem_weight, remaining, depth, e, picked = stack.pop()
+            saved, rem_weight, depth, e, picked = stack.pop()
             kernel.restore(saved)
             del chosen[depth:]
         else:
             break
         chosen.append(e)
-        remaining.remove(e)
         for agent, w in _advance(kernel, e):
             rem_weight[agent] -= w
         weights = dict(rem_weight) if trace else None
@@ -421,11 +444,9 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     incumbent = {"perm": ng, "value": objective(inst, ng, "minmax")}
     kernel = _Kernel(inst)
     agent_ids = [a.id for a in inst.agents]
-    n = inst.n
     state = {"nodes": 0, "limit_hit": False}
     partial = {i: 0.0 for i in agent_ids}
     chosen: list = []
-    in_use = [False] * (n + 1)
 
     def bound(depth: int) -> float:
         # every still-uncovered function has cover time >= depth + 1
@@ -437,9 +458,8 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     def close_leaf():
         value = max(partial.values())
         if value < incumbent["value"]:
-            tail = tuple(e for e in range(1, n + 1) if not in_use[e])
             incumbent["value"] = value
-            incumbent["perm"] = tuple(chosen) + tail
+            incumbent["perm"] = tuple(chosen) + tuple(kernel.remaining)
 
     def search(depth: int):
         state["nodes"] += 1
@@ -452,19 +472,17 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
         if bound(depth) >= incumbent["value"]:
             return
         # zero gain now means zero gain forever; such elements wait for the tail
-        useful = (kernel.gains(np.arange(n))[:, ~kernel.covered] > 0).any(axis=1)
-        for e in range(1, n + 1):
-            if in_use[e] or state["limit_hit"] or not useful[e - 1]:
+        useful = (kernel.gains()[:, ~kernel.covered] > 0).any(axis=1)
+        for e, use in zip(kernel.remaining, useful.tolist()):
+            if state["limit_hit"] or not use:
                 continue
             saved = kernel.save()
             saved_partial = dict(partial)
             for agent, w in _advance(kernel, e):
                 partial[agent] += w * (depth + 1)
-            in_use[e] = True
             chosen.append(e)
             search(depth + 1)
             chosen.pop()
-            in_use[e] = False
             partial.update(saved_partial)
             kernel.restore(saved)
 

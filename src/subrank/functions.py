@@ -101,10 +101,6 @@ class OdtTable:
     def m(self) -> int:
         return len(self.rows)
 
-    @property
-    def n_columns(self) -> int:
-        return len(self.rows[0])
-
 
 @dataclass(frozen=True)
 class OdtFunction(SetSystemOracle):

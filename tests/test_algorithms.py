@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -20,8 +21,11 @@ from subrank.functions import (
     random_coverage_instance,
     singleton_function,
 )
+from subrank import algorithms
 from subrank.algorithms import (
     BagConfig,
+    _Kernel,
+    _advance,
     _bag_runs,
     balanced_adaptive_greedy,
     brute_force_opt,
@@ -31,7 +35,13 @@ from subrank.algorithms import (
     write_trace_jsonl,
 )
 from subrank import verify
-from subrank.harness import DEFAULT_RATIO_GRID, synthetic_table, tune_ratio
+from subrank.harness import (
+    DEFAULT_RATIO_GRID,
+    build_instance,
+    discretize,
+    synthetic_table,
+    tune_ratio,
+)
 
 
 class TestRandomOrder:
@@ -258,6 +268,32 @@ class TestBruteForce:
         assert brute_force_opt(inst) == brute_force_opt(inst)
 
 
+class TestAgentWithoutFunctions:
+    """A kernel with no trackers: nothing is ever covered, every order costs 0."""
+
+    inst = Instance(n=3, agents=(Agent(id=1, functions=()),))
+
+    def test_greedy(self):
+        assert greedy(self.inst) == (1, 2, 3)
+
+    def test_normalized_greedy(self):
+        assert normalized_greedy(self.inst) == (1, 2, 3)
+
+    def test_balanced_adaptive_greedy(self):
+        perm, trace = balanced_adaptive_greedy(self.inst)
+        assert perm == (1, 2, 3)
+        assert trace.picks == []
+
+    def test_brute_force_opt(self):
+        result = brute_force_opt(self.inst)
+        assert result.permutation == (1, 2, 3)
+        assert result.value == 0.0
+        assert result.optimal
+
+    def test_tune_ratio(self):
+        assert tune_ratio(self.inst) == (0.05, 0)
+
+
 def test_all_algorithms_emit_permutations():
     for seed in range(5):
         inst = random_coverage_instance(8, 2, 3, seed)
@@ -383,6 +419,71 @@ def test_one_element_gain_is_linear_in_item_incidence(data):
             new = bits & ~mask
             expected = sum(w for b, w in enumerate(f.item_weights) if (new >> b) & 1)
             assert f.numerator(mask | bits) - f.numerator(mask) == expected
+
+
+def _check_kernel(inst, kernel, picks):
+    """The kernel's cached gains and remaining elements after the picks."""
+    assert kernel.remaining == [e for e in range(1, inst.n + 1) if e not in picks]
+    rows = np.array(kernel.remaining, dtype=np.intp) - 1
+    gains = kernel.gains()
+    assert gains.shape == (len(kernel.remaining), len(inst.oracles))
+    assert np.array_equal(gains, np.add.reduceat(kernel.hits[rows] * kernel.live,
+                                                 kernel.starts, axis=1))
+    for j, f in enumerate(inst.oracles):
+        mask = f.union_mask(picks)
+        assert kernel.covered[j] == f.mask_covers(mask)
+        if kernel.covered[j]:
+            continue  # a covered tracker's gains are never read
+        for row, e in enumerate(kernel.remaining):
+            assert gains[row, j] == f.numerator(mask | f.element_mask(e)) - f.numerator(mask)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=st.one_of(tie_prone_instances(), shared_oracle_instances()), data=st.data())
+def test_kernel_gains_follow_advance_save_restore(inst, data):
+    """After any walk of picks, saves and restores, the gain cache is exact."""
+    kernel = _Kernel(inst)
+    picks: list = []
+    stack: list = []
+    _check_kernel(inst, kernel, picks)
+    for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
+        actions = ["save"] + ["advance"] * bool(kernel.remaining) + ["restore"] * bool(stack)
+        action = data.draw(st.sampled_from(actions))
+        if action == "advance":
+            e = data.draw(st.sampled_from(kernel.remaining))
+            _advance(kernel, e)
+            picks.append(e)
+        elif action == "save":
+            gains = kernel.gains()
+            stack.append((kernel.save(), kernel.remaining, gains, list(picks)))
+        else:
+            saved, remaining, gains, picks = stack.pop()
+            kernel.restore(saved)
+            assert kernel.remaining is remaining
+            assert kernel.gains() is gains
+        _check_kernel(inst, kernel, picks)
+
+
+def test_tune_ratio_fills_gains_once_per_state(monkeypatch):
+    """The ratios' picks at one kernel state share that state's gain fill."""
+    fills, picks = [], []
+    fill, pick = _Kernel._fill_gains, algorithms._pick
+
+    def counted_fill(kernel):
+        # _advance makes a new remaining list per state; holding each keeps ids unique
+        fills.append(kernel.remaining)
+        return fill(kernel)
+
+    def counted_pick(*args):
+        picks.append(args)
+        return pick(*args)
+
+    monkeypatch.setattr(_Kernel, "_fill_gains", counted_fill)
+    monkeypatch.setattr(algorithms, "_pick", counted_pick)
+    inst = build_instance(discretize(synthetic_table(600, 22, 10, 20)), 20, 20, 31)
+    tune_ratio(inst)
+    assert 0 < len(fills) < len(picks)
+    assert len({id(remaining) for remaining in fills}) == len(fills)
 
 
 def _bag_outputs(inst):

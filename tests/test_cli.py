@@ -61,6 +61,12 @@ class TestSolve:
         path.write_text(json.dumps(doc))
         assert main(["solve", "--instance", str(path), "--algo", "ng"]) == EXIT_DATA
 
+    def test_agent_without_functions_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "empty_agent.json"
+        path.write_text(json.dumps({"n": 3, "agents": [{"functions": []}]}))
+        assert main(["solve", "--instance", str(path), "--algo", "brute"]) == EXIT_DATA
+        assert "agent has no functions" in capsys.readouterr().err
+
     def test_bag_trace_written(self, tmp_path, capsys):
         inst_path = tmp_path / "hard9.json"
         main(["generate", "--family", "hard", "--k", "9", "--out", str(inst_path)])
