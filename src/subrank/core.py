@@ -11,9 +11,10 @@ parallel workers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,25 +27,53 @@ MAX_DENOMINATOR = 2**53
 
 
 class SetSystemOracle:
-    """Monotone submodular function num(union of element masks) / denominator.
+    """Monotone submodular function num(items hit) / denominator.
 
-    A family sets item_weights (the integer weight of each item position),
-    the fixed denominator and _masks (element id -> int bitmask over item
-    positions; absent elements hit nothing), and defines numerator(mask):
-    the summed item_weights of the set bits, possibly capped at the
+    A family sets item_weights (the integer weight of each item position)
+    and the fixed denominator, and defines numerator(mask): the summed
+    item_weights of the set bits of an item bitmask, possibly capped at the
     denominator. So while a function is uncovered, adding one element
     raises the numerator by exactly the weights of the items it newly hits,
     which is what the selection kernel computes. Monotonicity and
     submodularity follow, and min_nonzero_marginal, the per-function
     epsilon, is the smallest item weight over the denominator.
+
+    What each element hits lives in the oracle's incidence, a read-only
+    uint8 matrix whose row e - 1 marks the items element e hits, for the
+    elements 1..span (later ones hit nothing). A family either names its
+    hits as (element, item position) pairs in _hit_pairs, and
+    seal_incidences builds the matrix with one fancy-index assignment, or
+    builds the matrix itself and calls _seal (decision tables, from one
+    comparison of their codes). The element masks (element id -> int
+    bitmask over item positions), which the scalar numerator reference and
+    cover_time read, come from the same matrix in one pass. Pair-built
+    oracles are sealed together when an Instance is built, or one at a time
+    when element_mask or incidence first needs them.
     """
 
     denominator: int = 1
     item_weights: tuple = ()
-    _masks: dict
+    # Class defaults, read as plain attributes: looking into self.__dict__
+    # would slow every later attribute read of the oracle about threefold.
+    _hits: Optional[np.ndarray] = None  # until sealed
+    _masks: Optional[list] = None  # _masks[e - 1] is element e's bitmask, e in 1..span
+    _incidence: Optional[np.ndarray] = None  # incidence(n) at the last n other than span
+
+    def _hit_pairs(self) -> tuple:
+        """(element ids >= 1, item positions): two intp arrays, a pair per hit."""
+        raise NotImplementedError
+
+    def _seal(self, hits: np.ndarray, masks: list) -> None:
+        """Keep hits (read-only, elements 1..span x items) and their element masks."""
+        object.__setattr__(self, "_hits", hits)
+        object.__setattr__(self, "_masks", masks)
 
     def element_mask(self, e: int) -> int:
-        return self._masks.get(e, 0)
+        masks = self._masks
+        if masks is None:
+            seal_incidences([self])
+            masks = self._masks
+        return masks[e - 1] if 0 < e <= len(masks) else 0
 
     def numerator(self, mask: int) -> int:
         raise NotImplementedError
@@ -70,23 +99,88 @@ class SetSystemOracle:
         return self.numerator(mask) == self.denominator
 
     def incidence(self, n: int) -> np.ndarray:
-        """uint8 matrix (n, len(item_weights)): row e - 1 marks the items e hits.
+        """Read-only uint8 matrix (n, len(item_weights)): row e - 1 marks the items e hits.
 
-        Built once per ground-set size and kept on the oracle, so every run
-        on an instance that holds it reuses the matrix. A family that has
-        the matrix already may seed the cache by setting _incidence.
+        The oracle's own incidence when n is its span; otherwise that matrix
+        cut or zero-padded to n rows, built once per n and kept on the
+        oracle, so every run on an instance that holds it reuses the matrix.
         """
-        cached = self.__dict__.get("_incidence")
+        hits = self._hits
+        if hits is None:
+            seal_incidences([self])
+            hits = self._hits
+        if n == len(hits):
+            return hits
+        cached = self._incidence
         if cached is None or cached.shape[0] != n:
-            width = len(self.item_weights)
-            nbytes = (width + 7) // 8
-            raw = b"".join(self.element_mask(e).to_bytes(nbytes, "little") for e in range(1, n + 1))
-            bits = np.unpackbits(
-                np.frombuffer(raw, dtype=np.uint8).reshape(n, nbytes), axis=1, bitorder="little"
-            )
-            cached = np.ascontiguousarray(bits[:, :width])
+            cached = np.zeros((n, hits.shape[1]), np.uint8)
+            cached[:len(hits)] = hits[:n]
+            cached.flags.writeable = False
             object.__setattr__(self, "_incidence", cached)
         return cached
+
+
+def seal_incidences(oracles: Sequence[SetSystemOracle]) -> None:
+    """Give pair-built oracles their incidences and element masks in one pass.
+
+    Every oracle's hit pairs go into one uint8 matrix, elements 1..span by
+    all the oracles' items side by side (each block starting on a whole
+    byte), with one fancy-index assignment. Each oracle keeps its column
+    block (a view) as its incidence, and block_masks derives all the
+    element masks from the whole matrix. Raises ValueError on an element id
+    below 1.
+    """
+    if not oracles:
+        return
+    pairs = [f._hit_pairs() for f in oracles]
+    widths = [len(f.item_weights) for f in oracles]
+    starts = 8 * np.cumsum([0] + [-(-w // 8) for w in widths])  # block columns
+    elements = np.concatenate([e for e, _ in pairs])
+    columns = np.concatenate([p for _, p in pairs])
+    columns += np.repeat(starts[:-1], [e.size for e, _ in pairs])  # item position -> column
+    if elements.size and elements.min() < 1:
+        raise ValueError(f"element id {int(elements.min())} is below 1")
+    hits = np.zeros((int(elements.max()) if elements.size else 0, int(starts[-1])), np.uint8)
+    hits[elements - 1, columns] = 1
+    hits.flags.writeable = False  # and so is every block viewing it
+    for f, lo, w, masks in zip(oracles, starts.tolist(), widths, block_masks(hits, widths)):
+        f._seal(hits[:, lo:lo + w], masks)
+
+
+def block_masks(hits: np.ndarray, widths: Sequence[int]) -> list:
+    """Element masks of the oracles whose incidences are hits' column blocks.
+
+    widths are the blocks' widths, left to right; each block starts on a
+    whole byte, ceil(width / 8) * 8 columns after the one before it.
+    Returns one list per block whose entry e - 1 is the int with bit p set
+    when row e - 1 marks the block's item p. One packbits pass gives the
+    bytes. The blocks of at most 64 items, the common case, then take one
+    shifted reduceat that sums each block's bytes into one 64-bit word per
+    row; a wider block reads each row's bytes with int.from_bytes.
+    """
+    rows = hits.shape[0]
+    nbytes = [-(-w // 8) for w in widths]
+    starts = list(itertools.accumulate(nbytes, initial=0))
+    packed = np.packbits(hits, axis=1, bitorder="little")
+    words: Iterable = iter(())
+    if any(0 < b <= 8 for b in nbytes):
+        shifts = np.arange(packed.shape[1], dtype=np.uint64)  # each byte's offset in its block
+        shifts -= np.repeat(np.array(starts[:-1], np.uint64), nbytes)
+        shifts = (shifts & np.uint64(7)) << np.uint64(3)  # past 8 bytes only in wide blocks
+        segments = [lo for lo, b in zip(starts, nbytes) if b]
+        sums = np.add.reduceat(np.left_shift(packed, shifts, dtype=np.uint64), segments, axis=1)
+        words = iter(sums.T.tolist())  # one list per nonempty block
+    masks = []
+    for lo, b in zip(starts, nbytes):
+        if not b:
+            masks.append([0] * rows)
+        elif b <= 8:
+            masks.append(next(words))
+        else:
+            next(words, None)  # a wide block's word sums overlap, so they are skipped
+            raw = packed[:, lo:lo + b].tobytes()
+            masks.append([int.from_bytes(raw[i:i + b], "little") for i in range(0, len(raw), b)])
+    return masks
 
 
 @dataclass(frozen=True)
@@ -107,7 +201,9 @@ class Instance:
     epsilon (the smallest min_nonzero_marginal, or 1.0) and W (the largest
     agent total weight, or 0.0) are derived from the agents. Raises
     TypeError on a function that is not a SetSystemOracle, and ValueError
-    on duplicate agent ids or a denominator above MAX_DENOMINATOR.
+    on duplicate agent ids, a denominator above MAX_DENOMINATOR or an
+    element id below 1. The oracles not sealed yet get their incidences in
+    one seal_incidences pass.
 
     oracles lists the distinct oracles (by identity) in first-appearance
     order, and oracle_index holds, per agent, the position in oracles of
@@ -145,6 +241,7 @@ class Instance:
                     oracles.append(f)
                 agent_index.append(position[id(f)])
             index.append(tuple(agent_index))
+        seal_incidences([f for f in oracles if f._hits is None])
         object.__setattr__(self, "oracles", tuple(oracles))
         object.__setattr__(self, "oracle_index", tuple(index))
         eps = min((f.min_nonzero_marginal for f in oracles), default=1.0)
@@ -207,12 +304,13 @@ def cover_time(f: SetSystemOracle, pi: Sequence[int]) -> int:
     Returns 0 when the empty set already covers. Requires f to reach 1 on
     the full ground set; raises otherwise.
     """
+    element_mask, mask_covers = f.element_mask, f.mask_covers
     mask = 0
-    if f.mask_covers(mask):
+    if mask_covers(mask):
         return 0
     for t, e in enumerate(pi, start=1):
-        mask |= f.element_mask(e)
-        if f.mask_covers(mask):
+        mask |= element_mask(e)
+        if mask_covers(mask):
             return t
     raise ValueError("function never reaches the unit threshold on this permutation")
 
@@ -261,9 +359,10 @@ def cover_report(inst: Instance, pi: Sequence[int]) -> CoverReport:
         raise ValueError("instance has no agents")
     by_oracle = [cover_time(f, pi) for f in inst.oracles]
     times = tuple(tuple(map(by_oracle.__getitem__, index)) for index in inst.oracle_index)
-    # an agent's cost sums weight * time over its functions in order
+    # an agent's cost sums weight * time over its functions in order; from
+    # 0.0, so an agent without functions costs a float too
     costs = [
-        sum(map(mul, map(itemgetter(1), agent.functions), agent_times))
+        sum(map(mul, map(itemgetter(1), agent.functions), agent_times), 0.0)
         for agent, agent_times in zip(inst.agents, times)
     ]
     return CoverReport(
@@ -296,18 +395,19 @@ class Violation:
 def validate(inst: Instance) -> list:
     """Check instance invariants; returns violations, never raises.
 
-    Every function is checked exactly for f(U) = 1; monotonicity and
+    Every function is checked exactly for f(U) = 1, on the items its
+    incidence marks over 1..n (_ground_set_masks); monotonicity and
     submodularity hold by construction of SetSystemOracle.
     """
     violations = []
-    universe = list(range(1, inst.n + 1))
+    full = _ground_set_masks(inst)
 
-    for agent in inst.agents:
+    for agent, index in zip(inst.agents, inst.oracle_index):
         if not agent.functions:
             violations.append(
                 Violation(SEVERITY_ERROR, f"agent {agent.id}", "agent has no functions")
             )
-        for j, (f, w) in enumerate(agent.functions, start=1):
+        for j, ((f, w), o) in enumerate(zip(agent.functions, index), start=1):
             where = f"agent {agent.id} function {j}"
             if w <= 0:
                 violations.append(Violation(SEVERITY_ERROR, where, f"weight < 1 (w={w})"))
@@ -321,12 +421,29 @@ def validate(inst: Instance) -> list:
                         f"min_nonzero_marginal out of (0,1]: {f.min_nonzero_marginal}",
                     )
                 )
-            if not f.covers(universe):
-                violations.append(
-                    Violation(SEVERITY_ERROR, where, f"f(U) != 1 (f(U)={f.evaluate(universe)})")
-                )
+            if not f.mask_covers(full[o]):
+                value = f.numerator(full[o]) / f.denominator
+                violations.append(Violation(SEVERITY_ERROR, where, f"f(U) != 1 (f(U)={value})"))
 
     return violations
+
+
+def _ground_set_masks(inst: Instance) -> list:
+    """Per distinct oracle (inst.oracles order), the items some element of 1..n hits.
+
+    One pass reads the columns of all the incidences side by side, and each
+    oracle's bitmask is its slice of the packed result.
+    """
+    if not inst.oracles:
+        return []
+    hit = np.concatenate([f.incidence(inst.n) for f in inst.oracles], axis=1).any(axis=0)
+    every = int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
+    masks = []
+    for f in inst.oracles:
+        width = len(f.item_weights)
+        masks.append(every & ((1 << width) - 1))
+        every >>= width
+    return masks
 
 
 def errors_only(violations: Iterable[Violation]) -> list:

@@ -3,10 +3,14 @@
 All four families are ``SetSystemOracle`` subclasses (defined in core):
 the function value is a ratio of integers determined by the union of
 per-element "hit" sets, so coverage checks are exact integer comparisons
-rather than float thresholds. Each family sets its item weights,
-denominator and element masks and computes its own numerator; the base
-class derives the rest (element_mask, incidence, min_nonzero_marginal).
-JSON params live in instance_io.
+rather than float thresholds. Each family sets its item weights and
+denominator, computes its own numerator and says what each element hits:
+coverage as its (element, item position) arrays, gmsc as its sorted
+members and a singleton as one cell, all placed into incidence matrices
+by one fancy-index assignment per batch (core.seal_incidences), and a
+decision table as one comparison of its codes. The base class derives the
+rest from that matrix (the element masks, incidence(n),
+min_nonzero_marginal). JSON params live in instance_io.
 """
 
 from __future__ import annotations
@@ -19,34 +23,32 @@ from typing import Dict, Iterable, Sequence
 
 import numpy as np
 
-from subrank.core import Agent, Instance, SetSystemOracle
+from subrank.core import Agent, Instance, SetSystemOracle, block_masks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoverageFunction(SetSystemOracle):
     """Weighted coverage: value(S) = weight of items hit by S over total.
 
-    items: tuple of (item_id, integer weight >= 1); covers maps each
-    element to a frozenset of item ids. An empty item list is the constant-1
-    function (vacuously covered).
+    items: tuple of (item_id, integer weight >= 1). The hits are two intp
+    arrays of one length, a pair per (element, item) hit: elements holds
+    element ids >= 1 and positions the item's index in items. A repeated
+    pair counts once, and an element in no pair hits nothing. An empty item
+    list is the constant-1 function (vacuously covered). Equality is
+    identity.
     """
 
     items: tuple
-    covers_by_element: dict
+    elements: np.ndarray
+    positions: np.ndarray
 
     def __post_init__(self):
-        ids = [i for i, _ in self.items]
-        index = {item_id: pos for pos, item_id in enumerate(ids)}
-        masks = {}
-        for e, item_ids in self.covers_by_element.items():
-            m = 0
-            for item_id in item_ids:
-                m |= 1 << index[item_id]
-            masks[e] = m
-        object.__setattr__(self, "_masks", masks)
         object.__setattr__(self, "item_weights", tuple(w for _, w in self.items))
-        total = sum(w for _, w in self.items)
+        total = sum(self.item_weights)
         object.__setattr__(self, "denominator", total if total else 1)
+
+    def _hit_pairs(self) -> tuple:
+        return self.elements, self.positions
 
     def numerator(self, mask: int) -> int:
         if not self.items:
@@ -62,10 +64,15 @@ class CoverageFunction(SetSystemOracle):
 
 
 def coverage_function(items: Sequence[tuple], covers: Dict[int, Iterable[int]]) -> CoverageFunction:
-    return CoverageFunction(
-        items=tuple((int(i), int(w)) for i, w in items),
-        covers_by_element={int(e): frozenset(ids) for e, ids in covers.items()},
-    )
+    """Coverage from (item id, weight) pairs and {element: item ids it hits}.
+
+    Raises KeyError on an item id that items does not list.
+    """
+    items = tuple((int(i), int(w)) for i, w in items)
+    index = {item_id: pos for pos, (item_id, _) in enumerate(items)}
+    pairs = [(int(e), index[i]) for e, ids in covers.items() for i in ids]
+    elements, positions = np.array(pairs, np.intp).reshape(-1, 2).T
+    return CoverageFunction(items=items, elements=elements, positions=positions)
 
 
 @dataclass(frozen=True)
@@ -122,14 +129,11 @@ class OdtFunction(SetSystemOracle):
         differs = codes != codes[self.row - 1]  # rows x columns; own row all False
         if np.count_nonzero(differs.any(axis=1)) < m - 1:
             raise ValueError(f"row not identifiable: row {self.row} duplicates another row")
-        hits = np.ascontiguousarray(differs.T, dtype=np.uint8)  # columns x rows
-        packed = np.packbits(hits, axis=1, bitorder="little")
-        masks = {col: int.from_bytes(bits.tobytes(), "little")
-                 for col, bits in enumerate(packed, start=1)}
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_incidence", hits)  # the incidence at n = columns
         object.__setattr__(self, "item_weights", (1,) * m)
         object.__setattr__(self, "denominator", m - 1)
+        hits = np.ascontiguousarray(differs.T, dtype=np.uint8)  # columns x rows
+        hits.flags.writeable = False
+        self._seal(hits, block_masks(hits, [m])[0])
 
     def numerator(self, mask: int) -> int:
         return bin(mask).count("1")
@@ -163,11 +167,12 @@ class GmscFunction(SetSystemOracle):
     gmsc_set: GmscSet
 
     def __post_init__(self):
-        members = sorted(self.gmsc_set.members)
-        masks = {e: 1 << i for i, e in enumerate(members)}
-        object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "item_weights", (1,) * len(members))
+        object.__setattr__(self, "item_weights", (1,) * len(self.gmsc_set.members))
         object.__setattr__(self, "denominator", self.gmsc_set.K)
+
+    def _hit_pairs(self) -> tuple:
+        members = np.array(sorted(self.gmsc_set.members), np.intp)
+        return members, np.arange(members.size)
 
     def numerator(self, mask: int) -> int:
         return min(bin(mask).count("1"), self.gmsc_set.K)
@@ -184,8 +189,10 @@ class SingletonFunction(SetSystemOracle):
     element: int
 
     def __post_init__(self):
-        object.__setattr__(self, "_masks", {self.element: 1})
         object.__setattr__(self, "item_weights", (1,))
+
+    def _hit_pairs(self) -> tuple:
+        return np.array([self.element], np.intp), np.zeros(1, np.intp)
 
     def numerator(self, mask: int) -> int:
         return mask & 1
@@ -239,11 +246,11 @@ def random_coverage_instance(n: int, k: int, m: int, seed: int) -> Instance:
         for _ in range(m):
             n_items = rng.randint(1, 3)
             items = [(item_id, rng.randint(1, 5)) for item_id in range(1, n_items + 1)]
-            covers: Dict[int, set] = {e: set() for e in range(1, n + 1)}
+            covers: Dict[int, set] = {}  # only elements that hit something
             for item_id, _ in items:
                 hitters = rng.sample(range(1, n + 1), rng.randint(1, max(1, n // 2)))
                 for e in hitters:
-                    covers[e].add(item_id)
+                    covers.setdefault(e, set()).add(item_id)
             weight = float(rng.randint(1, 5))
             funcs.append((coverage_function(items, covers), weight))
         agents.append(Agent(id=i, functions=tuple(funcs)))

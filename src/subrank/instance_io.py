@@ -12,12 +12,18 @@ Document layout::
 
 This module is the only home of family params: coverage -> {items: [{id,
 w}], covers: {elem: [ids]}} with distinct ids, w >= 1 and each element in
-1..n once; odt -> {table_ref, row} with table_ref resolved against the
-top-level "tables" object; gmsc -> {members: [...], K} with members in
-1..n; singleton -> {element}. n, ids, w, elements, row, members and K are
-JSON integers, never floats or booleans. Weights are positive finite
-numbers. A denominator (a coverage function's total item weight) may not
-exceed 2**53. Every fault raises an InstanceFormatError naming the field.
+1..n at most once; odt -> {table_ref, row} with table_ref resolved against
+the top-level "tables" object; gmsc -> {members: [...], K} with members in
+1..n; singleton -> {element} with element in 1..n. n, ids, w, elements,
+row, members and K are JSON integers, never floats or booleans. Weights
+are positive finite numbers. A denominator (a coverage function's total
+item weight) may not exceed 2**53. Every fault raises an
+InstanceFormatError naming the field.
+
+covers is sparse: an element it does not name hits nothing. The writer
+omits empty lists, and the reader takes a file with or without them
+through one code path, which turns the lists straight into the oracle's
+(element, item position) arrays. An id repeated in one list counts once.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ import sys
 from itertools import chain
 from typing import IO, Union
 
+import numpy as np
+
 from subrank.core import Agent, Instance
 from subrank.functions import (
     CoverageFunction,
@@ -35,7 +43,6 @@ from subrank.functions import (
     OdtFunction,
     OdtTable,
     SingletonFunction,
-    coverage_function,
     gmsc_function,
     odt_function,
     singleton_function,
@@ -66,8 +73,7 @@ def instance_to_doc(inst: Instance) -> dict:
             if isinstance(oracle, CoverageFunction):
                 family, params = "coverage", {
                     "items": [{"id": i, "w": w} for i, w in oracle.items],
-                    "covers": {str(e): sorted(ids)
-                               for e, ids in sorted(oracle.covers_by_element.items())},
+                    "covers": _covers_doc(oracle),
                 }
             elif isinstance(oracle, OdtFunction):
                 rows = oracle.table.rows  # tuples hash by content, deduping identical tables
@@ -163,40 +169,60 @@ def _table(ref, rows) -> OdtTable:
         raise ValueError(f"table {ref!r}: {exc}") from None
 
 
-def _covers(doc, ids: set, n: int) -> dict:
-    """covers as {element: [item ids]}; checked in bulk, since most keys name few ids."""
+def _covers_doc(oracle: CoverageFunction) -> dict:
+    """The nonempty covers lists: {str(element): sorted item ids}."""
+    ids = [i for i, _ in oracle.items]
+    pairs = {(e, ids[p]) for e, p in zip(oracle.elements.tolist(), oracle.positions.tolist())}
+    covers: dict = {}
+    for e, item_id in sorted(pairs):
+        covers.setdefault(str(e), []).append(item_id)
+    return covers
+
+
+def _coverage(items_doc, covers_doc, n: int) -> CoverageFunction:
+    """A coverage oracle whose hit arrays are filled in bulk from covers.
+
+    Every key and id is checked as a Python int before it reaches numpy;
+    most keys name few ids, so the checks run over whole lists.
+    """
+    items = []
+    for item in _typed(items_doc, list, "items"):
+        item = _typed(item, dict, "item")
+        item_id, w = _integer(item["id"], "item id"), _integer(item["w"], "item w")
+        if w < 1:
+            raise ValueError(f"item {item_id}: w must be at least 1, got {w}")
+        items.append((item_id, w))
+    index = {item_id: pos for pos, (item_id, _) in enumerate(items)}
+    if len(index) < len(items):
+        raise ValueError("item ids repeat")
     outside = f"covers keys must be elements of 1..{n}"
-    doc = _typed(doc, dict, "covers")
+    covers = _typed(covers_doc, dict, "covers")
     try:
-        covers = {int(key): hit for key, hit in doc.items()}
+        elements = list(map(int, covers))
     except ValueError:
         raise ValueError(outside) from None
-    if covers and not (min(covers) >= 1 and max(covers) <= n):
+    if elements and not (min(elements) >= 1 and max(elements) <= n):
         raise ValueError(outside)
-    if len(covers) < len(doc):  # "1" and "01" name one element
+    if len(set(elements)) < len(elements):  # "1" and "01" name one element
         raise ValueError("covers names an element twice")
-    if not set(map(type, covers.values())) <= {list}:
+    hit_lists = list(covers.values())
+    if not set(map(type, hit_lists)) <= {list}:
         raise ValueError("covers values must be lists of item ids")
-    named = list(chain.from_iterable(covers.values()))
-    if not (set(map(type, named)) <= {int} and ids.issuperset(named)):
-        bad = next(i for i in named if type(i) is not int or i not in ids)
+    named = list(chain.from_iterable(hit_lists))
+    positions = list(map(index.get, named)) if set(map(type, named)) <= {int} else [None]
+    if None in positions:
+        bad = next(i for i in named if type(i) is not int or i not in index)
         raise ValueError(f"covers names {bad!r:.40}, which is not an item id")
-    return covers
+    return CoverageFunction(
+        items=tuple(items),
+        elements=np.array([e for e, hits in zip(elements, hit_lists) for _ in hits], np.intp),
+        positions=np.array(positions, np.intp),
+    )
 
 
 def _build_oracle(family, params, tables, n):
     if family == "coverage":
-        items = []
-        for item in _typed(params["items"], list, "items"):
-            item = _typed(item, dict, "item")
-            item_id, w = _integer(item["id"], "item id"), _integer(item["w"], "item w")
-            if w < 1:
-                raise ValueError(f"item {item_id}: w must be at least 1, got {w}")
-            items.append((item_id, w))
-        ids = {i for i, _ in items}
-        if len(ids) < len(items):
-            raise ValueError("item ids repeat")
-        return coverage_function(items, _covers(params["covers"], ids, n))
+        return _coverage(params["items"], params["covers"], n)
     if family == "odt":
         ref = params["table_ref"]
         if not isinstance(ref, str) or ref not in tables:
@@ -209,7 +235,10 @@ def _build_oracle(family, params, tables, n):
             raise ValueError(f"gmsc member outside 1..{n}")
         return gmsc_function(GmscSet(members=frozenset(members), K=_integer(params["K"], "K")))
     if family == "singleton":
-        return singleton_function(_integer(params["element"], "element"))
+        element = _integer(params["element"], "element")
+        if not 1 <= element <= n:
+            raise ValueError(f"singleton element outside 1..{n}")
+        return singleton_function(element)
     raise ValueError(f"unknown family {family!r:.40}")
 
 

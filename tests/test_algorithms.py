@@ -287,11 +287,12 @@ class TestAgentWithoutFunctions:
     def test_brute_force_opt(self):
         result = brute_force_opt(self.inst)
         assert result.permutation == (1, 2, 3)
-        assert result.value == 0.0
+        assert result.value == 0.0 and type(result.value) is float
         assert result.optimal
 
     def test_tune_ratio(self):
-        assert tune_ratio(self.inst) == (0.05, 0)
+        ratio, score = tune_ratio(self.inst)
+        assert (ratio, score) == (0.05, 0.0) and type(score) is float
 
 
 def test_all_algorithms_emit_permutations():

@@ -131,6 +131,16 @@ class TestGenerate:
         assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
         assert not path.exists()
 
+    def test_coverage_family_writes_no_empty_covers_list(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        main(["generate", "--family", "coverage", "--n", "12", "--k", "3", "--m", "4",
+              "--seed", "2", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        covers = [fn["params"]["covers"] for agent in doc["agents"] for fn in agent["functions"]]
+        assert len(covers) == 12
+        assert all(hit for c in covers for hit in c.values())
+        assert all(set(c) < {str(e) for e in range(1, 13)} for c in covers)
+
     def test_gmsc_family_writes_set_system(self, tmp_path, capsys):
         path = tmp_path / "g.json"
         main(["generate", "--family", "gmsc", "--n", "6", "--k", "2", "--m", "2",
@@ -143,6 +153,26 @@ class TestGenerate:
             for fn in agent["functions"]:
                 assert fn["family"] == "gmsc" and fn["weight"] == 1.0
                 assert set(fn["params"]) == {"members", "K"}
+
+
+@pytest.mark.parametrize("algo", ["greedy", "ng", "bag", "brute"])
+def test_dense_and_sparse_files_solve_alike(algo, tmp_path, capsys):
+    sparse = tmp_path / "sparse.json"
+    main(["generate", "--family", "coverage", "--n", "8", "--k", "3", "--m", "3",
+          "--seed", "4", "--out", str(sparse)])
+    doc = json.loads(sparse.read_text())
+    for agent in doc["agents"]:  # the dense twin lists every element, empties included
+        for fn in agent["functions"]:
+            covers = fn["params"]["covers"]
+            fn["params"]["covers"] = {str(e): covers.get(str(e), []) for e in range(1, 9)}
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps(doc))
+    reports = []
+    for path in (sparse, dense):
+        out = tmp_path / f"{path.stem}.{algo}.out.json"
+        assert main(["solve", "--instance", str(path), "--algo", algo, "--out", str(out)]) == EXIT_OK
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]
 
 
 @pytest.fixture()

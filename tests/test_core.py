@@ -161,6 +161,15 @@ class TestValidate:
         messages = [v.message for v in errors_only(validate(inst))]
         assert any("f(U) != 1" in m for m in messages)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unhit_item_message_keeps_its_value_text(self, n):
+        # the item of weight 2 is hit by no element, whatever n is
+        f = coverage_function([(1, 1), (2, 2)], {1: {1}})
+        inst = Instance(n=n, agents=(Agent(id=1, functions=((f, 1.0),)),))
+        assert [str(v) for v in validate(inst)] == [
+            "[error] agent 1 function 1: f(U) != 1 (f(U)=0.3333333333333333)"
+        ]
+
     def test_never_raises_on_empty_agent(self):
         inst = Instance(n=1, agents=(Agent(id=1, functions=()),))
         assert validate(inst)  # reported, not raised

@@ -4,11 +4,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subrank.core import objective, validate
+from subrank.core import Agent, Instance, objective, validate
 from subrank.functions import (
     GmscSet,
     OdtTable,
@@ -128,6 +129,64 @@ def test_unhashable_entry_rejected():
         OdtTable(rows=(([0],), ([1],)))
 
 
+@st.composite
+def oracles_with_reference_masks(draw, largest):
+    """(oracle, {element: mask}) of every family over elements 1..largest.
+
+    The reference masks come from the params alone: bit p of element e's
+    mask is set when e hits item position p.
+    """
+    elements = st.integers(1, largest)
+    kind = draw(st.sampled_from(["coverage", "gmsc", "singleton", "odt"]))
+    if kind == "coverage":
+        n_items = draw(st.sampled_from([0, 1, 2, 3, 8, 9, 64, 65, 130]))
+        items = [(10 * j + 7, draw(st.integers(1, 3))) for j in range(n_items)]
+        ids = [i for i, _ in items]
+        # lists may repeat an id, and items no element names stay unhit
+        covers = draw(st.dictionaries(
+            elements, st.lists(st.sampled_from(ids), max_size=5) if ids else st.just([]),
+            max_size=largest))
+        masks: dict = {}
+        for e, hit in covers.items():
+            for i in hit:
+                masks[e] = masks.get(e, 0) | 1 << ids.index(i)
+        return coverage_function(items, covers), masks
+    if kind == "gmsc":
+        members = sorted(draw(st.frozensets(elements, min_size=1)))
+        gmsc_set = GmscSet(members=frozenset(members), K=draw(st.integers(1, len(members))))
+        return gmsc_function(gmsc_set), {e: 1 << p for p, e in enumerate(members)}
+    if kind == "singleton":
+        element = draw(elements)
+        return singleton_function(element), {element: 1}
+    rows = draw(st.lists(st.lists(st.integers(0, 2), min_size=largest, max_size=largest)
+                         .map(tuple), min_size=2, max_size=70, unique=True))
+    row = draw(st.integers(1, len(rows)))
+    return odt_function(OdtTable(rows=tuple(rows)), row), reference_odt_masks(rows, row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_incidence_and_masks_match_params_for_every_family(data):
+    largest = data.draw(st.integers(1, 7))
+    drawn = data.draw(st.lists(oracles_with_reference_masks(largest), min_size=1, max_size=5))
+    if data.draw(st.booleans()):  # sealed together, as an Instance seals its oracles
+        Instance(n=largest, agents=(Agent(id=1, functions=tuple((f, 1.0) for f, _ in drawn)),))
+    # ground sets below, at and above the largest element, in any order, so
+    # a cut incidence is built before a padded one and the other way round
+    sizes = data.draw(st.permutations(range(largest + 3)))
+    for f, masks in drawn:
+        width = len(f.item_weights)
+        for n in sizes:
+            hits = f.incidence(n)
+            assert hits.dtype.name == "uint8" and hits.shape == (n, width)
+            assert hits.tolist() == [
+                [(masks.get(e, 0) >> p) & 1 for p in range(width)] for e in range(1, n + 1)
+            ]
+        assert [f.element_mask(e) for e in range(largest + 5)] == [
+            masks.get(e, 0) for e in range(largest + 5)
+        ]
+
+
 class TestGmscFunction:
     def test_requirement_one(self):
         f = gmsc_function(GmscSet(members=frozenset({2, 5}), K=1))
@@ -201,7 +260,7 @@ class TestRandomCoverageInstance:
             for (fa, wa), (fb, wb) in zip(x.functions, y.functions):
                 assert wa == wb
                 assert fa.items == fb.items
-                assert fa.covers_by_element == fb.covers_by_element
+                assert np.array_equal(fa.incidence(5), fb.incidence(5))
 
     def test_validates_clean(self):
         assert validate(random_coverage_instance(5, 2, 2, 1)) == []

@@ -5,7 +5,8 @@ Every document a user can hand to ``solve``, ``gmsc-bench`` or
 ``error:``/``warning:`` lines, never in a traceback. Documents start valid and are mutated by deleting
 keys or list entries, swapping values for null, lists, objects, strings,
 booleans and small or negative numbers, and adding stray keys. Integers are
-drawn from -3..40, so no mutation asks for a huge ground set.
+drawn from -3..40, so no mutation asks for a huge ground set; fixed
+examples add covers keys and item ids too large for a 64-bit integer.
 """
 
 import copy
@@ -47,6 +48,14 @@ CONFIG_DOCS = [
      "synthetic": {"family": "coverage", "n": 5, "k": 2, "m": 2, "seed": 2}},
     {"seeds": [0], "ratio_grid": [0.5], "synthetic": {"family": "hard", "k": 4, "delta": 0.01}},
 ]
+
+
+def _coverage_doc(covers):
+    """One coverage function with item id 1 over n = 2; the keys and ids are the fuzz."""
+    return {"n": 2, "agents": [{"functions": [
+        {"family": "coverage", "params": {"items": [{"id": 1, "w": 1}], "covers": covers},
+         "weight": 1.0}]}]}
+
 
 SMALL_INTS = st.integers(-3, 40)
 SCALARS = st.one_of(
@@ -115,6 +124,10 @@ FUZZ = settings(max_examples=150, deadline=None,
 @example(doc={"n": 2, "agents": [{"functions": [  # used to die in a ZeroDivisionError
     {"family": "coverage", "params": {"items": [{"id": 1, "w": 0}], "covers": {"1": [1]}},
      "weight": 1.0}]}]}, algo="ng")
+@example(doc=_coverage_doc({"1": [1], "99999999999999999999999": [1]}), algo="greedy")
+@example(doc=_coverage_doc({"1": [1], "2": [2**70]}), algo="greedy")
+@example(doc=_coverage_doc({"1": [True], "2": [1]}), algo="greedy")
+@example(doc=_coverage_doc({"1": [1, 1], "2": [1]}), algo="brute")  # loads; counts once
 def test_solve_survives_mutated_instances(doc, algo, capsys, caplog):
     assert_clean_exit(["solve", "--instance", "{doc}", "--algo", algo, "--node-limit", "200"],
                       doc, "inst.json", capsys, caplog)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from subrank.core import Agent, Instance, objective
@@ -242,6 +243,26 @@ MALFORMED = {
     "unknown-covers-item-id": (
         _coverage_doc(covers={"1": [1], "2": [7]}), "covers names 7, which is not an item id"
     ),
+    # keys and ids are bounded as Python ints, before numpy could overflow on them
+    "oversized-covers-key": (
+        _coverage_doc(covers={"1": [1], "99999999999999999999999": [1]}),
+        r"covers keys must be elements of 1\.\.2",
+    ),
+    "oversized-covers-id": (
+        _coverage_doc(covers={"1": [1], "2": [2**70]}),
+        f"covers names {2**70}, which is not an item id",
+    ),
+    "bool-covers-id": (
+        _coverage_doc(covers={"1": [True], "2": [1]}), "covers names True, which is not an item id"
+    ),
+    "singleton-element-outside-ground-set": (
+        _one_function_doc(family="singleton", params={"element": 3}),
+        r"singleton element outside 1\.\.2",
+    ),
+    "oversized-singleton-element": (
+        _one_function_doc(family="singleton", params={"element": 2**70}),
+        r"singleton element outside 1\.\.2",
+    ),
 }
 
 
@@ -264,3 +285,36 @@ def test_solve_reports_structural_faults_in_one_line(tmp_path):
         assert proc.returncode == 2, name
         assert len(proc.stderr.splitlines()) == 1, (name, proc.stderr)
         assert "Traceback" not in proc.stderr, name
+
+
+def test_repeated_covers_id_loads_as_one_hit():
+    once = doc_to_instance(_coverage_doc(covers={"1": [1], "2": [1]}))
+    twice = doc_to_instance(_coverage_doc(covers={"1": [1, 1], "2": [1]}))
+    f, g = once.oracles[0], twice.oracles[0]
+    assert np.array_equal(f.incidence(2), g.incidence(2))
+    assert dumps(instance_to_doc(twice)) == dumps(instance_to_doc(once))
+
+
+def _dense(doc):
+    """doc with every element of 1..n listed in each covers, empty lists included."""
+    doc = json.loads(json.dumps(doc))
+    for agent in doc["agents"]:
+        for fn in agent["functions"]:
+            if fn["family"] == "coverage":
+                covers = fn["params"]["covers"]
+                fn["params"]["covers"] = {str(e): covers.get(str(e), [])
+                                          for e in range(1, doc["n"] + 1)}
+    return doc
+
+
+def test_dense_and_sparse_covers_load_alike():
+    sparse = instance_to_doc(random_coverage_instance(9, 3, 3, 5))
+    dense = _dense(sparse)
+    assert any(not hit for agent in dense["agents"] for fn in agent["functions"]
+               for hit in fn["params"]["covers"].values())  # the dense twin lists empties
+    a, b = doc_to_instance(sparse), doc_to_instance(dense)
+    for f, g in zip(a.oracles, b.oracles):
+        assert np.array_equal(f.incidence(9), g.incidence(9))
+        assert [f.element_mask(e) for e in range(11)] == [g.element_mask(e) for e in range(11)]
+    # either one saves as the sparse bytes
+    assert dumps(instance_to_doc(b)) == dumps(instance_to_doc(a)) == dumps(sparse)
