@@ -20,11 +20,16 @@ weights, summed per oracle. These integer sums are exact in float64
 kernel state, not on which states a pick scores, so the kernel computes
 the remaining x trackers gain matrix once per state, on the first ask
 after a pick; every _pick at that state (BAG's frozen sets, the ratios of
-a tuning grid) and brute force's zero-gain test read it. A candidate's
+a tuning grid) and brute force's child bounds read it. A candidate's
 terms are summed with a sequential accumulate in state order, which
 reproduces a scalar ``+=`` loop bit for bit; a matrix product would
 reorder the sum and could flip near-ties. Lazy (Minoux) evaluation is not
 used: a normalized gain can grow as the prefix grows.
+
+Brute force bounds all children of an expanded node in one batch from
+that matrix, adding the submodular bound ceil(residual / best gain) when
+every weight is an integer, and advances the kernel only into the
+children that survive.
 
 BAG runs through one engine, _bag_runs, that takes a list of ratios and
 runs them in lockstep: a ratio changes only the round and pass control,
@@ -432,61 +437,109 @@ class BruteForceResult:
 def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceResult:
     """Exact minimum of the max weighted cover time, by branch and bound.
 
-    Depth-first search over permutation prefixes seeded with the normalized
-    greedy incumbent. A node is pruned when max over agents of
-    (cost so far + (depth + 1) * uncovered weight) reaches the incumbent;
-    elements with zero gain for every uncovered function are postponed to
-    the end, which never hurts by submodularity. Deterministic; when
-    node_limit is exceeded the best incumbent is returned flagged
-    non-optimal. Intended for n <= 10.
+    Depth-first search over permutation prefixes in ascending element
+    order, seeded with the normalized greedy incumbent, which only a
+    strictly better leaf replaces: with any valid bound it returns the
+    first optimal leaf in that order, or the NG order when nothing beats
+    it. Elements with zero gain for every uncovered function wait for the
+    tail, which never hurts by submodularity.
+
+    An expanded node bounds all its children in one batch from its gain
+    matrix. A child covers a function when num + gain >= den; each agent's
+    cost after it is one sequential sum of its cost and w * (depth + 1) per
+    newly covered function in state order, bit for bit a scalar += loop.
+    A leaf child is closed at once, and only children whose bound is below
+    the incumbent advance the kernel. The bound is max over agents of cost
+    plus w * (depth + 2) per uncovered function, its earliest cover time.
+    When every weight is an integer and n * sum(weights) < 2**53, so every
+    cost and bound is an exact integer, it adds w * (need - 1) with
+    need = ceil(residual / the largest gain any remaining element has for
+    the function at the node), as live-weight gains only shrink; and a
+    function no remaining element advances makes the child a dead end.
+    With fractional weights the rounding of that term could pick another
+    tied leaf, so it is left out.
+
+    nodes counts the root and every child entered, those closed or pruned
+    on arrival included. Past node_limit the best incumbent is returned
+    flagged non-optimal. Deterministic; intended for n <= 10.
     """
     ng = normalized_greedy(inst)
     incumbent = {"perm": ng, "value": objective(inst, ng, "minmax")}
     kernel = _Kernel(inst)
-    agent_ids = [a.id for a in inst.agents]
-    state = {"nodes": 0, "limit_hit": False}
-    partial = {i: 0.0 for i in agent_ids}
+    fn, weight = kernel.fn, kernel.weight
+    agents = len(inst.agents)
+    # An agent's sums run along its own row of cells: its cost (or 0.0)
+    # first, then one cell per function in state order; padding adds +0.0.
+    width = 1 + max((len(a.functions) for a in inst.agents), default=0)
+    heads = np.arange(agents) * width
+    cells = np.array([i * width + 1 + j for i, a in enumerate(inst.agents)
+                      for j in range(len(a.functions))], dtype=np.intp)
+    exact = (all(w >= 0 and float(w).is_integer() for _, w in kernel.pairs)
+             and inst.n * sum(w for _, w in kernel.pairs) < 2**53)
+    state = {"nodes": 1, "limit_hit": False}
     chosen: list = []
 
-    def bound(depth: int) -> float:
-        # every still-uncovered function has cover time >= depth + 1
-        uncovered = dict.fromkeys(agent_ids, 0)
-        for agent, w in kernel.uncovered():
-            uncovered[agent] += w
-        return max(partial[i] + (depth + 1) * uncovered[i] for i in agent_ids)
+    def agent_sums(terms: np.ndarray) -> np.ndarray:
+        # a sequential accumulate per agent, as a scalar += loop adds
+        return np.cumsum(terms.reshape(*terms.shape[:-1], agents, width), axis=-1)[..., -1]
 
-    def close_leaf():
-        value = max(partial.values())
+    def close_leaf(value: float, tail: tuple) -> None:
         if value < incumbent["value"]:
             incumbent["value"] = value
-            incumbent["perm"] = tuple(chosen) + tuple(kernel.remaining)
+            incumbent["perm"] = tuple(chosen) + tail
 
-    def search(depth: int):
-        state["nodes"] += 1
-        if state["nodes"] > node_limit:
-            state["limit_hit"] = True
-            return
-        if kernel.covered.all():
-            close_leaf()
-            return
-        if bound(depth) >= incumbent["value"]:
-            return
+    def expand(depth: int, cost: np.ndarray) -> None:
+        gains = kernel.gains()
+        live = ~kernel.covered
         # zero gain now means zero gain forever; such elements wait for the tail
-        useful = (kernel.gains()[:, ~kernel.covered] > 0).any(axis=1)
-        for e, use in zip(kernel.remaining, useful.tolist()):
-            if state["limit_hit"] or not use:
-                continue
-            saved = kernel.save()
-            saved_partial = dict(partial)
-            for agent, w in _advance(kernel, e):
-                partial[agent] += w * (depth + 1)
-            chosen.append(e)
-            search(depth + 1)
-            chosen.pop()
-            partial.update(saved_partial)
-            kernel.restore(saved)
+        rows = (gains[:, live] > 0).any(axis=1).nonzero()[0]
+        num = kernel.num + gains[rows]
+        after = (num >= kernel.den) | kernel.covered
+        left = ~after[:, fn]  # the states each child leaves uncovered
+        terms = np.zeros((2, rows.size, agents * width))
+        terms[0][:, heads] = cost
+        terms[0][:, cells] = (left < live[fn]) * (weight * (depth + 1))
+        # an uncovered function's cover time is at least depth + 2, or with
+        # the ceil term depth + 1 + need
+        steps, scale = 1.0, depth + 2
+        if exact:
+            best = gains.max(axis=0)
+            need = np.ceil((kernel.den - num) / np.maximum(best, 1.0))
+            steps, scale = (depth + 1 + np.maximum(need, 1.0))[:, fn], 1
+        terms[1][:, cells] = left * weight * steps
+        costs, rest = agent_sums(terms)
+        bounds = (costs + scale * rest).max(axis=1)
+        if exact and (live & (best == 0)).any():  # a function nothing can advance
+            bounds[:] = np.inf
+        remaining = kernel.remaining
+        leaves = after.all(axis=1).tolist()
+        bounds = bounds.tolist()
+        for i, e in enumerate([remaining[r] for r in rows.tolist()]):
+            state["nodes"] += 1
+            if state["nodes"] > node_limit:
+                state["limit_hit"] = True
+                return
+            if leaves[i]:
+                close_leaf(float(costs[i].max()), (e,) + tuple(x for x in remaining if x != e))
+            elif bounds[i] < incumbent["value"]:
+                saved = kernel.save()
+                _advance(kernel, e)
+                chosen.append(e)
+                expand(depth + 1, costs[i])
+                chosen.pop()
+                kernel.restore(saved)
+                if state["limit_hit"]:
+                    return
 
-    search(0)
+    if node_limit < 1:
+        state["limit_hit"] = True
+    elif kernel.covered.all():
+        close_leaf(0.0, tuple(kernel.remaining))
+    else:
+        uncovered = np.zeros(agents * width)
+        uncovered[cells] = ~kernel.covered[fn] * weight
+        if agent_sums(uncovered).max() < incumbent["value"]:
+            expand(0, np.zeros(agents))
     return BruteForceResult(
         permutation=incumbent["perm"],
         value=incumbent["value"],

@@ -277,6 +277,9 @@ def main(argv=None) -> int:
     except (InstanceFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # e.g. an instance whose n is too large to hold
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

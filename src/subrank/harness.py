@@ -436,12 +436,13 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
     propagates. The tuned ratio targets cfg.objective; both objectives are
     recorded for every run. Cells are independent, so jobs > 1 fans them
     out over processes; rows come back in a fixed canonical order either
-    way.
+    way. No more processes start than there are cells to run.
     """
     table = _source_table(cfg)
     tasks = [(K, M, seed) for K, M in cfg.cells() for seed in cfg.seeds]
     rows = []
-    if jobs <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         for K, M, seed in tasks:
             try:
                 rows.extend(_sweep_cell(cfg, table, K, M, seed))
@@ -450,7 +451,7 @@ def sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
     else:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(_sweep_cell, cfg, table, K, M, seed): (K, M, seed)
                 for K, M, seed in tasks

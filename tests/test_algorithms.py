@@ -24,6 +24,7 @@ from subrank.functions import (
 from subrank import algorithms
 from subrank.algorithms import (
     BagConfig,
+    BruteForceResult,
     _Kernel,
     _advance,
     _bag_runs,
@@ -554,6 +555,147 @@ def _outcome(fn, *args):
         return fn(*args)
     except ValueError as exc:
         return str(exc)
+
+
+def reference_brute_force(inst, node_limit=2_000_000):
+    """brute_force_opt entering every child and bounding it on arrival.
+
+    Each child saves the kernel, advances it, adds w * (depth + 1) per
+    newly covered function to its agent's cost and is pruned when
+    max(cost + (depth + 1) * uncovered weight) reaches the incumbent.
+    """
+    ng = normalized_greedy(inst)
+    incumbent = {"perm": ng, "value": objective(inst, ng, "minmax")}
+    kernel = _Kernel(inst)
+    agent_ids = [a.id for a in inst.agents]
+    state = {"nodes": 0, "limit_hit": False}
+    partial = {i: 0.0 for i in agent_ids}
+    chosen: list = []
+
+    def bound(depth):
+        uncovered = dict.fromkeys(agent_ids, 0)
+        for agent, w in kernel.uncovered():
+            uncovered[agent] += w
+        return max(partial[i] + (depth + 1) * uncovered[i] for i in agent_ids)
+
+    def close_leaf():
+        value = max(partial.values())
+        if value < incumbent["value"]:
+            incumbent["value"] = value
+            incumbent["perm"] = tuple(chosen) + tuple(kernel.remaining)
+
+    def search(depth):
+        state["nodes"] += 1
+        if state["nodes"] > node_limit:
+            state["limit_hit"] = True
+            return
+        if kernel.covered.all():
+            close_leaf()
+            return
+        if bound(depth) >= incumbent["value"]:
+            return
+        useful = (kernel.gains()[:, ~kernel.covered] > 0).any(axis=1)
+        for e, use in zip(kernel.remaining, useful.tolist()):
+            if state["limit_hit"] or not use:
+                continue
+            saved = kernel.save()
+            saved_partial = dict(partial)
+            for agent, w in _advance(kernel, e):
+                partial[agent] += w * (depth + 1)
+            chosen.append(e)
+            search(depth + 1)
+            chosen.pop()
+            partial.update(saved_partial)
+            kernel.restore(saved)
+
+    search(0)
+    return BruteForceResult(permutation=incumbent["perm"], value=incumbent["value"],
+                            optimal=not state["limit_hit"], nodes=state["nodes"])
+
+
+FRACTIONAL_WEIGHTS = (0.37, 1.0 / 3.0, 0.1, 1.0, 2.5)
+
+
+@st.composite
+def brute_instances(draw):
+    """Coverable coverage, gmsc and singleton oracles, some shared between agents.
+
+    Weights are all integers or drawn from FRACTIONAL_WEIGHTS, which sends
+    brute force down its guarded path.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    elements = st.integers(min_value=1, max_value=n)
+    pool = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["coverage", "gmsc", "singleton"]))
+        if kind == "singleton":
+            pool.append(singleton_function(draw(elements)))
+        elif kind == "gmsc":
+            members = draw(st.frozensets(elements, min_size=1))
+            pool.append(gmsc_function(GmscSet(members, draw(st.integers(1, len(members))))))
+        else:
+            n_items = draw(st.integers(min_value=1, max_value=3))
+            covers: dict = {}
+            for j in range(1, n_items + 1):  # every item has a hitter, so f(U) = 1
+                for e in draw(st.frozensets(elements, min_size=1)):
+                    covers.setdefault(e, set()).add(j)
+            items = [(j, draw(st.integers(1, 3))) for j in range(1, n_items + 1)]
+            pool.append(coverage_function(items, covers))
+    weights = st.sampled_from(draw(st.sampled_from([(1.0, 2.0, 3.0, 5.0), FRACTIONAL_WEIGHTS])))
+    agents = []
+    for i in range(1, draw(st.integers(min_value=1, max_value=3)) + 1):
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        agents.append(Agent(id=i, functions=tuple((f, draw(weights)) for f in picks)))
+    return Instance(n=n, agents=tuple(agents))
+
+
+def _integral(inst):
+    return all(float(w).is_integer() for a in inst.agents for _, w in a.functions)
+
+
+def _answer(result):
+    return result.permutation, float(result.value).hex(), result.optimal
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=brute_instances(), node_limit=st.integers(min_value=0, max_value=40))
+# the sub-unit weight of hard_family takes the guarded path
+@example(inst=hard_family(4), node_limit=40)
+def test_brute_force_matches_reference(inst, node_limit):
+    """Same permutation, value bits and optimality as the per-child search.
+
+    On the guarded path (fractional weights) the search also enters exactly
+    the reference's nodes, under a node limit too. The ceil bound of the
+    integer path only prunes more: it never enters more nodes, so it can
+    finish within a limit that the reference passes.
+    """
+    integral = _integral(inst)
+    result, reference = brute_force_opt(inst), reference_brute_force(inst)
+    assert _answer(result) == _answer(reference)
+    assert result.nodes <= reference.nodes if integral else result.nodes == reference.nodes
+    limited = brute_force_opt(inst, node_limit)
+    limited_ref = reference_brute_force(inst, node_limit)
+    assert is_permutation(inst.n, limited.permutation)
+    if integral:
+        assert limited.optimal or not limited_ref.optimal
+        if limited.optimal:
+            assert _answer(limited) == _answer(result)
+    else:
+        assert limited == limited_ref
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ceil_bound_prunes_only_integer_weights(seed):
+    """The ceil bound cuts nodes at integer weights; a 1/3 scale turns it off."""
+    inst = random_coverage_instance(8, 4, 3, seed)
+    thirds = Instance(n=inst.n, agents=tuple(
+        Agent(id=a.id, functions=tuple((f, w / 3.0) for f, w in a.functions))
+        for a in inst.agents))
+    assert _integral(inst) and not _integral(thirds)
+    result, reference = brute_force_opt(inst), reference_brute_force(inst)
+    assert _answer(result) == _answer(reference)
+    assert result.nodes < reference.nodes
+    assert brute_force_opt(thirds) == reference_brute_force(thirds)
 
 
 def test_instance_rejects_non_set_system_functions():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from subrank import cli
 from subrank.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from subrank.instance_io import load_instance
 from subrank.core import validate
@@ -66,6 +67,24 @@ class TestSolve:
         path.write_text(json.dumps({"n": 3, "agents": [{"functions": []}]}))
         assert main(["solve", "--instance", str(path), "--algo", "brute"]) == EXIT_DATA
         assert "agent has no functions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 1.00 TiB for an array", ""])
+    def test_memory_error_is_data_error(self, tmp_path, monkeypatch, capsys, message):
+        # validate's incidence(n) cannot be allocated for n = 2**40; the
+        # stand-in raises at once, so nothing is allocated
+        path = tmp_path / "huge.json"
+        doc = {"n": 2**40, "agents": [
+            {"functions": [{"family": "singleton", "params": {"element": 1}, "weight": 1.0}]}]}
+        path.write_text(json.dumps(doc))
+
+        def out_of_memory(inst):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "validate", out_of_memory)
+        assert main(["solve", "--instance", str(path), "--algo", "ng"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: out of memory")
+        assert message in err
 
     def test_bag_trace_written(self, tmp_path, capsys):
         inst_path = tmp_path / "hard9.json"

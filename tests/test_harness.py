@@ -259,6 +259,37 @@ class TestSweep:
         serial, parallel = sweep(cfg, jobs=1), sweep(cfg, jobs=2)
         assert _strip(serial.rows) == _strip(parallel.rows)
 
+    def test_jobs_start_no_more_workers_than_cells(self, monkeypatch):
+        # The fork start method launches all max_workers processes on the
+        # first submit, so a huge --jobs on a small sweep must be capped.
+        # The fake pool runs each cell in this process and starts none.
+        import concurrent.futures
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        cfg = small_synthetic_cfg(seeds=(0, 1, 2))
+        rows = sweep(cfg, jobs=10_000).rows
+        assert started == [3]
+        assert _strip(rows) == _strip(sweep(cfg, jobs=1).rows)
+        assert sweep(small_synthetic_cfg(seeds=(0,)), jobs=10_000).rows
+        assert started == [3]  # one cell runs in this process
+
 
 def _strip(rows):
     return [(r.algorithm, r.K, r.M, r.ratio, r.seed, r.objective_minmax, r.objective_avg)

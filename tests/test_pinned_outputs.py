@@ -12,16 +12,20 @@ import os
 from subrank.algorithms import (
     BagConfig,
     balanced_adaptive_greedy,
+    brute_force_opt,
     greedy,
     normalized_greedy,
 )
 from subrank.core import cover_report
-from subrank.functions import hard_family
+from subrank.functions import hard_family, random_coverage_instance
 from subrank.harness import build_instance, synthetic_table, tune_ratio
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "pinned_outputs.json")
 RATIOS = (0.1, 0.35, 2.0 / 3.0, 0.9)
 CELLS = ((3, 5, 0), (5, 8, 1), (8, 10, 2), (10, 12, 3))  # (K, M, seed)
+# (n, k, m) of the small coverage files that file-solve runs brute force on
+BRUTE_SIZES = ((8, 4, 3), (8, 5, 2), (9, 4, 3), (9, 6, 2), (10, 4, 3), (10, 6, 2))
+BRUTE_SEEDS = (0, 1)
 
 
 def _report(inst, perm):
@@ -50,11 +54,22 @@ def _outputs(inst):
     return doc
 
 
+def _brute(inst):
+    # nodes is left out: a tighter bound may visit fewer
+    result = brute_force_opt(inst)
+    return {"permutation": result.permutation, "value": result.value, "optimal": result.optimal}
+
+
 def pinned_outputs() -> dict:
     table = synthetic_table(300, 16, 4, 7)
     doc = {f"odt K={K} M={M} seed={s}": _outputs(build_instance(table, K, M, s))
            for K, M, s in CELLS}
     doc["hard k=9"] = _outputs(hard_family(9))
+    # hard_family's sub-unit weight makes brute force take its fractional path
+    brute = {f"coverage n={n} k={k} m={m} seed={s}": random_coverage_instance(n, k, m, s)
+             for n, k, m in BRUTE_SIZES for s in BRUTE_SEEDS}
+    brute["hard k=4"] = hard_family(4)
+    doc["brute"] = {name: _brute(inst) for name, inst in brute.items()}
     return json.loads(json.dumps(doc))  # tuples -> lists, as in the golden
 
 
