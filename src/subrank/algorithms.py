@@ -151,11 +151,11 @@ def _pick(kernel: _Kernel, states: np.ndarray, normalized: bool) -> tuple:
     return remaining[best], float(scores[best])
 
 
-def _advance(kernel: _Kernel, e: int) -> list:
-    """Add e to every tracker; return the (agent id, weight) pairs it newly covers.
+def _advance(kernel: _Kernel, e: int) -> np.ndarray:
+    """Add e to every tracker; return the mask of the states it newly covers.
 
-    The pairs come in state order. A covered tracker's numerator may grow
-    past its denominator here; only uncovered trackers' values are read.
+    A covered tracker's numerator may grow past its denominator here; only
+    uncovered trackers' values are read.
     """
     hit = kernel.hits[e - 1]
     kernel.num += np.add.reduceat(hit * kernel.live, kernel.starts)
@@ -166,7 +166,7 @@ def _advance(kernel: _Kernel, e: int) -> list:
     remaining.remove(e)
     kernel.remaining = remaining
     kernel._gains = None
-    return kernel.pairs_where((kernel.covered > was_covered)[kernel.fn])
+    return (kernel.covered > was_covered)[kernel.fn]
 
 
 def random_order(inst: Instance, seed: int) -> tuple:
@@ -398,7 +398,7 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, tra
         else:
             break
         chosen.append(e)
-        for agent, w in _advance(kernel, e):
+        for agent, w in kernel.pairs_where(_advance(kernel, e)):
             rem_weight[agent] -= w
         weights = dict(rem_weight) if trace else None
         for run, score in picked:

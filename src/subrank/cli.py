@@ -120,16 +120,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _validated(inst) -> bool:
+    """Print validate's warnings and errors; True when there is no error."""
+    problems = validate(inst)
+    for v in problems:
+        print(f"warning: {v}" if v.severity != SEVERITY_ERROR else f"error: {v}",
+              file=sys.stderr)
+    return not errors_only(problems)
+
+
 def _cmd_solve(args) -> int:
     if args.trace and args.algo != "bag":
         print("error: --trace is only meaningful with --algo bag", file=sys.stderr)
         return EXIT_USAGE
     inst = load_instance(args.instance)
-    problems = validate(inst)
-    for v in problems:
-        print(f"warning: {v}" if v.severity != SEVERITY_ERROR else f"error: {v}",
-              file=sys.stderr)
-    if errors_only(problems):
+    if not _validated(inst):
         return EXIT_DATA
     seed = args.seed if args.seed is not None else default_seed()
     trace = None
@@ -220,10 +225,15 @@ def _cmd_gmsc_bench(args) -> int:
     if base < 0:  # rounding seeds feed np.random.SeedSequence
         raise ValueError(f"SUBRANK_SEED must be non-negative for gmsc-bench, got {base}")
     inst = load_instance(args.instance)
+    # a function that is not unit-weight gmsc is one error line, before validate's warnings
+    list(gmsc_mod.gmsc_sets(inst))
+    if not _validated(inst):
+        return EXIT_DATA
     sol = gmsc_mod.solve_lp(inst)
     if not sol.converged:
         print("warning: cut cap reached; bound may be loose", file=sys.stderr)
-    print(f"T*: {sol.T_star:.6f}  cuts: {len(sol.cuts)}")
+    print(f"T*: {sol.T_star:.6f}  cuts: {len(sol.cuts)}  rounds: {sol.rounds}  "
+          f"iterations: {sol.iterations}")
     envelope = gmsc_mod.rounding_envelope(len(inst.agents), sol.T_star)
     from subrank.core import objective as eval_objective
 

@@ -8,11 +8,14 @@ variables x[e,t], held as an (n x n) array, coverage indicators y[set,t],
 held as a (sets x n) array with one row per set in ``gmsc_sets`` order, and
 a bound variable T minimized directly; the exponential knapsack-cover
 family is generated lazily through the separation oracle and the LP
-re-solved until no constraint is violated. The LP is one sparse HiGHS
-model (see ``simplex``) that grows by the new cuts each round and is
-re-solved from its last basis. Rounding runs doubling-horizon phases,
-picking each element independently with probability min(1, 8 * prefix
-mass) and interleaving independent repetitions so no agent is left behind.
+re-solved until no constraint is violated. Separation scores all sets at
+once over a padded (sets x largest set) member table. The LP is one
+sparse HiGHS model (see ``simplex``): its initial rows and each round's
+new cuts go in as CSR blocks, and it is re-solved from its last basis.
+Rounding runs doubling-horizon phases, picking each element independently
+with probability min(1, 8 * prefix mass), computed once per phase, and
+interleaving independent repetitions, each from its own (phase,
+repetition) stream, so no agent is left behind.
 """
 
 from __future__ import annotations
@@ -107,39 +110,129 @@ def t_star(series: Sequence) -> int:
     return last
 
 
-def _violated_cuts(sets, x, y, lp_tol):
-    """One most-violating B per (set, t), in (set, t) order.
+class _SetTable:
+    """The sets of gmsc_sets as padded arrays; row i is set id i + 1.
+
+    members[i, j] is the 0-based index of set i's j-th smallest member for
+    the j with valid[i, j]; the padding after a row's last member is 0.
+    K holds each set's coverage requirement.
+    """
+
+    def __init__(self, sets):
+        ordered = [sorted(s.members) for _, _, s in sets]
+        sizes = np.array([len(m) for m in ordered], dtype=np.intp)
+        self.valid = np.arange(sizes.max(initial=1)) < sizes[:, None]
+        self.members = np.zeros(self.valid.shape, dtype=np.intp)
+        self.members[self.valid] = np.fromiter((e - 1 for m in ordered for e in m), np.intp,
+                                               sizes.sum())
+        self.K = np.array([s.K for _, _, s in sets], dtype=np.int64)
+
+    def subsets(self, rows: np.ndarray, inside: np.ndarray) -> list:
+        """frozenset of 1-based member ids marked by inside[c], for each rows[c]."""
+        marked = np.where(inside, self.members[rows] + 1, 0).tolist()
+        return [frozenset(filter(None, ids)) for ids in marked]
+
+
+def _separate(table: _SetTable, x, y, lp_tol):
+    """Most violating B of every (set, t) violated beyond lp_tol, in (set, t) order.
 
     For fixed (set, t) the constraint slack is additive over elements, so
     the worst B contains exactly the members whose mass before t exceeds
-    y[set, t]; only constraints violated beyond lp_tol are returned. The
-    mass outside B is summed sequentially in member order, because a
-    regrouped sum can move a violation by an ulp.
+    y[set, t]. All sets are scored at once over the padded member table.
+    The mass outside B is summed sequentially in member order, because a
+    regrouped sum can move a violation by an ulp; padding sits at the end
+    of a row, outside B, and adds +0.0. Returns (0-based set ids, 0-based
+    times, inside B as (cuts, largest set size), violations).
     """
     before = np.zeros_like(x)  # before[e-1, t-1] = x-mass of e placed before t
     np.cumsum(x[:, :-1], axis=1, out=before[:, 1:])
-    found = []
-    for set_id, _, s in sets:
-        members = np.array(sorted(s.members))
-        mass = before[members - 1]  # (members, n)
-        y_row = y[set_id - 1]
-        inside = mass > y_row
-        outside = np.cumsum(np.where(inside, 0.0, mass), axis=0)[-1]
-        violation = (s.K - inside.sum(axis=0)) * y_row - outside
-        for t in np.flatnonzero((y_row > 0.0) & (violation > lp_tol)).tolist():
-            subset = frozenset(members[inside[:, t]].tolist())
-            found.append(ViolatedConstraint(set_id, t + 1, subset, float(violation[t])))
-    return found
+    mass = before[table.members]  # (sets, largest set size, n)
+    mass[~table.valid] = 0.0
+    inside = (mass > y[:, None, :]) & table.valid[:, :, None]
+    mass[inside] = 0.0
+    outside = np.cumsum(mass, axis=1)[:, -1]
+    violation = (table.K[:, None] - inside.sum(axis=1)) * y - outside
+    rows, times = np.nonzero((y > 0.0) & (violation > lp_tol))
+    return rows, times, inside[rows, :, times], violation[rows, times]
+
+
+def _violated_cuts(sets, x, y, lp_tol):
+    """One most-violating B per (set, t), in (set, t) order; sets as gmsc_sets yields them."""
+    table = _SetTable(sets)
+    rows, times, inside, violation = _separate(table, x, y, lp_tol)
+    return [
+        ViolatedConstraint(row + 1, t + 1, subset, v)
+        for row, t, subset, v in zip(rows.tolist(), times.tolist(),
+                                     table.subsets(rows, inside), violation.tolist())
+    ]
 
 
 def separation_oracle(
     inst: Instance, x: np.ndarray, y: np.ndarray, lp_tol: float = LP_TOL
 ) -> Optional[ViolatedConstraint]:
     """Most violated knapsack-cover constraint, or None when all hold."""
-    found = _violated_cuts(gmsc_sets(inst), x, y, lp_tol)
+    found = _violated_cuts(list(gmsc_sets(inst)), x, y, lp_tol)
     if not found:
         return None
     return max(found, key=lambda v: v.violation)
+
+
+def _csr_starts(lengths: np.ndarray) -> np.ndarray:
+    starts = np.zeros(lengths.size, dtype=np.int32)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    return starts
+
+
+def _base_rows(n: int, owned: np.ndarray):
+    """CSR blocks (starts, indices, values, upper) every relaxation starts from.
+
+    owned[a] counts agent a's sets, whose ids are consecutive. Columns are
+    x[e,t] row-major in e, then y[set,t] row-major in set, then T. The
+    first block holds the 2n assignment rows (equalities), the second each
+    set's monotone and cap rows, then one row per agent.
+    """
+    sets = int(owned.sum())
+    x_cols = np.arange(n * n).reshape(n, n)
+    y_cols = n * n + np.arange(sets * n).reshape(sets, n)
+    t_col = n * n + sets * n
+    # every time slot, then every element, carries unit x-mass
+    assign = (_csr_starts(np.full(2 * n, n)), np.concatenate([x_cols.T.ravel(), x_cols.ravel()]),
+              np.ones(2 * n * n), np.ones(2 * n))
+    # y[s,t] - y[s,t+1] <= 0 for t < n, then y[s,n] <= 1 caps the whole chain
+    pairs = np.stack([y_cols[:, :-1], y_cols[:, 1:]], axis=2).reshape(sets, 2 * (n - 1))
+    chain = np.concatenate([pairs, y_cols[:, -1:]], axis=1).ravel()
+    chain_values = np.tile(np.append(np.tile([1.0, -1.0], n - 1), 1.0), sets)
+    # sum_t sum_S (1 - y) <= T, as -sum_t sum_S y - T <= -n |S|
+    agent_rows = np.insert(y_cols.ravel(), n * np.cumsum(owned), t_col)
+    lengths = np.concatenate([np.tile(np.append(np.full(n - 1, 2), 1), sets), n * owned + 1])
+    rest = (_csr_starts(lengths), np.concatenate([chain, agent_rows]),
+            np.concatenate([chain_values, np.full(agent_rows.size, -1.0)]),
+            np.concatenate([np.tile(np.append(np.zeros(n - 1), 1.0), sets),
+                            -(n * owned).astype(float)]))
+    return assign, rest
+
+
+def _cut_rows(table: _SetTable, n: int, rows, times, inside):
+    """CSR block (starts, indices, values) of the cuts _separate found.
+
+    Cut c reads (K - |B|) y[s,t] - sum_{e in S - B} sum_{t'<t} x[e,t'] <= 0:
+    its y column first, then x[e, 0..t-2] for each member outside B in
+    member order.
+    """
+    steps = np.arange(n - 1)
+    outside = table.valid[rows] & ~inside
+    x_part = table.members[rows][:, :, None] * n + steps  # (cuts, members, n - 1)
+    keep = outside[:, :, None] & (steps < times[:, None, None])
+    lengths = 1 + keep.sum(axis=(1, 2))
+    starts = _csr_starts(lengths)
+    head = np.zeros(lengths.sum(), dtype=bool)
+    head[starts] = True
+    indices = np.empty(head.size, dtype=np.int32)
+    indices[head] = n * n + rows * n + times
+    indices[~head] = x_part[keep]
+    values = np.full(head.size, -1.0)
+    values[starts] = table.K[rows] - inside.sum(axis=1)
+    return starts, indices, values
 
 
 def solve_lp(inst: Instance) -> FractionalSolution:
@@ -149,44 +242,27 @@ def solve_lp(inst: Instance) -> FractionalSolution:
     of being binary searched. Monotonicity rows y[s,t] <= y[s,t+1] keep the
     coverage indicators consistent with their covered-before-t meaning.
     The model is built once, sparse; every violated (set, t) pair adds its
-    worst cut per round, and HiGHS re-solves from its last basis. Cuts
-    must be violated by more than LP_TOL. If adding a round's cuts would
-    pass MAX_CUTS before separation comes back clean, the last solved
-    relaxation is returned with converged=False. Raises ValueError when a
-    function is not a unit-weight gmsc function or the LP solve fails.
+    worst cut per round, all of a round's cuts in one CSR block, and HiGHS
+    re-solves from its last basis. Cuts must be violated by more than
+    LP_TOL. If adding a round's cuts would pass MAX_CUTS before separation
+    comes back clean, the last solved relaxation is returned with
+    converged=False. Raises ValueError when a function is not a
+    unit-weight gmsc function or the LP solve fails.
     """
     if inst.n < 1:
         raise ValueError("instance has no elements")
     n = inst.n
     sets = list(gmsc_sets(inst))
-    # columns: x[e,t] row-major in e, then y[set,t] row-major in set, then T
-    x_cols = np.arange(n * n).reshape(n, n)
-    y_cols = n * n + np.arange(len(sets) * n).reshape(len(sets), n)
-    t_col = n * n + y_cols.size
+    table = _SetTable(sets)
+    owned = np.bincount([owner - 1 for _, owner, _ in sets], minlength=len(inst.agents))
+    n_x, n_y = n * n, len(sets) * n
 
-    costs = np.zeros(t_col + 1)
-    costs[t_col] = 1.0
+    costs = np.zeros(n_x + n_y + 1)
+    costs[-1] = 1.0  # T
     model = simplex.LpModel(costs)
-
-    # every time slot and every element carries unit x-mass
-    ones = np.ones(n)
-    rows = [(cols, ones) for cols in (*x_cols.T, *x_cols)]
-    model.add_rows(rows, upper=np.ones(2 * n), lower=np.ones(2 * n))
-
-    rows, upper = [], []
-    for cols in y_cols:
-        for t in range(n - 1):  # y[s,t] - y[s,t+1] <= 0
-            rows.append(((cols[t], cols[t + 1]), (1.0, -1.0)))
-            upper.append(0.0)
-        rows.append(((cols[-1],), (1.0,)))  # y[s,n] <= 1 caps the whole chain
-        upper.append(1.0)
-    for agent_index in range(1, len(inst.agents) + 1):
-        # sum_t sum_S (1 - y) <= T
-        owned = [set_id - 1 for set_id, owner, _ in sets if owner == agent_index]
-        cols = np.append(y_cols[owned].ravel(), t_col)
-        rows.append((cols, np.full(len(cols), -1.0)))
-        upper.append(-float(n * len(owned)))
-    model.add_rows(rows, upper)
+    assign, rest = _base_rows(n, owned)
+    model.add_rows(*assign, lower=assign[-1])
+    model.add_rows(*rest)
 
     cuts = []
     rounds = iterations = 0
@@ -197,25 +273,16 @@ def solve_lp(inst: Instance) -> FractionalSolution:
         iterations += res.iterations
         if res.status != simplex.OPTIMAL:
             raise ValueError(f"LP solve failed: {res.status}")
-        x, y = res.x[x_cols], res.x[y_cols]
-        new = _violated_cuts(sets, x, y, LP_TOL)
-        if not new:
+        x = res.x[:n_x].reshape(n, n)
+        y = res.x[n_x:n_x + n_y].reshape(len(sets), n)
+        rows, times, inside, _ = _separate(table, x, y, LP_TOL)
+        if not rows.size:
             converged = True
             break
-        if len(cuts) + len(new) > MAX_CUTS:
+        if len(cuts) + rows.size > MAX_CUTS:
             break
-        rows = []
-        for cut in new:
-            s = sets[cut.set_id - 1][2]
-            outside = np.array(sorted(s.members - cut.subset), dtype=int)
-            # (K - |B|) y[s,t] - sum_{e in S\B} sum_{t'<t} x[e,t'] <= 0
-            cols = np.append(y_cols[cut.set_id - 1, cut.time - 1],
-                             x_cols[outside - 1, : cut.time - 1].ravel())
-            vals = np.full(len(cols), -1.0)
-            vals[0] = float(s.K - len(cut.subset))
-            rows.append((cols, vals))
-            cuts.append((cut.set_id, cut.time, cut.subset))
-        model.add_rows(rows, np.zeros(len(rows)))
+        model.add_rows(*_cut_rows(table, n, rows, times, inside), np.zeros(rows.size))
+        cuts.extend(zip((rows + 1).tolist(), (times + 1).tolist(), table.subsets(rows, inside)))
 
     return FractionalSolution(
         x=x, y=y, T_star=float(res.objective), cuts=cuts, converged=converged,
@@ -235,22 +302,28 @@ class PhaseOutput:
         return PHASE_CAP_SCALE * (2 ** self.phase)
 
 
-def round_phase(x: np.ndarray, phase: int, seed) -> PhaseOutput:
+def _phase_probabilities(x: np.ndarray, phase: int) -> np.ndarray:
+    """Pick probability of every element in phase l: min(1, 8 * x-mass before 2^l)."""
+    hi = min(2 ** phase - 1, x.shape[0])
+    return np.minimum(1.0, PICK_SCALE * x[:, :hi].sum(axis=1))
+
+
+def round_phase(
+    x: np.ndarray, phase: int, seed, probs: Optional[np.ndarray] = None
+) -> PhaseOutput:
     """One independent rounding of phase l with horizon 2^l.
 
     Every element is picked with probability min(1, 8 * its x-mass before
     the horizon); outputs exceeding 16 * 2^l picks are emptied. seed may be
-    an int or a numpy SeedSequence.
+    an int or a numpy SeedSequence. probs, when given, must be these
+    probabilities as _phase_probabilities computes them from x; a caller
+    that rounds one phase many times passes them so they are computed once.
     """
-    n = x.shape[0]
-    horizon = 2 ** phase
-    hi = min(horizon - 1, n)
-    mass = x[:, :hi].sum(axis=1)
-    probs = np.minimum(1.0, PICK_SCALE * mass)
-    rng = np.random.default_rng(seed)
-    draws = rng.random(n)
+    if probs is None:
+        probs = _phase_probabilities(x, phase)
+    draws = np.random.default_rng(seed).random(x.shape[0])
     picked = tuple((np.flatnonzero(draws < probs) + 1).tolist())
-    cap = PHASE_CAP_SCALE * horizon
+    cap = PHASE_CAP_SCALE * 2 ** phase
     emptied = len(picked) > cap
     return PhaseOutput(
         phase=phase,
@@ -271,8 +344,10 @@ def gmsc_schedule_detailed(
     """Full rounding pipeline; returns (permutation, phase outputs).
 
     Phases l = 1..ceil(log2 n), each run max(1, 2 ceil(log2 k)) independent
-    times; outputs are concatenated phase-major keeping first occurrences,
-    then any missing elements are appended in index order.
+    times from its own (phase, repetition) stream; a phase's probabilities
+    are computed once for all its repetitions. Outputs are concatenated
+    phase-major keeping first occurrences, then any missing elements are
+    appended in index order.
     """
     if solution is None:
         solution = solve_lp(inst)
@@ -284,8 +359,9 @@ def gmsc_schedule_detailed(
     seen = set()
     order = []
     for phase in range(1, phases + 1):
+        probs = _phase_probabilities(solution.x, phase)
         for rep in range(1, reps + 1):
-            out = round_phase(solution.x, phase, _phase_seed(seed, phase, rep))
+            out = round_phase(solution.x, phase, _phase_seed(seed, phase, rep), probs)
             outputs.append(out)
             for e in out.picked:
                 if e not in seen:

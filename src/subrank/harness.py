@@ -258,7 +258,9 @@ class ExperimentConfig:
         if not (is_integer(max_values) and max_values >= 1):
             raise ValueError(f"config 'max_values' must be an integer >= 1, got {max_values!r}")
         K, M = ints("K", 10, 1), ints("M", 10, 1)
-        pair_km = bool(doc.get("pair_km", False))
+        pair_km = doc.get("pair_km", False)
+        if not isinstance(pair_km, bool):
+            raise ValueError(f"config 'pair_km' must be true or false, got {pair_km!r}")
         if pair_km and len(K) != len(M):
             raise ValueError(f"config 'pair_km' needs K and M of equal length, "
                              f"got {len(K)} and {len(M)}")

@@ -1,11 +1,12 @@
 """The LP solver behind the GMSC bound: HiGHS, as bundled with scipy.
 
 An ``LpModel`` minimizes costs . x over x >= 0 and grows by blocks of rows
-``lower <= A x <= upper``. ``solve_dense_lp`` solves it again after every
-block; HiGHS's dual simplex (Huangfu & Hall, Math. Prog. Comp. 2018) then
-restarts from the last optimal basis, which is the cutting-plane pattern
-of ``gmsc.solve_lp``. The name ``solve_dense_lp`` is kept for its callers;
-nothing here is dense.
+``lower <= A x <= upper``, each block given in compressed sparse row (CSR)
+form: row starts, column indices and values. ``solve_dense_lp`` solves it
+again after every block; HiGHS's dual simplex (Huangfu & Hall, Math. Prog.
+Comp. 2018) then restarts from the last optimal basis, which is the
+cutting-plane pattern of ``gmsc.solve_lp``. The name ``solve_dense_lp``
+is kept for its callers; nothing here is dense.
 
 Only scipy's compiled HiGHS module is loaded, on the first model, without
 running ``scipy.optimize/__init__`` (which costs about 47 MB and 0.6 s).
@@ -93,22 +94,23 @@ class LpModel:
         cols = np.flatnonzero(costs).astype(np.int32)
         self._require(self._highs.changeColsCost(cols.size, cols, costs[cols]), "changeColsCost")
 
-    def add_rows(self, rows, upper, lower=None) -> None:
-        """Add rows lower <= a . x <= upper; each row is (column indices, values).
+    def add_rows(self, starts, indices, values, upper, lower=None) -> None:
+        """Add the CSR block of rows lower <= a . x <= upper.
 
+        Row i holds values[starts[i]:starts[i + 1]] at the columns
+        indices[starts[i]:starts[i + 1]], the last row running to the end.
         lower defaults to no lower bound on any row.
         """
-        if not rows:
-            return
         upper = np.asarray(upper, dtype=float)
+        if not upper.size:
+            return
         lower = (np.full(upper.size, -self._core.kHighsInf) if lower is None
                  else np.asarray(lower, dtype=float))
-        starts = np.zeros(len(rows), dtype=np.int32)
-        np.cumsum([len(cols) for cols, _ in rows[:-1]], out=starts[1:])
-        indices = np.concatenate([np.asarray(cols, dtype=np.int32) for cols, _ in rows])
-        values = np.concatenate([np.asarray(vals, dtype=float) for _, vals in rows])
+        indices = np.asarray(indices, dtype=np.int32)
         self._require(
-            self._highs.addRows(len(rows), lower, upper, indices.size, starts, indices, values),
+            self._highs.addRows(upper.size, lower, upper, indices.size,
+                                np.asarray(starts, dtype=np.int32), indices,
+                                np.asarray(values, dtype=float)),
             "addRows",
         )
 

@@ -600,7 +600,7 @@ def reference_brute_force(inst, node_limit=2_000_000):
                 continue
             saved = kernel.save()
             saved_partial = dict(partial)
-            for agent, w in _advance(kernel, e):
+            for agent, w in kernel.pairs_where(_advance(kernel, e)):
                 partial[agent] += w * (depth + 1)
             chosen.append(e)
             search(depth + 1)

@@ -10,6 +10,7 @@ import pytest
 from subrank import cli
 from subrank.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from subrank.instance_io import load_instance
+from subrank.gmsc import solve_lp
 from subrank.core import validate
 
 
@@ -263,8 +264,9 @@ class TestExperiment:
     {"ratio_grid": [0, 1]},
     {"objective": "median"},
     {"K": [2, 3], "M": [3], "pair_km": True},
+    {"K": [2, 3], "M": [4, 5], "pair_km": "false"},
 ], ids=["list", "dataset-object", "K-string", "empty-grid", "unknown-objective",
-        "pair-km-lengths"])
+        "pair-km-lengths", "pair-km-string"])
 def test_bad_config_is_one_line_data_error(doc, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -297,7 +299,13 @@ class TestGmscBench:
                      "--out", str(out_csv), "--dump-lp", str(tmp_path / "lp")])
         assert code == EXIT_OK
         printed = capsys.readouterr().out
-        assert "T*:" in printed
+        t_line = next(line for line in printed.splitlines() if line.startswith("T*:"))
+        fields = dict(zip(t_line.split()[::2], t_line.split()[1::2]))
+        assert list(fields) == ["T*:", "cuts:", "rounds:", "iterations:"]
+        sol = solve_lp(load_instance(gmsc6))
+        assert fields == {"T*:": f"{sol.T_star:.6f}", "cuts:": str(len(sol.cuts)),
+                          "rounds:": str(sol.rounds), "iterations:": str(sol.iterations)}
+        assert sol.rounds > 1 and sol.iterations > 0
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "seed,max_agent_cost,ratio_to_Tstar"
         assert len(lines) == 5
@@ -315,6 +323,23 @@ class TestGmscBench:
         assert main(["gmsc-bench", "--instance", path, "--seeds", "1"]) == EXIT_DATA
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "unit-weight gmsc" in err[0]
+
+    @pytest.mark.parametrize("agents", [
+        [{"functions": []}],
+        [{"functions": [{"family": "gmsc", "params": {"members": [1, 2], "K": 1},
+                         "weight": 1.0}]},
+         {"functions": []}],
+    ], ids=["only-agent", "second-agent"])
+    def test_agent_without_functions_is_data_error(self, agents, tmp_path, capsys):
+        path = tmp_path / "empty-agent.json"
+        path.write_text(json.dumps({"n": 3, "agents": agents}))
+        out_csv = tmp_path / "bench.csv"
+        code = main(["gmsc-bench", "--instance", str(path), "--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == EXIT_DATA
+        assert captured.err.splitlines() == [
+            f"error: [error] agent {len(agents)}: agent has no functions"]
+        assert "T*:" not in captured.out and not out_csv.exists()
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_nonpositive_seed_count_is_usage_error(self, seeds, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """GMSC relaxation, separation oracle, and randomized rounding."""
 
+import functools
 import math
 import random
 
@@ -305,6 +306,35 @@ class TestSchedule:
             assert len(phases) == math.ceil(math.log2(gi.n)) * 2 * math.ceil(math.log2(len(gi.agents)))
             for ph in phases:
                 assert ph.emptied or len(ph.picked) <= ph.cap
+
+
+@functools.lru_cache(maxsize=None)
+def solved_gmsc_instance(n, k, m, s):
+    inst = random_gmsc_instance(n, k, m, s)
+    return inst, solve_lp(inst)
+
+
+def reference_schedule(inst, sol, seed):
+    """gmsc_schedule_detailed from round_phase, one (phase, repetition) stream per call."""
+    n, k = inst.n, len(inst.agents)
+    reps = 2 * math.ceil(math.log2(k)) if k > 1 else 1
+    phases = math.ceil(math.log2(n)) if n > 1 else 0
+    outputs = [
+        round_phase(sol.x, phase, np.random.SeedSequence(entropy=seed, spawn_key=(phase, rep)))
+        for phase in range(1, phases + 1) for rep in range(1, reps + 1)
+    ]
+    order = list(dict.fromkeys(e for out in outputs for e in out.picked))
+    order += [e for e in range(1, n + 1) if e not in set(order)]
+    return tuple(order), outputs
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([1, 2, 5, 16]), k=st.sampled_from([1, 2, 4, 8]),
+       m=st.integers(1, 2), instance_seed=st.integers(0, 2), seed=st.integers(0, 2**32))
+def test_schedule_matches_per_phase_reference(n, k, m, instance_seed, seed):
+    inst, sol = solved_gmsc_instance(n, k, m, instance_seed)
+    order, outputs = gmsc_schedule_detailed(inst, seed, sol)
+    assert (order, outputs) == reference_schedule(inst, sol, seed)
 
 
 class TestSerialization:

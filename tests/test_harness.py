@@ -327,6 +327,8 @@ class TestConfigFromDoc:
         ({"synthetic": {"rows": 20, "cols": 4, "values": 0}}, "'values' must be an integer >= 1"),
         ({"synthetic": {"rows": 20, "cols": 4, "values": 3, "seed": -2}},
          "'seed' must be an integer >= 0"),
+        ({"pair_km": "false"}, "config 'pair_km' must be true or false, got 'false'"),
+        ({"pair_km": 0}, "config 'pair_km' must be true or false, got 0"),
     ])
     def test_bad_field_is_value_error(self, doc, match):
         with pytest.raises(ValueError, match=match):

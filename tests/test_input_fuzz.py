@@ -144,6 +144,7 @@ def test_gmsc_bench_survives_mutated_instances(doc, capsys, caplog):
 @given(doc=mutated(CONFIG_DOCS))
 @example(doc={"seeds": [0], "ratio_grid": [0.5],  # every cell fails on its data
               "synthetic": {"family": "hard", "k": 5}})
+@example(doc={**CONFIG_DOCS[1], "pair_km": "false"})  # a string is not a boolean
 def test_experiment_survives_mutated_configs(doc, capsys, caplog):
     assert_clean_exit(["experiment", "--config", "{doc}", "--out", "{work}/out", "--jobs", "1"],
                       doc, "cfg.json", capsys, caplog)

@@ -18,6 +18,7 @@ from subrank.algorithms import (
 )
 from subrank.core import cover_report
 from subrank.functions import hard_family, random_coverage_instance
+from subrank.gmsc import gmsc_schedule, random_gmsc_instance, solve_lp
 from subrank.harness import build_instance, synthetic_table, tune_ratio
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "pinned_outputs.json")
@@ -26,6 +27,9 @@ CELLS = ((3, 5, 0), (5, 8, 1), (8, 10, 2), (10, 12, 3))  # (K, M, seed)
 # (n, k, m) of the small coverage files that file-solve runs brute force on
 BRUTE_SIZES = ((8, 4, 3), (8, 5, 2), (9, 4, 3), (9, 6, 2), (10, 4, 3), (10, 6, 2))
 BRUTE_SEEDS = (0, 1)
+GMSC_SIZES = ((12, 4), (16, 4), (16, 8))  # (n, k), two sets per agent
+GMSC_SEEDS = (0, 1)
+ROUNDING_SEEDS = range(20)
 
 
 def _report(inst, perm):
@@ -60,6 +64,15 @@ def _brute(inst):
     return {"permutation": result.permutation, "value": result.value, "optimal": result.optimal}
 
 
+def _gmsc(inst):
+    sol = solve_lp(inst)
+    return {
+        "T_star": repr(sol.T_star),
+        "cuts": [[set_id, t, sorted(subset)] for set_id, t, subset in sol.cuts],
+        "schedules": [gmsc_schedule(inst, s, sol) for s in ROUNDING_SEEDS],
+    }
+
+
 def pinned_outputs() -> dict:
     table = synthetic_table(300, 16, 4, 7)
     doc = {f"odt K={K} M={M} seed={s}": _outputs(build_instance(table, K, M, s))
@@ -70,6 +83,8 @@ def pinned_outputs() -> dict:
              for n, k, m in BRUTE_SIZES for s in BRUTE_SEEDS}
     brute["hard k=4"] = hard_family(4)
     doc["brute"] = {name: _brute(inst) for name, inst in brute.items()}
+    doc["gmsc"] = {f"n={n} k={k} m=2 seed={s}": _gmsc(random_gmsc_instance(n, k, 2, s))
+                   for n, k in GMSC_SIZES for s in GMSC_SEEDS}
     return json.loads(json.dumps(doc))  # tuples -> lists, as in the golden
 
 

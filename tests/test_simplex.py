@@ -23,17 +23,20 @@ def reference(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
                    bounds=bounds, method="highs")
 
 
-def sparse_rows(A):
+def csr(A):
+    """(starts, indices, values) of the nonzeros of A, row by row."""
     A = np.asarray(A, dtype=float)
-    return [(np.flatnonzero(row), row[row != 0]) for row in A]
+    rows, indices = np.nonzero(A)
+    starts = np.searchsorted(rows, np.arange(A.shape[0]))
+    return starts, indices, A[rows, indices]
 
 
 def model(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     m = LpModel(np.asarray(c, dtype=float))
     if A_eq is not None:
-        m.add_rows(sparse_rows(A_eq), upper=b_eq, lower=b_eq)
+        m.add_rows(*csr(A_eq), upper=b_eq, lower=b_eq)
     if A_ub is not None:
-        m.add_rows(sparse_rows(A_ub), upper=b_ub)
+        m.add_rows(*csr(A_ub), upper=b_ub)
     return m
 
 
@@ -113,7 +116,7 @@ def test_rows_added_after_a_solve_match_a_fresh_model():
     grown = model([-1.0, -1.0], A_ub=[[1.0, 2.0]], b_ub=[4.0])
     first = solve_dense_lp(grown)
     assert first.status == OPTIMAL and first.objective == pytest.approx(-4.0)
-    grown.add_rows([([0], [1.0])], upper=[1.0])
+    grown.add_rows([0], [0], [1.0], upper=[1.0])
     again = solve_dense_lp(grown)
     fresh = solve_dense_lp(model([-1.0, -1.0], A_ub=[[1.0, 2.0], [1.0, 0.0]], b_ub=[4.0, 1.0]))
     assert again.status == fresh.status == OPTIMAL
