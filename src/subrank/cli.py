@@ -22,7 +22,7 @@ from subrank import verify as verify_mod
 from subrank import gmsc as gmsc_mod
 from subrank.core import SEVERITY_ERROR, cover_report, errors_only, validate
 from subrank.functions import hard_family, random_coverage_instance
-from subrank.instance_io import InstanceFormatError, load_instance, save_instance
+from subrank.instance_io import InstanceFormatError, dumps, load_instance, save_instance
 from subrank.algorithms import (
     BagConfig,
     balanced_adaptive_greedy,
@@ -171,8 +171,7 @@ def _cmd_solve(args) -> int:
             "agent_costs": list(report.agent_costs),
         }
         with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(dumps(doc))
     return EXIT_OK
 
 

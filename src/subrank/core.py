@@ -183,6 +183,19 @@ def block_masks(hits: np.ndarray, widths: Sequence[int]) -> list:
     return masks
 
 
+def sequential_sum(values: Iterable[float]) -> float:
+    """values added left to right from 0.0: the bits of a += loop.
+
+    The builtin sum of floats compensates its rounding from CPython 3.12
+    on, so it can differ from this in the last place; every float total
+    an output depends on goes through here instead, on every version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class Agent:
     """One agent: an id in 1..k and a list of (oracle, weight) pairs."""
@@ -191,7 +204,7 @@ class Agent:
     functions: tuple  # tuple of (SetSystemOracle, float)
 
     def total_weight(self) -> float:
-        return sum(w for _, w in self.functions)
+        return sequential_sum(w for _, w in self.functions)
 
 
 @dataclass(frozen=True)
@@ -362,14 +375,14 @@ def cover_report(inst: Instance, pi: Sequence[int]) -> CoverReport:
     # an agent's cost sums weight * time over its functions in order; from
     # 0.0, so an agent without functions costs a float too
     costs = [
-        sum(map(mul, map(itemgetter(1), agent.functions), agent_times), 0.0)
+        sequential_sum(map(mul, map(itemgetter(1), agent.functions), agent_times))
         for agent, agent_times in zip(inst.agents, times)
     ]
     return CoverReport(
         cover_times=times,
         agent_costs=tuple(costs),
         minmax=max(costs),
-        average=sum(costs) / len(costs),
+        average=sequential_sum(costs) / len(costs),
     )
 
 

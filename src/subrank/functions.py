@@ -136,7 +136,7 @@ class OdtFunction(SetSystemOracle):
         self._seal(hits, block_masks(hits, [m])[0])
 
     def numerator(self, mask: int) -> int:
-        return bin(mask).count("1")
+        return mask.bit_count()
 
 
 def odt_function(table: OdtTable, row: int) -> OdtFunction:
@@ -175,7 +175,7 @@ class GmscFunction(SetSystemOracle):
         return members, np.arange(members.size)
 
     def numerator(self, mask: int) -> int:
-        return min(bin(mask).count("1"), self.gmsc_set.K)
+        return min(mask.bit_count(), self.gmsc_set.K)
 
 
 def gmsc_function(gmsc_set: GmscSet) -> GmscFunction:
@@ -245,13 +245,16 @@ def random_coverage_instance(n: int, k: int, m: int, seed: int) -> Instance:
         funcs = []
         for _ in range(m):
             n_items = rng.randint(1, 3)
-            items = [(item_id, rng.randint(1, 5)) for item_id in range(1, n_items + 1)]
-            covers: Dict[int, set] = {}  # only elements that hit something
-            for item_id, _ in items:
+            items = tuple((item_id, rng.randint(1, 5)) for item_id in range(1, n_items + 1))
+            elements: list = []  # a (element, item position) pair per hit
+            positions: list = []
+            for pos in range(n_items):
                 hitters = rng.sample(range(1, n + 1), rng.randint(1, max(1, n // 2)))
-                for e in hitters:
-                    covers.setdefault(e, set()).add(item_id)
+                elements += hitters
+                positions += [pos] * len(hitters)
             weight = float(rng.randint(1, 5))
-            funcs.append((coverage_function(items, covers), weight))
+            oracle = CoverageFunction(items, np.array(elements, np.intp),
+                                      np.array(positions, np.intp))
+            funcs.append((oracle, weight))
         agents.append(Agent(id=i, functions=tuple(funcs)))
     return Instance(n=n, agents=tuple(agents))

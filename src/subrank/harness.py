@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from subrank.core import Agent, Instance, cover_report
+from subrank.core import Agent, Instance, cover_report, sequential_sum
 from subrank.functions import OdtTable, odt_function
 from subrank.instance_io import is_integer, is_number
 from subrank.algorithms import (
@@ -337,6 +337,10 @@ class ResultTable:
         groups = {}
         for r in self.rows:
             groups.setdefault((r.algorithm, r.K, r.M), []).append(r)
+
+        def mean(rows: list, column: str) -> float:
+            return sequential_sum(getattr(r, column) for r in rows) / len(rows)
+
         out = []
         for (algo, k, m), rows in sorted(groups.items()):
             out.append(
@@ -345,11 +349,10 @@ class ResultTable:
                     "K": k,
                     "M": m,
                     "seeds": len(rows),
-                    "objective_minmax": sum(r.objective_minmax for r in rows) / len(rows),
-                    "objective_avg": sum(r.objective_avg for r in rows) / len(rows),
-                    "tune_ms": (None if rows[0].tune_ms is None
-                                else sum(r.tune_ms for r in rows) / len(rows)),
-                    "runtime_ms": sum(r.runtime_ms for r in rows) / len(rows),
+                    "objective_minmax": mean(rows, "objective_minmax"),
+                    "objective_avg": mean(rows, "objective_avg"),
+                    "tune_ms": None if rows[0].tune_ms is None else mean(rows, "tune_ms"),
+                    "runtime_ms": mean(rows, "runtime_ms"),
                 }
             )
         return out

@@ -1,6 +1,6 @@
 """JSON serialization for ranking instances.
 
-Document layout::
+Document layout (shown indented)::
 
     {
       "n": 6,
@@ -9,6 +9,10 @@ Document layout::
       ],
       "tables": {"t0": [[0, 1], [1, 0]]}        # only when odt functions appear
     }
+
+The writer emits compact JSON on one line with sorted keys, which
+json.dumps writes with its C encoder; the reader accepts any whitespace,
+so indented files load as before.
 
 This module is the only home of family params: coverage -> {items: [{id,
 w}], covers: {elem: [ids]}} with distinct ids, w >= 1 and each element in
@@ -243,7 +247,13 @@ def _build_oracle(family, params, tables, n):
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """doc as one line of compact JSON with sorted keys, plus a newline.
+
+    Without indent, json.dumps takes CPython's C encoder instead of its
+    pure-Python one, and the file loses the whitespace that made up most
+    of its bytes.
+    """
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def save_instance(inst: Instance, path_or_file: Union[str, IO]) -> None:

@@ -9,9 +9,11 @@ import pytest
 
 from subrank import cli
 from subrank.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
-from subrank.instance_io import load_instance
+from subrank.instance_io import instance_to_doc, load_instance
 from subrank.gmsc import solve_lp
-from subrank.core import validate
+from subrank.core import cover_report, validate
+from subrank.functions import random_coverage_instance
+from subrank.algorithms import balanced_adaptive_greedy
 
 
 @pytest.fixture()
@@ -114,6 +116,23 @@ class TestSolve:
         assert doc["permutation"] == [4, 1, 2, 3, 5, 6]
         assert doc["minmax"] == 11.0
 
+    def test_report_json_is_one_line_with_the_report(self, tmp_path, capsys):
+        path, out = tmp_path / "c.json", tmp_path / "report.json"
+        main(["generate", "--family", "coverage", "--n", "9", "--k", "3", "--m", "2",
+              "--seed", "1", "--out", str(path)])
+        assert main(["solve", "--instance", str(path), "--algo", "bag",
+                     "--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        assert text.endswith("\n") and text.count("\n") == 1
+        doc = json.loads(text)
+        assert set(doc) == {"permutation", "minmax", "average", "agent_costs"}
+        inst = load_instance(str(path))
+        perm, _ = balanced_adaptive_greedy(inst)
+        report = cover_report(inst, perm)
+        assert doc["permutation"] == list(perm)
+        assert doc["minmax"] == report.minmax and doc["average"] == report.average
+        assert doc["agent_costs"] == list(report.agent_costs)
+
 
 class TestGenerate:
     def test_hard_k9_is_validate_clean(self, tmp_path, capsys):
@@ -160,6 +179,14 @@ class TestGenerate:
         assert len(covers) == 12
         assert all(hit for c in covers for hit in c.values())
         assert all(set(c) < {str(e) for e in range(1, 13)} for c in covers)
+
+    def test_coverage_file_is_compact_and_holds_the_instance(self, tmp_path, capsys):
+        path = tmp_path / "c60.json"
+        main(["generate", "--family", "coverage", "--n", "60", "--k", "30", "--m", "10",
+              "--seed", "4", "--out", str(path)])
+        assert path.stat().st_size <= 110_000  # 583,177 bytes when written indented
+        assert json.loads(path.read_text()) == instance_to_doc(
+            random_coverage_instance(60, 30, 10, 4))
 
     def test_gmsc_family_writes_set_system(self, tmp_path, capsys):
         path = tmp_path / "g.json"

@@ -1,5 +1,6 @@
 """Cover-time semantics, objectives, and instance validation."""
 
+import math
 import random
 
 import pytest
@@ -23,8 +24,9 @@ from subrank.functions import (
     random_coverage_instance,
     singleton_function,
 )
-from subrank.algorithms import normalized_greedy
-from subrank import verify
+from subrank.algorithms import balanced_adaptive_greedy, normalized_greedy
+from subrank.harness import ResultRow, ResultTable
+from subrank import core, harness, verify
 
 
 def two_item_coverage():
@@ -216,3 +218,36 @@ def test_denominator_above_2_53_rejected():
     assert inst(2**53).n == 1
     with pytest.raises(ValueError, match=r"exceeds 2\*\*53"):
         inst(2**53 + 1)
+
+
+def compensated_sum(values, start=0):
+    """A float sum rounded once, as CPython 3.12's builtin sum nearly is."""
+    return start + math.fsum(values)
+
+
+# agent i holds singleton(e) at weight FRACTIONAL_WEIGHTS[i - 1][e - 1]; under the
+# identity order every agent's cost, the mean cost and W round differently
+# when summed left to right than when summed exactly
+FRACTIONAL_WEIGHTS = ((1.1, 0.3, 0.7, 1.1, 0.1, 0.2), (0.2, 0.1, 1.1, 0.7, 0.1, 0.1),
+                      (0.1, 1.1, 0.7, 0.3, 0.7, 0.1))
+
+
+def test_float_totals_add_left_to_right_whatever_builtin_sum_does(monkeypatch):
+    def outputs():
+        inst = Instance(n=6, agents=tuple(
+            Agent(id=i, functions=tuple((singleton_function(e), w) for e, w in enumerate(ws, 1)))
+            for i, ws in enumerate(FRACTIONAL_WEIGHTS, 1)))
+        rows = [ResultRow("ng", 3, 6, None, seed, v, v, v, v)
+                for seed, v in enumerate((0.1, 0.2, 0.3))]
+        return (cover_report(inst, tuple(range(1, 7))), inst.W,
+                balanced_adaptive_greedy(inst)[0], ResultTable(rows).summary())
+
+    report, W, _, summary = expected = outputs()
+    for ws, cost in zip(FRACTIONAL_WEIGHTS, report.agent_costs):
+        assert compensated_sum(w * t for t, w in enumerate(ws, 1)) != cost
+    assert compensated_sum(report.agent_costs) / 3 != report.average
+    assert max(compensated_sum(ws) for ws in FRACTIONAL_WEIGHTS) != W
+    assert compensated_sum((0.1, 0.2, 0.3)) / 3 != summary[0]["objective_minmax"]
+    monkeypatch.setattr(core, "sum", compensated_sum, raising=False)
+    monkeypatch.setattr(harness, "sum", compensated_sum, raising=False)
+    assert outputs() == expected

@@ -21,6 +21,7 @@ from subrank.functions import (
     singleton_function,
 )
 from subrank.algorithms import normalized_greedy
+from subrank.instance_io import instance_to_doc
 from subrank.verify import random_family_oracles
 
 
@@ -271,6 +272,39 @@ class TestRandomCoverageInstance:
         for agent in inst.agents:
             for f, _ in agent.functions:
                 assert f.covers(universe)
+
+
+def dict_of_sets_coverage_instance(n, k, m, seed):
+    """The generator as it was written before it built its oracles from arrays."""
+    rng = random.Random(seed)
+    agents = []
+    for i in range(1, k + 1):
+        funcs = []
+        for _ in range(m):
+            n_items = rng.randint(1, 3)
+            items = [(item_id, rng.randint(1, 5)) for item_id in range(1, n_items + 1)]
+            covers = {}
+            for item_id, _ in items:
+                hitters = rng.sample(range(1, n + 1), rng.randint(1, max(1, n // 2)))
+                for e in hitters:
+                    covers.setdefault(e, set()).add(item_id)
+            weight = float(rng.randint(1, 5))
+            funcs.append((coverage_function(items, covers), weight))
+        agents.append(Agent(id=i, functions=tuple(funcs)))
+    return Instance(n=n, agents=tuple(agents))
+
+
+# the (n, k, m) coverage sizes of perfbench's file-solve workload
+FILE_SOLVE_SIZES = ((40, 20, 10), (50, 25, 10), (60, 30, 10), (8, 4, 3), (8, 5, 2),
+                    (9, 4, 3), (9, 6, 2), (10, 4, 3), (10, 6, 2))
+
+
+@pytest.mark.parametrize("n, k, m", FILE_SOLVE_SIZES)
+def test_array_built_generator_matches_dict_of_sets(n, k, m):
+    for seed in range(8):
+        new = random_coverage_instance(n, k, m, seed)
+        old = dict_of_sets_coverage_instance(n, k, m, seed)
+        assert instance_to_doc(new) == instance_to_doc(old), seed
 
 
 def exhaustive_monotone_submodular(f, n):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from subrank.core import Agent, Instance, objective
+from subrank.core import Agent, Instance, cover_report, objective
 from subrank.functions import (
     GmscSet,
     OdtTable,
@@ -318,3 +319,32 @@ def test_dense_and_sparse_covers_load_alike():
         assert [f.element_mask(e) for e in range(11)] == [g.element_mask(e) for e in range(11)]
     # either one saves as the sparse bytes
     assert dumps(instance_to_doc(b)) == dumps(instance_to_doc(a)) == dumps(sparse)
+
+
+def test_dumps_is_one_stable_line():
+    doc = instance_to_doc(random_coverage_instance(12, 4, 3, 6))
+    text = dumps(doc)
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == doc
+    assert dumps(instance_to_doc(random_coverage_instance(12, 4, 3, 6))) == text
+    # another interpreter, with another string hash seed, writes the same bytes
+    code = ("import sys; from subrank.functions import random_coverage_instance as r; "
+            "from subrank.instance_io import dumps, instance_to_doc; "
+            "sys.stdout.write(dumps(instance_to_doc(r(12, 4, 3, 6))))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONHASHSEED": "7"}, check=True)
+    assert proc.stdout == text
+
+
+@pytest.mark.parametrize("make", [mixed_instance, lambda: random_coverage_instance(10, 4, 3, 2)],
+                         ids=["mixed", "coverage"])
+def test_indented_and_compact_files_load_alike(make, tmp_path):
+    doc = instance_to_doc(make())
+    indented, compact = tmp_path / "indented.json", tmp_path / "compact.json"
+    indented.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    compact.write_text(dumps(doc))
+    assert len(compact.read_bytes()) < len(indented.read_bytes())
+    a, b = load_instance(str(indented)), load_instance(str(compact))
+    perm = tuple(range(a.n, 0, -1))
+    assert cover_report(a, perm) == cover_report(b, perm)
+    assert normalized_greedy(a) == normalized_greedy(b)
