@@ -457,7 +457,9 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     the function at the node), as live-weight gains only shrink; and a
     function no remaining element advances makes the child a dead end.
     With fractional weights the rounding of that term could pick another
-    tied leaf, so it is left out.
+    tied leaf, so it is left out; and a leaf is valued by objective, which
+    adds each agent's costs in function order as cover_report does, not in
+    cover-time order, so value is objective(permutation) bit for bit.
 
     nodes counts the root and every child entered, those closed or pruned
     on arrival included. Past node_limit the best incumbent is returned
@@ -483,10 +485,10 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
         # a sequential accumulate per agent, as a scalar += loop adds
         return np.cumsum(terms.reshape(*terms.shape[:-1], agents, width), axis=-1)[..., -1]
 
-    def close_leaf(value: float, tail: tuple) -> None:
+    def close_leaf(value: float, perm: tuple) -> None:
         if value < incumbent["value"]:
             incumbent["value"] = value
-            incumbent["perm"] = tuple(chosen) + tail
+            incumbent["perm"] = perm
 
     def expand(depth: int, cost: np.ndarray) -> None:
         gains = kernel.gains()
@@ -520,7 +522,8 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
                 state["limit_hit"] = True
                 return
             if leaves[i]:
-                close_leaf(float(costs[i].max()), (e,) + tuple(x for x in remaining if x != e))
+                perm = (*chosen, e, *(x for x in remaining if x != e))
+                close_leaf(float(costs[i].max()) if exact else objective(inst, perm), perm)
             elif bounds[i] < incumbent["value"]:
                 saved = kernel.save()
                 _advance(kernel, e)

@@ -20,7 +20,7 @@ import time
 
 from subrank import verify as verify_mod
 from subrank import gmsc as gmsc_mod
-from subrank.core import SEVERITY_ERROR, cover_report, errors_only, validate
+from subrank.core import SEVERITY_ERROR, cover_report, errors_only, sequential_sum, validate
 from subrank.functions import hard_family, random_coverage_instance
 from subrank.instance_io import InstanceFormatError, dumps, load_instance, save_instance
 from subrank.algorithms import (
@@ -239,13 +239,13 @@ def _cmd_gmsc_bench(args) -> int:
     rows = []
     within = 0
     for s in range(base, base + args.seeds):
-        perm = gmsc_mod.gmsc_schedule(inst, s, sol)
+        perm, _ = gmsc_mod.gmsc_schedule(inst, s, sol)
         cost = eval_objective(inst, perm, "minmax")
         ratio = cost / sol.T_star if sol.T_star > 0 else float("inf")
         rows.append((s, cost, ratio))
         if cost <= envelope:
             within += 1
-    mean_cost = sum(c for _, c, _ in rows) / len(rows)
+    mean_cost = sequential_sum(c for _, c, _ in rows) / len(rows)
     print(f"seeds: {args.seeds}  mean max-agent cost: {mean_cost:.6f}")
     print(f"within proven envelope ({envelope:.1f}): {within}/{args.seeds}")
     if args.out:

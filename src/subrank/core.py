@@ -214,9 +214,9 @@ class Instance:
     epsilon (the smallest min_nonzero_marginal, or 1.0) and W (the largest
     agent total weight, or 0.0) are derived from the agents. Raises
     TypeError on a function that is not a SetSystemOracle, and ValueError
-    on duplicate agent ids, a denominator above MAX_DENOMINATOR or an
-    element id below 1. The oracles not sealed yet get their incidences in
-    one seal_incidences pass.
+    on n below 0, duplicate agent ids, a denominator above MAX_DENOMINATOR
+    or an element id below 1. The oracles not sealed yet get their
+    incidences in one seal_incidences pass.
 
     oracles lists the distinct oracles (by identity) in first-appearance
     order, and oracle_index holds, per agent, the position in oracles of
@@ -231,6 +231,8 @@ class Instance:
     oracle_index: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"n must be at least 0, got {self.n}")
         seen = set()
         oracles: list = []
         position: dict = {}  # id(oracle) -> its index in oracles

@@ -7,15 +7,16 @@ the sum of its sets' cover times. The fractional relaxation uses assignment
 variables x[e,t], held as an (n x n) array, coverage indicators y[set,t],
 held as a (sets x n) array with one row per set in ``gmsc_sets`` order, and
 a bound variable T minimized directly; the exponential knapsack-cover
-family is generated lazily through the separation oracle and the LP
-re-solved until no constraint is violated. Separation scores all sets at
-once over a padded (sets x largest set) member table. The LP is one
-sparse HiGHS model (see ``simplex``): its initial rows and each round's
-new cuts go in as CSR blocks, and it is re-solved from its last basis.
-Rounding runs doubling-horizon phases, picking each element independently
-with probability min(1, 8 * prefix mass), computed once per phase, and
-interleaving independent repetitions, each from its own (phase,
-repetition) stream, so no agent is left behind.
+family is generated lazily by separation and the LP re-solved until no
+constraint is violated. Separation scores all sets at once over a padded
+(sets x largest set) member table; ``violated_cuts`` reports what it finds.
+The LP is one sparse HiGHS model (see ``simplex``): its initial rows and
+each round's new cuts go in as CSR blocks, and it is re-solved from its
+last basis. ``gmsc_schedule`` rounds in doubling-horizon phases: each
+phase's pick probabilities min(1, 8 * prefix mass) come once from
+``phase_probabilities``, and ``round_phase`` draws each independent
+repetition from its own (phase, repetition) stream, so no agent is left
+behind.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,14 +76,6 @@ def random_gmsc_instance(n: int, k: int, m: int, seed: int) -> Instance:
             sets.append(GmscSet(members=members, K=rng.randint(1, len(members))))
         agents.append([(gmsc_function(s), 1.0) for s in sets])
     return make_instance(n, agents)
-
-
-@dataclass(frozen=True)
-class ViolatedConstraint:
-    set_id: int
-    time: int
-    subset: frozenset  # the B achieving the largest violation
-    violation: float
 
 
 @dataclass
@@ -156,25 +149,16 @@ def _separate(table: _SetTable, x, y, lp_tol):
     return rows, times, inside[rows, :, times], violation[rows, times]
 
 
-def _violated_cuts(sets, x, y, lp_tol):
-    """One most-violating B per (set, t), in (set, t) order; sets as gmsc_sets yields them."""
-    table = _SetTable(sets)
+def violated_cuts(inst: Instance, x: np.ndarray, y: np.ndarray, lp_tol: float = LP_TOL) -> list:
+    """Most violating knapsack-cover cut of every (set, t) violated beyond lp_tol.
+
+    Returns (set_id, t, B, violation) tuples in (set, t) order, B a
+    frozenset of member ids; empty when every constraint holds.
+    """
+    table = _SetTable(list(gmsc_sets(inst)))
     rows, times, inside, violation = _separate(table, x, y, lp_tol)
-    return [
-        ViolatedConstraint(row + 1, t + 1, subset, v)
-        for row, t, subset, v in zip(rows.tolist(), times.tolist(),
-                                     table.subsets(rows, inside), violation.tolist())
-    ]
-
-
-def separation_oracle(
-    inst: Instance, x: np.ndarray, y: np.ndarray, lp_tol: float = LP_TOL
-) -> Optional[ViolatedConstraint]:
-    """Most violated knapsack-cover constraint, or None when all hold."""
-    found = _violated_cuts(list(gmsc_sets(inst)), x, y, lp_tol)
-    if not found:
-        return None
-    return max(found, key=lambda v: v.violation)
+    return list(zip((rows + 1).tolist(), (times + 1).tolist(), table.subsets(rows, inside),
+                    violation.tolist()))
 
 
 def _csr_starts(lengths: np.ndarray) -> np.ndarray:
@@ -294,90 +278,57 @@ def solve_lp(inst: Instance) -> FractionalSolution:
 class PhaseOutput:
     phase: int  # doubling index l; horizon is 2^l
     picked: tuple  # element ids in index order; () when emptied
-    emptied: bool
     raw_count: int  # picks before the cap was applied
 
     @property
     def cap(self) -> int:
         return PHASE_CAP_SCALE * (2 ** self.phase)
 
+    @property
+    def emptied(self) -> bool:
+        return self.raw_count > self.cap
 
-def _phase_probabilities(x: np.ndarray, phase: int) -> np.ndarray:
+
+def phase_probabilities(x: np.ndarray, phase: int) -> np.ndarray:
     """Pick probability of every element in phase l: min(1, 8 * x-mass before 2^l)."""
     hi = min(2 ** phase - 1, x.shape[0])
     return np.minimum(1.0, PICK_SCALE * x[:, :hi].sum(axis=1))
 
 
-def round_phase(
-    x: np.ndarray, phase: int, seed, probs: Optional[np.ndarray] = None
-) -> PhaseOutput:
+def round_phase(probs: np.ndarray, phase: int, seed) -> PhaseOutput:
     """One independent rounding of phase l with horizon 2^l.
 
-    Every element is picked with probability min(1, 8 * its x-mass before
-    the horizon); outputs exceeding 16 * 2^l picks are emptied. seed may be
-    an int or a numpy SeedSequence. probs, when given, must be these
-    probabilities as _phase_probabilities computes them from x; a caller
-    that rounds one phase many times passes them so they are computed once.
+    Element e is picked with probability probs[e - 1], as
+    phase_probabilities gives them; outputs exceeding 16 * 2^l picks are
+    emptied. seed may be an int or a numpy SeedSequence.
     """
-    if probs is None:
-        probs = _phase_probabilities(x, phase)
-    draws = np.random.default_rng(seed).random(x.shape[0])
+    draws = np.random.default_rng(seed).random(probs.size)
     picked = tuple((np.flatnonzero(draws < probs) + 1).tolist())
-    cap = PHASE_CAP_SCALE * 2 ** phase
-    emptied = len(picked) > cap
-    return PhaseOutput(
-        phase=phase,
-        picked=() if emptied else picked,
-        emptied=emptied,
-        raw_count=len(picked),
-    )
+    out = PhaseOutput(phase, picked, len(picked))
+    return PhaseOutput(phase, (), len(picked)) if out.emptied else out
 
 
-def _phase_seed(seed: int, phase: int, rep: int) -> np.random.SeedSequence:
-    # documented split: child streams keyed by (phase, repetition)
-    return np.random.SeedSequence(entropy=seed, spawn_key=(phase, rep))
-
-
-def gmsc_schedule_detailed(
-    inst: Instance, seed: int, solution: Optional[FractionalSolution] = None
-):
-    """Full rounding pipeline; returns (permutation, phase outputs).
+def gmsc_schedule(inst: Instance, seed: int, solution: FractionalSolution) -> tuple:
+    """Round solution to a permutation; returns (permutation, phase outputs).
 
     Phases l = 1..ceil(log2 n), each run max(1, 2 ceil(log2 k)) independent
-    times from its own (phase, repetition) stream; a phase's probabilities
-    are computed once for all its repetitions. Outputs are concatenated
-    phase-major keeping first occurrences, then any missing elements are
-    appended in index order.
+    times from its own (phase, repetition) child stream of seed; a phase's
+    probabilities are computed once for all its repetitions. Outputs are
+    concatenated phase-major keeping first occurrences, then any missing
+    elements are appended in index order.
     """
-    if solution is None:
-        solution = solve_lp(inst)
     n = inst.n
     k = len(inst.agents)
     reps = max(1, 2 * math.ceil(math.log2(k)) if k > 1 else 0)
     phases = math.ceil(math.log2(n)) if n > 1 else 0
     outputs = []
-    seen = set()
-    order = []
     for phase in range(1, phases + 1):
-        probs = _phase_probabilities(solution.x, phase)
+        probs = phase_probabilities(solution.x, phase)
         for rep in range(1, reps + 1):
-            out = round_phase(solution.x, phase, _phase_seed(seed, phase, rep), probs)
-            outputs.append(out)
-            for e in out.picked:
-                if e not in seen:
-                    seen.add(e)
-                    order.append(e)
-    for e in range(1, n + 1):
-        if e not in seen:
-            order.append(e)
+            stream = np.random.SeedSequence(entropy=seed, spawn_key=(phase, rep))
+            outputs.append(round_phase(probs, phase, stream))
+    order = dict.fromkeys([e for out in outputs for e in out.picked] + list(range(1, n + 1)))
     return tuple(order), outputs
-
-
-def gmsc_schedule(
-    inst: Instance, seed: int, solution: Optional[FractionalSolution] = None
-) -> tuple:
-    order, _ = gmsc_schedule_detailed(inst, seed, solution)
-    return order
 
 
 def rounding_envelope(k: int, T_star: float) -> float:

@@ -320,11 +320,11 @@ def _best_violation(xbar: list, K: int, y_val: float) -> float:
 
 @_check("gmsc")
 def separation_exactness_check(cases: int = 100, seed: int = 6) -> str:
-    """The oracle's best violation equals exhaustive subset enumeration.
+    """gmsc.violated_cuts finds the violation exhaustive subset enumeration does.
 
     All cases draw from one random.Random(seed): a single gmsc set of 1 to
     12 members among up to 2 more elements, x entries in [0, 0.5), and y
-    nonzero at one time t only.
+    nonzero at one time t only, so at most one (set, t) cut can be found.
     """
     rng = random.Random(seed)
     for case in range(cases):
@@ -339,11 +339,11 @@ def separation_exactness_check(cases: int = 100, seed: int = 6) -> str:
         y_val = rng.random()
         y = np.zeros((1, n))
         y[0, t - 1] = y_val
-        got = gmsc_mod.separation_oracle(inst, x, y, lp_tol=1e-12)
+        cuts = gmsc_mod.violated_cuts(inst, x, y, lp_tol=1e-12)
         prefix = np.cumsum(x, axis=1)
         xbar = [float(prefix[e - 1, t - 2]) if t >= 2 else 0.0 for e in members]
         best = _best_violation(xbar, K, y_val)
-        got_v = got.violation if got is not None else None
+        got_v = max((v for *_, v in cuts), default=None)
         if best > 1e-12:
             _require(
                 got_v is not None and abs(got_v - best) <= SEP_TOL,
@@ -385,12 +385,12 @@ def lp_soundness_check(instances: int = 8, seed: int = 7) -> str:
 
 @_check("gmsc")
 def rounding_check(rounds: int = 20, seed: int = 8) -> str:
-    """Rounding gives repeatable permutations inside the phase caps and envelope.
+    """gmsc.gmsc_schedule gives repeatable permutations inside the phase caps and envelope.
 
     On random_gmsc_instance(16, 4, 2, seed) and rounding seeds 0..rounds-1,
-    every schedule is a permutation, repeats under its seed and keeps each
-    non-emptied phase within its cap; at least ENVELOPE_SHARE of them cost
-    no more than gmsc.rounding_envelope.
+    every schedule is a permutation, repeats under its seed and comes with
+    phase outputs that keep within their caps unless emptied; at least
+    ENVELOPE_SHARE of them cost no more than gmsc.rounding_envelope.
     """
     inst = gmsc_mod.random_gmsc_instance(16, 4, 2, seed)
     sol = gmsc_mod.solve_lp(inst)
@@ -398,13 +398,13 @@ def rounding_check(rounds: int = 20, seed: int = 8) -> str:
     envelope = gmsc_mod.rounding_envelope(len(inst.agents), sol.T_star)
     within = 0
     for s in range(rounds):
-        perm, phases = gmsc_mod.gmsc_schedule_detailed(inst, s, sol)
+        perm, phases = gmsc_mod.gmsc_schedule(inst, s, sol)
         _require(is_permutation(inst.n, perm), f"seed {s}: not a permutation")
         _require(
             all(ph.emptied or len(ph.picked) <= ph.cap for ph in phases),
             f"seed {s}: cap broken",
         )
-        _require(perm == gmsc_mod.gmsc_schedule(inst, s, sol), f"seed {s}: not repeatable")
+        _require(perm == gmsc_mod.gmsc_schedule(inst, s, sol)[0], f"seed {s}: not repeatable")
         within += objective(inst, perm, "minmax") <= envelope
     _require(
         within >= ENVELOPE_SHARE * rounds,

@@ -562,7 +562,8 @@ def reference_brute_force(inst, node_limit=2_000_000):
 
     Each child saves the kernel, advances it, adds w * (depth + 1) per
     newly covered function to its agent's cost and is pruned when
-    max(cost + (depth + 1) * uncovered weight) reaches the incumbent.
+    max(cost + (depth + 1) * uncovered weight) reaches the incumbent. A
+    leaf is valued by objective, as cover_report adds the costs.
     """
     ng = normalized_greedy(inst)
     incumbent = {"perm": ng, "value": objective(inst, ng, "minmax")}
@@ -579,10 +580,11 @@ def reference_brute_force(inst, node_limit=2_000_000):
         return max(partial[i] + (depth + 1) * uncovered[i] for i in agent_ids)
 
     def close_leaf():
-        value = max(partial.values())
+        perm = tuple(chosen) + tuple(kernel.remaining)
+        value = objective(inst, perm, "minmax")
         if value < incumbent["value"]:
             incumbent["value"] = value
-            incumbent["perm"] = tuple(chosen) + tuple(kernel.remaining)
+            incumbent["perm"] = perm
 
     def search(depth):
         state["nodes"] += 1
@@ -696,6 +698,34 @@ def test_ceil_bound_prunes_only_integer_weights(seed):
     assert _answer(result) == _answer(reference)
     assert result.nodes < reference.nodes
     assert brute_force_opt(thirds) == reference_brute_force(thirds)
+
+
+@st.composite
+def fractional_family_instances(draw):
+    """Coverable oracles of every family over n <= 6, weighted from FRACTIONAL_WEIGHTS."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    full = range(1, n + 1)
+    pool = [f for f in draw(family_oracles(n)) if f.mask_covers(f.union_mask(full))]
+    assume(pool)
+    agents = []
+    for i in range(1, draw(st.integers(min_value=1, max_value=3)) + 1):
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        weights = [draw(st.sampled_from(FRACTIONAL_WEIGHTS)) for _ in picks]
+        agents.append(Agent(id=i, functions=tuple(zip(picks, weights))))
+    return Instance(n=n, agents=tuple(agents))
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=fractional_family_instances())
+# summed in cover-time order this is 1.8; objective sums in function order: 1.8000000000000003
+@example(inst=Instance(n=3, agents=(Agent(id=1, functions=tuple(
+    (singleton_function(e), w) for e, w in ((1, 0.1), (2, 0.2), (3, 1.1)))),)))
+def test_brute_force_value_is_the_objective_of_its_permutation(inst):
+    result = brute_force_opt(inst)
+    assert result.optimal
+    assert result.value == objective(inst, result.permutation)  # bit for bit
+    best = min(objective(inst, p) for p in itertools.permutations(range(1, inst.n + 1)))
+    assert result.value == pytest.approx(best, rel=1e-12, abs=0.0)
 
 
 def test_instance_rejects_non_set_system_functions():

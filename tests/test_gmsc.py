@@ -16,13 +16,13 @@ from subrank.gmsc import (
     LP_TOL,
     PhaseOutput,
     gmsc_schedule,
-    gmsc_schedule_detailed,
     gmsc_sets,
+    phase_probabilities,
     random_gmsc_instance,
     round_phase,
-    separation_oracle,
     solve_lp,
     t_star,
+    violated_cuts,
     write_fractional_csv,
 )
 from subrank.verify import lp_soundness_check, separation_exactness_check
@@ -37,16 +37,15 @@ class TestSeparationOracle:
         gi = single_set_instance(3, {1, 2}, 2)
         x = np.full((3, 3), 1.0 / 3.0)
         y = np.zeros((1, 3))
-        assert separation_oracle(gi, x, y) is None
+        assert violated_cuts(gi, x, y) == []
 
     def test_worked_example(self):
         gi = single_set_instance(2, {1, 2}, 2)
         x = np.array([[0.9, 0.1], [0.1, 0.9]])
         y = np.array([[0.0, 0.5]])
-        got = separation_oracle(gi, x, y)
-        assert got.subset == frozenset({1})
-        assert got.violation == pytest.approx(0.4, abs=1e-12)
-        assert got.time == 2
+        [(set_id, t, subset, violation)] = violated_cuts(gi, x, y)
+        assert (set_id, t, subset) == (1, 2, frozenset({1}))
+        assert violation == pytest.approx(0.4, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_agrees_with_exhaustive_enumeration(self, seed):
@@ -55,7 +54,7 @@ class TestSeparationOracle:
 
 
 def loop_violated_cuts(n, sets, x, y, lp_tol):
-    """Reference for gmsc._violated_cuts: one Python pass per (set, t) pair."""
+    """Reference for gmsc.violated_cuts: one Python pass per (set, t) pair."""
     found = []
     prefix = np.cumsum(x, axis=1)
     for set_id, _, s in sets:
@@ -74,10 +73,8 @@ def loop_violated_cuts(n, sets, x, y, lp_tol):
 
 
 def assert_cuts_match_loop(inst, x, y, lp_tol):
-    sets = list(gmsc_sets(inst))
-    got = [(c.set_id, c.time, c.subset, c.violation)
-           for c in gmsc._violated_cuts(sets, x, y, lp_tol)]
-    assert got == loop_violated_cuts(inst.n, sets, x, y, lp_tol)
+    assert violated_cuts(inst, x, y, lp_tol) == loop_violated_cuts(
+        inst.n, list(gmsc_sets(inst)), x, y, lp_tol)
 
 
 # grid values make prefix masses tie with y; negatives and zeros probe the y > 0 filter
@@ -217,7 +214,7 @@ class TestSolveLp:
         assert np.allclose(sol.x.sum(axis=0), 1.0, atol=LP_TOL)
         assert np.allclose(sol.x.sum(axis=1), 1.0, atol=LP_TOL)
         # no remaining violated knapsack-cover constraint
-        assert separation_oracle(gi, sol.x, sol.y, LP_TOL) is None
+        assert violated_cuts(gi, sol.x, sol.y, LP_TOL) == []
         # agent totals within the bound variable
         for agent_index in range(1, len(gi.agents) + 1):
             total = sum(
@@ -253,13 +250,13 @@ class TestRoundPhase:
         x = np.zeros((4, 4))
         x[:, 0] = 0.2  # mass 0.2 -> 8 * 0.2 = 1.6, capped
         x[:, 3] = 0.8
-        out = round_phase(x, 1, 0)
+        out = round_phase(phase_probabilities(x, 1), 1, 0)
         assert out.picked == (1, 2, 3, 4)
 
     def test_zero_mass_never_picked(self):
         x = np.zeros((3, 3))
         x[:, 2] = 1.0  # everything scheduled at t=3, no mass before t=2
-        out = round_phase(x, 1, 12345)
+        out = round_phase(phase_probabilities(x, 1), 1, 12345)
         assert out.picked == ()
         assert not out.emptied
 
@@ -268,11 +265,18 @@ class TestRoundPhase:
         x = np.zeros((10, 10))
         x[:, 0] = 0.05
         x[:, 9] = 0.95
-        hits = sum(len(round_phase(x, 1, seed).picked) for seed in range(10_000))
+        probs = phase_probabilities(x, 1)
+        hits = sum(len(round_phase(probs, 1, seed).picked) for seed in range(10_000))
         assert hits / 100_000 == pytest.approx(0.4, abs=0.02)
 
     def test_phase_cap_applies(self):
-        assert PhaseOutput(phase=2, picked=(), emptied=True, raw_count=99).cap == 64
+        assert PhaseOutput(phase=2, picked=(), raw_count=99).cap == 64
+        assert PhaseOutput(phase=2, picked=(), raw_count=65).emptied
+        assert not PhaseOutput(phase=2, picked=tuple(range(1, 65)), raw_count=64).emptied
+
+    def test_picks_past_the_cap_empty_the_output(self):
+        out = round_phase(np.ones(40), 1, 0)  # 40 certain picks, cap 32
+        assert (out.picked, out.raw_count, out.emptied) == ((), 40, True)
 
 
 class TestSchedule:
@@ -280,18 +284,18 @@ class TestSchedule:
         gi = random_gmsc_instance(8, 2, 2, 0)
         sol = solve_lp(gi)
         for seed in range(10):
-            perm = gmsc_schedule(gi, seed, sol)
+            perm, _ = gmsc_schedule(gi, seed, sol)
             assert is_permutation(gi.n, perm)
 
     def test_single_agent_clamps_repetitions(self):
         gi = random_gmsc_instance(4, 1, 1, 2)
         sol = solve_lp(gi)
-        perm = gmsc_schedule(gi, 0, sol)
+        perm, _ = gmsc_schedule(gi, 0, sol)
         assert is_permutation(gi.n, perm)
 
     def test_single_element_instance(self):
         gi = single_set_instance(1, {1}, 1)
-        assert gmsc_schedule(gi, 0) == (1,)
+        assert gmsc_schedule(gi, 0, solve_lp(gi)) == ((1,), [])
 
     def test_idempotent_under_seed(self):
         gi = random_gmsc_instance(8, 2, 2, 1)
@@ -302,7 +306,7 @@ class TestSchedule:
         gi = random_gmsc_instance(8, 2, 2, 3)
         sol = solve_lp(gi)
         for seed in range(10):
-            _, phases = gmsc_schedule_detailed(gi, seed, sol)
+            _, phases = gmsc_schedule(gi, seed, sol)
             assert len(phases) == math.ceil(math.log2(gi.n)) * 2 * math.ceil(math.log2(len(gi.agents)))
             for ph in phases:
                 assert ph.emptied or len(ph.picked) <= ph.cap
@@ -315,12 +319,13 @@ def solved_gmsc_instance(n, k, m, s):
 
 
 def reference_schedule(inst, sol, seed):
-    """gmsc_schedule_detailed from round_phase, one (phase, repetition) stream per call."""
+    """gmsc_schedule from round_phase, one (phase, repetition) stream per call."""
     n, k = inst.n, len(inst.agents)
     reps = 2 * math.ceil(math.log2(k)) if k > 1 else 1
     phases = math.ceil(math.log2(n)) if n > 1 else 0
     outputs = [
-        round_phase(sol.x, phase, np.random.SeedSequence(entropy=seed, spawn_key=(phase, rep)))
+        round_phase(phase_probabilities(sol.x, phase), phase,
+                    np.random.SeedSequence(entropy=seed, spawn_key=(phase, rep)))
         for phase in range(1, phases + 1) for rep in range(1, reps + 1)
     ]
     order = list(dict.fromkeys(e for out in outputs for e in out.picked))
@@ -333,8 +338,7 @@ def reference_schedule(inst, sol, seed):
        m=st.integers(1, 2), instance_seed=st.integers(0, 2), seed=st.integers(0, 2**32))
 def test_schedule_matches_per_phase_reference(n, k, m, instance_seed, seed):
     inst, sol = solved_gmsc_instance(n, k, m, instance_seed)
-    order, outputs = gmsc_schedule_detailed(inst, seed, sol)
-    assert (order, outputs) == reference_schedule(inst, sol, seed)
+    assert gmsc_schedule(inst, seed, sol) == reference_schedule(inst, sol, seed)
 
 
 class TestSerialization:

@@ -189,6 +189,10 @@ MALFORMED = {
     ),
     # integer fields are not truncated, and weights and coverage ids are checked
     "float-n": ({**_one_function_doc(), "n": 2.9}, "n 2.9 is not an integer"),
+    "negative-n": (
+        {**_one_function_doc(family="coverage", params={"items": [], "covers": {}}), "n": -3},
+        "n must be at least 0, got -3",
+    ),
     "bool-n": ({**_one_function_doc(), "n": True}, "n True is not an integer"),
     "float-gmsc-K": (
         _one_function_doc(params={"members": [1, 2], "K": 1.5}), "K 1.5 is not an integer"

@@ -69,7 +69,7 @@ def _gmsc(inst):
     return {
         "T_star": repr(sol.T_star),
         "cuts": [[set_id, t, sorted(subset)] for set_id, t, subset in sol.cuts],
-        "schedules": [gmsc_schedule(inst, s, sol) for s in ROUNDING_SEEDS],
+        "schedules": [gmsc_schedule(inst, s, sol)[0] for s in ROUNDING_SEEDS],
     }
 
 
