@@ -26,29 +26,42 @@ reproduces a scalar ``+=`` loop bit for bit; a matrix product would
 reorder the sum and could flip near-ties. Lazy (Minoux) evaluation is not
 used: a normalized gain can grow as the prefix grows.
 
+The kernel also records each tracker's cover time as a pick covers it,
+so a run can report its own permutation: agent costs are weight * time
+summed per agent in function order with one sequential accumulate, bit
+for bit core.cover_report, which stays the reference evaluator. The root
+state, gain matrix included, is built once per instance and kept on it
+(Instance._kernel_root); greedy, NG, every BAG run and brute force start
+from copies of it.
+
 Brute force bounds all children of an expanded node in one batch from
-that matrix, adding the submodular bound ceil(residual / best gain) when
-every weight is an integer, and advances the kernel only into the
-children that survive.
+that matrix, summing w * (known or least possible cover time) per agent
+in function order, adding the submodular bound ceil(residual / best
+gain) when every weight is an integer, and advances the kernel only into
+the children that survive.
 
 BAG runs through one engine, _bag_runs, that takes a list of ratios and
 runs them in lockstep: a ratio changes only the round and pass control,
 so ratios that share a prefix of picks and freeze the same lagging set
 share one _pick call. A single BAG run is the one-ratio case, and ratio
-tuning runs the whole grid at once. All algorithms are deterministic given
-their inputs (and seed, where one exists).
+tuning runs the whole grid at once and scores each run by its report
+(RunTrace.report). All algorithms are deterministic given their inputs
+(and seed, where one exists).
 """
 
 from __future__ import annotations
 
+import copy
+import functools
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from subrank.core import Instance, objective
+from subrank.core import NEVER_COVERED, CoverReport, Instance, objective
 
 # Cells per numpy pass when scoring candidates: candidate rows are taken in
 # chunks so a pick's float temporaries stay near this size.
@@ -59,16 +72,24 @@ class _Kernel:
     """Selection state of one run: trackers, items, states and remaining elements.
 
     Trackers are the instance's distinct oracles (Instance.oracles); num,
-    den and covered hold each one's numerator, denominator and coverage.
-    Items are the oracles' bit positions, stacked in tracker order: hits is
-    the element x item incidence (row e - 1 for element e) and live the
-    weight of each item not yet hit by a pick. States are the
-    (agent, function) pairs in agent then function order; fn maps each to
-    its tracker, and pairs holds its (agent id, weight) as Python numbers
-    for the callers' scalar sums. remaining lists the unpicked elements in
-    ascending order, and gains() their gain matrix, computed once per
-    state. _advance rebinds remaining and drops the matrix; neither is ever
-    changed in place, so save and restore carry both by reference.
+    den and covered hold each one's numerator, denominator and coverage,
+    and time its cover time: the number of picks after which it became
+    covered, 0 when covered at the root and -1 while uncovered. Items are
+    the oracles' bit positions, stacked in tracker order: hits is the
+    element x item incidence (row e - 1 for element e) and live the weight
+    of each item not yet hit by a pick. States are the (agent, function)
+    pairs in agent then function order; fn maps each to its tracker, and
+    pairs holds its (agent id, weight) as Python numbers for the callers'
+    scalar sums. For per-agent sums, cells places every state in a grid of
+    one row per agent, width cells wide: a 0.0 head cell, then the agent's
+    functions in order, then +0.0 padding. remaining lists the unpicked
+    elements in ascending order, and gains() their gain matrix, computed
+    once per state. _advance changes num, live and time in place and
+    rebinds covered, remaining and the matrix; save copies the first four
+    and carries the last two by reference.
+
+    A run starts from start(inst): a copy of the root kept on the instance,
+    so the instance's runs build the root and its gain matrix once.
     """
 
     def __init__(self, inst: Instance):
@@ -77,19 +98,50 @@ class _Kernel:
         self.agent = np.array([a for a, _ in self.pairs], dtype=np.int64)
         self.weight = np.array([w for _, w in self.pairs], dtype=float)
         self.fn = np.array([j for index in inst.oracle_index for j in index], dtype=np.intp)
+        counts = [len(a.functions) for a in inst.agents]
+        self.agents = len(counts)
+        self.width = 1 + max(counts, default=0)
+        # agent i's states are offsets[i]:offsets[i + 1]
+        self.offsets = list(itertools.accumulate(counts, initial=0))
+        owner = np.repeat(np.arange(self.agents, dtype=np.intp), counts)
+        first = np.array(self.offsets[:-1], dtype=np.intp)[owner]  # of each state's agent
+        self.cells = owner * self.width + 1 + np.arange(owner.size) - first
+        # the states in agent id order, function order kept, for BAG's frozen sets
+        self.position = {a.id: i for i, a in enumerate(inst.agents)}
+        self.by_id = np.argsort(self.agent, kind="stable")
+        self.by_id_owner = owner[self.by_id]
         # An oracle without items gets one dead column so reduceat's
         # segments stay nonempty.
         blocks = [f.incidence(inst.n) if f.item_weights else np.zeros((inst.n, 1), np.uint8)
                   for f in oracles]
-        widths = [block.shape[1] for block in blocks]
+        self.widths = np.array([block.shape[1] for block in blocks], dtype=np.intp)
         self.hits = np.concatenate(blocks, axis=1) if blocks else np.zeros((inst.n, 0), np.uint8)
         self.live = np.array([w for f in oracles for w in f.item_weights or (0,)], dtype=float)
-        self.starts = np.cumsum([0] + widths, dtype=np.intp)[:-1]
+        self.starts = np.cumsum(self.widths) - self.widths
         self.den = np.array([f.denominator for f in oracles], dtype=float)
         self.num = np.array([f.numerator(0) for f in oracles], dtype=float)
         self.covered = np.array([f.mask_covers(0) for f in oracles], dtype=bool)
+        self.time = np.where(self.covered, 0, -1)
         self.remaining = list(range(1, inst.n + 1))
         self._gains: Optional[np.ndarray] = None
+
+    @classmethod
+    def start(cls, inst: Instance) -> "_Kernel":
+        """A kernel at the root of inst, copied from the root the instance keeps.
+
+        The first call builds the root and fills its gain matrix; the root's
+        arrays are read-only, and every copy gets its own num, covered,
+        live and time.
+        """
+        root = inst._kernel_root
+        if root is None:
+            root = cls(inst)
+            for array in (root.num, root.covered, root.live, root.time, root.gains()):
+                array.flags.writeable = False
+            object.__setattr__(inst, "_kernel_root", root)
+        kernel = copy.copy(root)
+        kernel.restore(root.save())
+        return kernel
 
     def gains(self) -> np.ndarray:
         """Numerator gains, remaining elements x trackers (exact for uncovered ones)."""
@@ -114,11 +166,74 @@ class _Kernel:
     def uncovered(self) -> list:
         return self.pairs_where(~self.covered[self.fn])
 
+    def states_of(self, agents: tuple) -> np.ndarray:
+        """The states of the agents with these ids, in agent id order then function order."""
+        member = np.zeros(self.agents, dtype=bool)
+        member[[self.position[a] for a in agents]] = True
+        return self.by_id[member[self.by_id_owner]]
+
+    def agent_sums(self, terms: np.ndarray) -> np.ndarray:
+        """Each agent's row of cells in terms (..., agents * width), added left to right.
+
+        A sequential accumulate, so a row starting from its 0.0 head gives
+        the bits of core.sequential_sum over the row's terms.
+        """
+        rows = terms.reshape(*terms.shape[:-1], self.agents, self.width)
+        return np.cumsum(rows, axis=-1)[..., -1]
+
+    def end_times(self) -> np.ndarray:
+        """Tracker cover times once the remaining elements follow in ascending order.
+
+        The state is read, not changed. Each live item of an uncovered
+        tracker counts from its first hit in that tail, so an uncovered
+        tracker's time is where its numerator first reaches the
+        denominator; it stays -1 when the whole tail leaves it uncovered
+        (f(U) < 1).
+        """
+        times = self.time.copy()
+        if self.remaining and not self.covered.all():
+            rows = np.array(self.remaining, dtype=np.intp) - 1
+            trackers = self.den.size
+            # each item's first hit in the tail, counted from the tail's end
+            # (0 for none), in the narrowest type that holds the tail's
+            # length and in column chunks, so temporaries stay near _CHUNK_CELLS
+            countdown = np.arange(rows.size, 0, -1, dtype=np.min_scalar_type(rows.size))[:, None]
+            back = np.empty(self.live.size, countdown.dtype)
+            step = max(1, _CHUNK_CELLS // rows.size)
+            for lo in range(0, back.size, step):
+                np.max(self.hits[rows, lo:lo + step] * countdown, axis=0, out=back[lo:lo + step])
+            tracker = np.repeat(np.arange(trackers), self.widths)  # of each item
+            items = (~self.covered[tracker] & (back > 0)).nonzero()[0]
+            at = (rows.size - back[items].astype(np.intp)) * trackers + tracker[items]
+            gain = np.bincount(at, weights=self.live[items], minlength=rows.size * trackers)
+            reached = self.num + gain.reshape(rows.size, trackers).cumsum(axis=0) >= self.den
+            late = reached[-1] & ~self.covered
+            times[late] = self.hits.shape[0] - rows.size + 1 + reached[:, late].argmax(axis=0)
+        return times
+
+    def report(self, times: np.ndarray) -> CoverReport:
+        """cover_report of a permutation whose trackers have these cover times, bit for bit.
+
+        Each agent's cost is weight * time summed over its functions in
+        order from its 0.0 head, as cover_report adds it. Reads only the
+        layout, which no run changes. Raises ValueError as cover_report
+        does: NEVER_COVERED for a time of -1, and when there is no agent.
+        """
+        if (times < 0).any():
+            raise ValueError(NEVER_COVERED)
+        state_times = times[self.fn]
+        terms = np.zeros(self.agents * self.width)
+        terms[self.cells] = self.weight * state_times
+        flat = state_times.tolist()
+        cover_times = tuple(tuple(flat[lo:hi]) for lo, hi in zip(self.offsets, self.offsets[1:]))
+        return CoverReport.from_costs(cover_times, self.agent_sums(terms).tolist())
+
     def save(self) -> tuple:
-        return self.num.copy(), self.covered.copy(), self.live.copy(), self.remaining, self._gains
+        return (self.num.copy(), self.covered.copy(), self.live.copy(), self.time.copy(),
+                self.remaining, self._gains)
 
     def restore(self, saved: tuple) -> None:
-        self.num, self.covered, self.live, self.remaining, self._gains = saved
+        self.num, self.covered, self.live, self.time, self.remaining, self._gains = saved
 
 
 def _pick(kernel: _Kernel, states: np.ndarray, normalized: bool) -> tuple:
@@ -154,7 +269,8 @@ def _pick(kernel: _Kernel, states: np.ndarray, normalized: bool) -> tuple:
 def _advance(kernel: _Kernel, e: int) -> np.ndarray:
     """Add e to every tracker; return the mask of the states it newly covers.
 
-    A covered tracker's numerator may grow past its denominator here; only
+    The trackers e covers get the number of picks so far as their time. A
+    covered tracker's numerator may grow past its denominator here; only
     uncovered trackers' values are read.
     """
     hit = kernel.hits[e - 1]
@@ -166,7 +282,9 @@ def _advance(kernel: _Kernel, e: int) -> np.ndarray:
     remaining.remove(e)
     kernel.remaining = remaining
     kernel._gains = None
-    return (kernel.covered > was_covered)[kernel.fn]
+    newly = kernel.covered > was_covered
+    kernel.time[newly] = kernel.hits.shape[0] - len(remaining)  # picks so far
+    return newly[kernel.fn]
 
 
 def random_order(inst: Instance, seed: int) -> tuple:
@@ -178,7 +296,7 @@ def random_order(inst: Instance, seed: int) -> tuple:
 
 def _greedy_order(inst: Instance, normalized: bool) -> tuple:
     """Repeated _pick over every function of every agent."""
-    kernel = _Kernel(inst)
+    kernel = _Kernel.start(inst)
     states = np.arange(len(kernel.pairs))
     chosen = []
     while kernel.remaining:
@@ -247,10 +365,21 @@ class PassRecord:
 
 @dataclass
 class RunTrace:
-    """What balanced adaptive greedy did and when."""
+    """What balanced adaptive greedy did and when, and how its permutation scores."""
 
     picks: list = field(default_factory=list)
     passes: list = field(default_factory=list)
+    # builds the report from the cover times the run's kernel recorded
+    _report: Optional[Callable] = field(default=None, repr=False, compare=False)
+
+    @property
+    def report(self) -> CoverReport:
+        """cover_report(inst, permutation) of the run, bit for bit, from its kernel.
+
+        Built when read; raises ValueError where cover_report does (some
+        f(U) < 1, or no agent), so a run on such an instance still ends.
+        """
+        return self._report()
 
     def pick_lines(self) -> list:
         lines = []
@@ -360,9 +489,12 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, tra
     than one child snapshots its state for each later child (as
     brute_force_opt does), and every run's output equals that of its run
     alone.
+
+    An ending run's trace reports its permutation from the kernel's cover
+    times (RunTrace.report); the runs ending at one node share one report,
+    built when first read.
     """
-    kernel = _Kernel(inst)
-    by_agent_id = np.argsort(kernel.agent, kind="stable")  # function order kept
+    kernel = _Kernel.start(inst)
     frozen_states: dict = {}  # frozen agents -> their states in agent order
     rem_weight = dict.fromkeys((a.id for a in inst.agents), 0)
     for agent, w in kernel.uncovered():
@@ -374,16 +506,20 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, tra
     group = runs
     while True:
         requests: dict = {}  # frozen agents -> the runs asking
+        report = None  # of the runs ending at this node
         for run in group:
             frozen = run.request(rem_weight, len(chosen), bool(kernel.remaining))
             if frozen is None:
                 run.perm = tuple(chosen) + tuple(kernel.remaining)
+                report = report or functools.cache(functools.partial(kernel.report,
+                                                                     kernel.end_times()))
+                run.trace._report = report
             else:
                 requests.setdefault(frozen, []).append(run)
         children: dict = {}  # element -> [(run, score)]
         for frozen, asking in requests.items():
             if frozen not in frozen_states:
-                frozen_states[frozen] = by_agent_id[np.isin(kernel.agent[by_agent_id], frozen)]
+                frozen_states[frozen] = kernel.states_of(frozen)
             e, score = _pick(kernel, frozen_states[frozen], True)
             children.setdefault(e, []).extend((run, score) for run in asking)
         if children:
@@ -420,7 +556,8 @@ def balanced_adaptive_greedy(inst: Instance, cfg: Optional[BagConfig] = None):
     their functions never reaches 1. This is the one-ratio case of the
     engine that runs a whole ratio grid in lockstep (_bag_runs).
 
-    Returns (permutation, trace).
+    Returns (permutation, trace); trace.report is the permutation's
+    cover_report, taken from the run's kernel.
     """
     cfg = cfg or BagConfig()
     return _bag_runs(inst, (cfg.ratio,), cfg.drop_fraction, cfg.trace)[0]
@@ -445,21 +582,22 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     tail, which never hurts by submodularity.
 
     An expanded node bounds all its children in one batch from its gain
-    matrix. A child covers a function when num + gain >= den; each agent's
-    cost after it is one sequential sum of its cost and w * (depth + 1) per
-    newly covered function in state order, bit for bit a scalar += loop.
-    A leaf child is closed at once, and only children whose bound is below
-    the incumbent advance the kernel. The bound is max over agents of cost
-    plus w * (depth + 2) per uncovered function, its earliest cover time.
-    When every weight is an integer and n * sum(weights) < 2**53, so every
-    cost and bound is an exact integer, it adds w * (need - 1) with
-    need = ceil(residual / the largest gain any remaining element has for
-    the function at the node), as live-weight gains only shrink; and a
-    function no remaining element advances makes the child a dead end.
-    With fractional weights the rounding of that term could pick another
-    tied leaf, so it is left out; and a leaf is valued by objective, which
-    adds each agent's costs in function order as cover_report does, not in
-    cover-time order, so value is objective(permutation) bit for bit.
+    matrix. A child covers a function when num + gain >= den. Below the
+    child every function has a cover time that is known (the kernel's time
+    for one covered at the node, depth + 1 for one the child covers) or at
+    least depth + 2. The bound is the max over agents of w * that time
+    summed over the agent's functions in function order, as cover_report
+    adds its costs; rounding is monotone, so it never exceeds the
+    objective of a leaf below the child. A leaf child has every time
+    known, so the same sum is its objective bit for bit; it is closed at
+    once, and only children whose bound is below the incumbent advance the
+    kernel. When every weight is an integer and n * sum(weights) < 2**53,
+    so every sum is an exact integer, an uncovered function's time is at
+    least depth + 1 + need with need = ceil(residual / the largest gain any
+    remaining element has for the function at the node), as live-weight
+    gains only shrink; and a function no remaining element advances makes
+    every child a dead end. With fractional weights the rounding of that
+    term could pick another tied leaf, so it is left out.
 
     nodes counts the root and every child entered, those closed or pruned
     on arrival included. Past node_limit the best incumbent is returned
@@ -467,68 +605,54 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     """
     ng = normalized_greedy(inst)
     incumbent = {"perm": ng, "value": objective(inst, ng, "minmax")}
-    kernel = _Kernel(inst)
+    kernel = _Kernel.start(inst)
     fn, weight = kernel.fn, kernel.weight
-    agents = len(inst.agents)
-    # An agent's sums run along its own row of cells: its cost (or 0.0)
-    # first, then one cell per function in state order; padding adds +0.0.
-    width = 1 + max((len(a.functions) for a in inst.agents), default=0)
-    heads = np.arange(agents) * width
-    cells = np.array([i * width + 1 + j for i, a in enumerate(inst.agents)
-                      for j in range(len(a.functions))], dtype=np.intp)
     exact = (all(w >= 0 and float(w).is_integer() for _, w in kernel.pairs)
              and inst.n * sum(w for _, w in kernel.pairs) < 2**53)
     state = {"nodes": 1, "limit_hit": False}
     chosen: list = []
 
-    def agent_sums(terms: np.ndarray) -> np.ndarray:
-        # a sequential accumulate per agent, as a scalar += loop adds
-        return np.cumsum(terms.reshape(*terms.shape[:-1], agents, width), axis=-1)[..., -1]
+    def worst(times: np.ndarray) -> np.ndarray:
+        """Max over agents of w * time summed in function order, per row of tracker times."""
+        terms = np.zeros((*times.shape[:-1], kernel.agents * kernel.width))
+        terms[..., kernel.cells] = weight * times[..., fn]
+        return kernel.agent_sums(terms).max(axis=-1)
 
     def close_leaf(value: float, perm: tuple) -> None:
         if value < incumbent["value"]:
             incumbent["value"] = value
             incumbent["perm"] = perm
 
-    def expand(depth: int, cost: np.ndarray) -> None:
+    def expand(depth: int) -> None:
         gains = kernel.gains()
-        live = ~kernel.covered
+        covered = kernel.covered
         # zero gain now means zero gain forever; such elements wait for the tail
-        rows = (gains[:, live] > 0).any(axis=1).nonzero()[0]
+        rows = (gains[:, ~covered] > 0).any(axis=1).nonzero()[0]
         num = kernel.num + gains[rows]
-        after = (num >= kernel.den) | kernel.covered
-        left = ~after[:, fn]  # the states each child leaves uncovered
-        terms = np.zeros((2, rows.size, agents * width))
-        terms[0][:, heads] = cost
-        terms[0][:, cells] = (left < live[fn]) * (weight * (depth + 1))
-        # an uncovered function's cover time is at least depth + 2, or with
-        # the ceil term depth + 1 + need
-        steps, scale = 1.0, depth + 2
+        after = num >= kernel.den
+        later = depth + 2
         if exact:
             best = gains.max(axis=0)
             need = np.ceil((kernel.den - num) / np.maximum(best, 1.0))
-            steps, scale = (depth + 1 + np.maximum(need, 1.0))[:, fn], 1
-        terms[1][:, cells] = left * weight * steps
-        costs, rest = agent_sums(terms)
-        bounds = (costs + scale * rest).max(axis=1)
-        if exact and (live & (best == 0)).any():  # a function nothing can advance
-            bounds[:] = np.inf
+            later = depth + 1 + np.maximum(need, 1.0)
+        times = np.where(after, depth + 1, later)
+        times[:, covered] = kernel.time[covered]
+        bounds = worst(times).tolist()
+        dead = exact and (~covered & (best == 0)).any()  # a function nothing can advance
+        leaves = (after | covered).all(axis=1).tolist()
         remaining = kernel.remaining
-        leaves = after.all(axis=1).tolist()
-        bounds = bounds.tolist()
         for i, e in enumerate([remaining[r] for r in rows.tolist()]):
             state["nodes"] += 1
             if state["nodes"] > node_limit:
                 state["limit_hit"] = True
                 return
             if leaves[i]:
-                perm = (*chosen, e, *(x for x in remaining if x != e))
-                close_leaf(float(costs[i].max()) if exact else objective(inst, perm), perm)
-            elif bounds[i] < incumbent["value"]:
+                close_leaf(bounds[i], (*chosen, e, *(x for x in remaining if x != e)))
+            elif not dead and bounds[i] < incumbent["value"]:
                 saved = kernel.save()
                 _advance(kernel, e)
                 chosen.append(e)
-                expand(depth + 1, costs[i])
+                expand(depth + 1)
                 chosen.pop()
                 kernel.restore(saved)
                 if state["limit_hit"]:
@@ -538,11 +662,8 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
         state["limit_hit"] = True
     elif kernel.covered.all():
         close_leaf(0.0, tuple(kernel.remaining))
-    else:
-        uncovered = np.zeros(agents * width)
-        uncovered[cells] = ~kernel.covered[fn] * weight
-        if agent_sums(uncovered).max() < incumbent["value"]:
-            expand(0, np.zeros(agents))
+    elif worst(np.where(kernel.covered, 0, 1)) < incumbent["value"]:
+        expand(0)
     return BruteForceResult(
         permutation=incumbent["perm"],
         value=incumbent["value"],

@@ -21,6 +21,9 @@ import numpy as np
 # An ordering of the ground set: a tuple containing each of 1..n exactly once.
 Permutation = tuple
 
+#: What evaluators raise (as ValueError) for a function with f(U) < 1.
+NEVER_COVERED = "function never reaches the unit threshold on this permutation"
+
 #: Largest accepted denominator. Numerators up to it are exact in float64,
 #: which the vectorised selection kernel relies on.
 MAX_DENOMINATOR = 2**53
@@ -229,6 +232,10 @@ class Instance:
     W: float = field(init=False)
     oracles: tuple = field(init=False, repr=False, compare=False)
     oracle_index: tuple = field(init=False, repr=False, compare=False)
+    # The selection kernel's root state, built on the first run and kept
+    # here (like an oracle's incidence) so every later run on the instance
+    # starts from a copy of it; see algorithms._Kernel.start.
+    _kernel_root = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -327,7 +334,7 @@ def cover_time(f: SetSystemOracle, pi: Sequence[int]) -> int:
         mask |= element_mask(e)
         if mask_covers(mask):
             return t
-    raise ValueError("function never reaches the unit threshold on this permutation")
+    raise ValueError(NEVER_COVERED)
 
 
 def agent_cost(inst: Instance, agent_id: int, pi: Sequence[int]) -> float:
@@ -362,16 +369,30 @@ class CoverReport:
     minmax: float
     average: float
 
+    @staticmethod
+    def from_costs(cover_times: tuple, costs: list) -> "CoverReport":
+        """The report of these per-agent times and costs; ValueError when there is no agent."""
+        if not costs:
+            raise ValueError("instance has no agents")
+        return CoverReport(
+            cover_times=cover_times,
+            agent_costs=tuple(costs),
+            minmax=max(costs),
+            average=sequential_sum(costs) / len(costs),
+        )
+
 
 def cover_report(inst: Instance, pi: Sequence[int]) -> CoverReport:
-    """Cover times and costs of every agent under pi.
+    """Cover times and costs of every agent under pi: the reference evaluator.
 
     Each distinct oracle (by identity) is timed once, however many agents
-    hold it. Raises ValueError unless pi is a permutation of 1..n.
+    hold it, by walking pi with scalar numerators. BAG runs report the same
+    thing from their kernel (algorithms._Kernel.report), and tests hold
+    those reports to this one bit for bit. Raises ValueError unless pi is a
+    permutation of 1..n, when the instance has no agents, and when some
+    function never reaches 1 (NEVER_COVERED).
     """
     _require_permutation(inst, pi)
-    if not inst.agents:
-        raise ValueError("instance has no agents")
     by_oracle = [cover_time(f, pi) for f in inst.oracles]
     times = tuple(tuple(map(by_oracle.__getitem__, index)) for index in inst.oracle_index)
     # an agent's cost sums weight * time over its functions in order; from
@@ -380,12 +401,7 @@ def cover_report(inst: Instance, pi: Sequence[int]) -> CoverReport:
         sequential_sum(map(mul, map(itemgetter(1), agent.functions), agent_times))
         for agent, agent_times in zip(inst.agents, times)
     ]
-    return CoverReport(
-        cover_times=times,
-        agent_costs=tuple(costs),
-        minmax=max(costs),
-        average=sequential_sum(costs) / len(costs),
-    )
+    return CoverReport.from_costs(times, costs)
 
 
 # --- validation ---------------------------------------------------------

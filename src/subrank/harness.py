@@ -8,6 +8,8 @@ algorithms over a (K, M) grid of cells and a list of seeds, recording both
 the max and the average agent cost, and tune the baseline-decay ratio of
 balanced adaptive greedy per instance over a fixed grid. The tuning time
 (tune_ms) is recorded apart from the final run's time (runtime_ms).
+Random, greedy and NG rows are scored by cover_report; tuning and the bag
+row take their objectives from the BAG runs' own reports, which equal it.
 
 Seeding: one master seed per (cell, run) splits into independent streams
 for row sampling, weight sampling, and the random baseline, via
@@ -180,22 +182,22 @@ def tune_ratio(
     Returns (ratio, objective) for mode "minmax" or "average"; ties go to
     the smaller ratio. Grid values outside (0, 1) are dropped since the
     baseline must decay strictly. All ratios run in one lockstep pass that
-    shares their common picks (algorithms._bag_runs), and each distinct
-    permutation is scored once.
+    shares their common picks (algorithms._bag_runs), and each run is
+    scored by its own report, which its kernel recorded (equal to
+    cover_report of its permutation). Raises ValueError as cover_report
+    does when some f(U) < 1.
     """
     if mode not in OBJECTIVES:
         raise ValueError(f"unknown objective {mode!r}; expected one of {', '.join(OBJECTIVES)}")
     usable = sorted(r for r in grid if 0.0 < r < 1.0)
     if not usable:
         raise ValueError("ratio grid is empty after filtering endpoints")
-    values: dict = {}  # permutation -> its objective
     best = None
-    for r, (perm, _) in zip(usable, _bag_runs(inst, usable, BagConfig().drop_fraction, False)):
-        if perm not in values:
-            report = cover_report(inst, perm)
-            values[perm] = report.minmax if mode == "minmax" else report.average
-        if best is None or values[perm] < best[1]:
-            best = (r, values[perm])
+    for r, (_, trace) in zip(usable, _bag_runs(inst, usable, BagConfig().drop_fraction, False)):
+        report = trace.report
+        value = report.minmax if mode == "minmax" else report.average
+        if best is None or value < best[1]:
+            best = (r, value)
     return best
 
 
@@ -425,9 +427,9 @@ def _sweep_cell(cfg: ExperimentConfig, table: Optional[DataTable], K: int, M: in
     t0 = time.perf_counter()
     ratio, _ = tune_ratio(inst, cfg.ratio_grid, cfg.objective)
     t1 = time.perf_counter()
-    perm, _ = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio))
+    _, trace = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio))
     ms = (time.perf_counter() - t1) * 1000.0
-    report = cover_report(inst, perm)
+    report = trace.report
     rows.append(ResultRow("bag", cell_k, cell_m, ratio, seed,
                           report.minmax, report.average, ms, (t1 - t0) * 1000.0))
     return rows

@@ -10,7 +10,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from subrank.core import Agent, Instance, cover_report, is_permutation, objective
+from subrank.core import (
+    Agent,
+    Instance,
+    cover_report,
+    cover_time,
+    is_permutation,
+    objective,
+    sequential_sum,
+)
 from subrank.functions import (
     GmscSet,
     OdtTable,
@@ -25,6 +33,9 @@ from subrank import algorithms
 from subrank.algorithms import (
     BagConfig,
     BruteForceResult,
+    PassRecord,
+    PickRecord,
+    RunTrace,
     _Kernel,
     _advance,
     _bag_runs,
@@ -241,7 +252,7 @@ class TestBruteForce:
             for perm in itertools.permutations(range(1, 6))
         )
         assert result.optimal
-        assert result.value == pytest.approx(exhaustive, abs=1e-12)
+        assert result.value == exhaustive
 
     def test_lower_bounds_every_heuristic(self):
         rng = random.Random(0)
@@ -435,7 +446,9 @@ def _check_kernel(inst, kernel, picks):
         mask = f.union_mask(picks)
         assert kernel.covered[j] == f.mask_covers(mask)
         if kernel.covered[j]:
+            assert kernel.time[j] == cover_time(f, picks)
             continue  # a covered tracker's gains are never read
+        assert kernel.time[j] == -1
         for row, e in enumerate(kernel.remaining):
             assert gains[row, j] == f.numerator(mask | f.element_mask(e)) - f.numerator(mask)
 
@@ -443,7 +456,7 @@ def _check_kernel(inst, kernel, picks):
 @settings(max_examples=150, deadline=None)
 @given(inst=st.one_of(tie_prone_instances(), shared_oracle_instances()), data=st.data())
 def test_kernel_gains_follow_advance_save_restore(inst, data):
-    """After any walk of picks, saves and restores, the gain cache is exact."""
+    """After any walk of picks, saves and restores, the gain cache and cover times are exact."""
     kernel = _Kernel(inst)
     picks: list = []
     stack: list = []
@@ -560,24 +573,27 @@ def _outcome(fn, *args):
 def reference_brute_force(inst, node_limit=2_000_000):
     """brute_force_opt entering every child and bounding it on arrival.
 
-    Each child saves the kernel, advances it, adds w * (depth + 1) per
-    newly covered function to its agent's cost and is pruned when
-    max(cost + (depth + 1) * uncovered weight) reaches the incumbent. A
-    leaf is valued by objective, as cover_report adds the costs.
+    Each child saves the kernel, advances it and is pruned when the max
+    over agents of w * (the function's cover time within the prefix, or
+    depth + 1 while the prefix leaves it uncovered), summed in function
+    order as cover_report sums, reaches the incumbent. The cover times come
+    from scalar numerators. A leaf is valued by objective.
     """
     ng = normalized_greedy(inst)
     incumbent = {"perm": ng, "value": objective(inst, ng, "minmax")}
     kernel = _Kernel(inst)
-    agent_ids = [a.id for a in inst.agents]
     state = {"nodes": 0, "limit_hit": False}
-    partial = {i: 0.0 for i in agent_ids}
     chosen: list = []
 
     def bound(depth):
-        uncovered = dict.fromkeys(agent_ids, 0)
-        for agent, w in kernel.uncovered():
-            uncovered[agent] += w
-        return max(partial[i] + (depth + 1) * uncovered[i] for i in agent_ids)
+        def time(f):
+            try:
+                return cover_time(f, chosen)
+            except ValueError:  # not covered within the prefix
+                return depth + 1
+
+        return max(sequential_sum(w * time(f) for f, w in agent.functions)
+                   for agent in inst.agents)
 
     def close_leaf():
         perm = tuple(chosen) + tuple(kernel.remaining)
@@ -601,13 +617,10 @@ def reference_brute_force(inst, node_limit=2_000_000):
             if state["limit_hit"] or not use:
                 continue
             saved = kernel.save()
-            saved_partial = dict(partial)
-            for agent, w in kernel.pairs_where(_advance(kernel, e)):
-                partial[agent] += w * (depth + 1)
+            _advance(kernel, e)
             chosen.append(e)
             search(depth + 1)
             chosen.pop()
-            partial.update(saved_partial)
             kernel.restore(saved)
 
     search(0)
@@ -715,17 +728,26 @@ def fractional_family_instances(draw):
     return Instance(n=n, agents=tuple(agents))
 
 
+_TABLE3 = OdtTable(rows=((0, 0), (0, 1), (1, 0)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(inst=fractional_family_instances())
 # summed in cover-time order this is 1.8; objective sums in function order: 1.8000000000000003
 @example(inst=Instance(n=3, agents=(Agent(id=1, functions=tuple(
     (singleton_function(e), w) for e, w in ((1, 0.1), (2, 0.2), (3, 1.1)))),)))
+# (1, 2) costs 1.3699999999999999 in function order, (2, 1) costs 1.37; a bound
+# summed in cover-time order reads 1.37 for (1, 2) and prunes it
+@example(inst=Instance(n=2, agents=(Agent(id=1, functions=(
+    (odt_function(_TABLE3, 2), 1.0 / 3.0),
+    (coverage_function([(1, 1)], {1: {1}, 2: {1}}), 0.37),
+    (odt_function(_TABLE3, 3), 1.0 / 3.0))),)))
 def test_brute_force_value_is_the_objective_of_its_permutation(inst):
     result = brute_force_opt(inst)
     assert result.optimal
     assert result.value == objective(inst, result.permutation)  # bit for bit
-    best = min(objective(inst, p) for p in itertools.permutations(range(1, inst.n + 1)))
-    assert result.value == pytest.approx(best, rel=1e-12, abs=0.0)
+    orders = itertools.permutations(range(1, inst.n + 1))
+    assert result.value == min(objective(inst, p) for p in orders)
 
 
 def test_instance_rejects_non_set_system_functions():
@@ -737,3 +759,180 @@ def test_instance_rejects_non_set_system_functions():
 
     with pytest.raises(TypeError, match="FloatOracle is not a SetSystemOracle"):
         Instance(n=1, agents=(Agent(id=1, functions=((FloatOracle(), 1.0),)),))
+
+
+@st.composite
+def any_family_instances(draw):
+    """Agents holding oracles of every family, some shared, coverable or not.
+
+    Weights are all integers or all drawn from FRACTIONAL_WEIGHTS, and agent
+    ids are a shuffle of 1..k, so agent order and id order differ.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    pool = draw(family_oracles(n))
+    weights = st.sampled_from(draw(st.sampled_from([(1.0, 2.0, 3.0), FRACTIONAL_WEIGHTS])))
+    ids = draw(st.permutations(range(1, draw(st.integers(min_value=1, max_value=4)) + 1)))
+    agents = []
+    for i in ids:
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        agents.append(Agent(id=i, functions=tuple((f, draw(weights)) for f in picks)))
+    return Instance(n=n, agents=tuple(agents))
+
+
+def reference_bag(inst, ratio, drop_fraction):
+    """Balanced adaptive greedy from its definition, on scalar numerators.
+
+    Round p targets the baseline ratio^p * W. An agent lags while its
+    remaining weight (that of its functions the prefix leaves below 1)
+    exceeds the baseline. A pass freezes the lagging agents and picks, for
+    each step, the first element of largest normalized gain summed over the
+    frozen agents' uncovered functions, in agent id then function order,
+    until the lagging set falls below drop_fraction of the frozen one; the
+    next pass freezes what still lags, and a round ends when nothing does.
+    The run ends when a round starts with no agent lagging, or no element
+    remains; the elements left follow in index order. Returns
+    (permutation, RunTrace) with remaining-weight snapshots.
+    """
+    n = inst.n
+    states = [(a.id, f, w) for a in inst.agents for f, w in a.functions]
+    by_id = {a.id: a for a in inst.agents}
+    chosen: list = []
+
+    def value(f, prefix):
+        return f.numerator(f.union_mask(prefix))
+
+    def uncovered():
+        return [value(f, chosen) != f.denominator for _, f, _ in states]
+
+    rem = dict.fromkeys((a.id for a in inst.agents), 0)
+    for (agent, _, w), open_ in zip(states, uncovered()):
+        if open_:
+            rem[agent] += w
+
+    def lagging(b):
+        return tuple(sorted(i for i, w in rem.items() if w > b))
+
+    def score(e, frozen):
+        total = 0.0
+        for agent in frozen:
+            for f, w in by_id[agent].functions:
+                before = value(f, chosen)
+                if before == f.denominator:
+                    continue
+                gain = (value(f, chosen + [e]) - before) / f.denominator
+                total += w * gain / (1.0 - before / f.denominator)
+        return total
+
+    trace = RunTrace()
+    p = 0
+    while len(chosen) < n:
+        p += 1
+        b = ratio ** p * inst.W
+        frozen = lagging(b)
+        q = 0
+        while frozen:
+            q += 1
+            rec = PassRecord(round_index=p, pass_index=q, frozen_agents=frozen, baseline=b,
+                             prev_baseline=ratio ** (p - 1) * inst.W, start_t=len(chosen) + 1)
+            trace.passes.append(rec)
+            while True:
+                remaining = [e for e in range(1, n + 1) if e not in chosen]
+                e = max(remaining, key=lambda x: score(x, frozen))  # the first of equals
+                best = score(e, frozen)
+                was = uncovered()
+                chosen.append(e)
+                for (agent, _, w), before, now in zip(states, was, uncovered()):
+                    if before and not now:
+                        rem[agent] -= w
+                active = lagging(b)
+                trace.picks.append(PickRecord(t=len(chosen), element=e, round_index=p,
+                                              pass_index=q, score=best, active_after=active,
+                                              remaining_weights=dict(rem)))
+                if len(chosen) == n or len(active) < drop_fraction * len(frozen):
+                    break
+            rec.end_t = len(chosen)
+            frozen = active if len(chosen) < n else ()
+        if q == 0:
+            break
+    tail = tuple(e for e in range(1, n + 1) if e not in chosen)
+    return tuple(chosen) + tail, trace
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inst=st.one_of(any_family_instances(), fractional_family_instances(), tie_prone_instances()),
+    ratio=st.sampled_from((0.1, 0.35, 2.0 / 3.0, 0.9)),
+    drop_fraction=st.sampled_from((0.5, 0.75, 1.0)),
+)
+@example(inst=hard_family(9, 0.01), ratio=2.0 / 3.0, drop_fraction=0.75)
+@example(inst=random_coverage_instance(8, 3, 3, 2), ratio=0.35, drop_fraction=0.75)
+def test_bag_matches_reference(inst, ratio, drop_fraction):
+    """The kernel's BAG records what BAG's definition does, pick for pick."""
+    perm, trace = balanced_adaptive_greedy(
+        inst, BagConfig(ratio=ratio, drop_fraction=drop_fraction, trace=True))
+    ref_perm, ref = reference_bag(inst, ratio, drop_fraction)
+    assert perm == ref_perm
+    assert trace.pick_lines() == ref.pick_lines()
+    assert trace.picks == ref.picks
+    assert trace.passes == ref.passes
+
+
+def _report_bits(report):
+    """A CoverReport with every float as its exact hex form."""
+    return (report.cover_times, [c.hex() for c in report.agent_costs],
+            report.minmax.hex(), report.average.hex())
+
+
+def _run_report(trace):
+    return _report_bits(trace.report)
+
+
+def _reference_report(inst, perm):
+    return _report_bits(cover_report(inst, perm))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inst=st.one_of(any_family_instances(), fractional_family_instances(), tie_prone_instances()),
+    drop_fraction=st.sampled_from((0.5, 0.75, 1.0)),
+)
+@example(inst=Instance(n=2, agents=()), drop_fraction=0.75)
+@example(inst=Instance(n=2, agents=(Agent(id=1, functions=()),)), drop_fraction=0.75)
+@example(inst=hard_family(9, 0.01), drop_fraction=0.75)
+def test_run_reports_are_cover_report(inst, drop_fraction):
+    """Every BAG run's report is cover_report of its permutation, bit for bit.
+
+    On an instance with some f(U) < 1 (or no agent) both raise the same
+    ValueError. Tuning scores its runs by these reports, and the final run
+    at the tuned ratio repeats the tuned permutation and its objective.
+    """
+    runs = _bag_runs(inst, DEFAULT_RATIO_GRID, drop_fraction, False)
+    for perm, trace in runs:
+        assert _outcome(_run_report, trace) == _outcome(_reference_report, inst, perm)
+    for ratio in (0.05, 2.0 / 3.0, 0.95):
+        perm, trace = balanced_adaptive_greedy(inst, BagConfig(ratio, drop_fraction))
+        assert _outcome(_run_report, trace) == _outcome(_reference_report, inst, perm)
+    for mode in ("minmax", "average"):
+        tuned = _outcome(tune_ratio, inst, DEFAULT_RATIO_GRID, mode)
+        if isinstance(tuned, str):
+            assert tuned == _outcome(_reference_report, inst, tuple(range(1, inst.n + 1)))
+            continue
+        ratio, value = tuned
+        perm, trace = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio))
+        tuned_runs = _bag_runs(inst, DEFAULT_RATIO_GRID, BagConfig.drop_fraction, False)
+        assert perm == tuned_runs[DEFAULT_RATIO_GRID.index(ratio)][0]
+        assert getattr(trace.report, "minmax" if mode == "minmax" else "average") == value
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=any_family_instances(), data=st.data())
+def test_frozen_states_lookup_matches_isin(inst, data):
+    """states_of gives the index array np.isin over the id-sorted states gives."""
+    kernel = _Kernel(inst)
+    by_id = np.argsort(kernel.agent, kind="stable")
+    frozen = tuple(sorted(data.draw(st.sets(st.sampled_from([a.id for a in inst.agents]),
+                                            min_size=1))))
+    expected = by_id[np.isin(kernel.agent[by_id], frozen)]
+    got = kernel.states_of(frozen)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)

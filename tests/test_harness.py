@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from subrank import harness
+from subrank import algorithms, harness
 from subrank.core import objective
 from subrank.harness import (
     DEFAULT_RATIO_GRID,
@@ -289,6 +289,33 @@ class TestSweep:
         assert _strip(rows) == _strip(sweep(cfg, jobs=1).rows)
         assert sweep(small_synthetic_cfg(seeds=(0,)), jobs=10_000).rows
         assert started == [3]  # one cell runs in this process
+
+    def test_cell_builds_one_kernel_and_scores_three_rows(self, monkeypatch):
+        """Greedy, NG, tuning and the final BAG share one kernel root; the bag
+        row's objectives come from its run, so only random, greedy and NG
+        go through cover_report."""
+        builds, scored = [], []
+        init, score = algorithms._Kernel.__init__, harness.cover_report
+
+        def counted_init(kernel, inst):
+            builds.append(inst)
+            init(kernel, inst)
+
+        def counted_score(inst, perm):
+            scored.append(perm)
+            return score(inst, perm)
+
+        monkeypatch.setattr(algorithms._Kernel, "__init__", counted_init)
+        monkeypatch.setattr(harness, "cover_report", counted_score)
+        cfg = small_synthetic_cfg(K=(6,), M=(8,), seeds=(0,))
+        rows = harness._sweep_cell(cfg, harness._source_table(cfg), 6, 8, 0)
+        assert len(builds) == 1
+        assert len(scored) == 3
+        bag = rows[-1]
+        inst = builds[0]
+        perm, _ = balanced_adaptive_greedy(inst, BagConfig(ratio=bag.ratio))
+        assert bag.objective_minmax == objective(inst, perm, "minmax")
+        assert bag.objective_avg == objective(inst, perm, "average")
 
 
 def _strip(rows):
