@@ -19,18 +19,21 @@ weights, summed per oracle. These integer sums are exact in float64
 (Instance caps the denominator at 2**53). The gains depend only on the
 kernel state, not on which states a pick scores, so the kernel computes
 the remaining x trackers gain matrix once per state, on the first ask
-after a pick; every _pick at that state (BAG's frozen sets, the ratios of
-a tuning grid) and brute force's child bounds read it. A candidate's
-terms are summed with a sequential accumulate in state order, which
-reproduces a scalar ``+=`` loop bit for bit; a matrix product would
-reorder the sum and could flip near-ties. Lazy (Minoux) evaluation is not
-used: a normalized gain can grow as the prefix grows.
+after a pick, then that matrix over each tracker's denominator; every
+_pick at that state (BAG's frozen sets, the ratios of a tuning grid)
+reads the second, and brute force's child bounds the first. Once most
+items are dead, the fill reads only the live items' columns; the sums are
+exact, so skipping the dead items' zeros changes no bit. A candidate's terms are summed with a
+sequential accumulate in state order, which reproduces a scalar ``+=``
+loop bit for bit; a matrix product would reorder the sum and could flip
+near-ties. Lazy (Minoux) evaluation is not used: a normalized gain can
+grow as the prefix grows.
 
 The kernel also records each tracker's cover time as a pick covers it,
 so a run can report its own permutation: agent costs are weight * time
 summed per agent in function order with one sequential accumulate, bit
 for bit core.cover_report, which stays the reference evaluator. The root
-state, gain matrix included, is built once per instance and kept on it
+state, gain matrices included, is built once per instance and kept on it
 (Instance._kernel_root); greedy, NG, every BAG run and brute force start
 from copies of it.
 
@@ -43,8 +46,8 @@ the children that survive.
 BAG runs through one engine, _bag_runs, that takes a list of ratios and
 runs them in lockstep: a ratio changes only the round and pass control,
 so ratios that share a prefix of picks and freeze the same lagging set
-share one _pick call. A single BAG run is the one-ratio case, and ratio
-tuning runs the whole grid at once and scores each run by its report
+share one _pick call (and one lagging set per baseline). A single BAG
+run is the one-ratio case, and ratio tuning runs the whole grid at once and scores each run by its report
 (RunTrace.report). All algorithms are deterministic given their inputs
 (and seed, where one exists).
 """
@@ -66,6 +69,10 @@ from subrank.core import NEVER_COVERED, CoverReport, Instance, objective
 # Cells per numpy pass when scoring candidates: candidate rows are taken in
 # chunks so a pick's float temporaries stay near this size.
 _CHUNK_CELLS = 1 << 14
+# A gain fill reads only the live items' columns once remaining rows x dead
+# items reaches this many cells; below it, gathering the live columns costs
+# more than multiplying the dead ones by 0.
+_LIVE_FILL_CELLS = 1 << 12
 
 
 class _Kernel:
@@ -76,17 +83,21 @@ class _Kernel:
     and time its cover time: the number of picks after which it became
     covered, 0 when covered at the root and -1 while uncovered. Items are
     the oracles' bit positions, stacked in tracker order: hits is the
-    element x item incidence (row e - 1 for element e) and live the weight
-    of each item not yet hit by a pick. States are the (agent, function)
-    pairs in agent then function order; fn maps each to its tracker, and
+    element x item incidence (row e - 1 for element e), live the weight
+    of each item not yet hit by a pick (0.0 once dead) and owner its
+    tracker, whose items start at column starts[j]. States are the (agent,
+    function) pairs in agent then function order; fn maps each to its tracker, and
     pairs holds its (agent id, weight) as Python numbers for the callers'
     scalar sums. For per-agent sums, cells places every state in a grid of
     one row per agent, width cells wide: a 0.0 head cell, then the agent's
     functions in order, then +0.0 padding. remaining lists the unpicked
-    elements in ascending order, and gains() their gain matrix, computed
-    once per state. _advance changes num, live and time in place and
-    rebinds covered, remaining and the matrix; save copies the first four
-    and carries the last two by reference.
+    elements in ascending order, gains() their gain matrix and scaled()
+    that matrix over each tracker's denominator, each computed once per
+    state. _advance changes num, live and time in place and rebinds
+    covered, remaining and the matrices; save copies the first four and
+    carries the last three by reference. A fill sums hits * live over each
+    tracker's run of item columns; from _LIVE_FILL_CELLS remaining rows x
+    dead items on, it reads only the live columns.
 
     A run starts from start(inst): a copy of the root kept on the instance,
     so the instance's runs build the root and its gain matrix once.
@@ -103,13 +114,13 @@ class _Kernel:
         self.width = 1 + max(counts, default=0)
         # agent i's states are offsets[i]:offsets[i + 1]
         self.offsets = list(itertools.accumulate(counts, initial=0))
-        owner = np.repeat(np.arange(self.agents, dtype=np.intp), counts)
-        first = np.array(self.offsets[:-1], dtype=np.intp)[owner]  # of each state's agent
-        self.cells = owner * self.width + 1 + np.arange(owner.size) - first
+        agent_of = np.repeat(np.arange(self.agents, dtype=np.intp), counts)  # of each state
+        first = np.array(self.offsets[:-1], dtype=np.intp)[agent_of]  # of each state's agent
+        self.cells = agent_of * self.width + 1 + np.arange(agent_of.size) - first
         # the states in agent id order, function order kept, for BAG's frozen sets
         self.position = {a.id: i for i, a in enumerate(inst.agents)}
         self.by_id = np.argsort(self.agent, kind="stable")
-        self.by_id_owner = owner[self.by_id]
+        self.by_id_owner = agent_of[self.by_id]
         # An oracle without items gets one dead column so reduceat's
         # segments stay nonempty.
         blocks = [f.incidence(inst.n) if f.item_weights else np.zeros((inst.n, 1), np.uint8)
@@ -118,12 +129,14 @@ class _Kernel:
         self.hits = np.concatenate(blocks, axis=1) if blocks else np.zeros((inst.n, 0), np.uint8)
         self.live = np.array([w for f in oracles for w in f.item_weights or (0,)], dtype=float)
         self.starts = np.cumsum(self.widths) - self.widths
+        self.owner = np.repeat(np.arange(len(oracles), dtype=np.intp), self.widths)  # of each item
         self.den = np.array([f.denominator for f in oracles], dtype=float)
         self.num = np.array([f.numerator(0) for f in oracles], dtype=float)
         self.covered = np.array([f.mask_covers(0) for f in oracles], dtype=bool)
         self.time = np.where(self.covered, 0, -1)
         self.remaining = list(range(1, inst.n + 1))
         self._gains: Optional[np.ndarray] = None
+        self._scaled: Optional[np.ndarray] = None
 
     @classmethod
     def start(cls, inst: Instance) -> "_Kernel":
@@ -136,7 +149,8 @@ class _Kernel:
         root = inst._kernel_root
         if root is None:
             root = cls(inst)
-            for array in (root.num, root.covered, root.live, root.time, root.gains()):
+            for array in (root.num, root.covered, root.live, root.time, root.gains(),
+                          root.scaled()):
                 array.flags.writeable = False
             object.__setattr__(inst, "_kernel_root", root)
         kernel = copy.copy(root)
@@ -149,14 +163,29 @@ class _Kernel:
             self._gains = self._fill_gains()
         return self._gains
 
+    def scaled(self) -> np.ndarray:
+        """gains() over each tracker's denominator, computed once per state."""
+        if self._scaled is None:
+            self._scaled = self.gains() / self.den
+        return self._scaled
+
     def _fill_gains(self) -> np.ndarray:
         rows = np.array(self.remaining, dtype=np.intp) - 1
-        out = np.empty((rows.size, self.den.size))
+        out = np.zeros((rows.size, self.den.size))
+        # every item column, each tracker's run from its start ...
+        items, live, heads, trackers = slice(None), self.live, self.starts, slice(None)
+        if rows.size * (live.size - np.count_nonzero(live)) >= _LIVE_FILL_CELLS:
+            # ... or only the live ones, each tracker's run from its first
+            # live column; a tracker without live items keeps its 0.0
+            items = live.nonzero()[0]
+            owner = self.owner[items]
+            heads = np.flatnonzero(np.diff(owner, prepend=-1))
+            live, trackers = live[items], owner[heads]
         # rows in chunks, so the product's temporaries stay near _CHUNK_CELLS
-        step = max(1, _CHUNK_CELLS // max(1, self.live.size))
+        step = max(1, _CHUNK_CELLS // max(1, live.size))
         for lo in range(0, rows.size, step):
-            block = self.hits[rows[lo:lo + step]] * self.live
-            np.add.reduceat(block, self.starts, axis=1, out=out[lo:lo + step])
+            block = self.hits[rows[lo:lo + step]][:, items] * live
+            out[lo:lo + step, trackers] = np.add.reduceat(block, heads, axis=1)
         return out
 
     def pairs_where(self, mask: np.ndarray) -> list:
@@ -202,9 +231,8 @@ class _Kernel:
             step = max(1, _CHUNK_CELLS // rows.size)
             for lo in range(0, back.size, step):
                 np.max(self.hits[rows, lo:lo + step] * countdown, axis=0, out=back[lo:lo + step])
-            tracker = np.repeat(np.arange(trackers), self.widths)  # of each item
-            items = (~self.covered[tracker] & (back > 0)).nonzero()[0]
-            at = (rows.size - back[items].astype(np.intp)) * trackers + tracker[items]
+            items = (~self.covered[self.owner] & (back > 0)).nonzero()[0]
+            at = (rows.size - back[items].astype(np.intp)) * trackers + self.owner[items]
             gain = np.bincount(at, weights=self.live[items], minlength=rows.size * trackers)
             reached = self.num + gain.reshape(rows.size, trackers).cumsum(axis=0) >= self.den
             late = reached[-1] & ~self.covered
@@ -230,36 +258,38 @@ class _Kernel:
 
     def save(self) -> tuple:
         return (self.num.copy(), self.covered.copy(), self.live.copy(), self.time.copy(),
-                self.remaining, self._gains)
+                self.remaining, self._gains, self._scaled)
 
     def restore(self, saved: tuple) -> None:
-        self.num, self.covered, self.live, self.time, self.remaining, self._gains = saved
+        (self.num, self.covered, self.live, self.time, self.remaining, self._gains,
+         self._scaled) = saved
 
 
 def _pick(kernel: _Kernel, states: np.ndarray, normalized: bool) -> tuple:
     """(element, score) maximizing the summed weighted gain over uncovered states.
 
     Each uncovered state of states, in the given order, adds
-    weight * gain / residual, with residual 1 - value when normalized and
-    exactly 1.0 otherwise. Candidates are kernel.remaining, which is
-    ascending, so the first maximum is the smallest-index one.
+    ((gain / den) * weight) / residual, with residual 1 - value when
+    normalized; greedy's residual is 1.0, so its division is left out.
+    gain / den is read from kernel.scaled(). Candidates are kernel.remaining, which is ascending, so the
+    first maximum is the smallest-index one.
     """
     remaining = kernel.remaining
     uncovered = states[~kernel.covered[kernel.fn[states]]]
     if not uncovered.size:
         return remaining[0], 0.0
     fn = kernel.fn[uncovered]
-    den = kernel.den[fn]
     weight = kernel.weight[uncovered]
-    residual = 1.0 - kernel.num[fn] / den if normalized else np.ones(fn.size)
-    gains = kernel.gains()
+    if normalized:
+        residual = 1.0 - kernel.num[fn] / kernel.den[fn]
+    scaled = kernel.scaled()
     step = max(1, _CHUNK_CELLS // fn.size)
     scores = np.empty(len(remaining))
     for lo in range(0, scores.size, step):
-        terms = gains[lo:lo + step, fn]
-        terms /= den
+        terms = scaled[lo:lo + step, fn]
         terms *= weight
-        terms /= residual
+        if normalized:
+            terms /= residual
         # a sequential accumulate, so the sum matches a scalar += loop bit for bit
         scores[lo:lo + step] = np.cumsum(terms, axis=1, out=terms)[:, -1]
     best = int(np.argmax(scores))  # first maximum
@@ -281,7 +311,7 @@ def _advance(kernel: _Kernel, e: int) -> np.ndarray:
     remaining = kernel.remaining.copy()
     remaining.remove(e)
     kernel.remaining = remaining
-    kernel._gains = None
+    kernel._gains = kernel._scaled = None
     newly = kernel.covered > was_covered
     kernel.time[newly] = kernel.hits.shape[0] - len(remaining)  # picks so far
     return newly[kernel.fn]
@@ -406,8 +436,9 @@ def write_trace_jsonl(trace: RunTrace, path: str) -> None:
 class _BagRun:
     """Round and pass control of one ratio's run, and its trace.
 
-    Between picks the run only reads the shared remaining weights, so runs
-    of different ratios can follow one prefix of picks together.
+    Between picks the run only reads lagging sets of the shared remaining
+    weights, so runs of different ratios can follow one prefix of picks
+    together.
     """
 
     def __init__(self, ratio: float, drop_fraction: float, total: float):
@@ -428,12 +459,14 @@ class _BagRun:
     def lagging(rem_weight: dict, b: float) -> tuple:
         return tuple(sorted(i for i, w in rem_weight.items() if w > b))
 
-    def request(self, rem_weight: dict, depth: int, more: bool) -> Optional[tuple]:
+    def request(self, lagging: Callable[[float], tuple], depth: int,
+                more: bool) -> Optional[tuple]:
         """Frozen agents of this run's next pick after depth picks; None when it ends.
 
-        more says whether elements remain. A pass keeps its frozen set while
-        the lagging set after the last pick is at least drop_fraction of
-        it; the next pass freezes that lagging set, and once it is empty
+        lagging(b) gives the agents lagging behind baseline b at this node,
+        and more says whether elements remain. A pass keeps its frozen set
+        while the lagging set after the last pick is at least drop_fraction
+        of it; the next pass freezes that lagging set, and once it is empty
         the next round lowers the baseline. The run ends when no element
         remains or no agent lags behind the new baseline.
         """
@@ -448,7 +481,7 @@ class _BagRun:
             return None
         self.p += 1
         self.b = self.baseline(self.p)
-        active = self.lagging(rem_weight, self.b)
+        active = lagging(self.b)
         return self._open_pass(1, active, depth) if active else None
 
     def _open_pass(self, q: int, frozen: tuple, depth: int) -> tuple:
@@ -463,8 +496,9 @@ class _BagRun:
         self.trace.passes.append(self.open)
         return frozen
 
-    def record(self, t: int, e: int, score: float, rem_weight: dict, weights) -> None:
-        self.active = self.lagging(rem_weight, self.b)
+    def record(self, t: int, e: int, score: float, active: tuple, weights) -> None:
+        """Append pick t; active is lagging(rem_weight, self.b) after it."""
+        self.active = active
         self.trace.picks.append(
             PickRecord(
                 t=t,
@@ -492,13 +526,16 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, tra
 
     An ending run's trace reports its permutation from the kernel's cover
     times (RunTrace.report); the runs ending at one node share one report,
-    built when first read.
+    built when first read. Likewise the picks into a node and the round
+    starts at it find each baseline's lagging set once.
     """
     kernel = _Kernel.start(inst)
     frozen_states: dict = {}  # frozen agents -> their states in agent order
     rem_weight = dict.fromkeys((a.id for a in inst.agents), 0)
     for agent, w in kernel.uncovered():
         rem_weight[agent] += w
+    # baseline -> lagging agents at this node; rebuilt whenever rem_weight changes
+    lagging = functools.cache(functools.partial(_BagRun.lagging, rem_weight))
     chosen: list = []
     runs = [_BagRun(r, drop_fraction, inst.W) for r in ratios]
     # (kernel snapshot, remaining weights, depth, element, [(run, score)])
@@ -508,7 +545,7 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, tra
         requests: dict = {}  # frozen agents -> the runs asking
         report = None  # of the runs ending at this node
         for run in group:
-            frozen = run.request(rem_weight, len(chosen), bool(kernel.remaining))
+            frozen = run.request(lagging, len(chosen), bool(kernel.remaining))
             if frozen is None:
                 run.perm = tuple(chosen) + tuple(kernel.remaining)
                 report = report or functools.cache(functools.partial(kernel.report,
@@ -536,9 +573,10 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, tra
         chosen.append(e)
         for agent, w in kernel.pairs_where(_advance(kernel, e)):
             rem_weight[agent] -= w
+        lagging = functools.cache(functools.partial(_BagRun.lagging, rem_weight))
         weights = dict(rem_weight) if trace else None
         for run, score in picked:
-            run.record(len(chosen), e, score, rem_weight, weights)
+            run.record(len(chosen), e, score, lagging(run.b), weights)
         group = [run for run, _ in picked]
     return [(run.perm, run.trace) for run in runs]
 

@@ -19,7 +19,9 @@ w}], covers: {elem: [ids]}} with distinct ids, w >= 1 and each element in
 1..n at most once; odt -> {table_ref, row} with table_ref resolved against
 the top-level "tables" object; gmsc -> {members: [...], K} with members in
 1..n; singleton -> {element} with element in 1..n. n, ids, w, elements,
-row, members and K are JSON integers, never floats or booleans. Weights
+row, members and K are JSON integers, never floats or booleans; a covers
+key, a JSON string, is ASCII digits only (no sign, space, underscore or
+other script's digits). Weights
 are positive finite numbers. A denominator (a coverage function's total
 item weight) may not exceed 2**53. Every fault raises an
 InstanceFormatError naming the field.
@@ -201,9 +203,13 @@ def _coverage(items_doc, covers_doc, n: int) -> CoverageFunction:
         raise ValueError("item ids repeat")
     outside = f"covers keys must be elements of 1..{n}"
     covers = _typed(covers_doc, dict, "covers")
+    # int() alone would also take " 10 ", "1_0", "+1" and non-ASCII digits
+    keys = "".join(covers)
+    if covers and not (keys.isascii() and keys.isdigit()):
+        raise ValueError(outside)
     try:
         elements = list(map(int, covers))
-    except ValueError:
+    except ValueError:  # an empty key
         raise ValueError(outside) from None
     if elements and not (min(elements) >= 1 and max(elements) <= n):
         raise ValueError(outside)

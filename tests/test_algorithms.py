@@ -4,6 +4,8 @@ import copy
 import itertools
 import json
 import random
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from subrank.algorithms import (
     PassRecord,
     PickRecord,
     RunTrace,
+    _BagRun,
     _Kernel,
     _advance,
     _bag_runs,
@@ -434,14 +437,19 @@ def test_one_element_gain_is_linear_in_item_incidence(data):
             assert f.numerator(mask | bits) - f.numerator(mask) == expected
 
 
-def _check_kernel(inst, kernel, picks):
-    """The kernel's cached gains and remaining elements after the picks."""
-    assert kernel.remaining == [e for e in range(1, inst.n + 1) if e not in picks]
+def _full_fill(kernel):
+    """The gain matrix from every item column, dead ones included."""
     rows = np.array(kernel.remaining, dtype=np.intp) - 1
+    return np.add.reduceat(kernel.hits[rows] * kernel.live, kernel.starts, axis=1)
+
+
+def _check_kernel(inst, kernel, picks):
+    """The kernel's cached gains, scaled gains and remaining elements after the picks."""
+    assert kernel.remaining == [e for e in range(1, inst.n + 1) if e not in picks]
     gains = kernel.gains()
     assert gains.shape == (len(kernel.remaining), len(inst.oracles))
-    assert np.array_equal(gains, np.add.reduceat(kernel.hits[rows] * kernel.live,
-                                                 kernel.starts, axis=1))
+    assert np.array_equal(gains, _full_fill(kernel))
+    assert np.array_equal(kernel.scaled(), gains / kernel.den)
     for j, f in enumerate(inst.oracles):
         mask = f.union_mask(picks)
         assert kernel.covered[j] == f.mask_covers(mask)
@@ -453,52 +461,103 @@ def _check_kernel(inst, kernel, picks):
             assert gains[row, j] == f.numerator(mask | f.element_mask(e)) - f.numerator(mask)
 
 
+@pytest.mark.parametrize("live_fill_cells", [0, algorithms._LIVE_FILL_CELLS])
 @settings(max_examples=150, deadline=None)
 @given(inst=st.one_of(tie_prone_instances(), shared_oracle_instances()), data=st.data())
-def test_kernel_gains_follow_advance_save_restore(inst, data):
-    """After any walk of picks, saves and restores, the gain cache and cover times are exact."""
-    kernel = _Kernel(inst)
-    picks: list = []
-    stack: list = []
-    _check_kernel(inst, kernel, picks)
-    for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
-        actions = ["save"] + ["advance"] * bool(kernel.remaining) + ["restore"] * bool(stack)
-        action = data.draw(st.sampled_from(actions))
-        if action == "advance":
-            e = data.draw(st.sampled_from(kernel.remaining))
-            _advance(kernel, e)
-            picks.append(e)
-        elif action == "save":
-            gains = kernel.gains()
-            stack.append((kernel.save(), kernel.remaining, gains, list(picks)))
-        else:
-            saved, remaining, gains, picks = stack.pop()
-            kernel.restore(saved)
-            assert kernel.remaining is remaining
-            assert kernel.gains() is gains
+def test_kernel_gains_follow_advance_save_restore(live_fill_cells, inst, data):
+    """After any walk of picks, saves and restores, the gain caches and cover times are exact.
+
+    At threshold 0 every fill reads only live items; at the module's
+    threshold these small instances fill from every item.
+    """
+    with mock.patch.object(algorithms, "_LIVE_FILL_CELLS", live_fill_cells):
+        kernel = _Kernel(inst)
+        picks: list = []
+        stack: list = []
         _check_kernel(inst, kernel, picks)
+        for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
+            actions = ["save"] + ["advance"] * bool(kernel.remaining) + ["restore"] * bool(stack)
+            action = data.draw(st.sampled_from(actions))
+            if action == "advance":
+                e = data.draw(st.sampled_from(kernel.remaining))
+                _advance(kernel, e)
+                picks.append(e)
+            elif action == "save":
+                gains, scaled = kernel.gains(), kernel.scaled()
+                stack.append((kernel.save(), kernel.remaining, gains, scaled, list(picks)))
+            else:
+                saved, remaining, gains, scaled, picks = stack.pop()
+                kernel.restore(saved)
+                assert kernel.remaining is remaining
+                assert kernel.gains() is gains
+                assert kernel.scaled() is scaled
+            _check_kernel(inst, kernel, picks)
 
 
 def test_tune_ratio_fills_gains_once_per_state(monkeypatch):
-    """The ratios' picks at one kernel state share that state's gain fill."""
-    fills, picks = [], []
-    fill, pick = _Kernel._fill_gains, algorithms._pick
+    """The ratios' picks at one kernel state share that state's gain fill and division."""
+    fills, divisions, picks = [], [], []
+    fill, scaled, pick = _Kernel._fill_gains, _Kernel.scaled, algorithms._pick
 
     def counted_fill(kernel):
         # _advance makes a new remaining list per state; holding each keeps ids unique
         fills.append(kernel.remaining)
         return fill(kernel)
 
+    def counted_scaled(kernel):
+        if kernel._scaled is None:
+            divisions.append(kernel.remaining)
+        return scaled(kernel)
+
     def counted_pick(*args):
         picks.append(args)
         return pick(*args)
 
     monkeypatch.setattr(_Kernel, "_fill_gains", counted_fill)
+    monkeypatch.setattr(_Kernel, "scaled", counted_scaled)
     monkeypatch.setattr(algorithms, "_pick", counted_pick)
     inst = build_instance(discretize(synthetic_table(600, 22, 10, 20)), 20, 20, 31)
     tune_ratio(inst)
     assert 0 < len(fills) < len(picks)
     assert len({id(remaining) for remaining in fills}) == len(fills)
+    assert 0 < len(divisions) < len(picks)
+    assert len({id(remaining) for remaining in divisions}) == len(divisions)
+
+
+def test_live_fills_equal_full_fills(monkeypatch):
+    """On odt K=10, M=100, tuning fills some states from live items only, bit for bit."""
+    paths = []
+    fill = _Kernel._fill_gains
+
+    def checked_fill(kernel):
+        dead = kernel.live.size - np.count_nonzero(kernel.live)
+        paths.append(len(kernel.remaining) * dead >= algorithms._LIVE_FILL_CELLS)
+        gains = fill(kernel)
+        assert np.array_equal(gains, _full_fill(kernel))
+        return gains
+
+    monkeypatch.setattr(_Kernel, "_fill_gains", checked_fill)
+    tune_ratio(build_instance(discretize(synthetic_table(600, 22, 10, 20)), 10, 100, 31))
+    assert any(paths)
+
+
+def test_tune_ratio_finds_each_lagging_set_once_per_node(monkeypatch):
+    """BAG runs at one node share each baseline's lagging set."""
+    node, calls = [0], Counter()  # node: advances so far, since every advance makes one
+    advance, lagging = algorithms._advance, _BagRun.lagging
+
+    def counted_advance(kernel, e):
+        node[0] += 1
+        return advance(kernel, e)
+
+    def counted_lagging(rem_weight, b):
+        calls[node[0], b] += 1
+        return lagging(rem_weight, b)
+
+    monkeypatch.setattr(algorithms, "_advance", counted_advance)
+    monkeypatch.setattr(_BagRun, "lagging", staticmethod(counted_lagging))
+    tune_ratio(build_instance(discretize(synthetic_table(600, 22, 10, 20)), 50, 50, 31))
+    assert calls and max(calls.values()) == 1
 
 
 def _bag_outputs(inst):
@@ -571,17 +630,19 @@ def _outcome(fn, *args):
 
 
 def reference_brute_force(inst, node_limit=2_000_000):
-    """brute_force_opt entering every child and bounding it on arrival.
+    """brute_force_opt entering every child and bounding it on arrival, without the kernel.
 
-    Each child saves the kernel, advances it and is pruned when the max
-    over agents of w * (the function's cover time within the prefix, or
-    depth + 1 while the prefix leaves it uncovered), summed in function
-    order as cover_report sums, reaches the incumbent. The cover times come
-    from scalar numerators. A leaf is valued by objective.
+    A node's children are its remaining elements, in ascending order, that
+    raise the numerator of some function the prefix leaves uncovered. Each
+    child is pruned when the max over agents of w * (the function's cover
+    time within the prefix, or depth + 1 while the prefix leaves it
+    uncovered), summed in function order as cover_report sums, reaches the
+    incumbent. Coverage, gains and cover times come from scalar numerators.
+    A leaf is valued by objective.
     """
     ng = normalized_greedy(inst)
     incumbent = {"perm": ng, "value": objective(inst, ng, "minmax")}
-    kernel = _Kernel(inst)
+    functions = [f for agent in inst.agents for f, _ in agent.functions]
     state = {"nodes": 0, "limit_hit": False}
     chosen: list = []
 
@@ -595,8 +656,11 @@ def reference_brute_force(inst, node_limit=2_000_000):
         return max(sequential_sum(w * time(f) for f, w in agent.functions)
                    for agent in inst.agents)
 
+    def remaining():
+        return [e for e in range(1, inst.n + 1) if e not in chosen]
+
     def close_leaf():
-        perm = tuple(chosen) + tuple(kernel.remaining)
+        perm = tuple(chosen) + tuple(remaining())
         value = objective(inst, perm, "minmax")
         if value < incumbent["value"]:
             incumbent["value"] = value
@@ -607,21 +671,21 @@ def reference_brute_force(inst, node_limit=2_000_000):
         if state["nodes"] > node_limit:
             state["limit_hit"] = True
             return
-        if kernel.covered.all():
+        masks = [(f, f.union_mask(chosen)) for f in functions]
+        uncovered = [(f, mask) for f, mask in masks if not f.mask_covers(mask)]
+        if not uncovered:
             close_leaf()
             return
         if bound(depth) >= incumbent["value"]:
             return
-        useful = (kernel.gains()[:, ~kernel.covered] > 0).any(axis=1)
-        for e, use in zip(kernel.remaining, useful.tolist()):
-            if state["limit_hit"] or not use:
-                continue
-            saved = kernel.save()
-            _advance(kernel, e)
-            chosen.append(e)
-            search(depth + 1)
-            chosen.pop()
-            kernel.restore(saved)
+        for e in remaining():
+            if state["limit_hit"]:
+                return
+            if any(f.numerator(mask | f.element_mask(e)) > f.numerator(mask)
+                   for f, mask in uncovered):
+                chosen.append(e)
+                search(depth + 1)
+                chosen.pop()
 
     search(0)
     return BruteForceResult(permutation=incumbent["perm"], value=incumbent["value"],

@@ -6,7 +6,8 @@ Every document a user can hand to ``solve``, ``gmsc-bench`` or
 keys or list entries, swapping values for null, lists, objects, strings,
 booleans and small or negative numbers, and adding stray keys. Integers are
 drawn from -3..40, so no mutation asks for a huge ground set; fixed
-examples add covers keys and item ids too large for a 64-bit integer.
+examples add covers keys and item ids too large for a 64-bit integer, and
+covers keys that Python's int() reads but a file may not use.
 """
 
 import copy
@@ -50,9 +51,9 @@ CONFIG_DOCS = [
 ]
 
 
-def _coverage_doc(covers):
-    """One coverage function with item id 1 over n = 2; the keys and ids are the fuzz."""
-    return {"n": 2, "agents": [{"functions": [
+def _coverage_doc(covers, n=2):
+    """One coverage function with item id 1 over 1..n; the keys and ids are the fuzz."""
+    return {"n": n, "agents": [{"functions": [
         {"family": "coverage", "params": {"items": [{"id": 1, "w": 1}], "covers": covers},
          "weight": 1.0}]}]}
 
@@ -128,6 +129,10 @@ FUZZ = settings(max_examples=150, deadline=None,
 @example(doc=_coverage_doc({"1": [1], "2": [2**70]}), algo="greedy")
 @example(doc=_coverage_doc({"1": [True], "2": [1]}), algo="greedy")
 @example(doc=_coverage_doc({"1": [1, 1], "2": [1]}), algo="brute")  # loads; counts once
+@example(doc=_coverage_doc({"1_0": [1]}, n=10), algo="greedy")  # keys int() would take
+@example(doc=_coverage_doc({" 10 ": [1]}, n=10), algo="greedy")
+@example(doc=_coverage_doc({"\u0661\u0660": [1]}, n=10), algo="greedy")
+@example(doc=_coverage_doc({"+1": [1], "2": [1]}), algo="greedy")
 def test_solve_survives_mutated_instances(doc, algo, capsys, caplog):
     assert_clean_exit(["solve", "--instance", "{doc}", "--algo", algo, "--node-limit", "200"],
                       doc, "inst.json", capsys, caplog)

@@ -151,10 +151,11 @@ def _one_function_doc(**fields):
     return {"n": 2, "agents": [{"functions": [{k: v for k, v in fn.items() if v is not None}]}]}
 
 
-def _coverage_doc(items=({"id": 1, "w": 1},), covers=None):
-    """A one-function coverage document over n = 2 with the given params."""
-    return _one_function_doc(family="coverage", params={
+def _coverage_doc(items=({"id": 1, "w": 1},), covers=None, n=2):
+    """A one-function coverage document over 1..n (default 2) with the given params."""
+    doc = _one_function_doc(family="coverage", params={
         "items": list(items), "covers": covers or {"1": [1], "2": [1]}})
+    return {**doc, "n": n}
 
 
 MALFORMED = {
@@ -233,6 +234,20 @@ MALFORMED = {
     ),
     "repeated-coverage-item-id": (  # used to fail validation as f(U) = 2/3
         _coverage_doc(items=[{"id": 1, "w": 1}, {"id": 1, "w": 2}]), "item ids repeat"
+    ),
+    # int() used to load each of these keys as an element
+    "underscore-covers-key": (
+        _coverage_doc(covers={"1_0": [1]}, n=10), r"covers keys must be elements of 1\.\.10"
+    ),
+    "spaced-covers-key": (
+        _coverage_doc(covers={" 10 ": [1]}, n=10), r"covers keys must be elements of 1\.\.10"
+    ),
+    "arabic-indic-covers-key": (
+        _coverage_doc(covers={"\u0661\u0660": [1]}, n=10),
+        r"covers keys must be elements of 1\.\.10",
+    ),
+    "signed-covers-key": (
+        _coverage_doc(covers={"+1": [1], "2": [1]}), r"covers keys must be elements of 1\.\.2"
     ),
     "aliased-covers-keys": (  # "01" used to overwrite what "1" covers
         _coverage_doc(covers={"1": [1], "2": [1], "01": []}), "covers names an element twice"
