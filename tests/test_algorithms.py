@@ -461,15 +461,8 @@ def _check_kernel(inst, kernel, picks):
             assert gains[row, j] == f.numerator(mask | f.element_mask(e)) - f.numerator(mask)
 
 
-@pytest.mark.parametrize("live_fill_cells", [0, algorithms._LIVE_FILL_CELLS])
-@settings(max_examples=150, deadline=None)
-@given(inst=st.one_of(tie_prone_instances(), shared_oracle_instances()), data=st.data())
-def test_kernel_gains_follow_advance_save_restore(live_fill_cells, inst, data):
-    """After any walk of picks, saves and restores, the gain caches and cover times are exact.
-
-    At threshold 0 every fill reads only live items; at the module's
-    threshold these small instances fill from every item.
-    """
+def _walk_kernel(inst, data, live_fill_cells):
+    """Walk a kernel through drawn picks, saves and restores, checking each state."""
     with mock.patch.object(algorithms, "_LIVE_FILL_CELLS", live_fill_cells):
         kernel = _Kernel(inst)
         picks: list = []
@@ -492,6 +485,23 @@ def test_kernel_gains_follow_advance_save_restore(live_fill_cells, inst, data):
                 assert kernel.gains() is gains
                 assert kernel.scaled() is scaled
             _check_kernel(inst, kernel, picks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=st.one_of(tie_prone_instances(), shared_oracle_instances()), data=st.data())
+def test_kernel_gains_follow_advance_save_restore(inst, data):
+    """After any walk of picks, saves and restores, the gain caches and cover times are exact.
+
+    At the module's threshold these small instances fill from every item.
+    """
+    _walk_kernel(inst, data, algorithms._LIVE_FILL_CELLS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=st.one_of(tie_prone_instances(), shared_oracle_instances()), data=st.data())
+def test_kernel_gains_follow_advance_save_restore_live_fill(inst, data):
+    """As above, with threshold 0 so every fill reads only live items."""
+    _walk_kernel(inst, data, 0)
 
 
 def test_tune_ratio_fills_gains_once_per_state(monkeypatch):
