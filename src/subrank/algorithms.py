@@ -30,9 +30,10 @@ near-ties. Lazy (Minoux) evaluation is not used: a normalized gain can
 grow as the prefix grows.
 
 The kernel also records each tracker's cover time as a pick covers it,
-so a run can report its own permutation: agent costs are weight * time
-summed per agent in function order with one sequential accumulate, bit
-for bit core.cover_report, which stays the reference evaluator. The root
+so greedy, NG and every BAG run can report their own permutations
+(_greedy_run, RunTrace.report): agent costs are weight * time summed per
+agent in function order with one sequential accumulate, bit for bit
+core.cover_report, which stays the reference evaluator. The root
 state, gain matrices included, is built once per instance and kept on it
 (Instance._kernel_root); greedy, NG, every BAG run and brute force start
 from copies of it.
@@ -47,9 +48,9 @@ BAG runs through one engine, _bag_runs, that takes a list of ratios and
 runs them in lockstep: a ratio changes only the round and pass control,
 so ratios that share a prefix of picks and freeze the same lagging set
 share one _pick call (and one lagging set per baseline). A single BAG
-run is the one-ratio case, and ratio tuning runs the whole grid at once and scores each run by its report
-(RunTrace.report). All algorithms are deterministic given their inputs
-(and seed, where one exists).
+run is the one-ratio case, and ratio tuning runs the whole grid at once
+and scores each run by its report (RunTrace.report). All algorithms are
+deterministic given their inputs (and seed, where one exists).
 """
 
 from __future__ import annotations
@@ -60,11 +61,12 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from subrank.core import NEVER_COVERED, CoverReport, Instance, objective
+from subrank.core import NEVER_COVERED, CoverReport, Instance
 
 # Cells per numpy pass when scoring candidates: candidate rows are taken in
 # chunks so a pick's float temporaries stay near this size.
@@ -105,11 +107,14 @@ class _Kernel:
 
     def __init__(self, inst: Instance):
         oracles = inst.oracles
-        self.pairs = [(a.id, w) for a in inst.agents for _, w in a.functions]
-        self.agent = np.array([a for a, _ in self.pairs], dtype=np.int64)
-        self.weight = np.array([w for _, w in self.pairs], dtype=float)
-        self.fn = np.array([j for index in inst.oracle_index for j in index], dtype=np.intp)
+        chain = itertools.chain.from_iterable
+        ids = [a.id for a in inst.agents]
         counts = [len(a.functions) for a in inst.agents]
+        weights = list(chain(map(itemgetter(1), a.functions) for a in inst.agents))
+        self.pairs = list(zip(chain(map(itertools.repeat, ids, counts)), weights))
+        self.agent = np.repeat(np.array(ids, dtype=np.int64), counts)
+        self.weight = np.array(weights, dtype=float)
+        self.fn = np.fromiter(chain(inst.oracle_index), dtype=np.intp, count=len(weights))
         self.agents = len(counts)
         self.width = 1 + max(counts, default=0)
         # agent i's states are offsets[i]:offsets[i + 1]
@@ -127,7 +132,7 @@ class _Kernel:
                   for f in oracles]
         self.widths = np.array([block.shape[1] for block in blocks], dtype=np.intp)
         self.hits = np.concatenate(blocks, axis=1) if blocks else np.zeros((inst.n, 0), np.uint8)
-        self.live = np.array([w for f in oracles for w in f.item_weights or (0,)], dtype=float)
+        self.live = np.fromiter(chain(f.item_weights or (0,) for f in oracles), dtype=float)
         self.starts = np.cumsum(self.widths) - self.widths
         self.owner = np.repeat(np.arange(len(oracles), dtype=np.intp), self.widths)  # of each item
         self.den = np.array([f.denominator for f in oracles], dtype=float)
@@ -324,8 +329,14 @@ def random_order(inst: Instance, seed: int) -> tuple:
     return tuple(order)
 
 
-def _greedy_order(inst: Instance, normalized: bool) -> tuple:
-    """Repeated _pick over every function of every agent."""
+def _greedy_run(inst: Instance, normalized: bool) -> tuple:
+    """(permutation, report) of repeated _pick over every function of every agent.
+
+    report() is the permutation's cover_report, bit for bit, built from the
+    cover times the run's kernel recorded; it raises ValueError where
+    cover_report does (some f(U) < 1, or no agent), so the run itself
+    still ends.
+    """
     kernel = _Kernel.start(inst)
     states = np.arange(len(kernel.pairs))
     chosen = []
@@ -333,12 +344,12 @@ def _greedy_order(inst: Instance, normalized: bool) -> tuple:
         e, _ = _pick(kernel, states, normalized)
         chosen.append(e)
         _advance(kernel, e)
-    return tuple(chosen)
+    return tuple(chosen), functools.partial(kernel.report, kernel.time)
 
 
 def greedy(inst: Instance) -> tuple:
     """Pick the element with maximum total weighted marginal gain each step."""
-    return _greedy_order(inst, normalized=False)
+    return _greedy_run(inst, normalized=False)[0]
 
 
 def normalized_greedy(inst: Instance) -> tuple:
@@ -347,7 +358,7 @@ def normalized_greedy(inst: Instance) -> tuple:
     All functions of all agents are stacked into one pool; covered functions
     contribute nothing.
     """
-    return _greedy_order(inst, normalized=True)
+    return _greedy_run(inst, normalized=True)[0]
 
 
 @dataclass(frozen=True)
@@ -613,11 +624,12 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     """Exact minimum of the max weighted cover time, by branch and bound.
 
     Depth-first search over permutation prefixes in ascending element
-    order, seeded with the normalized greedy incumbent, which only a
-    strictly better leaf replaces: with any valid bound it returns the
-    first optimal leaf in that order, or the NG order when nothing beats
-    it. Elements with zero gain for every uncovered function wait for the
-    tail, which never hurts by submodularity.
+    order, seeded with the normalized greedy incumbent (valued by its
+    run's own report), which only a strictly better leaf replaces: with
+    any valid bound it returns the first optimal leaf in that order, or
+    the NG order when nothing beats it. Elements with zero gain for every
+    uncovered function wait for the tail, which never hurts by
+    submodularity.
 
     An expanded node bounds all its children in one batch from its gain
     matrix. A child covers a function when num + gain >= den. Below the
@@ -641,8 +653,8 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     on arrival included. Past node_limit the best incumbent is returned
     flagged non-optimal. Deterministic; intended for n <= 10.
     """
-    ng = normalized_greedy(inst)
-    incumbent = {"perm": ng, "value": objective(inst, ng, "minmax")}
+    ng, ng_report = _greedy_run(inst, normalized=True)
+    incumbent = {"perm": ng, "value": ng_report().minmax}
     kernel = _Kernel.start(inst)
     fn, weight = kernel.fn, kernel.weight
     exact = (all(w >= 0 and float(w).is_integer() for _, w in kernel.pairs)

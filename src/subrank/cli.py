@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a sweep config")
     p.add_argument("--config", required=True, help="JSON config path")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
+    p.add_argument("--jobs", type=positive_int, default=1, help="parallel sweep cells")
 
     p = sub.add_parser("gmsc-bench", help="LP bound plus rounding benchmark")
     p.add_argument("--instance", required=True,
@@ -156,7 +156,8 @@ def _cmd_solve(args) -> int:
             print("warning: node limit exceeded; result may be suboptimal",
                   file=sys.stderr)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    report = cover_report(inst, perm)
+    # a bag run reports its own permutation; the others are scored by cover_report
+    report = cover_report(inst, perm) if trace is None else trace.report
     print("permutation:", " ".join(str(e) for e in perm))
     print(f"minmax: {report.minmax:.6f}")
     print(f"average: {report.average:.6f}")

@@ -11,9 +11,10 @@ parallel workers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -46,12 +47,13 @@ class SetSystemOracle:
     elements 1..span (later ones hit nothing). A family either names its
     hits as (element, item position) pairs in _hit_pairs, and
     seal_incidences builds the matrix with one fancy-index assignment, or
-    builds the matrix itself and calls _seal (decision tables, from one
-    comparison of their codes). The element masks (element id -> int
-    bitmask over item positions), which the scalar numerator reference and
-    cover_time read, come from the same matrix in one pass. Pair-built
-    oracles are sealed together when an Instance is built, or one at a time
-    when element_mask or incidence first needs them.
+    gets it elsewhere and calls _seal (a decision-table row takes its block
+    of the incidences its table builds for all rows in one pass). The
+    element masks (element id -> int bitmask over item positions), which
+    the scalar numerator reference and cover_time read, come from the same
+    matrix in one pass. Pair-built oracles are sealed together when an
+    Instance is built, or one at a time when element_mask or incidence
+    first needs them.
     """
 
     denominator: int = 1
@@ -159,7 +161,8 @@ def block_masks(hits: np.ndarray, widths: Sequence[int]) -> list:
     when row e - 1 marks the block's item p. One packbits pass gives the
     bytes. The blocks of at most 64 items, the common case, then take one
     shifted reduceat that sums each block's bytes into one 64-bit word per
-    row; a wider block reads each row's bytes with int.from_bytes.
+    row; a wider block reads each row's bytes with int.from_bytes, sliced
+    from one bytes copy of the packed matrix.
     """
     rows = hits.shape[0]
     nbytes = [-(-w // 8) for w in widths]
@@ -173,6 +176,8 @@ def block_masks(hits: np.ndarray, widths: Sequence[int]) -> list:
         segments = [lo for lo, b in zip(starts, nbytes) if b]
         sums = np.add.reduceat(np.left_shift(packed, shifts, dtype=np.uint64), segments, axis=1)
         words = iter(sums.T.tolist())  # one list per nonempty block
+    raw = packed.tobytes() if any(b > 8 for b in nbytes) else b""
+    stride = packed.shape[1]
     masks = []
     for lo, b in zip(starts, nbytes):
         if not b:
@@ -181,8 +186,8 @@ def block_masks(hits: np.ndarray, widths: Sequence[int]) -> list:
             masks.append(next(words))
         else:
             next(words, None)  # a wide block's word sums overlap, so they are skipped
-            raw = packed[:, lo:lo + b].tobytes()
-            masks.append([int.from_bytes(raw[i:i + b], "little") for i in range(0, len(raw), b)])
+            masks.append([int.from_bytes(raw[at:at + b], "little")
+                          for at in range(lo, len(raw), stride)])
     return masks
 
 
@@ -192,11 +197,9 @@ def sequential_sum(values: Iterable[float]) -> float:
     The builtin sum of floats compensates its rounding from CPython 3.12
     on, so it can differ from this in the last place; every float total
     an output depends on goes through here instead, on every version.
+    reduce makes the same additions in the same order as a += loop, in C.
     """
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+    return functools.reduce(add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -207,7 +210,7 @@ class Agent:
     functions: tuple  # tuple of (SetSystemOracle, float)
 
     def total_weight(self) -> float:
-        return sequential_sum(w for _, w in self.functions)
+        return sequential_sum(map(itemgetter(1), self.functions))
 
 
 @dataclass(frozen=True)
@@ -218,8 +221,10 @@ class Instance:
     agent total weight, or 0.0) are derived from the agents. Raises
     TypeError on a function that is not a SetSystemOracle, and ValueError
     on n below 0, duplicate agent ids, a denominator above MAX_DENOMINATOR
-    or an element id below 1. The oracles not sealed yet get their
-    incidences in one seal_incidences pass.
+    or an element id below 1. Each distinct oracle is checked once, where
+    it first appears in agent order, so the error raised is that of the
+    first bad function. The oracles not sealed yet get their incidences in
+    one seal_incidences pass.
 
     oracles lists the distinct oracles (by identity) in first-appearance
     order, and oracle_index holds, per agent, the position in oracles of
@@ -248,21 +253,25 @@ class Instance:
             if agent.id in seen:
                 raise ValueError(f"duplicate agent id {agent.id}")
             seen.add(agent.id)
-            agent_index = []
-            for f, _ in agent.functions:
-                if not isinstance(f, SetSystemOracle):
-                    raise TypeError(
-                        f"agent {agent.id}: {type(f).__name__} is not a SetSystemOracle"
-                    )
-                if f.denominator > MAX_DENOMINATOR:
-                    raise ValueError(
-                        f"agent {agent.id}: denominator {f.denominator} exceeds 2**53"
-                    )
-                if id(f) not in position:
+            ids = list(map(id, map(itemgetter(0), agent.functions)))
+            agent_index = tuple(map(position.get, ids))
+            if None in agent_index:
+                # each oracle is checked once, where it first appears
+                for f, _ in agent.functions:
+                    if id(f) in position:
+                        continue
+                    if not isinstance(f, SetSystemOracle):
+                        raise TypeError(
+                            f"agent {agent.id}: {type(f).__name__} is not a SetSystemOracle"
+                        )
+                    if f.denominator > MAX_DENOMINATOR:
+                        raise ValueError(
+                            f"agent {agent.id}: denominator {f.denominator} exceeds 2**53"
+                        )
                     position[id(f)] = len(oracles)
                     oracles.append(f)
-                agent_index.append(position[id(f)])
-            index.append(tuple(agent_index))
+                agent_index = tuple(map(position.__getitem__, ids))
+            index.append(agent_index)
         seal_incidences([f for f in oracles if f._hits is None])
         object.__setattr__(self, "oracles", tuple(oracles))
         object.__setattr__(self, "oracle_index", tuple(index))
@@ -386,11 +395,11 @@ def cover_report(inst: Instance, pi: Sequence[int]) -> CoverReport:
     """Cover times and costs of every agent under pi: the reference evaluator.
 
     Each distinct oracle (by identity) is timed once, however many agents
-    hold it, by walking pi with scalar numerators. BAG runs report the same
-    thing from their kernel (algorithms._Kernel.report), and tests hold
-    those reports to this one bit for bit. Raises ValueError unless pi is a
-    permutation of 1..n, when the instance has no agents, and when some
-    function never reaches 1 (NEVER_COVERED).
+    hold it, by walking pi with scalar numerators. Greedy, NG and BAG runs
+    report the same thing from their kernel (algorithms._Kernel.report),
+    and tests hold those reports to this one bit for bit. Raises
+    ValueError unless pi is a permutation of 1..n, when the instance has
+    no agents, and when some function never reaches 1 (NEVER_COVERED).
     """
     _require_permutation(inst, pi)
     by_oracle = [cover_time(f, pi) for f in inst.oracles]

@@ -8,9 +8,10 @@ denominator, computes its own numerator and says what each element hits:
 coverage as its (element, item position) arrays, gmsc as its sorted
 members and a singleton as one cell, all placed into incidence matrices
 by one fancy-index assignment per batch (core.seal_incidences), and a
-decision table as one comparison of its codes. The base class derives the
-rest from that matrix (the element masks, incidence(n),
-min_nonzero_marginal). JSON params live in instance_io.
+decision-table row as its block of its table's incidences, which the table
+builds for all its rows at once from one chunked comparison of its codes.
+The base class derives the rest from that matrix (the element masks,
+incidence(n), min_nonzero_marginal). JSON params live in instance_io.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -75,6 +76,11 @@ def coverage_function(items: Sequence[tuple], covers: Dict[int, Iterable[int]]) 
     return CoverageFunction(items=items, elements=elements, positions=positions)
 
 
+# Cells per chunk of an OdtTable's row comparison: rows are compared in
+# chunks so the boolean temporary stays near this size.
+_COMPARE_CELLS = 1 << 16
+
+
 @dataclass(frozen=True)
 class OdtTable:
     """Hypothesis rows x test columns with discrete entries.
@@ -84,10 +90,16 @@ class OdtTable:
     codes holds one integer per entry (rows x columns), equal exactly where
     the entries are equal under ==, so 1, 1.0 and True share a code and
     "1" does not. Entries must be hashable.
+
+    Every row's incidence (columns x rows, marking the rows that differ
+    from it at each column) is built for all rows in one pass on first use
+    and kept on the table; see row_incidence.
     """
 
     rows: tuple  # tuple of tuples, all the same length
     codes: np.ndarray = field(init=False, repr=False, compare=False)
+    # (hits, masks, identifiable) once built; see _incidences
+    _built: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.rows) < 2:
@@ -108,6 +120,46 @@ class OdtTable:
     def m(self) -> int:
         return len(self.rows)
 
+    def row_incidence(self, row: int) -> tuple:
+        """(incidence, element masks) of 1-based row: a read-only view and a list.
+
+        Raises ValueError when another row duplicates this one.
+        """
+        hits, masks, identifiable = self._incidences()
+        if not identifiable[row - 1]:
+            raise ValueError(f"row not identifiable: row {row} duplicates another row")
+        m = self.m
+        lo = (row - 1) * (hits.shape[1] // m)  # each block is a whole number of bytes wide
+        return hits[:, lo:lo + m], masks[row - 1]
+
+    def _incidences(self) -> tuple:
+        """(incidences of all rows side by side, their element masks, identifiable flags).
+
+        One uint8 matrix, columns x (m blocks of m items), each block
+        starting on a whole byte as in core.seal_incidences; block j marks
+        the rows whose code differs from row j's at each column. The codes
+        are compared in chunks of rows, so no m x m x columns temporary
+        exists, and core.block_masks derives all the masks at once. Built
+        on the first call and kept.
+        """
+        if self._built is None:
+            by_column = np.ascontiguousarray(self.codes.T)
+            cols, m = by_column.shape
+            width = -(-m // 8) * 8
+            blocks = np.zeros((cols, m, width), np.uint8)  # [column, row j, row i]
+            identifiable = np.empty(m, dtype=bool)
+            step = max(1, _COMPARE_CELLS // max(1, m * cols))
+            for lo in range(0, m, step):
+                differs = by_column[:, lo:lo + step, None] != by_column[:, None, :]
+                blocks[:, lo:lo + step, :m] = differs
+                # row j differs from itself nowhere, so m - 1 other rows must differ somewhere
+                identifiable[lo:lo + step] = differs.any(axis=0).sum(axis=1) == m - 1
+            hits = blocks.reshape(cols, m * width)
+            hits.flags.writeable = False  # and so is every block viewing it
+            built = (hits, block_masks(hits, [m] * m), identifiable.tolist())
+            object.__setattr__(self, "_built", built)
+        return self._built
+
 
 @dataclass(frozen=True)
 class OdtFunction(SetSystemOracle):
@@ -115,7 +167,8 @@ class OdtFunction(SetSystemOracle):
 
     For row j, element (column) e rules out the rows whose entry at e
     differs from row j's; value(S) is the count of distinct ruled-out rows
-    over m - 1.
+    over m - 1. Its incidence and masks are its row's block of the table's
+    (OdtTable.row_incidence).
     """
 
     table: OdtTable
@@ -125,15 +178,10 @@ class OdtFunction(SetSystemOracle):
         m = self.table.m
         if not 1 <= self.row <= m:
             raise ValueError(f"row {self.row} outside 1..{m}")
-        codes = self.table.codes
-        differs = codes != codes[self.row - 1]  # rows x columns; own row all False
-        if np.count_nonzero(differs.any(axis=1)) < m - 1:
-            raise ValueError(f"row not identifiable: row {self.row} duplicates another row")
+        hits, masks = self.table.row_incidence(self.row)
         object.__setattr__(self, "item_weights", (1,) * m)
         object.__setattr__(self, "denominator", m - 1)
-        hits = np.ascontiguousarray(differs.T, dtype=np.uint8)  # columns x rows
-        hits.flags.writeable = False
-        self._seal(hits, block_masks(hits, [m])[0])
+        self._seal(hits, masks)
 
     def numerator(self, mask: int) -> int:
         return mask.bit_count()

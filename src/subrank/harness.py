@@ -8,8 +8,9 @@ algorithms over a (K, M) grid of cells and a list of seeds, recording both
 the max and the average agent cost, and tune the baseline-decay ratio of
 balanced adaptive greedy per instance over a fixed grid. The tuning time
 (tune_ms) is recorded apart from the final run's time (runtime_ms).
-Random, greedy and NG rows are scored by cover_report; tuning and the bag
-row take their objectives from the BAG runs' own reports, which equal it.
+The random row is scored by cover_report; the greedy and NG rows, tuning
+and the bag row take their objectives from their runs' own reports, which
+equal it bit for bit.
 
 Seeding: one master seed per (cell, run) splits into independent streams
 for row sampling, weight sampling, and the random baseline, via
@@ -19,7 +20,9 @@ numpy SeedSequence spawn keys.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -32,9 +35,8 @@ from subrank.instance_io import is_integer, is_number
 from subrank.algorithms import (
     BagConfig,
     _bag_runs,
+    _greedy_run,
     balanced_adaptive_greedy,
-    greedy,
-    normalized_greedy,
     random_order,
 )
 
@@ -68,7 +70,13 @@ class DataTable:
 
 
 def ingest(path: str) -> DataTable:
-    """Parse a headered CSV of numeric cells; rows with bad cells are dropped."""
+    """Parse a headered CSV of finite numeric cells; rows with bad cells are dropped.
+
+    A bad cell is one that does not parse as a float or parses to nan or
+    +-inf (float() accepts "nan" and "inf", but one nan would turn every
+    quantile edge of its column to nan in discretize). Each dropped row is
+    counted in dropped_rows and logged with its line number.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -86,10 +94,16 @@ def ingest(path: str) -> DataTable:
                             path, lineno, len(raw), len(header))
                 continue
             try:
-                rows.append([float(cell) for cell in raw])
+                row = [float(cell) for cell in raw]
             except ValueError:
                 dropped += 1
                 log.warning("%s line %d: non-numeric cell; row dropped", path, lineno)
+                continue
+            if not all(map(math.isfinite, row)):
+                dropped += 1
+                log.warning("%s line %d: non-finite cell; row dropped", path, lineno)
+                continue
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no rows")
     return DataTable(
@@ -155,21 +169,19 @@ def build_instance(table: DataTable, K: int, M: int, seed: int) -> Instance:
     chosen = None
     for _ in range(100):
         idx = rows_rng.choice(n_rows, size=M, replace=False)
-        candidate = [tuple(table.values[i]) for i in idx]
+        candidate = tuple(map(tuple, table.values[idx].tolist()))
         if len(set(candidate)) == M:
             chosen = candidate
             break
     if chosen is None:
         raise ValueError("rows not distinguishable after 100 resamples")
-    odt = OdtTable(rows=tuple(chosen))
+    odt = OdtTable(rows=chosen)
     oracles = [odt_function(odt, j) for j in range(1, M + 1)]
-    agents = []
-    for i in range(1, K + 1):
-        weights = weight_rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=M)
-        agents.append(
-            Agent(id=i, functions=tuple((o, float(w)) for o, w in zip(oracles, weights)))
-        )
-    return Instance(n=table.values.shape[1], agents=tuple(agents))
+    # one draw of K x M gives the bits of K draws of M, agent by agent
+    weights = weight_rng.uniform(WEIGHT_LOW, WEIGHT_HIGH, size=(K, M)).tolist()
+    agents = tuple(Agent(id=i, functions=tuple(zip(oracles, row)))
+                   for i, row in enumerate(weights, start=1))
+    return Instance(n=table.values.shape[1], agents=agents)
 
 
 def tune_ratio(
@@ -412,16 +424,22 @@ def _sweep_cell(cfg: ExperimentConfig, table: Optional[DataTable], K: int, M: in
         cell_m = max(len(a.functions) for a in inst.agents)
     _, _, algo_seed = _streams(seed)
     rows = []
+
+    def random_run():
+        perm = random_order(inst, algo_seed)
+        return perm, lambda: cover_report(inst, perm)  # scored by the reference evaluator
+
+    # each run gives its permutation and a report built after the clock stops
     baselines = [
-        ("random", lambda: random_order(inst, algo_seed)),
-        ("greedy", lambda: greedy(inst)),
-        ("ng", lambda: normalized_greedy(inst)),
+        ("random", random_run),
+        ("greedy", functools.partial(_greedy_run, inst, False)),
+        ("ng", functools.partial(_greedy_run, inst, True)),
     ]
     for name, runner in baselines:
         t0 = time.perf_counter()
-        perm = runner()
+        _, scored = runner()
         ms = (time.perf_counter() - t0) * 1000.0
-        report = cover_report(inst, perm)
+        report = scored()
         rows.append(ResultRow(name, cell_k, cell_m, None, seed,
                               report.minmax, report.average, ms))
     t0 = time.perf_counter()

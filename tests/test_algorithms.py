@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subrank.core import (
+    NEVER_COVERED,
     Agent,
     Instance,
     cover_report,
@@ -42,6 +43,7 @@ from subrank.algorithms import (
     _Kernel,
     _advance,
     _bag_runs,
+    _greedy_run,
     balanced_adaptive_greedy,
     brute_force_opt,
     greedy,
@@ -996,6 +998,37 @@ def test_run_reports_are_cover_report(inst, drop_fraction):
         tuned_runs = _bag_runs(inst, DEFAULT_RATIO_GRID, BagConfig.drop_fraction, False)
         assert perm == tuned_runs[DEFAULT_RATIO_GRID.index(ratio)][0]
         assert getattr(trace.report, "minmax" if mode == "minmax" else "average") == value
+
+
+@settings(max_examples=150, deadline=None)
+@given(inst=st.one_of(any_family_instances(), fractional_family_instances(),
+                      tie_prone_instances()))
+@example(inst=Instance(n=2, agents=()))
+@example(inst=Instance(n=2, agents=(Agent(id=1, functions=()),)))
+@example(inst=hard_family(9, 0.01))
+def test_greedy_and_ng_reports_are_cover_report(inst):
+    """greedy's and NG's own reports are cover_report of their permutations, bit for bit.
+
+    On an instance with some f(U) < 1 (or no agent) both raise the same
+    ValueError, and the run still returns the public function's permutation.
+    """
+    for normalized, public in ((False, greedy), (True, normalized_greedy)):
+        perm, report = _greedy_run(inst, normalized)
+        assert perm == public(inst)
+        assert (_outcome(lambda: _report_bits(report()))
+                == _outcome(_reference_report, inst, perm))
+
+
+def test_greedy_and_ng_reports_raise_never_covered():
+    never = coverage_function([(1, 1), (2, 1)], {1: {1}, 2: {1}})  # no element hits item 2
+    inst = Instance(n=2, agents=(Agent(id=1, functions=((never, 1.0),)),))
+    for normalized in (False, True):
+        perm, report = _greedy_run(inst, normalized)
+        assert is_permutation(2, perm)
+        with pytest.raises(ValueError, match=f"^{NEVER_COVERED}$"):
+            report()
+        with pytest.raises(ValueError, match=f"^{NEVER_COVERED}$"):
+            cover_report(inst, perm)
 
 
 @settings(max_examples=100, deadline=None)

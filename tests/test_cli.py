@@ -283,6 +283,18 @@ class TestExperiment:
         assert failed == [f"cell K=2 M=2 seed={seed} failed: k=5 is not a perfect square >= 4; "
                           f"continuing" for seed in (0, 1)]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_is_usage_error(self, jobs, tmp_path, capsys):
+        absent = str(tmp_path / "absent.json")  # rejected before any file is read
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as err:
+            main(["experiment", "--config", absent, "--out", str(out), "--jobs", jobs])
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: subrank experiment")
+        assert f"--jobs: must be at least 1, got {int(jobs)}" in captured.err
+        assert captured.out == "" and not out.exists()
+
 
 @pytest.mark.parametrize("doc", [
     [{"K": [2]}],

@@ -220,6 +220,68 @@ def test_denominator_above_2_53_rejected():
         inst(2**53 + 1)
 
 
+def reference_first_error(agents):
+    """The first error of Instance's checks, each function checked at every appearance."""
+    seen = set()
+    for agent in agents:
+        if agent.id in seen:
+            return ValueError, f"duplicate agent id {agent.id}"
+        seen.add(agent.id)
+        for f, _ in agent.functions:
+            if not isinstance(f, core.SetSystemOracle):
+                return TypeError, f"agent {agent.id}: {type(f).__name__} is not a SetSystemOracle"
+            if f.denominator > core.MAX_DENOMINATOR:
+                return ValueError, f"agent {agent.id}: denominator {f.denominator} exceeds 2**53"
+    return None
+
+
+class NotAnOracle:
+    pass
+
+
+# two good oracles, one object of the wrong type and one oversized denominator
+ORACLE_POOL = (singleton_function(1), two_item_coverage(), NotAnOracle(),
+               coverage_function([(1, 2**53 + 1)], {1: {1}}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.lists(st.sampled_from(ORACLE_POOL), max_size=3)),
+                max_size=4))
+def test_instance_raises_the_first_error_of_checking_every_function(drawn):
+    """Checking each oracle only where it first appears raises the same first error.
+
+    Bad oracles are shared between agents and follow duplicate agent ids.
+    """
+    agents = tuple(Agent(id=i, functions=tuple((f, 1.0) for f in fs)) for i, fs in drawn)
+    expected = reference_first_error(agents)
+    if expected is None:
+        inst = Instance(n=2, agents=agents)
+        assert inst.oracles == tuple({id(f): f for a in agents for f, _ in a.functions}.values())
+        return
+    with pytest.raises(expected[0]) as err:
+        Instance(n=2, agents=agents)
+    assert str(err.value) == expected[1]
+
+
+@pytest.mark.parametrize("ids, functions, expected", [
+    # a bad oracle shared by two agents is reported for the first
+    ((1, 2), ((0, 2), (2,)), "agent 1: NotAnOracle is not a SetSystemOracle"),
+    ((1, 2), ((0,), (0, 3)), "agent 2: denominator 9007199254740993 exceeds 2**53"),
+    ((2, 1), ((3, 2), (2, 3)), "agent 2: denominator 9007199254740993 exceeds 2**53"),
+    # a duplicate id is reported before the bad oracles its agent holds
+    ((1, 1), ((0,), (2,)), "duplicate agent id 1"),
+    ((1, 2, 1), ((0,), (1,), (3, 2)), "duplicate agent id 1"),
+    ((1, 1), ((2,), (0,)), "agent 1: NotAnOracle is not a SetSystemOracle"),
+])
+def test_instance_first_error_cases(ids, functions, expected):
+    agents = tuple(Agent(id=i, functions=tuple((ORACLE_POOL[j], 1.0) for j in fs))
+                   for i, fs in zip(ids, functions))
+    assert reference_first_error(agents)[1] == expected
+    with pytest.raises((TypeError, ValueError)) as err:
+        Instance(n=2, agents=agents)
+    assert str(err.value) == expected
+
+
 def compensated_sum(values, start=0):
     """A float sum rounded once, as CPython 3.12's builtin sum nearly is."""
     return start + math.fsum(values)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subrank.core import Agent, Instance, objective, validate
+from subrank.core import Agent, Instance, block_masks, objective, validate
 from subrank.functions import (
     GmscSet,
     OdtTable,
@@ -116,6 +116,61 @@ def test_vectorised_odt_build_matches_row_loop(data):
                 [(masks.get(e, 0) >> b) & 1 for b in range(m)] for e in range(1, n + 1)
             ]
         assert f.denominator == m - 1 and f.item_weights == (1,) * m
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+@pytest.mark.parametrize("m", [2, 7, 8, 9, 64, 65, 100])
+def test_table_incidences_match_per_row_comparison(m, duplicates):
+    """The table's one-pass incidences, masks and identifiable flags equal a per-row build.
+
+    The reference compares the codes with one row at a time, transposes
+    and takes block_masks, as each row's oracle did on its own. Entries mix
+    1, 1.0 and True (equal), "1" (not equal to them) and NaN (equal to
+    nothing); with duplicates, some rows repeat another under == only.
+    """
+    rng = random.Random(m)
+    nan = float("nan")
+    cols = 6
+    rows = [tuple(rng.choice((0, 1, 2, 3, 4, 5, 6)) for _ in range(cols)) for _ in range(m)]
+    rows[0] = (1, 1.0, True, "1", "1", 0)
+    rows[-1] = (2, 2, 2, nan, nan, 2)  # NaN differs even from itself
+    dup = set()
+    if duplicates:
+        rows[m // 2] = (True, 1, 1.0, "1", "1", False)  # == rows[0], not identical
+        dup = {0, m // 2}
+    dup |= {j for j, r in enumerate(rows) if nan not in r
+            and any(k != j and r == other for k, other in enumerate(rows))}
+    table = OdtTable(rows=tuple(rows))
+    hits, masks, identifiable = table._incidences()
+    width = -(-m // 8) * 8
+    assert hits.shape == (cols, m * width) and not hits.flags.writeable
+    codes = table.codes
+    for row in range(1, m + 1):
+        differs = codes != codes[row - 1]
+        ref_hits = np.ascontiguousarray(differs.T, dtype=np.uint8)
+        lo = (row - 1) * width
+        assert np.array_equal(hits[:, lo:lo + m], ref_hits)
+        assert not hits[:, lo + m:lo + width].any()  # byte padding stays 0
+        assert masks[row - 1] == block_masks(ref_hits, [m])[0]
+        assert identifiable[row - 1] == (np.count_nonzero(differs.any(axis=1)) == m - 1)
+        assert identifiable[row - 1] == (row - 1 not in dup)
+        if row - 1 in dup:
+            with pytest.raises(ValueError, match=f"^row not identifiable: row {row} "):
+                odt_function(table, row)
+            continue
+        f = odt_function(table, row)
+        assert np.array_equal(f.incidence(cols), ref_hits) and not f.incidence(cols).flags.writeable
+        assert [f.element_mask(e) for e in range(1, cols + 1)] == masks[row - 1]
+    assert table._incidences()[0] is hits  # built once, then kept
+
+
+def test_row_range_is_checked_before_identifiability():
+    table = OdtTable(rows=((0, 1), (0, 1)))
+    for row in (0, 3):
+        with pytest.raises(ValueError, match=f"^row {row} outside 1..2$"):
+            odt_function(table, row)
+    with pytest.raises(ValueError, match="^row not identifiable: row 1 "):
+        odt_function(table, 1)
 
 
 def test_nan_entry_differs_from_every_row():

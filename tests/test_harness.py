@@ -21,8 +21,8 @@ from subrank.harness import (
     synthetic_table,
     tune_ratio,
 )
-from subrank.algorithms import BagConfig, balanced_adaptive_greedy
-from subrank.functions import hard_family
+from subrank.algorithms import BagConfig, balanced_adaptive_greedy, greedy, normalized_greedy
+from subrank.functions import OdtTable, hard_family
 
 
 def write_csv(path, header, rows):
@@ -47,6 +47,21 @@ class TestIngest:
         table = ingest(str(path))
         assert table.shape == (2, 2)
         assert table.dropped_rows == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cells_drop_their_rows(self, bad, tmp_path, caplog):
+        # 30 distinct values per column, so discretize bins every column; a
+        # kept nan would make every quantile edge nan
+        rows = [[(7 * i) % 30, (11 * i) % 30 + 0.5] for i in range(40)]
+        clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+        write_csv(clean, ["a", "b"], rows)
+        write_csv(dirty, ["a", "b"], rows[:5] + [[bad, 1]] + rows[5:20] + [[2, bad]] + rows[20:])
+        got, want = ingest(str(dirty)), ingest(str(clean))
+        assert (got.dropped_rows, want.dropped_rows) == (2, 0)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(discretize(got).values, discretize(want).values)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{dirty} line {lineno}: non-finite cell; row dropped" for lineno in (7, 23)]
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -290,29 +305,46 @@ class TestSweep:
         assert sweep(small_synthetic_cfg(seeds=(0,)), jobs=10_000).rows
         assert started == [3]  # one cell runs in this process
 
-    def test_cell_builds_one_kernel_and_scores_three_rows(self, monkeypatch):
-        """Greedy, NG, tuning and the final BAG share one kernel root; the bag
-        row's objectives come from its run, so only random, greedy and NG
-        go through cover_report."""
-        builds, scored = [], []
-        init, score = algorithms._Kernel.__init__, harness.cover_report
+    def test_cell_builds_one_kernel_one_comparison_and_scores_one_row(self, monkeypatch):
+        """Work counts of one odt cell, with no timing involved.
+
+        The table compares its codes once for all its rows; greedy, NG,
+        tuning and the final BAG share one kernel root; and greedy, NG and
+        bag take their objectives from their runs' reports, so only the
+        random row goes through cover_report.
+        """
+        builds, compared, scored = [], [], []
+        init, incidences, score = (algorithms._Kernel.__init__, OdtTable._incidences,
+                                   harness.cover_report)
 
         def counted_init(kernel, inst):
             builds.append(inst)
             init(kernel, inst)
+
+        def counted_incidences(table):
+            compared.append(table._built is None)  # True when this call compares the codes
+            return incidences(table)
 
         def counted_score(inst, perm):
             scored.append(perm)
             return score(inst, perm)
 
         monkeypatch.setattr(algorithms._Kernel, "__init__", counted_init)
+        monkeypatch.setattr(OdtTable, "_incidences", counted_incidences)
         monkeypatch.setattr(harness, "cover_report", counted_score)
-        cfg = small_synthetic_cfg(K=(6,), M=(8,), seeds=(0,))
-        rows = harness._sweep_cell(cfg, harness._source_table(cfg), 6, 8, 0)
+        # a cell where greedy and NG rank differently, so each row must come from its own run
+        cfg = small_synthetic_cfg(K=(4,), M=(10,), seeds=(0,))
+        rows = harness._sweep_cell(cfg, harness._source_table(cfg), 4, 10, 0)
         assert len(builds) == 1
-        assert len(scored) == 3
-        bag = rows[-1]
+        assert compared == [True] + [False] * 9  # one comparison, then one read per row
         inst = builds[0]
+        assert scored == [algorithms.random_order(inst, harness._streams(0)[2])]
+        assert rows[1].objective_minmax != rows[2].objective_minmax
+        for row, algo in zip(rows[1:3], (greedy, normalized_greedy)):
+            perm = algo(inst)
+            assert (row.objective_minmax, row.objective_avg) == (
+                objective(inst, perm, "minmax"), objective(inst, perm, "average"))
+        bag = rows[-1]
         perm, _ = balanced_adaptive_greedy(inst, BagConfig(ratio=bag.ratio))
         assert bag.objective_minmax == objective(inst, perm, "minmax")
         assert bag.objective_avg == objective(inst, perm, "average")

@@ -23,7 +23,7 @@ from subrank.harness import build_instance, synthetic_table, tune_ratio
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "pinned_outputs.json")
 RATIOS = (0.1, 0.35, 2.0 / 3.0, 0.9)
-CELLS = ((3, 5, 0), (5, 8, 1), (8, 10, 2), (10, 12, 3))  # (K, M, seed)
+CELLS = ((3, 5, 0), (5, 8, 1), (8, 10, 2), (10, 12, 3), (4, 70, 4))  # (K, M, seed)
 # (n, k, m) of the small coverage files that file-solve runs brute force on
 BRUTE_SIZES = ((8, 4, 3), (8, 5, 2), (9, 4, 3), (9, 6, 2), (10, 4, 3), (10, 6, 2))
 BRUTE_SEEDS = (0, 1)
