@@ -467,8 +467,9 @@ class _BagRun:
         return (self.ratio ** power) * self.total
 
     @staticmethod
-    def lagging(rem_weight: dict, b: float) -> tuple:
-        return tuple(sorted(i for i, w in rem_weight.items() if w > b))
+    def lagging(ids: np.ndarray, rem_weight: np.ndarray, b: float) -> tuple:
+        """The agents whose remaining weight exceeds b, ascending; both arrays in id order."""
+        return tuple(ids[rem_weight > b].tolist())
 
     def request(self, lagging: Callable[[float], tuple], depth: int,
                 more: bool) -> Optional[tuple]:
@@ -508,7 +509,7 @@ class _BagRun:
         return frozen
 
     def record(self, t: int, e: int, score: float, active: tuple, weights) -> None:
-        """Append pick t; active is lagging(rem_weight, self.b) after it."""
+        """Append pick t; active is the lagging set at self.b after it."""
         self.active = active
         self.trace.picks.append(
             PickRecord(
@@ -542,11 +543,18 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, tra
     """
     kernel = _Kernel.start(inst)
     frozen_states: dict = {}  # frozen agents -> their states in agent order
-    rem_weight = dict.fromkeys((a.id for a in inst.agents), 0)
+    start = dict.fromkeys((a.id for a in inst.agents), 0)
     for agent, w in kernel.uncovered():
-        rem_weight[agent] += w
+        start[agent] += w
+    # remaining weights in agent id order; each state subtracts from its agent's slot
+    ids = np.array(sorted(start), dtype=np.int64)
+    rem_weight = np.array([start[a] for a in ids.tolist()], dtype=float)
+    slot = np.searchsorted(ids, kernel.agent)
+    # a trace lists them in agent order, each of its agent's starting type (0 stays an int)
+    listed = np.searchsorted(ids, list(start))
+    kinds = list(map(type, start.values()))
     # baseline -> lagging agents at this node; rebuilt whenever rem_weight changes
-    lagging = functools.cache(functools.partial(_BagRun.lagging, rem_weight))
+    lagging = functools.cache(functools.partial(_BagRun.lagging, ids, rem_weight))
     chosen: list = []
     runs = [_BagRun(r, drop_fraction, inst.W) for r in ratios]
     # (kernel snapshot, remaining weights, depth, element, [(run, score)])
@@ -573,7 +581,7 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, tra
         if children:
             (e, picked), *others = children.items()
             for other in others:
-                node = (kernel.save(), dict(rem_weight), len(chosen))
+                node = (kernel.save(), rem_weight.copy(), len(chosen))
                 stack.append((*node, *other))
         elif stack:
             saved, rem_weight, depth, e, picked = stack.pop()
@@ -582,10 +590,14 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, tra
         else:
             break
         chosen.append(e)
-        for agent, w in kernel.pairs_where(_advance(kernel, e)):
-            rem_weight[agent] -= w
-        lagging = functools.cache(functools.partial(_BagRun.lagging, rem_weight))
-        weights = dict(rem_weight) if trace else None
+        newly = _advance(kernel, e)
+        # unbuffered, so an agent's states subtract one by one in state order
+        np.subtract.at(rem_weight, slot[newly], kernel.weight[newly])
+        lagging = functools.cache(functools.partial(_BagRun.lagging, ids, rem_weight))
+        weights = None
+        if trace:
+            weights = dict(zip(start, (kind(w) for kind, w in
+                                       zip(kinds, rem_weight[listed].tolist()))))
         for run, score in picked:
             run.record(len(chosen), e, score, lagging(run.b), weights)
         group = [run for run, _ in picked]
@@ -638,10 +650,13 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     least depth + 2. The bound is the max over agents of w * that time
     summed over the agent's functions in function order, as cover_report
     adds its costs; rounding is monotone, so it never exceeds the
-    objective of a leaf below the child. A leaf child has every time
-    known, so the same sum is its objective bit for bit; it is closed at
-    once, and only children whose bound is below the incumbent advance the
-    kernel. When every weight is an integer and n * sum(weights) < 2**53,
+    objective of a leaf below the child. The sums read the kernel's agent
+    grid through two arrays built once per run, each cell's tracker and
+    weight (0.0 on head and padding cells), so a batch's terms are one
+    gather of the children's times and one product. A leaf child has
+    every time known, so the same sum is its objective bit for bit; it is
+    closed at once, and only children whose bound is below the incumbent
+    advance the kernel. When every weight is an integer and n * sum(weights) < 2**53,
     so every sum is an exact integer, an uncovered function's time is at
     least depth + 1 + need with need = ceil(residual / the largest gain any
     remaining element has for the function at the node), as live-weight
@@ -656,17 +671,19 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     ng, ng_report = _greedy_run(inst, normalized=True)
     incumbent = {"perm": ng, "value": ng_report().minmax}
     kernel = _Kernel.start(inst)
-    fn, weight = kernel.fn, kernel.weight
     exact = (all(w >= 0 and float(w).is_integer() for _, w in kernel.pairs)
              and inst.n * sum(w for _, w in kernel.pairs) < 2**53)
     state = {"nodes": 1, "limit_hit": False}
     chosen: list = []
+    # each grid cell's tracker and weight; head and padding cells read tracker 0 at weight 0.0
+    cell_fn = np.zeros(kernel.agents * kernel.width, dtype=np.intp)
+    cell_fn[kernel.cells] = kernel.fn
+    cell_w = np.zeros(cell_fn.size)
+    cell_w[kernel.cells] = kernel.weight
 
     def worst(times: np.ndarray) -> np.ndarray:
         """Max over agents of w * time summed in function order, per row of tracker times."""
-        terms = np.zeros((*times.shape[:-1], kernel.agents * kernel.width))
-        terms[..., kernel.cells] = weight * times[..., fn]
-        return kernel.agent_sums(terms).max(axis=-1)
+        return kernel.agent_sums(times[..., cell_fn] * cell_w).max(axis=-1)
 
     def close_leaf(value: float, perm: tuple) -> None:
         if value < incumbent["value"]:
@@ -676,20 +693,21 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     def expand(depth: int) -> None:
         gains = kernel.gains()
         covered = kernel.covered
+        uncovered = ~covered
         # zero gain now means zero gain forever; such elements wait for the tail
-        rows = (gains[:, ~covered] > 0).any(axis=1).nonzero()[0]
+        # (gains are never negative, so any() finds the positive ones)
+        rows = gains[:, uncovered].any(axis=1).nonzero()[0]
         num = kernel.num + gains[rows]
-        after = num >= kernel.den
+        after = num >= kernel.den  # holds on every covered tracker, whose num >= den
         later = depth + 2
         if exact:
             best = gains.max(axis=0)
-            need = np.ceil((kernel.den - num) / np.maximum(best, 1.0))
-            later = depth + 1 + np.maximum(need, 1.0)
-        times = np.where(after, depth + 1, later)
-        times[:, covered] = kernel.time[covered]
+            # where after fails the residual is an integer >= 1, so need >= 1
+            later = depth + 1 + np.ceil((kernel.den - num) / np.maximum(best, 1.0))
+        times = np.where(after, np.where(covered, kernel.time, depth + 1), later)
         bounds = worst(times).tolist()
-        dead = exact and (~covered & (best == 0)).any()  # a function nothing can advance
-        leaves = (after | covered).all(axis=1).tolist()
+        dead = exact and not best[uncovered].all()  # a function nothing can advance
+        leaves = after.all(axis=1).tolist()
         remaining = kernel.remaining
         for i, e in enumerate([remaining[r] for r in rows.tolist()]):
             state["nodes"] += 1

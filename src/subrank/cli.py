@@ -22,7 +22,8 @@ from subrank import verify as verify_mod
 from subrank import gmsc as gmsc_mod
 from subrank.core import SEVERITY_ERROR, cover_report, errors_only, sequential_sum, validate
 from subrank.functions import hard_family, random_coverage_instance
-from subrank.instance_io import InstanceFormatError, dumps, load_instance, save_instance
+from subrank.instance_io import (InstanceFormatError, dumps, load_instance, load_json,
+                                 save_instance)
 from subrank.algorithms import (
     BagConfig,
     balanced_adaptive_greedy,
@@ -202,7 +203,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     with open(args.config) as fh:
-        doc = json.load(fh)
+        doc = load_json(fh)
     cfg = ExperimentConfig.from_doc(doc)
     if cfg.dataset and not os.path.exists(cfg.dataset):
         print(f"error: dataset path does not exist: {cfg.dataset}", file=sys.stderr)

@@ -30,14 +30,24 @@ covers is sparse: an element it does not name hits nothing. The writer
 omits empty lists, and the reader takes a file with or without them
 through one code path, which turns the lists straight into the oracle's
 (element, item position) arrays. An id repeated in one list counts once.
+
+The reader decodes all coverage functions of a document in one pass
+(_coverage_together): it checks each distinct covers key once, reads every
+function's items, keys, hit lists and ids with one map each, and slices
+each oracle's arrays from two shared ones. _coverage, the per-function
+decoder, is that pass's reference and its error path: a fault anywhere,
+or a key not written as its element (such as "01", which int() takes as
+1), sends the document's coverage functions through _coverage one by
+one, so every message, and which fault is raised first, is _coverage's.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from itertools import chain
-from typing import IO, Union
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, sub
+from typing import IO, Optional, Union
 
 import numpy as np
 
@@ -105,7 +115,14 @@ def instance_to_doc(inst: Instance) -> dict:
 
 
 def doc_to_instance(doc) -> Instance:
-    """Build an Instance; every structural fault raises InstanceFormatError."""
+    """Build an Instance; every structural fault raises InstanceFormatError.
+
+    The walk builds every oracle but the coverage ones, whose params it
+    keeps; _coverage_together then decodes those in one pass, or
+    _coverage_each one by one when the pass does not take them. The error
+    raised is the first in document order: when the walk stops at a fault,
+    the coverage functions before it are decoded one by one first.
+    """
     try:
         doc = _typed(doc, dict, "instance")
         n = _integer(doc["n"], "n")
@@ -118,35 +135,54 @@ def doc_to_instance(doc) -> Instance:
         raise InstanceFormatError(str(exc)) from exc
     if not agents_doc:
         raise InstanceFormatError("instance has no agents")
-    agents = []
-    for i, agent_doc in enumerate(agents_doc, start=1):
-        funcs_doc = agent_doc.get("functions") if isinstance(agent_doc, dict) else None
-        if not isinstance(funcs_doc, list):
-            raise InstanceFormatError(
-                f'agent {i}: agents entries must be {{"functions": [...]}}'
-            )
-        funcs = []
-        for j, f_doc in enumerate(funcs_doc, start=1):
-            where = f"agent {i} function {j}"
-            try:
-                f_doc = _typed(f_doc, dict, "function")
-                weight = f_doc["weight"]
-                if not is_number(weight):
-                    raise ValueError(f"weight {weight!r:.40} is not a number")
-                if not abs(weight) <= sys.float_info.max:  # NaN, inf, or an int past float64
-                    raise ValueError(f"non-finite weight {weight!r:.40}")
-                params = _typed(f_doc.get("params", {}), dict, "params")
-                oracle = _build_oracle(f_doc.get("family"), params, tables, n)
-            except KeyError as exc:
-                raise InstanceFormatError(f"{where}: missing field {exc}") from exc
-            except ValueError as exc:
-                raise InstanceFormatError(f"{where}: {exc}") from exc
-            if weight <= 0:
-                raise InstanceFormatError(f"{where}: nonpositive weight {weight}")
-            funcs.append((oracle, float(weight)))
-        agents.append(Agent(id=i, functions=tuple(funcs)))
+    funcs_of = []  # each agent's (oracle, weight) list, None for a coverage oracle until decoded
+    pending = []  # (where, items doc, covers doc) of each coverage function, in document order
+    slots = []  # (its agent's list, its index there) of each coverage function
     try:
-        return Instance(n=n, agents=tuple(agents))
+        for i, agent_doc in enumerate(agents_doc, start=1):
+            funcs_doc = agent_doc.get("functions") if isinstance(agent_doc, dict) else None
+            if not isinstance(funcs_doc, list):
+                raise InstanceFormatError(
+                    f'agent {i}: agents entries must be {{"functions": [...]}}'
+                )
+            funcs = []
+            for j, f_doc in enumerate(funcs_doc, start=1):
+                where = f"agent {i} function {j}"
+                try:
+                    f_doc = _typed(f_doc, dict, "function")
+                    weight = f_doc["weight"]
+                    if not is_number(weight):
+                        raise ValueError(f"weight {weight!r:.40} is not a number")
+                    if not abs(weight) <= sys.float_info.max:  # NaN, inf, or an int past float64
+                        raise ValueError(f"non-finite weight {weight!r:.40}")
+                    params = _typed(f_doc.get("params", {}), dict, "params")
+                    family = f_doc.get("family")
+                    if family == "coverage":
+                        pending.append((where, params["items"], params["covers"]))
+                        slots.append((funcs, len(funcs)))
+                        oracle = None
+                    else:
+                        oracle = _build_oracle(family, params, tables, n)
+                except KeyError as exc:
+                    raise InstanceFormatError(f"{where}: missing field {exc}") from exc
+                except ValueError as exc:
+                    raise InstanceFormatError(f"{where}: {exc}") from exc
+                if weight <= 0:
+                    raise InstanceFormatError(f"{where}: nonpositive weight {weight}")
+                funcs.append((oracle, float(weight)))
+            funcs_of.append(funcs)
+    except InstanceFormatError:
+        _coverage_each(pending, n)  # raises the fault of an earlier coverage function
+        raise
+    if pending:  # gmsc files have none
+        oracles = _coverage_together(pending, n)
+        if oracles is None:
+            oracles = _coverage_each(pending, n)
+        for (funcs, slot), oracle in zip(slots, oracles):
+            funcs[slot] = (oracle, funcs[slot][1])
+    agents = tuple(Agent(id=i, functions=tuple(funcs)) for i, funcs in enumerate(funcs_of, 1))
+    try:
+        return Instance(n=n, agents=agents)
     except ValueError as exc:  # a denominator too large for exact float64 gains
         raise InstanceFormatError(str(exc)) from exc
 
@@ -189,7 +225,9 @@ def _coverage(items_doc, covers_doc, n: int) -> CoverageFunction:
     """A coverage oracle whose hit arrays are filled in bulk from covers.
 
     Every key and id is checked as a Python int before it reaches numpy;
-    most keys name few ids, so the checks run over whole lists.
+    most keys name few ids, so the checks run over whole lists. This
+    per-function decoder is the reference _coverage_together must match,
+    and the only writer of coverage fault messages.
     """
     items = []
     for item in _typed(items_doc, list, "items"):
@@ -230,9 +268,83 @@ def _coverage(items_doc, covers_doc, n: int) -> CoverageFunction:
     )
 
 
+def _coverage_each(pending, n: int) -> list:
+    """_coverage of each (where, items doc, covers doc), in order.
+
+    The first fault raises InstanceFormatError prefixed with its where.
+    """
+    oracles = []
+    for where, items_doc, covers_doc in pending:
+        try:
+            oracles.append(_coverage(items_doc, covers_doc, n))
+        except KeyError as exc:
+            raise InstanceFormatError(f"{where}: missing field {exc}") from exc
+        except ValueError as exc:
+            raise InstanceFormatError(f"{where}: {exc}") from exc
+    return oracles
+
+
+def _coverage_together(pending, n: int) -> Optional[list]:
+    """_coverage_each(pending, n) in one pass, or None where the pass does not apply.
+
+    Each distinct covers key is checked once, for every function naming
+    it, and every item, key, hit list and id is read by one map or one
+    numpy call over the whole document; each oracle's arrays are slices of
+    two shared ones. None wherever _coverage might differ or raise: on a
+    fault, on a list or dict subclass, and on a key other than
+    str(element), since int() takes "01" as 1. Then _coverage_each
+    returns the same oracles or raises the first fault.
+    """
+    _, items_docs, covers_docs = zip(*pending)
+    if not (set(map(type, items_docs)) <= {list} and set(map(type, covers_docs)) <= {dict}):
+        return None
+    items = list(chain.from_iterable(items_docs))
+    hit_lists = list(chain.from_iterable(map(dict.values, covers_docs)))
+    if not (set(map(type, items)) <= {dict} and set(map(type, hit_lists)) <= {list}):
+        return None
+    hit_ids = list(chain.from_iterable(hit_lists))
+    try:
+        ids = list(map(itemgetter("id"), items))
+        ws = list(map(itemgetter("w"), items))
+    except KeyError:
+        return None
+    if not set(map(type, chain(ids, ws, hit_ids))) <= {int}:
+        return None
+    if ws and min(ws) < 1:
+        return None
+    keys = list(chain.from_iterable(covers_docs))
+    distinct = list(set(keys))
+    try:
+        values = list(map(int, distinct))
+    except (TypeError, ValueError):  # a key int() cannot read
+        return None
+    # a key is taken only as exactly str(element): ASCII digits without a
+    # leading zero, so no element repeats within a function
+    if values and not (list(map(str, values)) == distinct and 1 <= min(values)
+                       and max(values) <= n):
+        return None
+    elements_of = dict(zip(distinct, values))
+    item_ends = list(accumulate(map(len, items_docs), initial=0))
+    indexes = [dict(zip(ids[lo:hi], range(hi - lo))) for lo, hi in zip(item_ends, item_ends[1:])]
+    if sum(map(len, indexes)) < len(ids):  # an id repeats within a function
+        return None
+    lengths = np.fromiter(map(len, hit_lists), np.intp, len(hit_lists))
+    hit_ends = np.concatenate(([0], np.cumsum(lengths)))
+    ends = hit_ends[list(accumulate(map(len, covers_docs), initial=0))].tolist()
+    index_of_hit = chain.from_iterable(map(repeat, indexes, map(sub, ends[1:], ends)))
+    try:
+        positions = np.fromiter(map(dict.get, index_of_hit, hit_ids), np.intp, len(hit_ids))
+    except TypeError:  # None: an id its function does not list
+        return None
+    elements = np.repeat(np.fromiter(map(elements_of.__getitem__, keys), np.intp, len(keys)),
+                         lengths)
+    pairs = list(zip(ids, ws))
+    return [CoverageFunction(items=tuple(pairs[i_lo:i_hi]), elements=elements[lo:hi],
+                             positions=positions[lo:hi])
+            for i_lo, i_hi, lo, hi in zip(item_ends, item_ends[1:], ends, ends[1:])]
+
+
 def _build_oracle(family, params, tables, n):
-    if family == "coverage":
-        return _coverage(params["items"], params["covers"], n)
     if family == "odt":
         ref = params["table_ref"]
         if not isinstance(ref, str) or ref not in tables:
@@ -271,10 +383,18 @@ def save_instance(inst: Instance, path_or_file: Union[str, IO]) -> None:
             fh.write(text)
 
 
+def load_json(fh: IO):
+    """json.load(fh); nesting too deep for the parser raises InstanceFormatError."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise InstanceFormatError("JSON nests too deeply to parse") from None
+
+
 def load_instance(path_or_file: Union[str, IO]) -> Instance:
     if hasattr(path_or_file, "read"):
-        doc = json.load(path_or_file)
+        doc = load_json(path_or_file)
     else:
         with open(path_or_file) as fh:
-            doc = json.load(fh)
+            doc = load_json(fh)
     return doc_to_instance(doc)

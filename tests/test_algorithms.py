@@ -562,9 +562,9 @@ def test_tune_ratio_finds_each_lagging_set_once_per_node(monkeypatch):
         node[0] += 1
         return advance(kernel, e)
 
-    def counted_lagging(rem_weight, b):
+    def counted_lagging(ids, rem_weight, b):
         calls[node[0], b] += 1
-        return lagging(rem_weight, b)
+        return lagging(ids, rem_weight, b)
 
     monkeypatch.setattr(algorithms, "_advance", counted_advance)
     monkeypatch.setattr(_BagRun, "lagging", staticmethod(counted_lagging))
@@ -712,14 +712,18 @@ def brute_instances(draw):
     """Coverable coverage, gmsc and singleton oracles, some shared between agents.
 
     Weights are all integers or drawn from FRACTIONAL_WEIGHTS, which sends
-    brute force down its guarded path.
+    brute force down its guarded path. A coverage oracle without items is
+    covered at the root, so brute force bounds children around a function
+    whose cover time is already 0.
     """
     n = draw(st.integers(min_value=1, max_value=7))
     elements = st.integers(min_value=1, max_value=n)
     pool = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        kind = draw(st.sampled_from(["coverage", "gmsc", "singleton"]))
-        if kind == "singleton":
+        kind = draw(st.sampled_from(["coverage", "gmsc", "singleton", "empty"]))
+        if kind == "empty":
+            pool.append(coverage_function([], {}))
+        elif kind == "singleton":
             pool.append(singleton_function(draw(elements)))
         elif kind == "gmsc":
             members = draw(st.frozensets(elements, min_size=1))
@@ -951,6 +955,28 @@ def test_bag_matches_reference(inst, ratio, drop_fraction):
     assert trace.pick_lines() == ref.pick_lines()
     assert trace.picks == ref.picks
     assert trace.passes == ref.passes
+
+
+@pytest.mark.parametrize("ratio", (0.1, 0.5, 0.9))
+def test_bag_trace_keeps_each_agents_weight_type(ratio):
+    """Remaining weights trace as the reference's: ints stay ints, agents in agent order.
+
+    Agent 2 has no function and agent 3's only function is covered at the
+    root, so both lag by the int 0; agent 5's weights are ints.
+    """
+    inst = Instance(n=4, agents=(
+        Agent(id=5, functions=((singleton_function(1), 2), (singleton_function(2), 3))),
+        Agent(id=2, functions=()),
+        Agent(id=3, functions=((coverage_function([], {}), 1.5),)),
+        Agent(id=1, functions=((singleton_function(3), 1), (singleton_function(4), 1.25))),
+    ))
+    perm, trace = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio, trace=True))
+    ref_perm, ref = reference_bag(inst, ratio, BagConfig.drop_fraction)
+    assert perm == ref_perm
+    assert trace.pick_lines() == ref.pick_lines()
+    assert [list(rec.remaining_weights.items()) for rec in trace.picks] == [
+        list(rec.remaining_weights.items()) for rec in ref.picks]
+    assert {type(w) for rec in trace.picks for w in rec.remaining_weights.values()} == {int, float}
 
 
 def _report_bits(report):

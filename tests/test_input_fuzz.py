@@ -133,6 +133,13 @@ FUZZ = settings(max_examples=150, deadline=None,
 @example(doc=_coverage_doc({" 10 ": [1]}, n=10), algo="greedy")
 @example(doc=_coverage_doc({"\u0661\u0660": [1]}, n=10), algo="greedy")
 @example(doc=_coverage_doc({"+1": [1], "2": [1]}), algo="greedy")
+# both decode their coverage functions one by one: the first after a fault
+# in its second function, the second for its "01" key, which loads
+@example(doc={"n": 2, "agents": [{"functions": [
+    _coverage_doc({"1": [1], "2": [1]})["agents"][0]["functions"][0],
+    {"family": "coverage", "params": {"items": [{"id": 1, "w": 1}], "covers": {"1": [2]}},
+     "weight": 1.0}]}]}, algo="brute")
+@example(doc=_coverage_doc({"01": [1], "2": [1]}), algo="brute")
 def test_solve_survives_mutated_instances(doc, algo, capsys, caplog):
     assert_clean_exit(["solve", "--instance", "{doc}", "--algo", algo, "--node-limit", "200"],
                       doc, "inst.json", capsys, caplog)

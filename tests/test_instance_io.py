@@ -1,14 +1,18 @@
 """Instance JSON round-trips and loader rejection paths."""
 
 import io
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subrank.core import Agent, Instance, cover_report, objective
 from subrank.functions import (
@@ -21,6 +25,7 @@ from subrank.functions import (
     hard_family,
     random_coverage_instance,
 )
+from subrank import instance_io
 from subrank.instance_io import (
     InstanceFormatError,
     doc_to_instance,
@@ -293,18 +298,58 @@ def test_structural_faults_raise_format_error(name):
         doc_to_instance(doc)
 
 
+# Runs each argv of the JSON list in argv[1] through subrank.cli.main in one
+# interpreter and prints [exit code, stderr, traceback of an exception that
+# escaped main or null] per argv, as JSON.
+MAIN_LOOP = """
+import contextlib, io, json, sys, traceback
+from subrank.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err, code, escaped = io.StringIO(), io.StringIO(), None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            escaped = traceback.format_exc()
+    results.append([code, err.getvalue(), escaped])
+print(json.dumps(results))
+"""
+
+
+def assert_one_line_data_error(name, code, stderr, escaped=None):
+    assert escaped is None, (name, escaped)
+    assert code == 2, (name, code)
+    assert len(stderr.splitlines()) == 1, (name, stderr)
+    assert "Traceback" not in stderr, name
+
+
 def test_solve_reports_structural_faults_in_one_line(tmp_path):
+    """Every MALFORMED file, and JSON nested too deeply to parse, is exit 2 and one line.
+
+    The deep file goes through every command that reads JSON: solve and
+    gmsc-bench read instances, experiment its config. All runs share one
+    interpreter; one more runs the module entry point itself.
+    """
+    runs = {}
     for name, (doc, _) in sorted(MALFORMED.items()):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc))
-        proc = subprocess.run(
-            [sys.executable, "-m", "subrank.cli", "solve", "--instance", str(path),
-             "--algo", "ng"],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2, name
-        assert len(proc.stderr.splitlines()) == 1, (name, proc.stderr)
-        assert "Traceback" not in proc.stderr, name
+        runs[name] = ["solve", "--instance", str(path), "--algo", "ng"]
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    runs["deep solve"] = ["solve", "--instance", str(deep), "--algo", "ng"]
+    runs["deep gmsc-bench"] = ["gmsc-bench", "--instance", str(deep)]
+    runs["deep experiment"] = ["experiment", "--config", str(deep), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", MAIN_LOOP, json.dumps(list(runs.values()))],
+                          capture_output=True, text=True, check=True)
+    results = json.loads(proc.stdout)
+    assert len(results) == len(runs)
+    for name, result in zip(runs, results):
+        assert_one_line_data_error(name, *result)
+    proc = subprocess.run([sys.executable, "-m", "subrank.cli", *runs["deep solve"]],
+                          capture_output=True, text=True)
+    assert_one_line_data_error("python -m subrank.cli", proc.returncode, proc.stderr)
 
 
 def test_repeated_covers_id_loads_as_one_hit():
@@ -367,3 +412,124 @@ def test_indented_and_compact_files_load_alike(make, tmp_path):
     perm = tuple(range(a.n, 0, -1))
     assert cover_report(a, perm) == cover_report(b, perm)
     assert normalized_greedy(a) == normalized_greedy(b)
+
+
+ODT_TABLE = [[0, 1], [1, 0], [1, 1]]  # every row identifiable
+
+
+@st.composite
+def mixed_documents(draw):
+    """Valid documents mixing many coverage functions with gmsc, singleton and odt ones.
+
+    Coverage covers are dense (every element listed, empty lists included)
+    or sparse, name ids more than once and leave items unhit. With
+    leading_zeros, some keys are written like "01", which _coverage reads
+    as the element it names.
+    """
+    n = draw(st.integers(2, 12))
+    leading_zeros = draw(st.booleans())
+    agents = []
+    for _ in range(draw(st.integers(1, 4))):
+        funcs = []
+        for _ in range(draw(st.integers(0, 6))):
+            family = draw(st.sampled_from(["coverage"] * 3 + ["gmsc", "singleton", "odt"]))
+            if family == "coverage":
+                ids = draw(st.lists(st.integers(-5, 60), max_size=4, unique=True))
+                items = [{"id": i, "w": draw(st.integers(1, 9))} for i in ids]
+                dense = draw(st.booleans())
+                elements = range(1, n + 1) if dense else sorted(
+                    draw(st.sets(st.integers(1, n), max_size=n)))
+                covers = {}
+                for e in draw(st.permutations(list(elements))):
+                    key = "0" * draw(st.integers(0, 2)) + str(e) if leading_zeros else str(e)
+                    covers[key] = draw(st.lists(st.sampled_from(ids), max_size=4)) if ids else []
+                params = {"items": items, "covers": covers}
+            elif family == "gmsc":
+                members = sorted(draw(st.sets(st.integers(1, n), min_size=1)))
+                params = {"members": members, "K": draw(st.integers(1, len(members)))}
+            elif family == "singleton":
+                params = {"element": draw(st.integers(1, n))}
+            else:
+                params = {"table_ref": "t0", "row": draw(st.integers(1, len(ODT_TABLE)))}
+            weight = draw(st.one_of(st.integers(1, 5), st.floats(0.25, 4.0)))
+            funcs.append({"family": family, "params": params, "weight": weight})
+        agents.append({"functions": funcs})
+    return {"n": n, "agents": agents, "tables": {"t0": ODT_TABLE}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=mixed_documents())
+def test_one_pass_coverage_decode_matches_coverage(doc):
+    """doc_to_instance builds each coverage oracle as _coverage does, in one pass.
+
+    Only a document with a "01"-style key goes function by function.
+    """
+    coverage = instance_io._coverage
+    with mock.patch.object(instance_io, "_coverage", wraps=coverage) as spy:
+        inst = doc_to_instance(doc)
+    n, checked = doc["n"], 0
+    for agent, agent_doc in zip(inst.agents, doc["agents"]):
+        for (oracle, _), f_doc in zip(agent.functions, agent_doc["functions"]):
+            if f_doc["family"] != "coverage":
+                continue
+            checked += 1
+            ref = coverage(f_doc["params"]["items"], f_doc["params"]["covers"], n)
+            assert oracle.items == ref.items
+            assert [type(v) for pair in oracle.items for v in pair] == [int] * 2 * len(ref.items)
+            for got, want in ((oracle.elements, ref.elements), (oracle.positions, ref.positions)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert np.array_equal(oracle.incidence(n), ref.incidence(n))
+            assert [oracle.element_mask(e) for e in range(n + 2)] == [
+                ref.element_mask(e) for e in range(n + 2)]
+    canonical = all(key == str(int(key)) for agent_doc in doc["agents"]
+                    for f_doc in agent_doc["functions"] if f_doc["family"] == "coverage"
+                    for key in f_doc["params"]["covers"])
+    assert spy.call_count == (0 if canonical else checked)
+
+
+_VALID_COVERAGE = {"family": "coverage", "weight": 1.0,
+                   "params": {"items": [{"id": 1, "w": 2}], "covers": {"1": [1], "2": [1]}}}
+
+
+def _coverage_fault(**params):
+    return {**_VALID_COVERAGE, "params": {**_VALID_COVERAGE["params"], **params}}
+
+
+# (where the fault sits: "function" or "agent", the bad document part, its message)
+FIRST_ERROR_FAULTS = {
+    "covers-key": ("function", _coverage_fault(covers={"1": [1], "3": [1]}),
+                   "covers keys must be elements of 1..2"),
+    "covers-id": ("function", _coverage_fault(covers={"1": [7]}),
+                  "covers names 7, which is not an item id"),
+    "covers-item": ("function", _coverage_fault(items=[{"id": 1, "w": 0}]),
+                    "item 1: w must be at least 1, got 0"),
+    "covers-missing": ("function", {**_VALID_COVERAGE, "params": {"items": []}},
+                       "missing field 'covers'"),
+    "gmsc": ("function", {"family": "gmsc", "params": {"members": [1, 3], "K": 1}, "weight": 1.0},
+             "gmsc member outside 1..2"),
+    "weight": ("function", {**_VALID_COVERAGE, "weight": -1.0}, "nonpositive weight -1.0"),
+    # a coverage function's params are read before its weight's sign
+    "weight-and-key": ("function", {**_coverage_fault(covers={"01": [1], "1": [1]}), "weight": 0},
+                       "covers names an element twice"),
+    "agent": ("agent", [_VALID_COVERAGE], 'agents entries must be {"functions": [...]}'),
+}
+
+
+@pytest.mark.parametrize("first,second", itertools.permutations(sorted(FIRST_ERROR_FAULTS), 2))
+@pytest.mark.parametrize("same_agent", [False, True], ids=["two-agents", "one-agent"])
+def test_first_fault_in_document_order_is_raised(first, second, same_agent):
+    """Of two faulty functions or agent entries, the earlier one's message is raised."""
+    agents = [{"functions": [_VALID_COVERAGE]}]
+    for name in (first, second):
+        kind, part, _ = FIRST_ERROR_FAULTS[name]
+        if kind == "agent":
+            agents.append(part)
+        elif same_agent and isinstance(agents[-1], dict) and len(agents) > 1:
+            agents[-1]["functions"].append(part)
+        else:
+            agents.append({"functions": [_VALID_COVERAGE, part]})
+    kind, _, message = FIRST_ERROR_FAULTS[first]
+    where = "agent 2" if kind == "agent" else "agent 2 function 2"
+    with pytest.raises(InstanceFormatError) as info:
+        doc_to_instance({"n": 2, "agents": agents})
+    assert str(info.value) == f"{where}: {message}"
