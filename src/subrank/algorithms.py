@@ -29,6 +29,21 @@ loop bit for bit; a matrix product would reorder the sum and could flip
 near-ties. Lazy (Minoux) evaluation is not used: a normalized gain can
 grow as the prefix grows.
 
+When many states share each tracker (K agents holding the same M
+decision-table oracles), a pick first screens its candidates with one
+product per tracker (_contenders): per sums weight / residual over each
+tracker's states, and approx = scaled @ per. Every term is >= 0, so
+approx is within a relative slack of each row's sequential score, for any
+summation order and with or without FMA (the bound is derived in _pick).
+Only the rows whose approx + slack reaches the largest approx - slack
+are summed exactly, in ascending order; the product only screens and
+never gives a score, so the element, the score's bits and the
+smallest-index tie-break are those of summing every row. The screen is
+skipped, and every row summed, when there are fewer than
+_SCREEN_STATES_PER_TRACKER uncovered states per tracker, when a weight
+is below _SCREEN_MIN_WEIGHT (a term could be subnormal, where a relative
+bound fails) and when approx + slack is not finite in some row.
+
 The kernel also records each tracker's cover time as a pick covers it,
 so greedy, NG and every BAG run can report their own permutations
 (_greedy_run, RunTrace.report): agent costs are weight * time summed per
@@ -75,6 +90,14 @@ _CHUNK_CELLS = 1 << 14
 # items reaches this many cells; below it, gathering the live columns costs
 # more than multiplying the dead ones by 0.
 _LIVE_FILL_CELLS = 1 << 12
+# A pick screens its candidates (_contenders) once its uncovered states
+# number at least this many per tracker; with fewer, summing every row
+# exactly costs about as much as the screen.
+_SCREEN_STATES_PER_TRACKER = 2
+# The smallest weight for which no nonzero term of a screened pick is
+# subnormal: a nonzero scaled gain is at least 2**-53 and a residual at
+# most 1, so every product and quotient stays at least 2**-1021.
+_SCREEN_MIN_WEIGHT = 2.0**-968
 
 
 class _Kernel:
@@ -184,7 +207,10 @@ class _Kernel:
             # live column; a tracker without live items keeps its 0.0
             items = live.nonzero()[0]
             owner = self.owner[items]
-            heads = np.flatnonzero(np.diff(owner, prepend=-1))
+            first = np.empty(owner.size, dtype=bool)
+            first[:1] = True
+            np.not_equal(owner[1:], owner[:-1], out=first[1:])
+            heads = first.nonzero()[0]
             live, trackers = live[items], owner[heads]
         # rows in chunks, so the product's temporaries stay near _CHUNK_CELLS
         step = max(1, _CHUNK_CELLS // max(1, live.size))
@@ -270,6 +296,35 @@ class _Kernel:
          self._scaled) = saved
 
 
+def _contenders(scaled: np.ndarray, fn: np.ndarray, weight: np.ndarray,
+                residual: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """The ascending rows of scaled whose sequential score can reach the maximum.
+
+    fn, weight and residual (None for greedy) are a pick's uncovered
+    states. approx = scaled @ per, with per each tracker's summed weight /
+    residual, is within slack = approx * (N + M + 1) * 2**-51 of each
+    row's sequential score (see _pick), so a row whose approx + slack is
+    below the largest approx - slack scores strictly less than the row
+    with that lower bound; that row always stays, so the result is never
+    empty. None, to sum every row, with fewer than
+    _SCREEN_STATES_PER_TRACKER states per tracker, with a weight below
+    _SCREEN_MIN_WEIGHT (this also catches weights <= 0) and with an
+    approx + slack that is not finite.
+    """
+    trackers = scaled.shape[1]
+    if fn.size < _SCREEN_STATES_PER_TRACKER * trackers or weight.min() < _SCREEN_MIN_WEIGHT:
+        return None
+    # an overflow here only sends the pick to the full sums, so it is not reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = weight if residual is None else weight / residual
+        approx = scaled @ np.bincount(fn, weights=ratio, minlength=trackers)
+        slack = approx * ((fn.size + trackers + 1) * 2.0**-51)
+        high = approx + slack
+    if not np.isfinite(high).all():
+        return None
+    return np.flatnonzero(high >= (approx - slack).max())
+
+
 def _pick(kernel: _Kernel, states: np.ndarray, normalized: bool) -> tuple:
     """(element, score) maximizing the summed weighted gain over uncovered states.
 
@@ -277,7 +332,38 @@ def _pick(kernel: _Kernel, states: np.ndarray, normalized: bool) -> tuple:
     ((gain / den) * weight) / residual, with residual 1 - value when
     normalized; greedy's residual is 1.0, so its division is left out.
     gain / den is read from kernel.scaled(). Candidates are kernel.remaining, which is ascending, so the
-    first maximum is the smallest-index one.
+    first maximum is the smallest-index one. When _contenders screens the
+    candidates, only the rows it keeps are summed; every row it drops
+    scores strictly below the maximum, so the element and the score's bits
+    are those of summing every row.
+
+    The screen's bound. Let u = 2**-53 and g(n) = n*u / (1 - n*u). For one
+    candidate, take the floats s_j (its scaled gain for state j's
+    tracker), w_j and r_j (1.0 for greedy) of the N uncovered states, and
+    T = sum_j s_j * w_j / r_j in exact arithmetic; every term is >= 0.
+    - A sequential score term takes at most two roundings (product,
+      quotient), then N - 1 additions: score = sum_j t_j * (1 + e_j) with
+      t_j = s_j * w_j / r_j and |e_j| <= g(N + 1).
+    - approx rounds w_j / r_j once, adds it to its tracker's per in at
+      most N - 1 additions, and then goes through one product and at most
+      M - 1 additions of the M-tracker dot product. That holds for any
+      order or tree of additions, and an FMA only drops a rounding, so
+      approx = sum_j t_j * (1 + e'_j) with |e'_j| <= g(N + M).
+    - All t_j >= 0, so |score - T| <= g(N + 1) * T and |approx - T| <=
+      g(N + M) * T, hence |approx - score| <= 2 g(N + M) T <= 2 g(N + M) /
+      (1 - g(N + M)) * approx = 2x / (1 - 2x) * approx with x = (N + M) u.
+    - (N + M + 1) * 2**-51 is exact, so slack = 4 (N + M + 1) u * approx
+      up to one rounding. For x <= 1/4 it exceeds 2x / (1 - 2x) * approx
+      by at least (2x - 8x**2 + 4u) * approx, which covers that rounding
+      and those of approx + slack and approx - slack. So fl(approx +
+      slack) >= score >= fl(approx - slack) in every row, for any N + M
+      up to 2**49.
+    The model of one relative rounding per operation fails on underflow
+    and overflow, hence the fallbacks. A nonzero s_j is at least 2**-53
+    (integer gains over denominators <= 2**53) and r_j <= 1, so with
+    every weight at least 2**-968 each nonzero product, quotient and sum
+    is at least 2**-1021, a normal number. A finite approx + slack bounds
+    every partial sum of that row's score, so nothing overflows either.
     """
     remaining = kernel.remaining
     uncovered = states[~kernel.covered[kernel.fn[states]]]
@@ -285,11 +371,13 @@ def _pick(kernel: _Kernel, states: np.ndarray, normalized: bool) -> tuple:
         return remaining[0], 0.0
     fn = kernel.fn[uncovered]
     weight = kernel.weight[uncovered]
-    if normalized:
-        residual = 1.0 - kernel.num[fn] / kernel.den[fn]
+    residual = 1.0 - kernel.num[fn] / kernel.den[fn] if normalized else None
     scaled = kernel.scaled()
+    rows = _contenders(scaled, fn, weight, residual)
+    if rows is not None:
+        scaled = scaled[rows]
     step = max(1, _CHUNK_CELLS // fn.size)
-    scores = np.empty(len(remaining))
+    scores = np.empty(len(scaled))
     for lo in range(0, scores.size, step):
         terms = scaled[lo:lo + step, fn]
         terms *= weight
@@ -298,7 +386,10 @@ def _pick(kernel: _Kernel, states: np.ndarray, normalized: bool) -> tuple:
         # a sequential accumulate, so the sum matches a scalar += loop bit for bit
         scores[lo:lo + step] = np.cumsum(terms, axis=1, out=terms)[:, -1]
     best = int(np.argmax(scores))  # first maximum
-    return remaining[best], float(scores[best])
+    score = float(scores[best])
+    if rows is not None:
+        best = int(rows[best])
+    return remaining[best], score
 
 
 def _advance(kernel: _Kernel, e: int) -> np.ndarray:

@@ -130,10 +130,23 @@ def _validated(inst) -> bool:
     return not errors_only(problems)
 
 
+def _check_out_dirs(*paths) -> None:
+    """Raise FileNotFoundError for an output path whose directory is missing.
+
+    Called before a command runs, so a run that cannot write its outputs
+    prints no report.
+    """
+    for path in paths:
+        folder = os.path.dirname(path) if path else ""
+        if folder and not os.path.isdir(folder):
+            raise FileNotFoundError(f"output directory does not exist: {folder}")
+
+
 def _cmd_solve(args) -> int:
     if args.trace and args.algo != "bag":
         print("error: --trace is only meaningful with --algo bag", file=sys.stderr)
         return EXIT_USAGE
+    _check_out_dirs(args.out, args.trace)
     inst = load_instance(args.instance)
     if not _validated(inst):
         return EXIT_DATA
@@ -225,6 +238,7 @@ def _cmd_gmsc_bench(args) -> int:
     base = args.seed_base if args.seed_base is not None else default_seed()
     if base < 0:  # rounding seeds feed np.random.SeedSequence
         raise ValueError(f"SUBRANK_SEED must be non-negative for gmsc-bench, got {base}")
+    _check_out_dirs(args.out, args.dump_lp)  # a prefix names its files' directory too
     inst = load_instance(args.instance)
     # a function that is not unit-weight gmsc is one error line, before validate's warnings
     list(gmsc_mod.gmsc_sets(inst))

@@ -4,6 +4,7 @@ import copy
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -400,14 +401,14 @@ def family_oracles(draw, n):
 
 
 @st.composite
-def shared_oracle_instances(draw):
-    """Agents holding integer-weighted oracles drawn, with repeats, from one pool."""
+def shared_oracle_instances(draw, weights=st.integers(1, 3).map(float)):
+    """Agents holding oracles drawn, with repeats, from one pool; integer weights by default."""
     n = draw(st.integers(min_value=2, max_value=6))
     pool = draw(family_oracles(n))
     agents = []
     for i in range(1, draw(st.integers(min_value=1, max_value=3)) + 1):
         picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-        funcs = tuple((f, float(draw(st.integers(1, 3)))) for f in picks)
+        funcs = tuple((f, draw(weights)) for f in picks)
         agents.append(Agent(id=i, functions=funcs))
     return Instance(n=n, agents=tuple(agents))
 
@@ -551,6 +552,94 @@ def test_live_fills_equal_full_fills(monkeypatch):
     monkeypatch.setattr(_Kernel, "_fill_gains", checked_fill)
     tune_ratio(build_instance(discretize(synthetic_table(600, 22, 10, 20)), 10, 100, 31))
     assert any(paths)
+
+
+def _check_screened_picks(monkeypatch):
+    """Make every _pick also run with the screen off and assert both give the same bits.
+
+    Returns the list that collects, per pick, (rows kept, rows) when the
+    screen ran and None when it fell back.
+    """
+    pick, contenders, kept = algorithms._pick, algorithms._contenders, []
+
+    def counted_contenders(scaled, *args):
+        rows = contenders(scaled, *args)
+        kept.append(None if rows is None else (rows.size, len(scaled)))
+        return rows
+
+    def checked_pick(kernel, states, normalized):
+        with mock.patch.object(algorithms, "_SCREEN_STATES_PER_TRACKER", float("inf")):
+            e, score = pick(kernel, states, normalized)
+        got = pick(kernel, states, normalized)
+        assert (got[0], got[1].hex()) == (e, score.hex())
+        return got
+
+    monkeypatch.setattr(algorithms, "_contenders", counted_contenders)
+    monkeypatch.setattr(algorithms, "_pick", checked_pick)
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(inst=st.one_of(
+    tie_prone_instances(),
+    shared_oracle_instances(),
+    shared_oracle_instances(weights=st.sampled_from([0.1, 1 / 3, 0.7, 1.0, 1.1, 2 / 3, 3.0])),
+))
+# NG's third pick, after 4 and 1: elements 2 and 3 both sum to 1.5, but
+# element 2's approx is (6/7) * (7/6) + 0.5 = 1.4999999999999998, so a
+# screen without slack would keep only element 3 and lose the tie-break.
+@example(inst=Instance(n=4, agents=(
+    Agent(id=1, functions=((coverage_function([(1, 1), (2, 1), (3, 1)], {1: {1}, 4: {2, 3}}), 2.0),
+                           (coverage_function([(1, 1), (2, 1)], {3: {1, 2}}), 1.0),
+                           (coverage_function([(1, 1)], {4: {1}}), 1.0))),
+    Agent(id=2, functions=((coverage_function([(1, 3), (2, 3), (3, 1)], {1: {3}, 2: {1, 2}}), 1.0),
+                           (coverage_function([(1, 1)], {}), 1.0))),
+    Agent(id=3, functions=((coverage_function([(1, 1), (2, 1)], {2: {1}, 3: {1}}), 1.0),)),
+)))
+def test_screened_picks_equal_full_picks(inst):
+    """With the screen's gate open, greedy, NG and every BAG run of a tuning grid pick as unscreened."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(algorithms, "_SCREEN_STATES_PER_TRACKER", 0)
+        _check_screened_picks(monkeypatch)
+        greedy(inst)
+        normalized_greedy(inst)
+        _outcome(tune_ratio, inst)
+
+
+def test_screen_fires_in_tuning_and_keeps_every_pick(monkeypatch):
+    """On odt K=20, M=20, tuning screens some picks, and each screened pick is the full one."""
+    kept = _check_screened_picks(monkeypatch)
+    tune_ratio(build_instance(discretize(synthetic_table(600, 22, 10, 20)), 20, 20, 31))
+    screened = [k for k in kept if k is not None]
+    assert all(1 <= size <= rows for size, rows in screened)
+    assert any(size < rows for size, rows in screened)
+
+
+@pytest.mark.parametrize("weights", [
+    (1e308,) * 4,
+    (sys.float_info.max, 1e308, 2.0, sys.float_info.max / 3),
+    (5e-324,) * 4,
+    (5e-324, 1.0, 2**-968, 3.0),
+    (5e-324, sys.float_info.max, 1.0, 1e-300),
+])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_screen_falls_back_on_extreme_weights(weights, monkeypatch):
+    """Huge and subnormal weights rank as with the screen off, and raise nothing."""
+    tables = [coverage_function([(1, 1), (2, 2)], {1: {1}, 2: {2}, 3: {1, 2}}),
+              coverage_function([(1, 3), (2, 1)], {2: {1}, 3: {2}, 4: {1, 2}}),
+              singleton_function(4)]
+    inst = Instance(n=4, agents=tuple(Agent(id=i, functions=tuple((f, w) for f in tables))
+                                      for i, w in enumerate(weights, start=1)))
+
+    def runs():
+        return (greedy(inst), normalized_greedy(inst), bag_trace(inst)[1].pick_lines())
+
+    monkeypatch.setattr(algorithms, "_SCREEN_STATES_PER_TRACKER", float("inf"))
+    full = runs()
+    monkeypatch.setattr(algorithms, "_SCREEN_STATES_PER_TRACKER", 0)
+    kept = _check_screened_picks(monkeypatch)
+    assert runs() == full
+    assert None in kept  # some pick fell back to the full sums
 
 
 def test_tune_ratio_finds_each_lagging_set_once_per_node(monkeypatch):

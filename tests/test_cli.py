@@ -133,6 +133,15 @@ class TestSolve:
         assert doc["minmax"] == report.minmax and doc["average"] == report.average
         assert doc["agent_costs"] == list(report.agent_costs)
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_missing_output_directory_fails_before_the_run(self, flag, hard4, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        code = main(["solve", "--instance", hard4, "--algo", "bag", flag, str(missing / "f")])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no report for a run that cannot write its outputs
+        assert captured.err == f"error: output directory does not exist: {missing}\n"
+
 
 class TestGenerate:
     def test_hard_k9_is_validate_clean(self, tmp_path, capsys):
@@ -350,6 +359,20 @@ class TestGmscBench:
         assert len(lines) == 5
         assert (tmp_path / "lp_x.csv").exists()
         assert (tmp_path / "lp_y.csv").exists()
+
+    @pytest.mark.parametrize("flag,name", [("--out", "bench.csv"), ("--dump-lp", "lp")])
+    def test_missing_output_directory_fails_before_the_lp(self, flag, name, gmsc6, tmp_path,
+                                                          monkeypatch, capsys):
+        def no_lp(inst):
+            raise AssertionError("the LP ran")
+
+        monkeypatch.setattr(cli.gmsc_mod, "solve_lp", no_lp)
+        missing = tmp_path / "missing"
+        code = main(["gmsc-bench", "--instance", gmsc6, "--seeds", "2", flag, str(missing / name)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output directory does not exist: {missing}\n"
 
     @pytest.mark.parametrize("argv", [
         ["--family", "coverage", "--n", "5", "--k", "2", "--m", "2", "--seed", "1"],
