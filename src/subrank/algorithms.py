@@ -108,9 +108,10 @@ class _Kernel:
     and time its cover time: the number of picks after which it became
     covered, 0 when covered at the root and -1 while uncovered. Items are
     the oracles' bit positions, stacked in tracker order: hits is the
-    element x item incidence (row e - 1 for element e), live the weight
-    of each item not yet hit by a pick (0.0 once dead) and owner its
-    tracker, whose items start at column starts[j]. States are the (agent,
+    element x item incidence (row e - 1 for element e), the first n rows
+    of the instance's matrix without a copy (Instance.hits), live the
+    weight of each item not yet hit by a pick (0.0 once dead) and owner
+    its tracker, whose items start at column starts[j]. States are the (agent,
     function) pairs in agent then function order; fn maps each to its tracker, and
     pairs holds its (agent id, weight) as Python numbers for the callers'
     scalar sums. For per-agent sums, cells places every state in a grid of
@@ -149,15 +150,13 @@ class _Kernel:
         self.position = {a.id: i for i, a in enumerate(inst.agents)}
         self.by_id = np.argsort(self.agent, kind="stable")
         self.by_id_owner = agent_of[self.by_id]
-        # An oracle without items gets one dead column so reduceat's
-        # segments stay nonempty.
-        blocks = [f.incidence(inst.n) if f.item_weights else np.zeros((inst.n, 1), np.uint8)
-                  for f in oracles]
-        self.widths = np.array([block.shape[1] for block in blocks], dtype=np.intp)
-        self.hits = np.concatenate(blocks, axis=1) if blocks else np.zeros((inst.n, 0), np.uint8)
+        # The instance's matrix, where an oracle without items has one dead
+        # column so reduceat's segments stay nonempty.
+        self.hits = inst.hits[:inst.n]
+        self.starts = inst.starts
         self.live = np.fromiter(chain(f.item_weights or (0,) for f in oracles), dtype=float)
-        self.starts = np.cumsum(self.widths) - self.widths
-        self.owner = np.repeat(np.arange(len(oracles), dtype=np.intp), self.widths)  # of each item
+        widths = np.diff(self.starts, append=self.hits.shape[1])
+        self.owner = np.repeat(np.arange(len(oracles), dtype=np.intp), widths)  # of each item
         self.den = np.array([f.denominator for f in oracles], dtype=float)
         self.num = np.array([f.numerator(0) for f in oracles], dtype=float)
         self.covered = np.array([f.mask_covers(0) for f in oracles], dtype=bool)

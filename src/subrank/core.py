@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, not_
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -44,16 +45,13 @@ class SetSystemOracle:
 
     What each element hits lives in the oracle's incidence, a read-only
     uint8 matrix whose row e - 1 marks the items element e hits, for the
-    elements 1..span (later ones hit nothing). A family either names its
-    hits as (element, item position) pairs in _hit_pairs, and
-    seal_incidences builds the matrix with one fancy-index assignment, or
-    gets it elsewhere and calls _seal (a decision-table row takes its block
-    of the incidences its table builds for all rows in one pass). The
-    element masks (element id -> int bitmask over item positions), which
-    the scalar numerator reference and cover_time read, come from the same
-    matrix in one pass. Pair-built oracles are sealed together when an
-    Instance is built, or one at a time when element_mask or incidence
-    first needs them.
+    elements 1..span (later ones hit nothing), and in its element masks
+    (element id -> int bitmask over item positions), which the scalar
+    numerator reference and cover_time read. A family names its hits as
+    (element, item position) pairs in _hit_pairs, and the first Instance
+    that holds the oracle seals it with a block (a view) of the instance's
+    matrix, or element_mask or incidence seals it alone; a decision-table
+    row calls _seal with its block of its table's incidences.
     """
 
     denominator: int = 1
@@ -62,7 +60,6 @@ class SetSystemOracle:
     # would slow every later attribute read of the oracle about threefold.
     _hits: Optional[np.ndarray] = None  # until sealed
     _masks: Optional[list] = None  # _masks[e - 1] is element e's bitmask, e in 1..span
-    _incidence: Optional[np.ndarray] = None  # incidence(n) at the last n other than span
 
     def _hit_pairs(self) -> tuple:
         """(element ids >= 1, item positions): two intp arrays, a pair per hit."""
@@ -106,9 +103,8 @@ class SetSystemOracle:
     def incidence(self, n: int) -> np.ndarray:
         """Read-only uint8 matrix (n, len(item_weights)): row e - 1 marks the items e hits.
 
-        The oracle's own incidence when n is its span; otherwise that matrix
-        cut or zero-padded to n rows, built once per n and kept on the
-        oracle, so every run on an instance that holds it reuses the matrix.
+        The oracle's own incidence when n is its span, else a copy of it cut
+        or zero-padded to n rows; runs read the instance's matrix instead.
         """
         hits = self._hits
         if hits is None:
@@ -116,78 +112,82 @@ class SetSystemOracle:
             hits = self._hits
         if n == len(hits):
             return hits
-        cached = self._incidence
-        if cached is None or cached.shape[0] != n:
-            cached = np.zeros((n, hits.shape[1]), np.uint8)
-            cached[:len(hits)] = hits[:n]
-            cached.flags.writeable = False
-            object.__setattr__(self, "_incidence", cached)
-        return cached
+        out = np.pad(hits[:n], ((0, max(0, n - len(hits))), (0, 0)))
+        out.flags.writeable = False
+        return out
 
 
-def seal_incidences(oracles: Sequence[SetSystemOracle]) -> None:
-    """Give pair-built oracles their incidences and element masks in one pass.
+def seal_incidences(oracles: Sequence[SetSystemOracle], rows: int = 0) -> tuple:
+    """(hits, starts): the oracles' incidences side by side, and each one's first column.
 
-    Every oracle's hit pairs go into one uint8 matrix, elements 1..span by
-    all the oracles' items side by side (each block starting on a whole
-    byte), with one fancy-index assignment. Each oracle keeps its column
-    block (a view) as its incidence, and block_masks derives all the
-    element masks from the whole matrix. Raises ValueError on an element id
+    hits is one read-only uint8 matrix over the elements 1..max(rows,
+    largest hit), without padding; an oracle without items gets one zero
+    column. The hit pairs of the oracles not sealed yet go in with one
+    fancy-index assignment, and each keeps its block (a view) and its
+    element masks; an oracle sealed before, by its table or an earlier
+    instance, is copied into its block. Raises ValueError on an element id
     below 1.
     """
-    if not oracles:
-        return
-    pairs = [f._hit_pairs() for f in oracles]
     widths = [len(f.item_weights) for f in oracles]
-    starts = 8 * np.cumsum([0] + [-(-w // 8) for w in widths])  # block columns
-    elements = np.concatenate([e for e, _ in pairs])
-    columns = np.concatenate([p for _, p in pairs])
-    columns += np.repeat(starts[:-1], [e.size for e, _ in pairs])  # item position -> column
+    bounds = list(itertools.accumulate([w or 1 for w in widths], initial=0))
+    fresh = [f._hits is None for f in oracles]
+    new, lows, new_widths = (list(itertools.compress(v, fresh)) for v in (oracles, bounds, widths))
+    pairs = [f._hit_pairs() for f in new]
+    elements = np.concatenate([e for e, _ in pairs]) if pairs else np.zeros(0, np.intp)
     if elements.size and elements.min() < 1:
         raise ValueError(f"element id {int(elements.min())} is below 1")
-    hits = np.zeros((int(elements.max()) if elements.size else 0, int(starts[-1])), np.uint8)
-    hits[elements - 1, columns] = 1
+    size = max(rows, int(elements.max()) if elements.size else 0)
+    hits = np.zeros((size, bounds[-1]), np.uint8)
+    if pairs:
+        columns = np.concatenate([p for _, p in pairs])
+        columns += np.repeat(lows, [e.size for e, _ in pairs])  # item position -> column
+        hits[elements - 1, columns] = 1
+    sealed = (itertools.compress(v, map(not_, fresh)) for v in (oracles, bounds, widths))
+    for f, lo, w in zip(*sealed):
+        block = f._hits[:size]
+        hits[:len(block), lo:lo + w] = block
     hits.flags.writeable = False  # and so is every block viewing it
-    for f, lo, w, masks in zip(oracles, starts.tolist(), widths, block_masks(hits, widths)):
+    for f, lo, w, masks in zip(new, lows, new_widths, block_masks(hits, new_widths, lows)):
         f._seal(hits[:, lo:lo + w], masks)
+    return hits, np.array(bounds[:-1], np.intp)
 
 
-def block_masks(hits: np.ndarray, widths: Sequence[int]) -> list:
+def block_masks(hits: np.ndarray, widths: Sequence[int],
+                starts: Optional[Sequence[int]] = None) -> list:
     """Element masks of the oracles whose incidences are hits' column blocks.
 
-    widths are the blocks' widths, left to right; each block starts on a
-    whole byte, ceil(width / 8) * 8 columns after the one before it.
-    Returns one list per block whose entry e - 1 is the int with bit p set
-    when row e - 1 marks the block's item p. One packbits pass gives the
-    bytes. The blocks of at most 64 items, the common case, then take one
-    shifted reduceat that sums each block's bytes into one 64-bit word per
-    row; a wider block reads each row's bytes with int.from_bytes, sliced
-    from one bytes copy of the packed matrix.
+    Block j is the widths[j] columns from starts[j] (by default the blocks
+    lie side by side from column 0); other columns are ignored. Returns one
+    list per block whose entry e - 1 is the int with bit p set when row
+    e - 1 marks the block's item p. Blocks of at most 64 items, the common
+    case, are read for all rows at once from the packed matrix as 64-bit
+    words: a block spans at most two, so two shifts and a mask give it. A
+    wider block packs its own columns and reads each row with int.from_bytes.
     """
     rows = hits.shape[0]
-    nbytes = [-(-w // 8) for w in widths]
-    starts = list(itertools.accumulate(nbytes, initial=0))
-    packed = np.packbits(hits, axis=1, bitorder="little")
-    words: Iterable = iter(())
-    if any(0 < b <= 8 for b in nbytes):
-        shifts = np.arange(packed.shape[1], dtype=np.uint64)  # each byte's offset in its block
-        shifts -= np.repeat(np.array(starts[:-1], np.uint64), nbytes)
-        shifts = (shifts & np.uint64(7)) << np.uint64(3)  # past 8 bytes only in wide blocks
-        segments = [lo for lo, b in zip(starts, nbytes) if b]
-        sums = np.add.reduceat(np.left_shift(packed, shifts, dtype=np.uint64), segments, axis=1)
-        words = iter(sums.T.tolist())  # one list per nonempty block
-    raw = packed.tobytes() if any(b > 8 for b in nbytes) else b""
-    stride = packed.shape[1]
+    if starts is None:
+        starts = list(itertools.accumulate(widths, initial=0))
+    narrow = [j for j, w in enumerate(widths) if 0 < w <= 64]
+    values: Iterable = iter(())
+    if narrow:
+        packed = np.packbits(hits, axis=1, bitorder="little")
+        words = np.zeros((rows, hits.shape[1] // 64 + 2), "<u8")  # a zero word past the last
+        words.view(np.uint8)[:, :packed.shape[1]] = packed
+        lo = np.array([starts[j] for j in narrow], np.uint64)
+        w = np.array([widths[j] for j in narrow], np.uint64)
+        first = (lo // 64).astype(np.intp)
+        # the next word shifts in two steps, so an aligned block's shift stays below 64
+        value = words[:, first] >> lo % 64 | words[:, first + 1] << 1 << 63 - lo % 64
+        values = iter((value & ~np.uint64(0) >> 64 - w).T.tolist())  # a list per narrow block
     masks = []
-    for lo, b in zip(starts, nbytes):
-        if not b:
-            masks.append([0] * rows)
-        elif b <= 8:
-            masks.append(next(words))
+    for lo, w in zip(starts, widths):
+        if w > 64:
+            packed = np.packbits(hits[:, lo:lo + w], axis=1, bitorder="little")
+            raw, stride = packed.tobytes(), packed.shape[1]
+            masks.append([int.from_bytes(raw[at:at + stride], "little")
+                          for at in range(0, len(raw), stride)])
         else:
-            next(words, None)  # a wide block's word sums overlap, so they are skipped
-            masks.append([int.from_bytes(raw[at:at + b], "little")
-                          for at in range(lo, len(raw), stride)])
+            masks.append(next(values) if w else [0] * rows)
     return masks
 
 
@@ -223,12 +223,14 @@ class Instance:
     on n below 0, duplicate agent ids, a denominator above MAX_DENOMINATOR
     or an element id below 1. Each distinct oracle is checked once, where
     it first appears in agent order, so the error raised is that of the
-    first bad function. The oracles not sealed yet get their incidences in
-    one seal_incidences pass.
+    first bad function.
 
     oracles lists the distinct oracles (by identity) in first-appearance
     order, and oracle_index holds, per agent, the position in oracles of
     each of its functions, so evaluators can handle a shared oracle once.
+    hits and starts are seal_incidences(oracles, n): the one incidence
+    matrix, whose first n rows the kernel and validate read, and each
+    oracle's first column in it.
     """
 
     n: int
@@ -237,9 +239,10 @@ class Instance:
     W: float = field(init=False)
     oracles: tuple = field(init=False, repr=False, compare=False)
     oracle_index: tuple = field(init=False, repr=False, compare=False)
-    # The selection kernel's root state, built on the first run and kept
-    # here (like an oracle's incidence) so every later run on the instance
-    # starts from a copy of it; see algorithms._Kernel.start.
+    hits: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    # The selection kernel's root state, built on the first run and kept so
+    # every later run starts from a copy of it; see algorithms._Kernel.start.
     _kernel_root = None
 
     def __post_init__(self):
@@ -272,7 +275,9 @@ class Instance:
                     oracles.append(f)
                 agent_index = tuple(map(position.__getitem__, ids))
             index.append(agent_index)
-        seal_incidences([f for f in oracles if f._hits is None])
+        hits, starts = seal_incidences(oracles, self.n)
+        object.__setattr__(self, "hits", hits)
+        object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "oracles", tuple(oracles))
         object.__setattr__(self, "oracle_index", tuple(index))
         eps = min((f.min_nonzero_marginal for f in oracles), default=1.0)
@@ -435,12 +440,25 @@ class Violation:
 def validate(inst: Instance) -> list:
     """Check instance invariants; returns violations, never raises.
 
-    Every function is checked exactly for f(U) = 1, on the items its
-    incidence marks over 1..n (_ground_set_masks); monotonicity and
-    submodularity hold by construction of SetSystemOracle.
+    Every function is checked exactly for f(U) = 1, on the items that rows
+    1..n of the instance's matrix mark; monotonicity and submodularity hold
+    by construction of SetSystemOracle. Weights so large that a cost or a
+    pick's score could overflow are one error.
     """
     violations = []
-    full = _ground_set_masks(inst)
+    # per distinct oracle, the items some element hits: its slice of one packed row
+    every = int.from_bytes(np.packbits(inst.hits[:inst.n].any(axis=0), bitorder="little")
+                           .tobytes(), "little")
+    full = [every >> start & (1 << len(f.item_weights)) - 1
+            for f, start in zip(inst.oracles, inst.starts.tolist())]
+    # A cost sums weight * cover time with times <= n, so each cost and their
+    # sum are at most n * total. A pick term is weight * (gain / den) /
+    # residual, with gain / den <= 1 and residual >= 1 / den >= 2**-53, so a
+    # score, or the screen's approx + slack, is at most 2**54 * total.
+    total = sequential_sum(w for agent in inst.agents for _, w in agent.functions)
+    if not math.isfinite(2.0**54 * max(inst.n, 1) * total):
+        violations.append(Violation(SEVERITY_ERROR, "instance", "weights too large: "
+                                    f"2**54 * n * (sum of weights) overflows (sum={total})"))
 
     for agent, index in zip(inst.agents, inst.oracle_index):
         if not agent.functions:
@@ -466,24 +484,6 @@ def validate(inst: Instance) -> list:
                 violations.append(Violation(SEVERITY_ERROR, where, f"f(U) != 1 (f(U)={value})"))
 
     return violations
-
-
-def _ground_set_masks(inst: Instance) -> list:
-    """Per distinct oracle (inst.oracles order), the items some element of 1..n hits.
-
-    One pass reads the columns of all the incidences side by side, and each
-    oracle's bitmask is its slice of the packed result.
-    """
-    if not inst.oracles:
-        return []
-    hit = np.concatenate([f.incidence(inst.n) for f in inst.oracles], axis=1).any(axis=0)
-    every = int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
-    masks = []
-    for f in inst.oracles:
-        width = len(f.item_weights)
-        masks.append(every & ((1 << width) - 1))
-        every >>= width
-    return masks
 
 
 def errors_only(violations: Iterable[Violation]) -> list:

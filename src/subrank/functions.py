@@ -6,11 +6,11 @@ per-element "hit" sets, so coverage checks are exact integer comparisons
 rather than float thresholds. Each family sets its item weights and
 denominator, computes its own numerator and says what each element hits:
 coverage as its (element, item position) arrays, gmsc as its sorted
-members and a singleton as one cell, all placed into incidence matrices
-by one fancy-index assignment per batch (core.seal_incidences), and a
+members and a singleton as one cell, all placed into an Instance's
+matrix by one fancy-index assignment (core.seal_incidences), and a
 decision-table row as its block of its table's incidences, which the table
 builds for all its rows at once from one chunked comparison of its codes.
-The base class derives the rest from that matrix (the element masks,
+The base class derives the rest from that block (the element masks,
 incidence(n), min_nonzero_marginal). JSON params live in instance_io.
 """
 
@@ -129,34 +129,34 @@ class OdtTable:
         if not identifiable[row - 1]:
             raise ValueError(f"row not identifiable: row {row} duplicates another row")
         m = self.m
-        lo = (row - 1) * (hits.shape[1] // m)  # each block is a whole number of bytes wide
-        return hits[:, lo:lo + m], masks[row - 1]
+        return hits[:, (row - 1) * m:row * m], masks[row - 1]
 
     def _incidences(self) -> tuple:
         """(incidences of all rows side by side, their element masks, identifiable flags).
 
-        One uint8 matrix, columns x (m blocks of m items), each block
-        starting on a whole byte as in core.seal_incidences; block j marks
-        the rows whose code differs from row j's at each column. The codes
-        are compared in chunks of rows, so no m x m x columns temporary
-        exists, and core.block_masks derives all the masks at once. Built
-        on the first call and kept.
+        One uint8 matrix, columns x (m blocks of m items) side by side;
+        block j marks the rows whose code differs from row j's at each
+        column. The codes are compared in chunks of rows, so no m x m x
+        columns temporary exists. Read as columns * m rows of one block,
+        the matrix gives every row's masks from one core.block_masks call.
+        Built on the first call and kept.
         """
         if self._built is None:
             by_column = np.ascontiguousarray(self.codes.T)
             cols, m = by_column.shape
-            width = -(-m // 8) * 8
-            blocks = np.zeros((cols, m, width), np.uint8)  # [column, row j, row i]
+            blocks = np.empty((cols, m, m), np.uint8)  # [column, row j, row i]
             identifiable = np.empty(m, dtype=bool)
             step = max(1, _COMPARE_CELLS // max(1, m * cols))
             for lo in range(0, m, step):
                 differs = by_column[:, lo:lo + step, None] != by_column[:, None, :]
-                blocks[:, lo:lo + step, :m] = differs
+                blocks[:, lo:lo + step] = differs
                 # row j differs from itself nowhere, so m - 1 other rows must differ somewhere
                 identifiable[lo:lo + step] = differs.any(axis=0).sum(axis=1) == m - 1
-            hits = blocks.reshape(cols, m * width)
+            hits = blocks.reshape(cols, m * m)
             hits.flags.writeable = False  # and so is every block viewing it
-            built = (hits, block_masks(hits, [m] * m), identifiable.tolist())
+            # entry c * m + j is row j's mask at element c + 1
+            flat = block_masks(hits.reshape(cols * m, m), [m])[0]
+            built = (hits, [flat[j::m] for j in range(m)], identifiable.tolist())
             object.__setattr__(self, "_built", built)
         return self._built
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from subrank import cli
+from subrank import cli, core
 from subrank.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from subrank.instance_io import instance_to_doc, load_instance
 from subrank.gmsc import solve_lp
@@ -73,21 +73,42 @@ class TestSolve:
 
     @pytest.mark.parametrize("message", ["Unable to allocate 1.00 TiB for an array", ""])
     def test_memory_error_is_data_error(self, tmp_path, monkeypatch, capsys, message):
-        # validate's incidence(n) cannot be allocated for n = 2**40; the
-        # stand-in raises at once, so nothing is allocated
+        # loading builds the instance's incidence matrix over 1..n, which
+        # cannot be allocated for n = 2**40; the stand-in for the sealing
+        # raises at once, so nothing is allocated
         path = tmp_path / "huge.json"
         doc = {"n": 2**40, "agents": [
             {"functions": [{"family": "singleton", "params": {"element": 1}, "weight": 1.0}]}]}
         path.write_text(json.dumps(doc))
 
-        def out_of_memory(inst):
+        def out_of_memory(oracles, rows):
+            assert rows == 2**40
             raise MemoryError(message)
 
-        monkeypatch.setattr(cli, "validate", out_of_memory)
+        monkeypatch.setattr(core, "seal_incidences", out_of_memory)
         assert main(["solve", "--instance", str(path), "--algo", "ng"]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: out of memory")
         assert message in err
+
+    @pytest.mark.parametrize("algo", ["random", "greedy", "ng", "bag", "brute"])
+    def test_weights_that_overflow_a_cost_are_a_data_error(self, algo, tmp_path, capsys):
+        # four agents sharing two coverage oracles and a singleton, every weight 1e308
+        shared = [
+            {"family": "coverage", "params": {"items": [{"id": 1, "w": 1}, {"id": 2, "w": 2}],
+                                              "covers": {"1": [1], "2": [2]}}},
+            {"family": "coverage", "params": {"items": [{"id": 1, "w": 1}],
+                                              "covers": {"3": [1]}}},
+            {"family": "singleton", "params": {"element": 2}},
+        ]
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps({"n": 3, "agents": [
+            {"functions": [dict(f, weight=1e308) for f in shared]} for _ in range(4)]}))
+        assert main(["solve", "--instance", str(path), "--algo", algo]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert "weights too large" in captured.err and "RuntimeWarning" not in captured.err
 
     def test_bag_trace_written(self, tmp_path, capsys):
         inst_path = tmp_path / "hard9.json"

@@ -20,7 +20,7 @@ from subrank.functions import (
     random_coverage_instance,
     singleton_function,
 )
-from subrank.algorithms import normalized_greedy
+from subrank.algorithms import _Kernel, normalized_greedy
 from subrank.instance_io import instance_to_doc
 from subrank.verify import random_family_oracles
 
@@ -142,15 +142,13 @@ def test_table_incidences_match_per_row_comparison(m, duplicates):
             and any(k != j and r == other for k, other in enumerate(rows))}
     table = OdtTable(rows=tuple(rows))
     hits, masks, identifiable = table._incidences()
-    width = -(-m // 8) * 8
-    assert hits.shape == (cols, m * width) and not hits.flags.writeable
+    assert hits.shape == (cols, m * m) and not hits.flags.writeable  # blocks side by side
     codes = table.codes
     for row in range(1, m + 1):
         differs = codes != codes[row - 1]
         ref_hits = np.ascontiguousarray(differs.T, dtype=np.uint8)
-        lo = (row - 1) * width
+        lo = (row - 1) * m
         assert np.array_equal(hits[:, lo:lo + m], ref_hits)
-        assert not hits[:, lo + m:lo + width].any()  # byte padding stays 0
         assert masks[row - 1] == block_masks(ref_hits, [m])[0]
         assert identifiable[row - 1] == (np.count_nonzero(differs.any(axis=1)) == m - 1)
         assert identifiable[row - 1] == (row - 1 not in dup)
@@ -225,21 +223,61 @@ def oracles_with_reference_masks(draw, largest):
 def test_incidence_and_masks_match_params_for_every_family(data):
     largest = data.draw(st.integers(1, 7))
     drawn = data.draw(st.lists(oracles_with_reference_masks(largest), min_size=1, max_size=5))
+    oracles = [f for f, _ in drawn]
     if data.draw(st.booleans()):  # sealed together, as an Instance seals its oracles
-        Instance(n=largest, agents=(Agent(id=1, functions=tuple((f, 1.0) for f, _ in drawn)),))
-    # ground sets below, at and above the largest element, in any order, so
-    # a cut incidence is built before a padded one and the other way round
+        # an instance over a ground set below, at or above the largest element,
+        # after the first few oracles were sealed by one with another n
+        n = data.draw(st.integers(0, largest + 2))
+        early = oracles[:data.draw(st.integers(0, len(oracles)))]
+        if early:
+            other = data.draw(st.integers(0, largest + 2).filter(lambda size: size != n))
+            Instance(n=other, agents=(Agent(id=1, functions=tuple((f, 1.0) for f in early)),))
+        fresh = [f._hits is None for f in oracles]
+        inst = Instance(n=n, agents=(Agent(id=1, functions=tuple((f, 1.0) for f in oracles)),))
+        for f, start, new in zip(oracles, inst.starts.tolist(), fresh):
+            block = inst.hits[:n, start:start + len(f.item_weights)]
+            assert np.array_equal(block, f.incidence(n))
+            assert (f._hits.base is inst.hits) == new  # a view of it if this instance sealed it
+        assert _Kernel(inst).hits.base is inst.hits
+        broken = {v.where for v in validate(inst) if v.message.startswith("f(U) != 1")}
+        assert broken == {f"agent 1 function {j}" for j, f in enumerate(oracles, start=1)
+                          if not f.covers(range(1, n + 1))}
+    # ground sets below, at and above the largest element, in any order
     sizes = data.draw(st.permutations(range(largest + 3)))
     for f, masks in drawn:
         width = len(f.item_weights)
         for n in sizes:
             hits = f.incidence(n)
             assert hits.dtype.name == "uint8" and hits.shape == (n, width)
+            assert not hits.flags.writeable
             assert hits.tolist() == [
                 [(masks.get(e, 0) >> p) & 1 for p in range(width)] for e in range(1, n + 1)
             ]
         assert [f.element_mask(e) for e in range(largest + 5)] == [
             masks.get(e, 0) for e in range(largest + 5)
+        ]
+
+
+@pytest.mark.parametrize("gap", [None, 0, 1])
+@pytest.mark.parametrize("rows", [0, 1, 5])
+def test_block_masks_match_per_bit_reference_on_any_tiling(rows, gap):
+    """Blocks of 0 to 130 items, side by side (gap None) or apart, in three orders.
+
+    Gap columns hold the given bit, so a block's mask must ignore its
+    neighbours either way.
+    """
+    rng = np.random.default_rng(rows)
+    widths = [0, 1, 7, 8, 9, 63, 64, 65, 130]
+    for order in (widths, widths[::-1], rng.permutation(widths).tolist()):
+        spacing = 0 if gap is None else 3
+        starts = list(itertools.accumulate((w + spacing for w in order), initial=spacing))
+        hits = np.full((rows, starts[-1]), gap or 0, np.uint8)
+        for lo, w in zip(starts, order):
+            hits[:, lo:lo + w] = rng.integers(0, 2, (rows, w))
+        masks = block_masks(hits, order) if gap is None else block_masks(hits, order, starts)
+        assert masks == [
+            [sum(int(hits[r, lo + p]) << p for p in range(w)) for r in range(rows)]
+            for lo, w in zip(starts, order)
         ]
 
 

@@ -1,4 +1,7 @@
-"""Every module under src/ and tests/ reads each name it imports."""
+"""Every module reads each name it imports.
+
+The scan covers src/, tests/, perfbench/ and the root conftest.py.
+"""
 
 import ast
 import pathlib
@@ -6,7 +9,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py"))
+MODULES = sorted([*(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py")),
+                  *(ROOT / "perfbench").glob("*.py"), ROOT / "conftest.py"])
 
 
 def unused_imports(source: str) -> list:
