@@ -39,7 +39,7 @@ from subrank.functions import (
 from subrank.algorithms import (
     BagConfig,
     BruteForceResult,
-    RunTrace,
+    Run,
     balanced_adaptive_greedy,
     brute_force_opt,
     greedy,
@@ -57,7 +57,7 @@ __all__ = [
     "Instance",
     "OdtTable",
     "Permutation",
-    "RunTrace",
+    "Run",
     "SetSystemOracle",
     "SingletonFunction",
     "agent_cost",

@@ -45,11 +45,11 @@ is below _SCREEN_MIN_WEIGHT (a term could be subnormal, where a relative
 bound fails) and when approx + slack is not finite in some row.
 
 The kernel also records each tracker's cover time as a pick covers it,
-so greedy, NG and every BAG run can report their own permutations
-(_greedy_run, RunTrace.report): agent costs are weight * time summed per
-agent in function order with one sequential accumulate, bit for bit
-core.cover_report, which stays the reference evaluator. The root
-state, gain matrices included, is built once per instance and kept on it
+so greedy, NG and every BAG run can report their own permutations: each
+ends in one Run record, whose report sums weight * time per agent in
+function order with one sequential accumulate, bit for bit
+core.cover_report, which stays the reference evaluator. The root state,
+gain matrices included, is built once per instance and kept on it
 (Instance._kernel_root); greedy, NG, every BAG run and brute force start
 from copies of it.
 
@@ -64,7 +64,7 @@ runs them in lockstep: a ratio changes only the round and pass control,
 so ratios that share a prefix of picks and freeze the same lagging set
 share one _pick call (and one lagging set per baseline). A single BAG
 run is the one-ratio case, and ratio tuning runs the whole grid at once
-and scores each run by its report (RunTrace.report). All algorithms are
+and scores each run by its report (Run.report). All algorithms are
 deterministic given their inputs (and seed, where one exists).
 """
 
@@ -217,13 +217,6 @@ class _Kernel:
             block = self.hits[rows[lo:lo + step]][:, items] * live
             out[lo:lo + step, trackers] = np.add.reduceat(block, heads, axis=1)
         return out
-
-    def pairs_where(self, mask: np.ndarray) -> list:
-        """(agent id, weight) of the states where mask holds, in state order."""
-        return [self.pairs[j] for j in mask.nonzero()[0].tolist()]
-
-    def uncovered(self) -> list:
-        return self.pairs_where(~self.covered[self.fn])
 
     def states_of(self, agents: tuple) -> np.ndarray:
         """The states of the agents with these ids, in agent id order then function order."""
@@ -419,13 +412,50 @@ def random_order(inst: Instance, seed: int) -> tuple:
     return tuple(order)
 
 
-def _greedy_run(inst: Instance, normalized: bool) -> tuple:
-    """(permutation, report) of repeated _pick over every function of every agent.
+@dataclass
+class Run:
+    """One ranker run: its permutation, how it scores, and what BAG did when.
 
-    report() is the permutation's cover_report, bit for bit, built from the
-    cover times the run's kernel recorded; it raises ValueError where
-    cover_report does (some f(U) < 1, or no agent), so the run itself
-    still ends.
+    report is cover_report(inst, permutation), bit for bit, from score: a
+    kernel's recorded cover times for greedy, NG and BAG, cover_report
+    itself for a random order. It is built when read, so it raises
+    ValueError only where cover_report does (some f(U) < 1, or no agent),
+    and a run on such an instance still ends. A BAG run also lists its
+    picks and passes; agents holds each agent's (id, starting remaining
+    weight) in agent order, the order of every pick's remaining_weights.
+    """
+
+    permutation: tuple = ()
+    score: Optional[Callable[[], CoverReport]] = field(default=None, repr=False, compare=False)
+    picks: list = field(default_factory=list)
+    passes: list = field(default_factory=list)
+    agents: tuple = ()
+
+    @property
+    def report(self) -> CoverReport:
+        return self.score()
+
+    def pick_lines(self) -> list:
+        """One JSON line per pick; each remaining weight has its agent's starting type."""
+        lines = []
+        for rec in self.picks:
+            doc = {
+                "t": rec.t,
+                "element": rec.element,
+                "p": rec.round_index,
+                "q": rec.pass_index,
+                "score": rec.score,
+                "remaining_weights": {a: type(start)(w) for (a, start), w
+                                      in zip(self.agents, rec.remaining_weights)},
+            }
+            lines.append(json.dumps(doc, sort_keys=True))
+        return lines
+
+
+def _greedy_run(inst: Instance, normalized: bool) -> Run:
+    """The Run of repeated _pick over every function of every agent.
+
+    Its report is built from the cover times the run's kernel recorded.
     """
     kernel = _Kernel.start(inst)
     states = np.arange(len(kernel.pairs))
@@ -434,12 +464,12 @@ def _greedy_run(inst: Instance, normalized: bool) -> tuple:
         e, _ = _pick(kernel, states, normalized)
         chosen.append(e)
         _advance(kernel, e)
-    return tuple(chosen), functools.partial(kernel.report, kernel.time)
+    return Run(tuple(chosen), functools.partial(kernel.report, kernel.time))
 
 
 def greedy(inst: Instance) -> tuple:
     """Pick the element with maximum total weighted marginal gain each step."""
-    return _greedy_run(inst, normalized=False)[0]
+    return _greedy_run(inst, normalized=False).permutation
 
 
 def normalized_greedy(inst: Instance) -> tuple:
@@ -448,7 +478,7 @@ def normalized_greedy(inst: Instance) -> tuple:
     All functions of all agents are stacked into one pool; covered functions
     contribute nothing.
     """
-    return _greedy_run(inst, normalized=True)[0]
+    return _greedy_run(inst, normalized=True).permutation
 
 
 @dataclass(frozen=True)
@@ -457,13 +487,11 @@ class BagConfig:
 
     ratio is the geometric decay of the per-round weight baseline;
     drop_fraction is how far the lagging-agent set must shrink, relative to
-    its frozen snapshot, before the snapshot is retaken. trace additionally
-    records per-pick remaining-weight snapshots.
+    its frozen snapshot, before the snapshot is retaken.
     """
 
     ratio: float = 2.0 / 3.0
     drop_fraction: float = 3.0 / 4.0
-    trace: bool = False
 
     def __post_init__(self):
         if not 0 < self.ratio < 1:
@@ -474,13 +502,15 @@ class BagConfig:
 
 @dataclass
 class PickRecord:
+    """One BAG pick; remaining_weights are every agent's after it, in Run.agents order."""
+
     t: int
     element: int
     round_index: int  # outer iteration
     pass_index: int  # inner iteration within the round
     score: float
     active_after: tuple  # lagging agents recomputed after this pick
-    remaining_weights: Optional[dict] = None
+    remaining_weights: tuple
 
 
 @dataclass
@@ -494,60 +524,25 @@ class PassRecord:
     end_t: int = 0  # filled when the pass closes
 
 
-@dataclass
-class RunTrace:
-    """What balanced adaptive greedy did and when, and how its permutation scores."""
-
-    picks: list = field(default_factory=list)
-    passes: list = field(default_factory=list)
-    # builds the report from the cover times the run's kernel recorded
-    _report: Optional[Callable] = field(default=None, repr=False, compare=False)
-
-    @property
-    def report(self) -> CoverReport:
-        """cover_report(inst, permutation) of the run, bit for bit, from its kernel.
-
-        Built when read; raises ValueError where cover_report does (some
-        f(U) < 1, or no agent), so a run on such an instance still ends.
-        """
-        return self._report()
-
-    def pick_lines(self) -> list:
-        lines = []
-        for rec in self.picks:
-            doc = {
-                "t": rec.t,
-                "element": rec.element,
-                "p": rec.round_index,
-                "q": rec.pass_index,
-                "score": rec.score,
-            }
-            if rec.remaining_weights is not None:
-                doc["remaining_weights"] = rec.remaining_weights
-            lines.append(json.dumps(doc, sort_keys=True))
-        return lines
-
-
-def write_trace_jsonl(trace: RunTrace, path: str) -> None:
+def write_trace_jsonl(run: Run, path: str) -> None:
     with open(path, "w") as fh:
-        for line in trace.pick_lines():
+        for line in run.pick_lines():
             fh.write(line + "\n")
 
 
 class _BagRun:
-    """Round and pass control of one ratio's run, and its trace.
+    """Round and pass control of one ratio's run, and its Run.
 
     Between picks the run only reads lagging sets of the shared remaining
     weights, so runs of different ratios can follow one prefix of picks
     together.
     """
 
-    def __init__(self, ratio: float, drop_fraction: float, total: float):
+    def __init__(self, ratio: float, drop_fraction: float, total: float, agents: tuple):
         self.ratio = ratio
         self.drop_fraction = drop_fraction
         self.total = total
-        self.trace = RunTrace()
-        self.perm: Optional[tuple] = None  # set when the run ends
+        self.run = Run(agents=agents)  # its permutation and score are set when it ends
         self.p = 0
         self.b = 0.0
         self.active: tuple = ()  # lagging agents after the last pick
@@ -595,13 +590,13 @@ class _BagRun:
             prev_baseline=self.baseline(self.p - 1),
             start_t=depth + 1,
         )
-        self.trace.passes.append(self.open)
+        self.run.passes.append(self.open)
         return frozen
 
-    def record(self, t: int, e: int, score: float, active: tuple, weights) -> None:
+    def record(self, t: int, e: int, score: float, active: tuple, weights: tuple) -> None:
         """Append pick t; active is the lagging set at self.b after it."""
         self.active = active
-        self.trace.picks.append(
+        self.run.picks.append(
             PickRecord(
                 t=t,
                 element=e,
@@ -614,8 +609,8 @@ class _BagRun:
         )
 
 
-def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, trace: bool) -> list:
-    """(permutation, trace) of balanced adaptive greedy for each ratio, in one pass.
+def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float) -> list:
+    """The Run of balanced adaptive greedy for each ratio, in one pass.
 
     A ratio steers its run only through its round and pass control, and the
     kernel state and remaining weights depend only on the prefix of picks.
@@ -626,27 +621,28 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, tra
     brute_force_opt does), and every run's output equals that of its run
     alone.
 
-    An ending run's trace reports its permutation from the kernel's cover
-    times (RunTrace.report); the runs ending at one node share one report,
-    built when first read. Likewise the picks into a node and the round
-    starts at it find each baseline's lagging set once.
+    An ending run reports its permutation from the kernel's cover times
+    (Run.report); the runs ending at one node share one report, built when
+    first read. Likewise the picks into a node and the round starts at it
+    find each baseline's lagging set once, and share one snapshot of the
+    remaining weights.
     """
     kernel = _Kernel.start(inst)
     frozen_states: dict = {}  # frozen agents -> their states in agent order
     start = dict.fromkeys((a.id for a in inst.agents), 0)
-    for agent, w in kernel.uncovered():
+    for agent, w in itertools.compress(kernel.pairs, (~kernel.covered[kernel.fn]).tolist()):
         start[agent] += w
     # remaining weights in agent id order; each state subtracts from its agent's slot
     ids = np.array(sorted(start), dtype=np.int64)
     rem_weight = np.array([start[a] for a in ids.tolist()], dtype=float)
     slot = np.searchsorted(ids, kernel.agent)
-    # a trace lists them in agent order, each of its agent's starting type (0 stays an int)
+    # a pick records them in agent order (Run.agents)
     listed = np.searchsorted(ids, list(start))
-    kinds = list(map(type, start.values()))
+    agents = tuple(start.items())
     # baseline -> lagging agents at this node; rebuilt whenever rem_weight changes
     lagging = functools.cache(functools.partial(_BagRun.lagging, ids, rem_weight))
     chosen: list = []
-    runs = [_BagRun(r, drop_fraction, inst.W) for r in ratios]
+    runs = [_BagRun(r, drop_fraction, inst.W, agents) for r in ratios]
     # (kernel snapshot, remaining weights, depth, element, [(run, score)])
     stack: list = []
     group = runs
@@ -656,10 +652,10 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, tra
         for run in group:
             frozen = run.request(lagging, len(chosen), bool(kernel.remaining))
             if frozen is None:
-                run.perm = tuple(chosen) + tuple(kernel.remaining)
+                run.run.permutation = tuple(chosen) + tuple(kernel.remaining)
                 report = report or functools.cache(functools.partial(kernel.report,
                                                                      kernel.end_times()))
-                run.trace._report = report
+                run.run.score = report
             else:
                 requests.setdefault(frozen, []).append(run)
         children: dict = {}  # element -> [(run, score)]
@@ -684,17 +680,14 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float, tra
         # unbuffered, so an agent's states subtract one by one in state order
         np.subtract.at(rem_weight, slot[newly], kernel.weight[newly])
         lagging = functools.cache(functools.partial(_BagRun.lagging, ids, rem_weight))
-        weights = None
-        if trace:
-            weights = dict(zip(start, (kind(w) for kind, w in
-                                       zip(kinds, rem_weight[listed].tolist()))))
+        weights = tuple(rem_weight[listed].tolist())
         for run, score in picked:
             run.record(len(chosen), e, score, lagging(run.b), weights)
         group = [run for run, _ in picked]
-    return [(run.perm, run.trace) for run in runs]
+    return [run.run for run in runs]
 
 
-def balanced_adaptive_greedy(inst: Instance, cfg: Optional[BagConfig] = None):
+def balanced_adaptive_greedy(inst: Instance, cfg: Optional[BagConfig] = None) -> tuple:
     """Normalized greedy restricted to a frozen snapshot of lagging agents.
 
     Rounds p = 1, 2, ... target the baseline ratio^p * W on every agent's
@@ -707,11 +700,12 @@ def balanced_adaptive_greedy(inst: Instance, cfg: Optional[BagConfig] = None):
     their functions never reaches 1. This is the one-ratio case of the
     engine that runs a whole ratio grid in lockstep (_bag_runs).
 
-    Returns (permutation, trace); trace.report is the permutation's
-    cover_report, taken from the run's kernel.
+    Returns (permutation, run): the Run, whose report is the permutation's
+    cover_report taken from the run's kernel.
     """
     cfg = cfg or BagConfig()
-    return _bag_runs(inst, (cfg.ratio,), cfg.drop_fraction, cfg.trace)[0]
+    run = _bag_runs(inst, (cfg.ratio,), cfg.drop_fraction)[0]
+    return run.permutation, run
 
 
 @dataclass(frozen=True)
@@ -758,8 +752,8 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     on arrival included. Past node_limit the best incumbent is returned
     flagged non-optimal. Deterministic; intended for n <= 10.
     """
-    ng, ng_report = _greedy_run(inst, normalized=True)
-    incumbent = {"perm": ng, "value": ng_report().minmax}
+    ng = _greedy_run(inst, normalized=True)
+    incumbent = {"perm": ng.permutation, "value": ng.report.minmax}
     kernel = _Kernel.start(inst)
     exact = (all(w >= 0 and float(w).is_integer() for _, w in kernel.pairs)
              and inst.n * sum(w for _, w in kernel.pairs) < 2**53)

@@ -151,7 +151,7 @@ def _cmd_solve(args) -> int:
     if not _validated(inst):
         return EXIT_DATA
     seed = args.seed if args.seed is not None else default_seed()
-    trace = None
+    run = None
     t0 = time.perf_counter()
     if args.algo == "random":
         perm = random_order(inst, seed)
@@ -160,9 +160,8 @@ def _cmd_solve(args) -> int:
     elif args.algo == "ng":
         perm = normalized_greedy(inst)
     elif args.algo == "bag":
-        cfg = BagConfig(ratio=args.ratio, drop_fraction=args.drop_fraction,
-                        trace=args.trace is not None)
-        perm, trace = balanced_adaptive_greedy(inst, cfg)
+        cfg = BagConfig(ratio=args.ratio, drop_fraction=args.drop_fraction)
+        perm, run = balanced_adaptive_greedy(inst, cfg)
     else:
         result = brute_force_opt(inst, args.node_limit)
         perm = result.permutation
@@ -170,14 +169,14 @@ def _cmd_solve(args) -> int:
             print("warning: node limit exceeded; result may be suboptimal",
                   file=sys.stderr)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    # a bag run reports its own permutation; the others are scored by cover_report
-    report = cover_report(inst, perm) if trace is None else trace.report
+    # the other rankers' public names return bare permutations, so cover_report scores them
+    report = cover_report(inst, perm) if run is None else run.report
     print("permutation:", " ".join(str(e) for e in perm))
     print(f"minmax: {report.minmax:.6f}")
     print(f"average: {report.average:.6f}")
     print(f"runtime_ms: {runtime_ms:.3f}")
     if args.trace:
-        write_trace_jsonl(trace, args.trace)
+        write_trace_jsonl(run, args.trace)
     if args.out:
         doc = {
             "permutation": list(perm),

@@ -50,8 +50,9 @@ class SetSystemOracle:
     numerator reference and cover_time read. A family names its hits as
     (element, item position) pairs in _hit_pairs, and the first Instance
     that holds the oracle seals it with a block (a view) of the instance's
-    matrix, or element_mask or incidence seals it alone; a decision-table
-    row calls _seal with its block of its table's incidences.
+    matrix, or element_mask seals it alone; a decision-table row calls
+    _seal with its block of its table's incidences. Runs and validate read
+    the instance's matrix (Instance.hits), not the oracle's block.
     """
 
     denominator: int = 1
@@ -99,22 +100,6 @@ class SetSystemOracle:
 
     def mask_covers(self, mask: int) -> bool:
         return self.numerator(mask) == self.denominator
-
-    def incidence(self, n: int) -> np.ndarray:
-        """Read-only uint8 matrix (n, len(item_weights)): row e - 1 marks the items e hits.
-
-        The oracle's own incidence when n is its span, else a copy of it cut
-        or zero-padded to n rows; runs read the instance's matrix instead.
-        """
-        hits = self._hits
-        if hits is None:
-            seal_incidences([self])
-            hits = self._hits
-        if n == len(hits):
-            return hits
-        out = np.pad(hits[:n], ((0, max(0, n - len(hits))), (0, 0)))
-        out.flags.writeable = False
-        return out
 
 
 def seal_incidences(oracles: Sequence[SetSystemOracle], rows: int = 0) -> tuple:

@@ -11,7 +11,7 @@ matrix by one fancy-index assignment (core.seal_incidences), and a
 decision-table row as its block of its table's incidences, which the table
 builds for all its rows at once from one chunked comparison of its codes.
 The base class derives the rest from that block (the element masks,
-incidence(n), min_nonzero_marginal). JSON params live in instance_io.
+min_nonzero_marginal). JSON params live in instance_io.
 """
 
 from __future__ import annotations

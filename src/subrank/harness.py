@@ -8,9 +8,10 @@ algorithms over a (K, M) grid of cells and a list of seeds, recording both
 the max and the average agent cost, and tune the baseline-decay ratio of
 balanced adaptive greedy per instance over a fixed grid. The tuning time
 (tune_ms) is recorded apart from the final run's time (runtime_ms).
-The random row is scored by cover_report; the greedy and NG rows, tuning
-and the bag row take their objectives from their runs' own reports, which
-equal it bit for bit.
+Every row, and every run of tuning, takes its objectives from its
+algorithms.Run's report. The random row's Run calls cover_report; the
+greedy, NG, tuning and bag runs build theirs from their kernels' cover
+times, which equal it bit for bit.
 
 Seeding: one master seed per (cell, run) splits into independent streams
 for row sampling, weight sampling, and the random baseline, via
@@ -34,6 +35,7 @@ from subrank.functions import OdtTable, odt_function
 from subrank.instance_io import is_integer, is_number
 from subrank.algorithms import (
     BagConfig,
+    Run,
     _bag_runs,
     _greedy_run,
     balanced_adaptive_greedy,
@@ -205,8 +207,8 @@ def tune_ratio(
     if not usable:
         raise ValueError("ratio grid is empty after filtering endpoints")
     best = None
-    for r, (_, trace) in zip(usable, _bag_runs(inst, usable, BagConfig().drop_fraction, False)):
-        report = trace.report
+    for r, run in zip(usable, _bag_runs(inst, usable, BagConfig().drop_fraction)):
+        report = run.report
         value = report.minmax if mode == "minmax" else report.average
         if best is None or value < best[1]:
             best = (r, value)
@@ -427,9 +429,9 @@ def _sweep_cell(cfg: ExperimentConfig, table: Optional[DataTable], K: int, M: in
 
     def random_run():
         perm = random_order(inst, algo_seed)
-        return perm, lambda: cover_report(inst, perm)  # scored by the reference evaluator
+        return Run(perm, functools.partial(cover_report, inst, perm))  # the reference evaluator
 
-    # each run gives its permutation and a report built after the clock stops
+    # each run's report is built when read, after the clock stops
     baselines = [
         ("random", random_run),
         ("greedy", functools.partial(_greedy_run, inst, False)),
@@ -437,17 +439,17 @@ def _sweep_cell(cfg: ExperimentConfig, table: Optional[DataTable], K: int, M: in
     ]
     for name, runner in baselines:
         t0 = time.perf_counter()
-        _, scored = runner()
+        run = runner()
         ms = (time.perf_counter() - t0) * 1000.0
-        report = scored()
+        report = run.report
         rows.append(ResultRow(name, cell_k, cell_m, None, seed,
                               report.minmax, report.average, ms))
     t0 = time.perf_counter()
     ratio, _ = tune_ratio(inst, cfg.ratio_grid, cfg.objective)
     t1 = time.perf_counter()
-    _, trace = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio))
+    _, run = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio))
     ms = (time.perf_counter() - t1) * 1000.0
-    report = trace.report
+    report = run.report
     rows.append(ResultRow("bag", cell_k, cell_m, ratio, seed,
                           report.minmax, report.average, ms, (t1 - t0) * 1000.0))
     return rows

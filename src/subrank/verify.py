@@ -37,7 +37,6 @@ from subrank.functions import (
     singleton_function,
 )
 from subrank.algorithms import (
-    BagConfig,
     balanced_adaptive_greedy,
     brute_force_opt,
     greedy,
@@ -268,7 +267,7 @@ def trace_invariants_check(instances: int = 15, seed: int = 124) -> None:
     """
     for s in range(seed, seed + instances):
         inst = random_coverage_instance(7, 3, 2, s)
-        _, trace = balanced_adaptive_greedy(inst, BagConfig(trace=True))
+        _, trace = balanced_adaptive_greedy(inst)
         lneps = math.log(1.0 / inst.epsilon)
         fsum = {}
         for pick in trace.picks:

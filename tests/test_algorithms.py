@@ -39,7 +39,7 @@ from subrank.algorithms import (
     BruteForceResult,
     PassRecord,
     PickRecord,
-    RunTrace,
+    Run,
     _BagRun,
     _Kernel,
     _advance,
@@ -149,16 +149,10 @@ class TestBalancedAdaptiveGreedy:
 
     def test_deterministic_including_trace(self):
         inst = random_coverage_instance(7, 3, 2, 5)
-        cfg = BagConfig(trace=True)
-        p1, t1 = balanced_adaptive_greedy(inst, cfg)
-        p2, t2 = balanced_adaptive_greedy(inst, cfg)
+        p1, t1 = balanced_adaptive_greedy(inst)
+        p2, t2 = balanced_adaptive_greedy(inst)
         assert p1 == p2
         assert t1.pick_lines() == t2.pick_lines()
-
-
-def bag_trace(inst, **kwargs):
-    cfg = BagConfig(trace=True, **kwargs)
-    return balanced_adaptive_greedy(inst, cfg)
 
 
 class TestBagTraceInvariants:
@@ -166,7 +160,7 @@ class TestBagTraceInvariants:
         # the last pick of each outer round leaves every agent at or below B_p
         for seed in range(10):
             inst = random_coverage_instance(7, 3, 2, seed)
-            _, trace = bag_trace(inst)
+            _, trace = balanced_adaptive_greedy(inst)
             rounds = {rec.round_index for rec in trace.passes}
             for p in rounds:
                 picks = [x for x in trace.picks if x.round_index == p]
@@ -177,12 +171,12 @@ class TestBagTraceInvariants:
                     rec.baseline for rec in trace.passes if rec.round_index == p
                 )
                 assert last.active_after == ()
-                assert all(w <= baseline + 1e-12 for w in last.remaining_weights.values())
+                assert all(w <= baseline + 1e-12 for w in last.remaining_weights)
 
     def test_drop_rule_met_at_pass_end(self):
         for seed in range(10):
             inst = random_coverage_instance(7, 3, 2, seed)
-            _, trace = bag_trace(inst)
+            _, trace = balanced_adaptive_greedy(inst)
             for rec in trace.passes:
                 picks = [
                     x
@@ -196,7 +190,7 @@ class TestBagTraceInvariants:
         # pass k owns picks start_t..end_t, and pass k + 1 starts right after
         for seed in range(10):
             inst = random_coverage_instance(7, 3, 2, seed)
-            _, trace = bag_trace(inst)
+            _, trace = balanced_adaptive_greedy(inst)
             t = 1
             for rec in trace.passes:
                 owned = [x.t for x in trace.picks
@@ -218,20 +212,33 @@ class TestBagTraceInvariants:
 
     def test_timestamps_strictly_increasing(self):
         inst = random_coverage_instance(7, 3, 2, 3)
-        _, trace = bag_trace(inst)
+        _, trace = balanced_adaptive_greedy(inst)
         times = [x.t for x in trace.picks]
         assert times == sorted(times)
         assert len(set(times)) == len(times)
 
     def test_jsonl_export_shape(self, tmp_path):
         inst = random_coverage_instance(6, 2, 2, 4)
-        _, trace = bag_trace(inst)
+        _, trace = balanced_adaptive_greedy(inst)
         path = tmp_path / "trace.jsonl"
         write_trace_jsonl(trace, str(path))
         lines = path.read_text().splitlines()
         assert len(lines) == len(trace.picks)
         rec = json.loads(lines[0])
         assert {"t", "element", "p", "q", "score", "remaining_weights"} <= set(rec)
+
+    def test_default_config_keeps_the_whole_trace(self, tmp_path):
+        """A default run returns (run.permutation, run), and every trace line has the weights."""
+        inst = random_coverage_instance(7, 3, 2, 5)
+        perm, run = balanced_adaptive_greedy(inst)
+        assert isinstance(run, Run) and perm == run.permutation
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(run, str(path))
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(lines) == len(run.picks) > 1
+        for rec, pick in zip(lines, run.picks):
+            assert list(rec["remaining_weights"].values()) == list(pick.remaining_weights)
+            assert set(rec["remaining_weights"]) == {str(a.id) for a in inst.agents}
 
 
 class TestBruteForce:
@@ -427,9 +434,10 @@ def test_one_element_gain_is_linear_in_item_incidence(data):
     n = data.draw(st.integers(min_value=2, max_value=6))
     for f in data.draw(family_oracles(n)):
         width = len(f.item_weights)
+        hits = Instance(n=n, agents=(Agent(id=1, functions=((f, 1.0),)),)).hits
         for e in range(1, n + 1):
             bits = f.element_mask(e)
-            assert list(f.incidence(n)[e - 1]) == [(bits >> b) & 1 for b in range(width)]
+            assert list(hits[e - 1, :width]) == [(bits >> b) & 1 for b in range(width)]
         mask = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
         if f.numerator(mask) == f.denominator:
             continue  # a covered numerator is capped: the gain law holds only below the cap
@@ -632,7 +640,8 @@ def test_screen_falls_back_on_extreme_weights(weights, monkeypatch):
                                       for i, w in enumerate(weights, start=1)))
 
     def runs():
-        return (greedy(inst), normalized_greedy(inst), bag_trace(inst)[1].pick_lines())
+        return (greedy(inst), normalized_greedy(inst),
+                balanced_adaptive_greedy(inst)[1].pick_lines())
 
     monkeypatch.setattr(algorithms, "_SCREEN_STATES_PER_TRACKER", float("inf"))
     full = runs()
@@ -664,7 +673,7 @@ def test_tune_ratio_finds_each_lagging_set_once_per_node(monkeypatch):
 def _bag_outputs(inst):
     out = []
     for ratio in (0.1, 0.35, 2.0 / 3.0, 0.9):
-        perm, trace = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio, trace=True))
+        perm, trace = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio))
         out.append((perm, trace.pick_lines(), trace.passes))
     return out
 
@@ -708,15 +717,15 @@ def reference_tune(inst, grid, mode):
          drop_fraction=0.75)
 def test_lockstep_grid_matches_solo_runs(inst, ratios, drop_fraction):
     """Every ratio of a grid run records exactly what its run alone records."""
-    runs = _bag_runs(inst, ratios, drop_fraction, True)
+    runs = _bag_runs(inst, ratios, drop_fraction)
     assert len(runs) == len(ratios)
-    for ratio, (perm, trace) in zip(ratios, runs):
-        cfg = BagConfig(ratio=ratio, drop_fraction=drop_fraction, trace=True)
+    for ratio, run in zip(ratios, runs):
+        cfg = BagConfig(ratio=ratio, drop_fraction=drop_fraction)
         solo_perm, solo = balanced_adaptive_greedy(inst, cfg)
-        assert perm == solo_perm
-        assert trace.pick_lines() == solo.pick_lines()
-        assert trace.picks == solo.picks
-        assert trace.passes == solo.passes
+        assert run.permutation == solo_perm
+        assert run.pick_lines() == solo.pick_lines()
+        assert run.picks == solo.picks
+        assert run.passes == solo.passes
     for mode in ("minmax", "average"):
         assert (_outcome(tune_ratio, inst, ratios, mode)
                 == _outcome(reference_tune, inst, ratios, mode))
@@ -960,7 +969,7 @@ def reference_bag(inst, ratio, drop_fraction):
     next pass freezes what still lags, and a round ends when nothing does.
     The run ends when a round starts with no agent lagging, or no element
     remains; the elements left follow in index order. Returns
-    (permutation, RunTrace) with remaining-weight snapshots.
+    (permutation, Run) with remaining-weight snapshots.
     """
     n = inst.n
     states = [(a.id, f, w) for a in inst.agents for f, w in a.functions]
@@ -992,7 +1001,7 @@ def reference_bag(inst, ratio, drop_fraction):
                 total += w * gain / (1.0 - before / f.denominator)
         return total
 
-    trace = RunTrace()
+    trace = Run(agents=tuple(rem.items()))
     p = 0
     while len(chosen) < n:
         p += 1
@@ -1016,7 +1025,7 @@ def reference_bag(inst, ratio, drop_fraction):
                 active = lagging(b)
                 trace.picks.append(PickRecord(t=len(chosen), element=e, round_index=p,
                                               pass_index=q, score=best, active_after=active,
-                                              remaining_weights=dict(rem)))
+                                              remaining_weights=tuple(rem.values())))
                 if len(chosen) == n or len(active) < drop_fraction * len(frozen):
                     break
             rec.end_t = len(chosen)
@@ -1037,8 +1046,7 @@ def reference_bag(inst, ratio, drop_fraction):
 @example(inst=random_coverage_instance(8, 3, 3, 2), ratio=0.35, drop_fraction=0.75)
 def test_bag_matches_reference(inst, ratio, drop_fraction):
     """The kernel's BAG records what BAG's definition does, pick for pick."""
-    perm, trace = balanced_adaptive_greedy(
-        inst, BagConfig(ratio=ratio, drop_fraction=drop_fraction, trace=True))
+    perm, trace = balanced_adaptive_greedy(inst, BagConfig(ratio, drop_fraction))
     ref_perm, ref = reference_bag(inst, ratio, drop_fraction)
     assert perm == ref_perm
     assert trace.pick_lines() == ref.pick_lines()
@@ -1059,13 +1067,17 @@ def test_bag_trace_keeps_each_agents_weight_type(ratio):
         Agent(id=3, functions=((coverage_function([], {}), 1.5),)),
         Agent(id=1, functions=((singleton_function(3), 1), (singleton_function(4), 1.25))),
     ))
-    perm, trace = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio, trace=True))
+    perm, trace = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio))
     ref_perm, ref = reference_bag(inst, ratio, BagConfig.drop_fraction)
     assert perm == ref_perm
     assert trace.pick_lines() == ref.pick_lines()
-    assert [list(rec.remaining_weights.items()) for rec in trace.picks] == [
-        list(rec.remaining_weights.items()) for rec in ref.picks]
-    assert {type(w) for rec in trace.picks for w in rec.remaining_weights.values()} == {int, float}
+    assert [a for a, _ in trace.agents] == [5, 2, 3, 1]
+    assert trace.agents == ref.agents
+    assert [type(w) for _, w in trace.agents] == [type(w) for _, w in ref.agents]
+    assert [rec.remaining_weights for rec in trace.picks] == [
+        rec.remaining_weights for rec in ref.picks]
+    lines = [json.loads(line)["remaining_weights"] for line in trace.pick_lines()]
+    assert {type(w) for weights in lines for w in weights.values()} == {int, float}
 
 
 def _report_bits(report):
@@ -1097,9 +1109,9 @@ def test_run_reports_are_cover_report(inst, drop_fraction):
     ValueError. Tuning scores its runs by these reports, and the final run
     at the tuned ratio repeats the tuned permutation and its objective.
     """
-    runs = _bag_runs(inst, DEFAULT_RATIO_GRID, drop_fraction, False)
-    for perm, trace in runs:
-        assert _outcome(_run_report, trace) == _outcome(_reference_report, inst, perm)
+    runs = _bag_runs(inst, DEFAULT_RATIO_GRID, drop_fraction)
+    for run in runs:
+        assert _outcome(_run_report, run) == _outcome(_reference_report, inst, run.permutation)
     for ratio in (0.05, 2.0 / 3.0, 0.95):
         perm, trace = balanced_adaptive_greedy(inst, BagConfig(ratio, drop_fraction))
         assert _outcome(_run_report, trace) == _outcome(_reference_report, inst, perm)
@@ -1110,8 +1122,8 @@ def test_run_reports_are_cover_report(inst, drop_fraction):
             continue
         ratio, value = tuned
         perm, trace = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio))
-        tuned_runs = _bag_runs(inst, DEFAULT_RATIO_GRID, BagConfig.drop_fraction, False)
-        assert perm == tuned_runs[DEFAULT_RATIO_GRID.index(ratio)][0]
+        tuned_runs = _bag_runs(inst, DEFAULT_RATIO_GRID, BagConfig.drop_fraction)
+        assert perm == tuned_runs[DEFAULT_RATIO_GRID.index(ratio)].permutation
         assert getattr(trace.report, "minmax" if mode == "minmax" else "average") == value
 
 
@@ -1128,22 +1140,22 @@ def test_greedy_and_ng_reports_are_cover_report(inst):
     ValueError, and the run still returns the public function's permutation.
     """
     for normalized, public in ((False, greedy), (True, normalized_greedy)):
-        perm, report = _greedy_run(inst, normalized)
-        assert perm == public(inst)
-        assert (_outcome(lambda: _report_bits(report()))
-                == _outcome(_reference_report, inst, perm))
+        run = _greedy_run(inst, normalized)
+        assert run.permutation == public(inst)
+        assert (_outcome(_run_report, run)
+                == _outcome(_reference_report, inst, run.permutation))
 
 
 def test_greedy_and_ng_reports_raise_never_covered():
     never = coverage_function([(1, 1), (2, 1)], {1: {1}, 2: {1}})  # no element hits item 2
     inst = Instance(n=2, agents=(Agent(id=1, functions=((never, 1.0),)),))
     for normalized in (False, True):
-        perm, report = _greedy_run(inst, normalized)
-        assert is_permutation(2, perm)
+        run = _greedy_run(inst, normalized)
+        assert is_permutation(2, run.permutation)
         with pytest.raises(ValueError, match=f"^{NEVER_COVERED}$"):
-            report()
+            run.report
         with pytest.raises(ValueError, match=f"^{NEVER_COVERED}$"):
-            cover_report(inst, perm)
+            cover_report(inst, run.permutation)
 
 
 @settings(max_examples=100, deadline=None)

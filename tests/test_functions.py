@@ -68,6 +68,12 @@ class TestOdtFunction:
                     assert f.covers(cols) == fully_identified
 
 
+def block_of(f, n):
+    """f's block of the matrix of an instance over 1..n that holds only f: n rows."""
+    inst = Instance(n=n, agents=(Agent(id=1, functions=((f, 1.0),)),))
+    return inst.hits[:n, :len(f.item_weights)]
+
+
 def reference_odt_masks(rows, row):
     """The row x column loop OdtFunction was built with before its one comparison."""
     mine = rows[row - 1]
@@ -110,7 +116,7 @@ def test_vectorised_odt_build_matches_row_loop(data):
             masks.get(e, 0) for e in range(cols + 3)
         ]
         for n in range(cols + 3):  # below, at and above the table width
-            hits = f.incidence(n)
+            hits = block_of(f, n)
             assert hits.dtype.name == "uint8" and hits.shape == (n, m)
             assert hits.tolist() == [
                 [(masks.get(e, 0) >> b) & 1 for b in range(m)] for e in range(1, n + 1)
@@ -157,7 +163,7 @@ def test_table_incidences_match_per_row_comparison(m, duplicates):
                 odt_function(table, row)
             continue
         f = odt_function(table, row)
-        assert np.array_equal(f.incidence(cols), ref_hits) and not f.incidence(cols).flags.writeable
+        assert np.array_equal(f._hits, ref_hits) and not f._hits.flags.writeable
         assert [f.element_mask(e) for e in range(1, cols + 1)] == masks[row - 1]
     assert table._incidences()[0] is hits  # built once, then kept
 
@@ -234,20 +240,23 @@ def test_incidence_and_masks_match_params_for_every_family(data):
             Instance(n=other, agents=(Agent(id=1, functions=tuple((f, 1.0) for f in early)),))
         fresh = [f._hits is None for f in oracles]
         inst = Instance(n=n, agents=(Agent(id=1, functions=tuple((f, 1.0) for f in oracles)),))
-        for f, start, new in zip(oracles, inst.starts.tolist(), fresh):
-            block = inst.hits[:n, start:start + len(f.item_weights)]
-            assert np.array_equal(block, f.incidence(n))
+        for (f, masks), start, new in zip(drawn, inst.starts.tolist(), fresh):
+            width = len(f.item_weights)
+            block = inst.hits[:n, start:start + width]
+            assert block.tolist() == [
+                [(masks.get(e, 0) >> p) & 1 for p in range(width)] for e in range(1, n + 1)
+            ]
             assert (f._hits.base is inst.hits) == new  # a view of it if this instance sealed it
         assert _Kernel(inst).hits.base is inst.hits
         broken = {v.where for v in validate(inst) if v.message.startswith("f(U) != 1")}
         assert broken == {f"agent 1 function {j}" for j, f in enumerate(oracles, start=1)
                           if not f.covers(range(1, n + 1))}
-    # ground sets below, at and above the largest element, in any order
+    # instances over ground sets below, at and above the largest element, in any order
     sizes = data.draw(st.permutations(range(largest + 3)))
     for f, masks in drawn:
         width = len(f.item_weights)
         for n in sizes:
-            hits = f.incidence(n)
+            hits = block_of(f, n)
             assert hits.dtype.name == "uint8" and hits.shape == (n, width)
             assert not hits.flags.writeable
             assert hits.tolist() == [
@@ -354,7 +363,7 @@ class TestRandomCoverageInstance:
             for (fa, wa), (fb, wb) in zip(x.functions, y.functions):
                 assert wa == wb
                 assert fa.items == fb.items
-                assert np.array_equal(fa.incidence(5), fb.incidence(5))
+                assert np.array_equal(fa._hits, fb._hits)
 
     def test_validates_clean(self):
         assert validate(random_coverage_instance(5, 2, 2, 1)) == []

@@ -48,7 +48,7 @@ def _outputs(inst):
         perm = algo(inst)
         doc[name] = {"perm": perm, "report": _report(inst, perm)}
     for ratio in RATIOS:
-        perm, trace = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio, trace=True))
+        perm, trace = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio))
         doc[f"bag@{ratio!r}"] = {
             "perm": perm,
             "picks": trace.pick_lines(),
