@@ -4,8 +4,9 @@ Subcommands: solve (rank one instance file), generate (write instance
 files), experiment (run a sweep config to CSVs), gmsc-bench (LP + rounding
 benchmark), verify (run the property suites). Exit codes: 0 success,
 1 usage error, 2 data error, 3 verification failure. The SUBRANK_SEED
-environment variable overrides the default master seed of every
-subcommand.
+environment variable sets the default seed of solve, generate and
+gmsc-bench; experiment takes its seeds from its config, and verify uses
+fixed seeds.
 """
 
 from __future__ import annotations

@@ -241,13 +241,10 @@ class Instance:
             if agent.id in seen:
                 raise ValueError(f"duplicate agent id {agent.id}")
             seen.add(agent.id)
-            ids = list(map(id, map(itemgetter(0), agent.functions)))
-            agent_index = tuple(map(position.get, ids))
-            if None in agent_index:
-                # each oracle is checked once, where it first appears
-                for f, _ in agent.functions:
-                    if id(f) in position:
-                        continue
+            agent_index = []
+            for f, _ in agent.functions:
+                at = position.get(id(f))
+                if at is None:  # each oracle is checked once, where it first appears
                     if not isinstance(f, SetSystemOracle):
                         raise TypeError(
                             f"agent {agent.id}: {type(f).__name__} is not a SetSystemOracle"
@@ -256,10 +253,10 @@ class Instance:
                         raise ValueError(
                             f"agent {agent.id}: denominator {f.denominator} exceeds 2**53"
                         )
-                    position[id(f)] = len(oracles)
+                    at = position[id(f)] = len(oracles)
                     oracles.append(f)
-                agent_index = tuple(map(position.__getitem__, ids))
-            index.append(agent_index)
+                agent_index.append(at)
+            index.append(tuple(agent_index))
         hits, starts = seal_incidences(oracles, self.n)
         object.__setattr__(self, "hits", hits)
         object.__setattr__(self, "starts", starts)

@@ -9,7 +9,7 @@ coverage as its (element, item position) arrays, gmsc as its sorted
 members and a singleton as one cell, all placed into an Instance's
 matrix by one fancy-index assignment (core.seal_incidences), and a
 decision-table row as its block of its table's incidences, which the table
-builds for all its rows at once from one chunked comparison of its codes.
+builds for all its rows at once from one comparison of its codes.
 The base class derives the rest from that block (the element masks,
 min_nonzero_marginal). JSON params live in instance_io.
 """
@@ -76,11 +76,6 @@ def coverage_function(items: Sequence[tuple], covers: Dict[int, Iterable[int]]) 
     return CoverageFunction(items=items, elements=elements, positions=positions)
 
 
-# Cells per chunk of an OdtTable's row comparison: rows are compared in
-# chunks so the boolean temporary stays near this size.
-_COMPARE_CELLS = 1 << 16
-
-
 @dataclass(frozen=True)
 class OdtTable:
     """Hypothesis rows x test columns with discrete entries.
@@ -136,23 +131,18 @@ class OdtTable:
 
         One uint8 matrix, columns x (m blocks of m items) side by side;
         block j marks the rows whose code differs from row j's at each
-        column. The codes are compared in chunks of rows, so no m x m x
-        columns temporary exists. Read as columns * m rows of one block,
+        column. It is one comparison of all the codes, whose boolean result
+        the matrix views as bytes. Read as columns * m rows of one block,
         the matrix gives every row's masks from one core.block_masks call.
         Built on the first call and kept.
         """
         if self._built is None:
             by_column = np.ascontiguousarray(self.codes.T)
             cols, m = by_column.shape
-            blocks = np.empty((cols, m, m), np.uint8)  # [column, row j, row i]
-            identifiable = np.empty(m, dtype=bool)
-            step = max(1, _COMPARE_CELLS // max(1, m * cols))
-            for lo in range(0, m, step):
-                differs = by_column[:, lo:lo + step, None] != by_column[:, None, :]
-                blocks[:, lo:lo + step] = differs
-                # row j differs from itself nowhere, so m - 1 other rows must differ somewhere
-                identifiable[lo:lo + step] = differs.any(axis=0).sum(axis=1) == m - 1
-            hits = blocks.reshape(cols, m * m)
+            differs = by_column[:, :, None] != by_column[:, None, :]  # [column, row j, row i]
+            # row j differs from itself nowhere, so m - 1 other rows must differ somewhere
+            identifiable = differs.any(axis=0).sum(axis=1) == m - 1
+            hits = differs.view(np.uint8).reshape(cols, m * m)
             hits.flags.writeable = False  # and so is every block viewing it
             # entry c * m + j is row j's mask at element c + 1
             flat = block_masks(hits.reshape(cols * m, m), [m])[0]

@@ -13,6 +13,10 @@ algorithms.Run's report. The random row's Run calls cover_report; the
 greedy, NG, tuning and bag runs build theirs from their kernels' cover
 times, which equal it bit for bit.
 
+Sources: a config names a dataset CSV or a synthetic spec, not both; with
+neither, the cells sample DEFAULT_SYNTHETIC_ODT. _SYNTHETIC gives each
+synthetic family's builder, keys and defaults. Unknown keys are errors.
+
 Seeding: one master seed per (cell, run) splits into independent streams
 for row sampling, weight sampling, and the random baseline, via
 numpy SeedSequence spawn keys.
@@ -25,13 +29,13 @@ import functools
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from subrank.core import Agent, Instance, cover_report, sequential_sum
-from subrank.functions import OdtTable, odt_function
+from subrank.functions import OdtTable, hard_family, odt_function, random_coverage_instance
 from subrank.instance_io import is_integer, is_number
 from subrank.algorithms import (
     BagConfig,
@@ -55,8 +59,8 @@ EXPECTED_DATASET_SHAPES = {
     "ctg": (2126, 23),
 }
 
-# Stand-in table for a config that gives neither a dataset nor a synthetic
-# spec (MFCC-like width).
+# The synthetic table's keys and defaults (MFCC-like width): the stand-in for
+# a config with no source, and the keys a partial table spec leaves out.
 DEFAULT_SYNTHETIC_ODT = {"rows": 600, "cols": 22, "values": 10, "seed": 20}
 
 
@@ -148,6 +152,43 @@ def synthetic_table(rows: int, cols: int, values: int, seed: int) -> DataTable:
     return DataTable(columns=tuple(f"c{j}" for j in range(1, cols + 1)), values=data)
 
 
+# Each synthetic family's builder and its keys' defaults, None for a key the
+# spec must give. A spec without "family" builds the table the cells sample.
+_SYNTHETIC = {
+    None: (synthetic_table, DEFAULT_SYNTHETIC_ODT),
+    "hard": (hard_family, {"k": None, "delta": 0.01}),
+    "coverage": (random_coverage_instance, {"n": None, "k": None, "m": None, "seed": 0}),
+}
+
+
+def _synthetic(spec) -> tuple:
+    """(builder, params) of a synthetic spec; the source is builder(**params).
+
+    Raises ValueError naming the spec's first bad family, key or value.
+    """
+    if not isinstance(spec, dict):
+        raise ValueError(f"config 'synthetic' must be an object, got {spec!r}")
+    family = spec.get("family")
+    if "family" in spec and not (isinstance(family, str) and family in _SYNTHETIC):
+        raise ValueError(f"unknown synthetic family {family!r}")
+    builder, defaults = _SYNTHETIC[family]
+    params = {key: value for key, value in spec.items() if key != "family"}
+    unknown = [key for key in params if key not in defaults]
+    if unknown:
+        raise ValueError(f"config 'synthetic' key {unknown[0]!r} is not one of "
+                         + ", ".join(map(repr, defaults)))
+    missing = [key for key, value in defaults.items() if value is None and key not in params]
+    if missing:
+        raise ValueError(f"synthetic family {family!r} needs " + ", ".join(map(repr, missing)))
+    for key, value in params.items():
+        if key == "delta" and not is_number(value):
+            raise ValueError(f"synthetic 'delta' must be a number, got {value!r}")
+        least = 0 if key == "seed" else 1  # every other key is a size
+        if key != "delta" and not (is_integer(value) and value >= least):
+            raise ValueError(f"synthetic {key!r} must be an integer >= {least}, got {value!r}")
+    return builder, {**defaults, **params}
+
+
 def _streams(seed: int):
     rows_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     weight_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
@@ -219,7 +260,8 @@ def tune_ratio(
 class ExperimentConfig:
     """One sweep: dataset or synthetic source, (K, M) cells, seeds.
 
-    With neither a dataset nor a synthetic spec, cells sample
+    synthetic is a spec whose keys and defaults _SYNTHETIC gives per
+    family. With neither a dataset nor a synthetic spec, cells sample
     DEFAULT_SYNTHETIC_ODT.
     """
 
@@ -242,10 +284,16 @@ class ExperimentConfig:
     def from_doc(doc) -> "ExperimentConfig":
         """Config from a parsed JSON document.
 
-        Raises ValueError naming the first field of the wrong type or range.
+        Raises ValueError naming the first unknown key or field of the
+        wrong type or range, or when both dataset and synthetic are given.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"config must be a JSON object, not {type(doc).__name__}")
+        known = [f.name for f in fields(ExperimentConfig)]
+        unknown = [key for key in doc if key not in known]
+        if unknown:
+            raise ValueError(f"config key {unknown[0]!r} is not one of "
+                             + ", ".join(map(repr, known)))
 
         def ints(key, default, least):
             value = doc.get(key, default)
@@ -269,7 +317,9 @@ class ExperimentConfig:
             raise ValueError(f"config 'dataset' must be a CSV path, got {dataset!r}")
         synthetic = doc.get("synthetic")
         if synthetic is not None:
-            _check_synthetic(synthetic)
+            _synthetic(synthetic)
+            if dataset is not None:
+                raise ValueError("config gives both 'dataset' and 'synthetic'; give one")
         max_values = doc.get("max_values", DEFAULT_MAX_VALUES)
         if not (is_integer(max_values) and max_values >= 1):
             raise ValueError(f"config 'max_values' must be an integer >= 1, got {max_values!r}")
@@ -291,27 +341,6 @@ class ExperimentConfig:
             pair_km=pair_km,
             max_values=max_values,
         )
-
-
-# Keys each synthetic family spec must give; a spec without "family" is a table.
-_FAMILY_KEYS = {"hard": ("k",), "coverage": ("n", "k", "m")}
-
-
-def _check_synthetic(spec) -> None:
-    if not isinstance(spec, dict):
-        raise ValueError(f"config 'synthetic' must be an object, got {spec!r}")
-    family = spec.get("family")
-    if "family" in spec and not (isinstance(family, str) and family in _FAMILY_KEYS):
-        raise ValueError(f"unknown synthetic family {family!r}")
-    missing = [key for key in _FAMILY_KEYS.get(family, ()) if key not in spec]
-    if missing:
-        raise ValueError(f"synthetic family {family!r} needs " + ", ".join(map(repr, missing)))
-    for key, value in spec.items():
-        if key == "delta" and not is_number(value):
-            raise ValueError(f"synthetic 'delta' must be a number, got {value!r}")
-        least = 0 if key == "seed" else 1  # every other key is a size
-        if key not in ("family", "delta") and not (is_integer(value) and value >= least):
-            raise ValueError(f"synthetic {key!r} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -384,33 +413,14 @@ class ResultTable:
                 )
 
 
-def _family_instance(spec: dict) -> Instance:
-    from subrank.functions import hard_family, random_coverage_instance
-
-    family = spec.get("family")
-    if family == "hard":
-        return hard_family(int(spec["k"]), float(spec.get("delta", 0.01)))
-    if family == "coverage":
-        return random_coverage_instance(
-            int(spec["n"]), int(spec["k"]), int(spec["m"]), int(spec.get("seed", 0))
-        )
-    raise ValueError(f"unknown synthetic family {family!r}")
-
-
 def _source_table(cfg: ExperimentConfig) -> Optional[DataTable]:
     """The discretized table the cells sample, or None for a family spec."""
     if cfg.dataset:
         return discretize(ingest(cfg.dataset), cfg.max_values)
-    spec = DEFAULT_SYNTHETIC_ODT if cfg.synthetic is None else cfg.synthetic
-    if "family" not in spec:
-        raw = synthetic_table(
-            int(spec.get("rows", 500)),
-            int(spec.get("cols", 22)),
-            int(spec.get("values", 10)),
-            int(spec.get("seed", 0)),
-        )
-        return discretize(raw, cfg.max_values)
-    return None
+    builder, params = _synthetic({} if cfg.synthetic is None else cfg.synthetic)
+    if builder is not synthetic_table:
+        return None  # a family builds each cell's instance itself
+    return discretize(builder(**params), cfg.max_values)
 
 
 _ALGO_ORDER = {"random": 0, "greedy": 1, "ng": 2, "bag": 3}
@@ -421,9 +431,9 @@ def _sweep_cell(cfg: ExperimentConfig, table: Optional[DataTable], K: int, M: in
         inst = build_instance(table, K, M, seed)
         cell_k, cell_m = K, M
     else:
-        inst = _family_instance(cfg.synthetic)
-        cell_k = len(inst.agents)
-        cell_m = max(len(a.functions) for a in inst.agents)
+        builder, params = _synthetic(cfg.synthetic)
+        inst = builder(**params)
+        cell_k, cell_m = len(inst.agents), max(len(a.functions) for a in inst.agents)
     _, _, algo_seed = _streams(seed)
     rows = []
 

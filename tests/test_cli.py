@@ -334,8 +334,12 @@ class TestExperiment:
     {"objective": "median"},
     {"K": [2, 3], "M": [3], "pair_km": True},
     {"K": [2, 3], "M": [4, 5], "pair_km": "false"},
+    {"seed": [1]},
+    {"synthetic": {"rowz": 80}},
+    {"dataset": "data.csv", "synthetic": {"rows": 80}},
 ], ids=["list", "dataset-object", "K-string", "empty-grid", "unknown-objective",
-        "pair-km-lengths", "pair-km-string"])
+        "pair-km-lengths", "pair-km-string", "unknown-key", "unknown-synthetic-key",
+        "dataset-and-synthetic"])
 def test_bad_config_is_one_line_data_error(doc, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))

@@ -1,6 +1,7 @@
 """Ingestion, discretization, instance construction, and sweeps."""
 
 import csv
+import inspect
 import os
 
 import numpy as np
@@ -269,6 +270,17 @@ class TestSweep:
         rows = sweep(cfg).rows
         assert len(rows) == 4 and _strip(rows) == _strip(sweep(explicit).rows)
 
+    def test_empty_synthetic_spec_is_the_default_table(self):
+        doc = {"K": [2], "M": [3], "seeds": [0], "ratio_grid": [0.5]}
+        empty = ExperimentConfig.from_doc({**doc, "synthetic": {}})
+        assert _strip(sweep(empty).rows) == _strip(sweep(ExperimentConfig.from_doc(doc)).rows)
+
+    def test_partial_table_spec_takes_the_default_keys(self):
+        def table(spec):
+            return harness._source_table(ExperimentConfig.from_doc({"synthetic": spec})).values
+
+        assert np.array_equal(table({"rows": 80}), table({**DEFAULT_SYNTHETIC_ODT, "rows": 80}))
+
     def test_jobs_parallelism_matches_serial(self):
         cfg = small_synthetic_cfg()
         serial, parallel = sweep(cfg, jobs=1), sweep(cfg, jobs=2)
@@ -388,10 +400,19 @@ class TestConfigFromDoc:
          "'seed' must be an integer >= 0"),
         ({"pair_km": "false"}, "config 'pair_km' must be true or false, got 'false'"),
         ({"pair_km": 0}, "config 'pair_km' must be true or false, got 0"),
+        ({"seed": [5]}, "config key 'seed' is not one of"),
+        ({"synthetic": {"rowz": 80}}, "config 'synthetic' key 'rowz' is not one of"),
+        ({"synthetic": {"family": "hard", "k": 4, "seed": 1}}, "'synthetic' key 'seed'"),
+        ({"dataset": "d.csv", "synthetic": {}}, "both 'dataset' and 'synthetic'"),
     ])
     def test_bad_field_is_value_error(self, doc, match):
         with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_doc(doc)
+
+    @pytest.mark.parametrize("family", list(harness._SYNTHETIC))
+    def test_builder_parameters_are_the_family_keys(self, family):
+        builder, defaults = harness._SYNTHETIC[family]
+        assert list(inspect.signature(builder).parameters) == list(defaults)
 
 
 def test_result_csv_round_trip(tmp_path):
