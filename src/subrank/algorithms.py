@@ -21,9 +21,24 @@ kernel state, not on which states a pick scores, so the kernel computes
 the remaining x trackers gain matrix once per state, on the first ask
 after a pick, then that matrix over each tracker's denominator; every
 _pick at that state (BAG's frozen sets, the ratios of a tuning grid)
-reads the second, and brute force's child bounds the first. Once most
-items are dead, the fill reads only the live items' columns; the sums are
-exact, so skipping the dead items' zeros changes no bit. A candidate's terms are summed with a
+reads the second, and brute force's child bounds the first.
+
+The kernel counts gains on one of two paths, chosen once per instance by
+one property of its input: whether every item of every oracle weighs 1
+(oracles without items do not count). That holds for decision-table rows,
+gmsc sets, singletons and unit-weight coverage. On that word path each
+tracker's items are bits of 64-bit words of its own, a fill is a popcount
+of each candidate's words AND the live words summed per tracker, and
+adding a pick is one popcount and one AND-NOT. Weighted items keep the float
+path: hits times the live item weights, reduced per tracker, and once
+most items are dead the fill reads only the live items' columns. Every
+gain is an exact integer on both paths, so they give the same bits.
+Neither path replaces the other. On unit items one popcount does the work
+of 64 float multiply-adds: the fills of one odt-sweep rotation take
+~1.9 ms on words against ~7.9 ms on floats. Weighted items would need one
+bit plane per weight bit, and a prototype of that made the NG fills of
+file-solve's weighted coverage files slower (5.3 -> 8.3 ms with three
+planes for weights 1-5). A candidate's terms are summed with a
 sequential accumulate in state order, which reproduces a scalar ``+=``
 loop bit for bit; a matrix product would reorder the sum and could flip
 near-ties. Lazy (Minoux) evaluation is not used: a normalized gain can
@@ -86,10 +101,16 @@ from subrank.core import NEVER_COVERED, CoverReport, Instance
 # Cells per numpy pass when scoring candidates: candidate rows are taken in
 # chunks so a pick's float temporaries stay near this size.
 _CHUNK_CELLS = 1 << 14
-# A gain fill reads only the live items' columns once remaining rows x dead
+# A float-path gain fill (weighted items only; unit-weight items take the
+# word path) reads only the live items' columns once remaining rows x dead
 # items reaches this many cells; below it, gathering the live columns costs
-# more than multiplying the dead ones by 0.
+# more than multiplying the dead ones by 0. Replaying file-solve input set
+# 31's 1,467 float-path fills took 26-27 ms with this branch, 52-55 without.
 _LIVE_FILL_CELLS = 1 << 12
+# A word-path count sums trackers that all have the same number of words, at
+# most this many, with one strided add per word; numpy's reduction over a
+# short last axis is several times slower. Other layouts use reduceat.
+_STRIDED_WORDS = 8
 # A pick screens its candidates (_contenders) once its uncovered states
 # number at least this many per tracker; with fewer, summing every row
 # exactly costs about as much as the screen.
@@ -98,6 +119,11 @@ _SCREEN_STATES_PER_TRACKER = 2
 # subnormal: a nonzero scaled gain is at least 2**-53 and a residual at
 # most 1, so every product and quotient stays at least 2**-1021.
 _SCREEN_MIN_WEIGHT = 2.0**-968
+
+
+def _unit_items(oracles: Sequence) -> bool:
+    """Whether every item of every oracle weighs 1; an oracle without items passes."""
+    return all(f.item_weights.count(1) == len(f.item_weights) for f in oracles)
 
 
 class _Kernel:
@@ -109,21 +135,34 @@ class _Kernel:
     covered, 0 when covered at the root and -1 while uncovered. Items are
     the oracles' bit positions, stacked in tracker order: hits is the
     element x item incidence (row e - 1 for element e), the first n rows
-    of the instance's matrix without a copy (Instance.hits), live the
-    weight of each item not yet hit by a pick (0.0 once dead) and owner
-    its tracker, whose items start at column starts[j]. States are the (agent,
-    function) pairs in agent then function order; fn maps each to its tracker, and
-    pairs holds its (agent id, weight) as Python numbers for the callers'
-    scalar sums. For per-agent sums, cells places every state in a grid of
-    one row per agent, width cells wide: a 0.0 head cell, then the agent's
-    functions in order, then +0.0 padding. remaining lists the unpicked
+    of the instance's matrix without a copy (Instance.hits), and owner
+    each item's tracker, whose items start at column starts[j].
+
+    live holds the items not yet hit by a pick, in one of two forms. When
+    every item weighs 1 (_unit_items), the word path: tracker j's items
+    are the low bits, in column order, of its own max(1, ceil(width / 64))
+    little-endian 64-bit words from word heads[j] on; words is hits packed
+    that way (read-only, like hits), live one such row of the live items,
+    and bit each item column's bit in it. Otherwise, the float path: live
+    is the weight of each item column, 0.0 once dead. live_weights() gives
+    the float form on either path.
+
+    States are the (agent, function) pairs in agent then function order;
+    fn maps each to its tracker, and pairs holds its (agent id, weight) as
+    Python numbers for the callers' scalar sums. For per-agent sums, cells
+    places every state in a grid of one row per agent, width cells wide: a
+    0.0 head cell, then the agent's functions in order, then +0.0 padding.
+    remaining lists the unpicked
     elements in ascending order, gains() their gain matrix and scaled()
     that matrix over each tracker's denominator, each computed once per
     state. _advance changes num, live and time in place and rebinds
     covered, remaining and the matrices; save copies the first four and
-    carries the last three by reference. A fill sums hits * live over each
-    tracker's run of item columns; from _LIVE_FILL_CELLS remaining rows x
-    dead items on, it reads only the live columns.
+    carries the last three by reference (live is 1.6 KB of words against
+    80 KB of floats on odt K=10, M=100). On the word path a fill is
+    popcounts(words[rows] & live) and _advance adds popcounts(words[e - 1]
+    & live) and clears those bits. On the float path a fill sums hits *
+    live over each tracker's run of item columns, and from _LIVE_FILL_CELLS
+    remaining rows x dead items on it reads only the live columns.
 
     A run starts from start(inst): a copy of the root kept on the instance,
     so the instance's runs build the root and its gain matrix once.
@@ -154,9 +193,25 @@ class _Kernel:
         # column so reduceat's segments stay nonempty.
         self.hits = inst.hits[:inst.n]
         self.starts = inst.starts
-        self.live = np.fromiter(chain(f.item_weights or (0,) for f in oracles), dtype=float)
         widths = np.diff(self.starts, append=self.hits.shape[1])
         self.owner = np.repeat(np.arange(len(oracles), dtype=np.intp), widths)  # of each item
+        self.words = None
+        if _unit_items(oracles):
+            # the words of hits, then a last row of the live items (an item-less
+            # tracker's one column is dead)
+            count = (widths + 63) // 64
+            self.heads = np.cumsum(count) - count
+            uniform = count.size and (count == count[0]).all() and count[0] <= _STRIDED_WORDS
+            self.stride = int(count[0]) if uniform else 0  # 0: sum with reduceat
+            self.bit = np.arange(self.owner.size) + (self.heads * 64 - self.starts)[self.owner]
+            padded = np.zeros((self.hits.shape[0] + 1, 64 * int(count.sum())), np.uint8)
+            padded[:-1, self.bit] = self.hits
+            padded[-1, self.bit] = np.array([bool(f.item_weights) for f in oracles])[self.owner]
+            words = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+            self.words, self.live = words[:-1], words[-1].copy()
+            self.words.flags.writeable = False
+        else:
+            self.live = np.fromiter(chain(f.item_weights or (0,) for f in oracles), dtype=float)
         self.den = np.array([f.denominator for f in oracles], dtype=float)
         self.num = np.array([f.numerator(0) for f in oracles], dtype=float)
         self.covered = np.array([f.mask_covers(0) for f in oracles], dtype=bool)
@@ -199,6 +254,11 @@ class _Kernel:
     def _fill_gains(self) -> np.ndarray:
         rows = np.array(self.remaining, dtype=np.intp) - 1
         out = np.zeros((rows.size, self.den.size))
+        if self.words is not None:
+            step = max(1, _CHUNK_CELLS // max(1, self.live.size))
+            for lo in range(0, rows.size, step):
+                out[lo:lo + step] = self.popcounts(self.words[rows[lo:lo + step]] & self.live)
+            return out
         # every item column, each tracker's run from its start ...
         items, live, heads, trackers = slice(None), self.live, self.starts, slice(None)
         if rows.size * (live.size - np.count_nonzero(live)) >= _LIVE_FILL_CELLS:
@@ -217,6 +277,24 @@ class _Kernel:
             block = self.hits[rows[lo:lo + step]][:, items] * live
             out[lo:lo + step, trackers] = np.add.reduceat(block, heads, axis=1)
         return out
+
+    def popcounts(self, words: np.ndarray) -> np.ndarray:
+        """Word path: the set bits of words (..., all words) per tracker, as floats."""
+        bits = np.bitwise_count(words)
+        stride = self.stride
+        if not stride:
+            return np.add.reduceat(bits, self.heads, axis=-1, dtype=float)
+        # word i of every tracker is every stride-th column from column i
+        out = bits[..., ::stride].astype(float)
+        for i in range(1, stride):
+            out += bits[..., i::stride]
+        return out
+
+    def live_weights(self) -> np.ndarray:
+        """Each item column's live weight, 0.0 once dead, on either path."""
+        if self.words is None:
+            return self.live
+        return np.unpackbits(self.live.view(np.uint8), bitorder="little")[self.bit].astype(float)
 
     def states_of(self, agents: tuple) -> np.ndarray:
         """The states of the agents with these ids, in agent id order then function order."""
@@ -250,13 +328,14 @@ class _Kernel:
             # (0 for none), in the narrowest type that holds the tail's
             # length and in column chunks, so temporaries stay near _CHUNK_CELLS
             countdown = np.arange(rows.size, 0, -1, dtype=np.min_scalar_type(rows.size))[:, None]
-            back = np.empty(self.live.size, countdown.dtype)
+            back = np.empty(self.owner.size, countdown.dtype)
             step = max(1, _CHUNK_CELLS // rows.size)
             for lo in range(0, back.size, step):
                 np.max(self.hits[rows, lo:lo + step] * countdown, axis=0, out=back[lo:lo + step])
             items = (~self.covered[self.owner] & (back > 0)).nonzero()[0]
             at = (rows.size - back[items].astype(np.intp)) * trackers + self.owner[items]
-            gain = np.bincount(at, weights=self.live[items], minlength=rows.size * trackers)
+            gain = np.bincount(at, weights=self.live_weights()[items],
+                               minlength=rows.size * trackers)
             reached = self.num + gain.reshape(rows.size, trackers).cumsum(axis=0) >= self.den
             late = reached[-1] & ~self.covered
             times[late] = self.hits.shape[0] - rows.size + 1 + reached[:, late].argmax(axis=0)
@@ -391,9 +470,14 @@ def _advance(kernel: _Kernel, e: int) -> np.ndarray:
     covered tracker's numerator may grow past its denominator here; only
     uncovered trackers' values are read.
     """
-    hit = kernel.hits[e - 1]
-    kernel.num += np.add.reduceat(hit * kernel.live, kernel.starts)
-    kernel.live[hit != 0] = 0.0
+    if kernel.words is None:
+        hit = kernel.hits[e - 1]
+        kernel.num += np.add.reduceat(hit * kernel.live, kernel.starts)
+        kernel.live[hit != 0] = 0.0
+    else:
+        hit = kernel.words[e - 1]
+        kernel.num += kernel.popcounts(hit & kernel.live)
+        kernel.live &= ~hit
     was_covered = kernel.covered
     kernel.covered = kernel.num >= kernel.den
     remaining = kernel.remaining.copy()

@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import add, itemgetter, mul, not_
+from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -110,7 +110,8 @@ def seal_incidences(oracles: Sequence[SetSystemOracle], rows: int = 0) -> tuple:
     column. The hit pairs of the oracles not sealed yet go in with one
     fancy-index assignment, and each keeps its block (a view) and its
     element masks; an oracle sealed before, by its table or an earlier
-    instance, is copied into its block. Raises ValueError on an element id
+    instance, is copied into its block, each run of adjacent ones of one
+    height with one np.concatenate. Raises ValueError on an element id
     below 1.
     """
     widths = [len(f.item_weights) for f in oracles]
@@ -127,10 +128,15 @@ def seal_incidences(oracles: Sequence[SetSystemOracle], rows: int = 0) -> tuple:
         columns = np.concatenate([p for _, p in pairs])
         columns += np.repeat(lows, [e.size for e, _ in pairs])  # item position -> column
         hits[elements - 1, columns] = 1
-    sealed = (itertools.compress(v, map(not_, fresh)) for v in (oracles, bounds, widths))
-    for f, lo, w in zip(*sealed):
-        block = f._hits[:size]
-        hits[:len(block), lo:lo + w] = block
+    # each run of adjacent sealed blocks of one height goes in with one concatenate
+    blocks = [None if is_new or not w else f._hits[:size]
+              for f, w, is_new in zip(oracles, widths, fresh)]
+    spans = zip(blocks, bounds, bounds[1:])
+    for height, run in itertools.groupby(spans, lambda s: -1 if s[0] is None else len(s[0])):
+        if height >= 0:  # -1: a new or item-less oracle, nothing to copy
+            run = list(run)
+            np.concatenate([b for b, _, _ in run], axis=1,
+                           out=hits[:height, run[0][1]:run[-1][2]])
     hits.flags.writeable = False  # and so is every block viewing it
     for f, lo, w, masks in zip(new, lows, new_widths, block_masks(hits, new_widths, lows)):
         f._seal(hits[:, lo:lo + w], masks)

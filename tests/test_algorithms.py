@@ -449,20 +449,29 @@ def test_one_element_gain_is_linear_in_item_incidence(data):
 
 
 def _full_fill(kernel):
-    """The gain matrix from every item column, dead ones included."""
+    """The gain matrix from every item column, dead ones included, on either gain path."""
     rows = np.array(kernel.remaining, dtype=np.intp) - 1
-    return np.add.reduceat(kernel.hits[rows] * kernel.live, kernel.starts, axis=1)
+    return np.add.reduceat(kernel.hits[rows] * kernel.live_weights(), kernel.starts, axis=1)
+
+
+def _float_path():
+    """Send every kernel built inside to the float gain path, unit items or not."""
+    return mock.patch.object(algorithms, "_unit_items", lambda oracles: False)
 
 
 def _check_kernel(inst, kernel, picks):
-    """The kernel's cached gains, scaled gains and remaining elements after the picks."""
+    """The kernel's gain caches, live items and remaining elements after the picks."""
     assert kernel.remaining == [e for e in range(1, inst.n + 1) if e not in picks]
     gains = kernel.gains()
     assert gains.shape == (len(kernel.remaining), len(inst.oracles))
     assert np.array_equal(gains, _full_fill(kernel))
     assert np.array_equal(kernel.scaled(), gains / kernel.den)
+    live = kernel.live_weights()
     for j, f in enumerate(inst.oracles):
         mask = f.union_mask(picks)
+        at = kernel.starts[j]
+        assert list(live[at:at + len(f.item_weights)]) == [
+            0.0 if (mask >> p) & 1 else w for p, w in enumerate(f.item_weights)]
         assert kernel.covered[j] == f.mask_covers(mask)
         if kernel.covered[j]:
             assert kernel.time[j] == cover_time(f, picks)
@@ -472,30 +481,51 @@ def _check_kernel(inst, kernel, picks):
             assert gains[row, j] == f.numerator(mask | f.element_mask(e)) - f.numerator(mask)
 
 
+def _check_pair(inst, kernels, picks):
+    """Both kernels are exact and hold the same state, bit for bit."""
+    for kernel in kernels:
+        _check_kernel(inst, kernel, picks)
+    word, floats = kernels
+    for read in (lambda k: k.num, lambda k: k.covered, lambda k: k.time, lambda k: k.gains(),
+                 lambda k: k.scaled(), lambda k: k.live_weights(), lambda k: k.end_times()):
+        a, b = read(word), read(floats)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def _walk_kernel(inst, data, live_fill_cells):
-    """Walk a kernel through drawn picks, saves and restores, checking each state."""
+    """Walk a kernel and a float-path one through drawn picks, saves and restores, in lockstep.
+
+    The first kernel takes the instance's own gain path; the second is
+    forced onto the float path. Each state is checked on both.
+    """
     with mock.patch.object(algorithms, "_LIVE_FILL_CELLS", live_fill_cells):
         kernel = _Kernel(inst)
+        with _float_path():
+            floats = _Kernel(inst)
+        assert floats.words is None
+        kernels = (kernel, floats)
         picks: list = []
         stack: list = []
-        _check_kernel(inst, kernel, picks)
+        _check_pair(inst, kernels, picks)
         for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
             actions = ["save"] + ["advance"] * bool(kernel.remaining) + ["restore"] * bool(stack)
             action = data.draw(st.sampled_from(actions))
             if action == "advance":
                 e = data.draw(st.sampled_from(kernel.remaining))
-                _advance(kernel, e)
+                newly = [_advance(k, e) for k in kernels]
+                assert np.array_equal(*newly)
                 picks.append(e)
             elif action == "save":
-                gains, scaled = kernel.gains(), kernel.scaled()
-                stack.append((kernel.save(), kernel.remaining, gains, scaled, list(picks)))
+                stack.append(([(k.save(), k.remaining, k.gains(), k.scaled()) for k in kernels],
+                              list(picks)))
             else:
-                saved, remaining, gains, scaled, picks = stack.pop()
-                kernel.restore(saved)
-                assert kernel.remaining is remaining
-                assert kernel.gains() is gains
-                assert kernel.scaled() is scaled
-            _check_kernel(inst, kernel, picks)
+                states, picks = stack.pop()
+                for k, (saved, remaining, gains, scaled) in zip(kernels, states):
+                    k.restore(saved)
+                    assert k.remaining is remaining
+                    assert k.gains() is gains
+                    assert k.scaled() is scaled
+            _check_pair(inst, kernels, picks)
 
 
 @settings(max_examples=150, deadline=None)
@@ -511,8 +541,102 @@ def test_kernel_gains_follow_advance_save_restore(inst, data):
 @settings(max_examples=150, deadline=None)
 @given(inst=st.one_of(tie_prone_instances(), shared_oracle_instances()), data=st.data())
 def test_kernel_gains_follow_advance_save_restore_live_fill(inst, data):
-    """As above, with threshold 0 so every fill reads only live items."""
+    """As above, with threshold 0 so every float-path fill reads only live items.
+
+    Both strategies draw coverage items of weights 1-3, so weighted
+    instances, whose own kernel takes the float path, are among the draws;
+    the forced float-path kernel of a unit-weight one reads live items too.
+    """
     _walk_kernel(inst, data, 0)
+
+
+@st.composite
+def unit_item_instances(draw, widths):
+    """Instances whose every item weighs 1, with trackers of one or more 64-bit words.
+
+    The pool holds one unit coverage oracle per width in widths (every item
+    hit by some element, the hits drawn from a seeded stream), plus drawn
+    gmsc sets of sizes 1-5, singletons, decision-table rows and coverage
+    oracles without items; agents hold them, with repeats, at weights that
+    need not be integers.
+    """
+    n = draw(st.integers(min_value=2, max_value=6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = []
+    for width in widths:
+        p = rng.random()
+        covers = {e: set() for e in range(1, n + 1)}
+        for item in range(1, width + 1):
+            covers[rng.randint(1, n)].add(item)
+            for e in range(1, n + 1):
+                if rng.random() < p:
+                    covers[e].add(item)
+        pool.append(coverage_function([(item, 1) for item in range(1, width + 1)], covers))
+    kinds = st.sampled_from(["gmsc", "singleton", "odt", "itemless"])
+    for kind in draw(st.lists(kinds, min_size=not widths, max_size=3)):
+        if kind == "gmsc":
+            members = frozenset(rng.sample(range(1, n + 1), draw(st.integers(1, min(5, n)))))
+            pool.append(gmsc_function(GmscSet(members, draw(st.integers(1, len(members))))))
+        elif kind == "singleton":
+            pool.append(singleton_function(draw(st.integers(1, n))))
+        elif kind == "odt":
+            pool += _odt_oracles(n, draw(st.integers(0, 30)), draw(st.integers(2, 4)))
+        else:
+            pool.append(coverage_function([], {}))
+    agents = []
+    for i in range(1, draw(st.integers(min_value=1, max_value=3)) + 1):
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        weights = st.sampled_from([1.0, 2.0, 3.0, 0.5, 1 / 3, 0.7])
+        agents.append(Agent(id=i, functions=tuple((f, draw(weights)) for f in picks)))
+    return Instance(n=n, agents=tuple(agents))
+
+
+def _ranker_outputs(inst):
+    """Every ranker's permutation, report and trace lines, and brute force's result."""
+    out = []
+    for normalized in (False, True):
+        run = _greedy_run(inst, normalized)
+        out.append((run.permutation, _outcome(lambda: run.report)))
+    for ratio in (0.1, 2.0 / 3.0, 0.9):
+        perm, run = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio))
+        out.append((perm, run.pick_lines(), run.passes, _outcome(lambda: run.report)))
+    out.append(_outcome(tune_ratio, inst))
+    result = brute_force_opt(inst)
+    out.append((result.permutation, result.value.hex(), result.optimal, result.nodes))
+    return out
+
+
+# one word (63, 64), two (65, 128), every tracker two (65, 128 alone), and
+# more than _STRIDED_WORDS (576); with gmsc sets of sizes 1-5 and the rest
+@pytest.mark.parametrize("widths", [(), (63,), (64,), (65,), (128,), (65, 128), (63, 576)],
+                         ids=lambda widths: "-".join(map(str, widths)) or "none")
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_word_path_matches_float_path(widths, data):
+    """Unit-weight items take the word path, and it gives the float path's outputs bit for bit."""
+    inst = data.draw(unit_item_instances(widths))
+    assert _Kernel(inst).words is not None
+    words = _ranker_outputs(inst)
+    with _float_path():
+        floats = _ranker_outputs(Instance(n=inst.n, agents=inst.agents))
+    assert words == floats
+    _walk_kernel(inst, data, algorithms._LIVE_FILL_CELLS)
+
+
+def test_gain_path_follows_item_weights():
+    """One item weight other than 1 sends an instance to the float path; no items is no such weight."""
+    unit = [coverage_function([(1, 1), (2, 1)], {1: {1}, 2: {2}}), coverage_function([], {}),
+            gmsc_function(GmscSet(frozenset({1, 3}), 1)), singleton_function(3)]
+    weighted = coverage_function([(1, 1), (2, 2)], {1: {1}, 3: {2}})
+
+    def kernel(oracles):
+        functions = tuple((f, 1.0) for f in oracles)
+        return _Kernel(Instance(n=3, agents=(Agent(id=1, functions=functions),)))
+
+    assert kernel(unit).words is not None
+    assert kernel([coverage_function([], {})]).words is not None
+    assert kernel(unit + [weighted]).words is None
+    assert kernel([weighted]).words is None
 
 
 def test_tune_ratio_fills_gains_once_per_state(monkeypatch):
@@ -546,11 +670,15 @@ def test_tune_ratio_fills_gains_once_per_state(monkeypatch):
 
 
 def test_live_fills_equal_full_fills(monkeypatch):
-    """On odt K=10, M=100, tuning fills some states from live items only, bit for bit."""
+    """On weighted coverage, tuning fills some states from live items only, bit for bit.
+
+    The instance is file-solve's largest shape: n=60, k=30, m=10, item weights 1-5.
+    """
     paths = []
     fill = _Kernel._fill_gains
 
     def checked_fill(kernel):
+        assert kernel.words is None
         dead = kernel.live.size - np.count_nonzero(kernel.live)
         paths.append(len(kernel.remaining) * dead >= algorithms._LIVE_FILL_CELLS)
         gains = fill(kernel)
@@ -558,7 +686,7 @@ def test_live_fills_equal_full_fills(monkeypatch):
         return gains
 
     monkeypatch.setattr(_Kernel, "_fill_gains", checked_fill)
-    tune_ratio(build_instance(discretize(synthetic_table(600, 22, 10, 20)), 10, 100, 31))
+    tune_ratio(random_coverage_instance(60, 30, 10, 31))
     assert any(paths)
 
 
