@@ -35,7 +35,7 @@ most items are dead the fill reads only the live items' columns. Every
 gain is an exact integer on both paths, so they give the same bits.
 Neither path replaces the other. On unit items one popcount does the work
 of 64 float multiply-adds: the fills of one odt-sweep rotation take
-~1.9 ms on words against ~7.9 ms on floats. Weighted items would need one
+~2.1 ms on words against ~6.1 ms on floats. Weighted items would need one
 bit plane per weight bit, and a prototype of that made the NG fills of
 file-solve's weighted coverage files slower (5.3 -> 8.3 ms with three
 planes for weights 1-5). A candidate's terms are summed with a
@@ -107,10 +107,6 @@ _CHUNK_CELLS = 1 << 14
 # more than multiplying the dead ones by 0. Replaying file-solve input set
 # 31's 1,467 float-path fills took 26-27 ms with this branch, 52-55 without.
 _LIVE_FILL_CELLS = 1 << 12
-# A word-path count sums trackers that all have the same number of words, at
-# most this many, with one strided add per word; numpy's reduction over a
-# short last axis is several times slower. Other layouts use reduceat.
-_STRIDED_WORDS = 8
 # A pick screens its candidates (_contenders) once its uncovered states
 # number at least this many per tracker; with fewer, summing every row
 # exactly costs about as much as the screen.
@@ -197,19 +193,14 @@ class _Kernel:
         self.owner = np.repeat(np.arange(len(oracles), dtype=np.intp), widths)  # of each item
         self.words = None
         if _unit_items(oracles):
-            # the words of hits, then a last row of the live items (an item-less
-            # tracker's one column is dead)
             count = (widths + 63) // 64
             self.heads = np.cumsum(count) - count
-            uniform = count.size and (count == count[0]).all() and count[0] <= _STRIDED_WORDS
-            self.stride = int(count[0]) if uniform else 0  # 0: sum with reduceat
             self.bit = np.arange(self.owner.size) + (self.heads * 64 - self.starts)[self.owner]
-            padded = np.zeros((self.hits.shape[0] + 1, 64 * int(count.sum())), np.uint8)
-            padded[:-1, self.bit] = self.hits
-            padded[-1, self.bit] = np.array([bool(f.item_weights) for f in oracles])[self.owner]
-            words = np.packbits(padded, axis=1, bitorder="little").view("<u8")
-            self.words, self.live = words[:-1], words[-1].copy()
+            self.words, mask = self._pack(widths, count)
             self.words.flags.writeable = False
+            # the live items: every bit of the words but an item-less tracker's dead one
+            self.live = np.where(np.repeat([bool(f.item_weights) for f in oracles], count),
+                                 mask, np.uint64(0))
         else:
             self.live = np.fromiter(chain(f.item_weights or (0,) for f in oracles), dtype=float)
         self.den = np.array([f.denominator for f in oracles], dtype=float)
@@ -219,6 +210,34 @@ class _Kernel:
         self.remaining = list(range(1, inst.n + 1))
         self._gains: Optional[np.ndarray] = None
         self._scaled: Optional[np.ndarray] = None
+
+    def _pack(self, widths: np.ndarray, count: np.ndarray) -> tuple:
+        """Word path: (words, mask), hits packed into each tracker's own words.
+
+        hits packs into one little-endian bit stream per row; each word takes
+        the 64 stream bits from its first item (two shifts of two adjacent
+        stream words) and masks off the bits past its tracker's columns, so
+        mask has a word's bit set for each of its columns. Rows go in
+        chunks, so the temporaries stay near _CHUNK_CELLS words.
+        """
+        packed = np.packbits(self.hits, axis=1, bitorder="little")
+        # each row's stream, with a zero word past the last
+        stream = np.zeros((packed.shape[0], self.owner.size // 64 + 2), "<u8")
+        stream.view(np.uint8)[:, :packed.shape[1]] = packed
+        tracker = np.repeat(np.arange(count.size), count)  # of each word
+        # each word's first item, counted in its tracker and as a column
+        offset = (np.arange(tracker.size) - self.heads[tracker]) * 64
+        lo = (self.starts[tracker] + offset).astype(np.uint64)
+        first = (lo // 64).astype(np.intp)
+        mask = ~np.uint64(0) >> (64 - np.minimum(widths[tracker] - offset, 64)).astype(np.uint64)
+        words = np.empty((stream.shape[0], tracker.size), "<u8")
+        step = max(1, _CHUNK_CELLS // max(1, tracker.size))
+        for row in range(0, stream.shape[0], step):
+            block = stream[row:row + step]
+            # the next word shifts in two steps, so an aligned word's shift stays below 64
+            words[row:row + step] = (block[:, first] >> lo % 64
+                                     | block[:, first + 1] << 1 << 63 - lo % 64) & mask
+        return words, mask
 
     @classmethod
     def start(cls, inst: Instance) -> "_Kernel":
@@ -280,15 +299,7 @@ class _Kernel:
 
     def popcounts(self, words: np.ndarray) -> np.ndarray:
         """Word path: the set bits of words (..., all words) per tracker, as floats."""
-        bits = np.bitwise_count(words)
-        stride = self.stride
-        if not stride:
-            return np.add.reduceat(bits, self.heads, axis=-1, dtype=float)
-        # word i of every tracker is every stride-th column from column i
-        out = bits[..., ::stride].astype(float)
-        for i in range(1, stride):
-            out += bits[..., i::stride]
-        return out
+        return np.add.reduceat(np.bitwise_count(words), self.heads, axis=-1, dtype=float)
 
     def live_weights(self) -> np.ndarray:
         """Each item column's live weight, 0.0 once dead, on either path."""

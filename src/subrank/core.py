@@ -129,14 +129,18 @@ def seal_incidences(oracles: Sequence[SetSystemOracle], rows: int = 0) -> tuple:
         columns += np.repeat(lows, [e.size for e, _ in pairs])  # item position -> column
         hits[elements - 1, columns] = 1
     # each run of adjacent sealed blocks of one height goes in with one concatenate
-    blocks = [None if is_new or not w else f._hits[:size]
-              for f, w, is_new in zip(oracles, widths, fresh)]
-    spans = zip(blocks, bounds, bounds[1:])
-    for height, run in itertools.groupby(spans, lambda s: -1 if s[0] is None else len(s[0])):
-        if height >= 0:  # -1: a new or item-less oracle, nothing to copy
-            run = list(run)
-            np.concatenate([b for b, _, _ in run], axis=1,
-                           out=hits[:height, run[0][1]:run[-1][2]])
+    runs = []  # [first column, end column, blocks] of each run
+    for f, w, is_new, lo in zip(oracles, widths, fresh, bounds):
+        if is_new or not w:
+            continue
+        block = f._hits[:size]
+        if runs and runs[-1][1] == lo and len(runs[-1][2][0]) == len(block):
+            runs[-1][1] += w
+            runs[-1][2].append(block)
+        else:
+            runs.append([lo, lo + w, [block]])
+    for lo, end, blocks in runs:
+        np.concatenate(blocks, axis=1, out=hits[:len(blocks[0]), lo:end])
     hits.flags.writeable = False  # and so is every block viewing it
     for f, lo, w, masks in zip(new, lows, new_widths, block_masks(hits, new_widths, lows)):
         f._seal(hits[:, lo:lo + w], masks)

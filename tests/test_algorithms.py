@@ -607,7 +607,7 @@ def _ranker_outputs(inst):
 
 
 # one word (63, 64), two (65, 128), every tracker two (65, 128 alone), and
-# more than _STRIDED_WORDS (576); with gmsc sets of sizes 1-5 and the rest
+# nine (576); with gmsc sets of sizes 1-5 and the rest
 @pytest.mark.parametrize("widths", [(), (63,), (64,), (65,), (128,), (65, 128), (63, 576)],
                          ids=lambda widths: "-".join(map(str, widths)) or "none")
 @settings(max_examples=25, deadline=None)
@@ -615,7 +615,14 @@ def _ranker_outputs(inst):
 def test_word_path_matches_float_path(widths, data):
     """Unit-weight items take the word path, and it gives the float path's outputs bit for bit."""
     inst = data.draw(unit_item_instances(widths))
-    assert _Kernel(inst).words is not None
+    kernel = _Kernel(inst)
+    # each item column's bit holds its hits, and every other bit is 0
+    bits = np.unpackbits(kernel.words.view(np.uint8), axis=1, bitorder="little")
+    expected = np.zeros_like(bits)
+    expected[:, kernel.bit] = kernel.hits
+    assert np.array_equal(bits, expected)
+    with mock.patch.object(algorithms, "_CHUNK_CELLS", 1):  # one row per chunk
+        assert np.array_equal(_Kernel(inst).words, kernel.words)
     words = _ranker_outputs(inst)
     with _float_path():
         floats = _ranker_outputs(Instance(n=inst.n, agents=inst.agents))

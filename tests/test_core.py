@@ -199,6 +199,17 @@ def test_instance_derives_epsilon_and_weight():
     assert inst.agent_by_id(9).id == 9
 
 
+def test_sealed_blocks_of_other_heights_keep_their_rows():
+    """Adjacent oracles sealed by instances of other sizes are copied in as blocks of their own."""
+    short = coverage_function([(1, 1), (2, 1)], {1: {1, 2}})
+    tall = coverage_function([(1, 1)], {3: {1}})
+    Instance(n=1, agents=(Agent(id=1, functions=((short, 1.0),)),))  # a block of one row
+    Instance(n=3, agents=(Agent(id=1, functions=((tall, 1.0),)),))  # a block of three
+    functions = ((short, 1.0), (tall, 1.0), (singleton_function(2), 1.0))
+    inst = Instance(n=3, agents=(Agent(id=1, functions=functions),))
+    assert inst.hits.tolist() == [[1, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+
+
 def test_duplicate_agent_ids_rejected():
     # objective looked agents up by id while cover_report walked them in
     # order, so the two disagreed (1.0 against 2.0 on this instance)
