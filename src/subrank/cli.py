@@ -254,8 +254,8 @@ def _cmd_gmsc_bench(args) -> int:
 
     rows = []
     within = 0
-    for s in range(base, base + args.seeds):
-        perm, _ = gmsc_mod.gmsc_schedule(inst, s, sol)
+    seeds = range(base, base + args.seeds)
+    for s, perm in zip(seeds, gmsc_mod.gmsc_schedules(inst, seeds, sol)):
         cost = eval_objective(inst, perm, "minmax")
         ratio = cost / sol.T_star if sol.T_star > 0 else float("inf")
         rows.append((s, cost, ratio))

@@ -12,16 +12,29 @@ constraint is violated. Separation scores all sets at once over a padded
 (sets x largest set) member table; ``violated_cuts`` reports what it finds.
 The LP is one sparse HiGHS model (see ``simplex``): its initial rows and
 each round's new cuts go in as CSR blocks, and it is re-solved from its
-last basis. ``gmsc_schedule`` rounds in doubling-horizon phases: each
-phase's pick probabilities min(1, 8 * prefix mass) come once from
-``phase_probabilities``, and ``round_phase`` draws each independent
-repetition from its own (phase, repetition) stream, so no agent is left
-behind.
+last basis.
+
+Rounding runs in doubling-horizon phases. Each phase's pick
+probabilities min(1, 8 * prefix mass) come once from
+``phase_probabilities``, and each independent repetition draws from its
+own (phase, repetition) child stream of the seed, so no agent is left
+behind. ``round_phase`` rounds one stream and is the reference.
+``gmsc_schedules`` rounds a batch of seeds in one pass, and
+``gmsc_schedule`` rounds one seed on the same path. The path has three
+steps. ``stream_words`` derives the state words of every stream's
+``SeedSequence(entropy=seed, spawn_key=(phase, rep))`` at once, with
+numpy's SeedSequence hash vectorised over uint32 arrays. ``stream_draws``
+sets one reused numpy ``PCG64`` to each stream's seeded state and draws
+with ``Generator.random``. Picks, caps and orders are then array
+operations over every stream of the batch. The draws are bit-identical
+to numpy's own streams, and ``verify`` checks that.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -36,6 +49,20 @@ LP_TOL = 1e-7
 MAX_CUTS = 10_000
 PICK_SCALE = 8.0  # rounding probability is min(1, PICK_SCALE * prefix mass)
 PHASE_CAP_SCALE = 16  # a phase keeping more than 16 * 2^l picks is emptied
+#: rounding draws held at once: seeds are rounded in chunks of about this many
+_DRAW_CELLS = 1 << 16
+
+# numpy's SeedSequence hash with its default pool of 4 words
+# (numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG multiplier
+# (PCG_DEFAULT_MULTIPLIER_128); stream_words and stream_draws reproduce
+# numpy's seeding with them, and verify checks the result against numpy
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def gmsc_sets(inst: Instance):
@@ -308,27 +335,171 @@ def round_phase(probs: np.ndarray, phase: int, seed) -> PhaseOutput:
     return PhaseOutput(phase, (), len(picked)) if out.emptied else out
 
 
+def _hash(value: np.ndarray, const: int, mult: int):
+    """One SeedSequence hash step over uint32 words: (hashed words, next constant).
+
+    hashmix (mult _MULT_A) and generate_state (mult _MULT_B) share it.
+    """
+    const_next = const * mult & _MASK32
+    value = (value ^ np.uint32(const)) * np.uint32(const_next)
+    return value ^ (value >> np.uint32(16)), const_next
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _seeded_pools(words: np.ndarray, keys: np.ndarray) -> list:
+    """SeedSequence.mix_entropy of every (seed row, spawn key) pair: 4 (seeds, keys) arrays.
+
+    The entropy is a seed's words padded to the pool size, then the key's
+    two words. The first 4 words fill and mix the pool, so that part
+    depends on the seed alone; every later word is mixed into each pool
+    word in turn.
+    """
+    const = _INIT_A
+    pool = []
+    for j in range(_POOL_WORDS):
+        value, const = _hash(words[:, j], const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                value, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    pool = [word[:, None] for word in pool]
+    tail = [words[:, j, None] for j in range(_POOL_WORDS, words.shape[1])]
+    for word in tail + [keys[None, :, 0], keys[None, :, 1]]:
+        for dst in range(_POOL_WORDS):
+            value, const = _hash(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    return pool
+
+
+def stream_words(seeds, phases: int, reps: int) -> np.ndarray:
+    """Every rounding stream's seeding words, derived in bulk.
+
+    Entry [b, s] equals SeedSequence(entropy=seeds[b], spawn_key=(phase,
+    rep)).generate_state(4, np.uint64) for the s-th (phase, rep) pair in
+    phase-major order, phases 1..phases and reps 1..reps. Seeds are
+    grouped by how many 32-bit words they take, at least 4. A negative
+    seed raises the ValueError SeedSequence raises.
+    """
+    seeds = [operator.index(seed) for seed in seeds]
+    if any(seed < 0 for seed in seeds):
+        raise ValueError("expected non-negative integer")  # numpy SeedSequence's message
+    keys = np.array([(phase, rep) for phase in range(1, phases + 1) for rep in range(1, reps + 1)],
+                    dtype=np.uint32).reshape(phases * reps, 2)
+    out = np.empty((len(seeds), len(keys), 4), dtype=np.uint64)
+    widths = [max(_POOL_WORDS, -(-seed.bit_length() // 32)) for seed in seeds]
+    for width in set(widths):
+        rows = [b for b, w in enumerate(widths) if w == width]
+        # each seed's words, least significant first, zero-padded to width
+        words = np.array([[seeds[b] >> (32 * j) & _MASK32 for j in range(width)] for b in rows],
+                         dtype=np.uint32)
+        pool = _seeded_pools(words, keys)
+        const = _INIT_B
+        state = []
+        for j in range(2 * 4):  # generate_state cycles the pool for 8 uint32 words
+            value, const = _hash(pool[j % _POOL_WORDS], const, _MULT_B)
+            state.append(value.astype(np.uint64))
+        out[rows] = np.stack([state[2 * j] | state[2 * j + 1] << np.uint64(32) for j in range(4)],
+                             axis=-1)
+    return out
+
+
+def _pcg64_state(w0: int, w1: int, w2: int, w3: int) -> dict:
+    """The PCG64 state that generate_state words (w0, w1, w2, w3) seed, as pcg64_set_seed makes it.
+
+    The seed is w0:w1 and the stream w2:w3 (high:low); seeding takes two
+    steps of the LCG with the seed added in between.
+    """
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def stream_draws(seeds, phases: int, reps: int, n: int) -> np.ndarray:
+    """(seeds, phases * reps, n) uniform draws of every stream stream_words names.
+
+    Row [b, s] equals default_rng(the stream's SeedSequence).random(n): one
+    reused PCG64 is set to each stream's state, then draws into the row.
+    """
+    words = stream_words(seeds, phases, reps)
+    draws = np.empty(words.shape[:2] + (n,))
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    for row, key in zip(draws.reshape(-1, n), words.reshape(-1, 4).tolist()):
+        bits.state = _pcg64_state(*key)
+        gen.random(out=row)
+    return draws
+
+
+def _rounding_shape(n: int, k: int) -> tuple:
+    """(phases, repetitions): ceil(log2 n) phases, each run max(1, 2 ceil(log2 k)) times."""
+    reps = max(1, 2 * math.ceil(math.log2(k)) if k > 1 else 0)
+    phases = math.ceil(math.log2(n)) if n > 1 else 0
+    return phases, reps
+
+
+def _rounded(inst: Instance, seeds, solution: FractionalSolution):
+    """Round solution for every seed; yields (orders, picks, raw counts) per chunk of seeds.
+
+    orders[b] is seed b's permutation as 0-based element indices. picks[b,
+    s] marks stream s's kept picks, none when the stream was emptied, and
+    raw[b, s] counts its picks before the cap. An element's place is set by
+    the first stream that keeps it, so one stable argsort orders a seed's
+    elements phase-major by first occurrence, the never-picked last, each
+    group in index order. Chunks hold about _DRAW_CELLS draws.
+    """
+    n = inst.n
+    phases, reps = _rounding_shape(n, len(inst.agents))
+    streams = phases * reps
+    probs = np.repeat(np.array([phase_probabilities(solution.x, phase)
+                                for phase in range(1, phases + 1)]).reshape(phases, n),
+                      reps, axis=0)
+    caps = np.repeat(PHASE_CAP_SCALE * 2 ** np.arange(1, phases + 1), reps)
+    chunk = max(1, _DRAW_CELLS // max(1, streams * n))
+    seeds = iter(seeds)
+    while batch := list(itertools.islice(seeds, chunk)):
+        picks = stream_draws(batch, phases, reps, n) < probs
+        raw = picks.sum(axis=2)
+        picks &= (raw <= caps)[:, :, None]
+        # a final all-True stream gives the never-picked elements first = streams
+        first = np.concatenate([picks, np.ones((len(batch), 1, n), bool)], axis=1).argmax(axis=1)
+        yield np.argsort(first, axis=1, kind="stable"), picks, raw
+
+
 def gmsc_schedule(inst: Instance, seed: int, solution: FractionalSolution) -> tuple:
     """Round solution to a permutation; returns (permutation, phase outputs).
 
     Phases l = 1..ceil(log2 n), each run max(1, 2 ceil(log2 k)) independent
-    times from its own (phase, repetition) child stream of seed; a phase's
+    times from its own (phase, repetition) child stream of seed, as
+    ``SeedSequence(entropy=seed, spawn_key=(l, rep))``; a phase's
     probabilities are computed once for all its repetitions. Outputs are
     concatenated phase-major keeping first occurrences, then any missing
-    elements are appended in index order.
+    elements are appended in index order. Each phase output equals what
+    round_phase gives for its stream; the streams come from the bulk path
+    that gmsc_schedules runs. A negative seed raises ValueError.
     """
-    n = inst.n
-    k = len(inst.agents)
-    reps = max(1, 2 * math.ceil(math.log2(k)) if k > 1 else 0)
-    phases = math.ceil(math.log2(n)) if n > 1 else 0
-    outputs = []
-    for phase in range(1, phases + 1):
-        probs = phase_probabilities(solution.x, phase)
-        for rep in range(1, reps + 1):
-            stream = np.random.SeedSequence(entropy=seed, spawn_key=(phase, rep))
-            outputs.append(round_phase(probs, phase, stream))
-    order = dict.fromkeys([e for out in outputs for e in out.picked] + list(range(1, n + 1)))
-    return tuple(order), outputs
+    (orders, picks, raw), = _rounded(inst, [seed], solution)
+    phases, reps = _rounding_shape(inst.n, len(inst.agents))
+    outputs = [PhaseOutput(phase, tuple((np.flatnonzero(row) + 1).tolist()), count)
+               for phase, row, count in zip(np.repeat(range(1, phases + 1), reps).tolist(),
+                                            picks[0], raw[0].tolist())]
+    return tuple((orders[0] + 1).tolist()), outputs
+
+
+def gmsc_schedules(inst: Instance, seeds, solution: FractionalSolution):
+    """Yield gmsc_schedule(inst, seed, solution)[0] for each of seeds, in order.
+
+    Seeds are rounded lazily, a chunk at a time, so memory stays bounded
+    however many seeds there are.
+    """
+    for orders, _, _ in _rounded(inst, seeds, solution):
+        yield from map(tuple, (orders + 1).tolist())
 
 
 def rounding_envelope(k: int, T_star: float) -> float:

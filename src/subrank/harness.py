@@ -15,7 +15,9 @@ times, which equal it bit for bit.
 
 Sources: a config names a dataset CSV or a synthetic spec, not both; with
 neither, the cells sample DEFAULT_SYNTHETIC_ODT. _SYNTHETIC gives each
-synthetic family's builder, keys and defaults. Unknown keys are errors.
+synthetic family's builder, keys and defaults. Unknown keys are errors,
+and so is K or M in a config doc with a family spec ("hard" or
+"coverage"), whose instance sets its own agents and functions.
 
 Seeding: one master seed per (cell, run) splits into independent streams
 for row sampling, weight sampling, and the random baseline, via
@@ -285,7 +287,8 @@ class ExperimentConfig:
         """Config from a parsed JSON document.
 
         Raises ValueError naming the first unknown key or field of the
-        wrong type or range, or when both dataset and synthetic are given.
+        wrong type or range, when both dataset and synthetic are given, or
+        when K or M comes with a family spec, whose instance sets its own.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"config must be a JSON object, not {type(doc).__name__}")
@@ -317,9 +320,14 @@ class ExperimentConfig:
             raise ValueError(f"config 'dataset' must be a CSV path, got {dataset!r}")
         synthetic = doc.get("synthetic")
         if synthetic is not None:
-            _synthetic(synthetic)
+            builder, _ = _synthetic(synthetic)
             if dataset is not None:
                 raise ValueError("config gives both 'dataset' and 'synthetic'; give one")
+            sized = [key for key in ("K", "M") if key in doc]
+            if builder is not synthetic_table and sized:
+                raise ValueError(f"config gives {' and '.join(map(repr, sized))} with synthetic "
+                                 f"family {synthetic['family']!r}, which sets its own agents "
+                                 f"and functions")
         max_values = doc.get("max_values", DEFAULT_MAX_VALUES)
         if not (is_integer(max_values) and max_values >= 1):
             raise ValueError(f"config 'max_values' must be an integer >= 1, got {max_values!r}")

@@ -412,6 +412,32 @@ def rounding_check(rounds: int = 20, seed: int = 8) -> str:
     return f"{within}/{rounds} runs within 1024*log2(k)*T* = {envelope:.0f}"
 
 
+@_check("gmsc")
+def stream_seeding_check(seeds=(0, 2**32 - 1, 2**32, 2**128 + 1), sizes=(1, 2000),
+                         phases: int = 3, reps: int = 2) -> str:
+    """gmsc's bulk rounding streams equal numpy's, word for word and draw for draw.
+
+    For each seed and (phase, rep) key, gmsc.stream_words must equal
+    SeedSequence(entropy=seed, spawn_key=key).generate_state(4, np.uint64),
+    and gmsc.stream_draws of every n in sizes must equal Generator.random(n)
+    of that SeedSequence's PCG64. A numpy release that changes either
+    fails here instead of silently changing the schedules.
+    """
+    words = gmsc_mod.stream_words(seeds, phases, reps)
+    draws = {n: gmsc_mod.stream_draws(seeds, phases, reps, n) for n in sizes}
+    keys = [(phase, rep) for phase in range(1, phases + 1) for rep in range(1, reps + 1)]
+    for b, seed in enumerate(seeds):
+        for s, key in enumerate(keys):
+            stream = np.random.SeedSequence(entropy=seed, spawn_key=key)
+            _require(np.array_equal(words[b, s], stream.generate_state(4, np.uint64)),
+                     f"seed {seed} key {key}: state words differ")
+            for n, got in draws.items():
+                want = np.random.Generator(np.random.PCG64(stream)).random(n)
+                _require(np.array_equal(got[b, s], want),
+                         f"seed {seed} key {key} n={n}: draws differ")
+    return f"{len(seeds)} seeds x {phases * reps} streams x sizes {', '.join(map(str, sizes))}"
+
+
 SUITES = {
     "core": (
         chain_bound_check,
@@ -430,6 +456,7 @@ SUITES = {
         separation_exactness_check,
         lp_soundness_check,
         rounding_check,
+        stream_seeding_check,
     ),
 }
 

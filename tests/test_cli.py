@@ -10,7 +10,7 @@ import pytest
 from subrank import cli, core
 from subrank.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from subrank.instance_io import instance_to_doc, load_instance
-from subrank.gmsc import solve_lp
+from subrank.gmsc import gmsc_schedule, solve_lp
 from subrank.core import cover_report, validate
 from subrank.functions import random_coverage_instance
 from subrank.algorithms import balanced_adaptive_greedy
@@ -297,20 +297,20 @@ class TestExperiment:
 
     def test_all_cells_failing_is_data_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"synthetic": {"family": "hard", "k": 5}, "K": [2], "M": [2]}))
+        cfg_path.write_text(json.dumps({"synthetic": {"family": "hard", "k": 5}}))
         code = main(["experiment", "--config", cfg_path.as_posix(), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
+        assert capsys.readouterr().err == "error: no sweep cell succeeded\n"
 
     def test_failed_cells_log_one_line_each(self, tmp_path, capsys, caplog):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"synthetic": {"family": "hard", "k": 5},
-                                        "K": [2], "M": [2], "seeds": [0, 1]}))
+        cfg_path.write_text(json.dumps({"synthetic": {"family": "hard", "k": 5}, "seeds": [0, 1]}))
         code = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
                      "--jobs", "1"])
         assert code == EXIT_DATA
         assert "Traceback" not in capsys.readouterr().err + caplog.text
         failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
-        assert failed == [f"cell K=2 M=2 seed={seed} failed: k=5 is not a perfect square >= 4; "
+        assert failed == [f"cell K=10 M=10 seed={seed} failed: k=5 is not a perfect square >= 4; "
                           f"continuing" for seed in (0, 1)]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -337,9 +337,10 @@ class TestExperiment:
     {"seed": [1]},
     {"synthetic": {"rowz": 80}},
     {"dataset": "data.csv", "synthetic": {"rows": 80}},
+    {"synthetic": {"family": "hard", "k": 4}, "K": [2, 3], "M": [2]},
 ], ids=["list", "dataset-object", "K-string", "empty-grid", "unknown-objective",
         "pair-km-lengths", "pair-km-string", "unknown-key", "unknown-synthetic-key",
-        "dataset-and-synthetic"])
+        "dataset-and-synthetic", "family-with-K-M"])
 def test_bad_config_is_one_line_data_error(doc, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -384,6 +385,25 @@ class TestGmscBench:
         assert len(lines) == 5
         assert (tmp_path / "lp_x.csv").exists()
         assert (tmp_path / "lp_y.csv").exists()
+
+    @pytest.mark.parametrize("argv, env_seed, seeds", [
+        (["--seed-base", "4294967290", "--seeds", "12"], None, range(2**32 - 6, 2**32 + 6)),
+        ([], "18446744073709551616", range(2**64, 2**64 + 20)),
+    ], ids=["seed-base-across-2**32", "env-seed-2**64"])
+    def test_csv_equals_per_seed_schedules(self, argv, env_seed, seeds, gmsc6, tmp_path,
+                                           monkeypatch, capsys):
+        if env_seed is not None:
+            monkeypatch.setenv("SUBRANK_SEED", env_seed)
+        out_csv = tmp_path / "bench.csv"
+        assert main(["gmsc-bench", "--instance", gmsc6, *argv, "--out", str(out_csv)]) == EXIT_OK
+        inst = load_instance(gmsc6)
+        sol = solve_lp(inst)
+        assert sol.T_star > 0
+        want = ["seed,max_agent_cost,ratio_to_Tstar"]
+        for seed in seeds:
+            cost = core.objective(inst, gmsc_schedule(inst, seed, sol)[0], "minmax")
+            want.append(f"{seed},{cost!r},{cost / sol.T_star!r}")
+        assert out_csv.read_text().splitlines() == want
 
     @pytest.mark.parametrize("flag,name", [("--out", "bench.csv"), ("--dump-lp", "lp")])
     def test_missing_output_directory_fails_before_the_lp(self, flag, name, gmsc6, tmp_path,
@@ -498,7 +518,8 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "[PASS] core/chain_bound" in out
         assert "[PASS] gmsc/lp_soundness" in out
-        assert "12/12 checks passed" in out
+        assert "[PASS] gmsc/stream_seeding" in out
+        assert "13/13 checks passed" in out
 
     def test_unknown_suite_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

@@ -1,12 +1,13 @@
 """GMSC relaxation, separation oracle, and randomized rounding."""
 
 import functools
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subrank import gmsc
@@ -16,6 +17,7 @@ from subrank.gmsc import (
     LP_TOL,
     PhaseOutput,
     gmsc_schedule,
+    gmsc_schedules,
     gmsc_sets,
     phase_probabilities,
     random_gmsc_instance,
@@ -25,7 +27,7 @@ from subrank.gmsc import (
     violated_cuts,
     write_fractional_csv,
 )
-from subrank.verify import lp_soundness_check, separation_exactness_check
+from subrank.verify import lp_soundness_check, separation_exactness_check, stream_seeding_check
 
 
 def single_set_instance(n, members, K):
@@ -335,10 +337,84 @@ def reference_schedule(inst, sol, seed):
 
 @settings(max_examples=80, deadline=None)
 @given(n=st.sampled_from([1, 2, 5, 16]), k=st.sampled_from([1, 2, 4, 8]),
-       m=st.integers(1, 2), instance_seed=st.integers(0, 2), seed=st.integers(0, 2**32))
+       m=st.integers(1, 2), instance_seed=st.integers(0, 2), seed=st.integers(0, 2**130))
+# one seed per entropy width, 1 to 5 words, at both ends of the widths
+@example(n=16, k=4, m=2, instance_seed=0, seed=0)
+@example(n=16, k=4, m=2, instance_seed=1, seed=2**32 - 1)
+@example(n=16, k=4, m=2, instance_seed=2, seed=2**32)
+@example(n=5, k=8, m=1, instance_seed=0, seed=2**96 - 1)
+@example(n=16, k=2, m=2, instance_seed=1, seed=2**128 - 1)
+@example(n=16, k=8, m=2, instance_seed=2, seed=2**128)
+@example(n=5, k=4, m=2, instance_seed=1, seed=2**130)
 def test_schedule_matches_per_phase_reference(n, k, m, instance_seed, seed):
     inst, sol = solved_gmsc_instance(n, k, m, instance_seed)
     assert gmsc_schedule(inst, seed, sol) == reference_schedule(inst, sol, seed)
+
+
+#: seeds of every entropy width, 1 to 6 words, mixed so that chunks hold several widths
+MIXED_SEEDS = [0, 2**130 + 3, 7, 2**32, 2**64 - 1, 2**96 + 11, 2**160 + 1, 2**32 - 1, 620]
+
+
+class TestSchedules:
+    @pytest.mark.parametrize("n, k, m, s",
+                             [(16, 4, 2, 0), (5, 8, 1, 1), (2, 1, 1, 0), (1, 2, 1, 0)])
+    def test_batch_matches_per_phase_reference(self, n, k, m, s):
+        inst, sol = solved_gmsc_instance(n, k, m, s)
+        assert list(gmsc_schedules(inst, MIXED_SEEDS, sol)) == [
+            reference_schedule(inst, sol, seed)[0] for seed in MIXED_SEEDS]
+
+    def test_one_seed_chunks_equal_unchunked(self, monkeypatch):
+        inst, sol = solved_gmsc_instance(16, 4, 2, 0)
+        whole = list(gmsc_schedules(inst, MIXED_SEEDS, sol))
+        monkeypatch.setattr(gmsc, "_DRAW_CELLS", 1)
+        assert list(gmsc_schedules(inst, MIXED_SEEDS, sol)) == whole
+
+    @pytest.mark.parametrize("n", [32, 33])
+    def test_picks_at_the_cap_are_kept_and_past_it_emptied(self, n):
+        agent = [(gmsc_function(GmscSet(members=frozenset({1}), K=1)), 1.0)]
+        inst = make_instance(n, [agent, agent])
+        x = np.zeros((n, n))
+        x[:, 0], x[:, 1] = 1 / 8, 7 / 8  # every element is certain in phase 1, whose cap is 32
+        sol = gmsc.FractionalSolution(x=x, y=np.zeros((2, n)), T_star=1.0)
+        perm, phases = gmsc_schedule(inst, 3, sol)
+        assert (perm, phases) == reference_schedule(inst, sol, 3)
+        assert [(p.raw_count, p.emptied) for p in phases[:2]] == [(n, n > 32)] * 2
+
+    def test_seeds_are_read_lazily(self, monkeypatch):
+        inst, sol = solved_gmsc_instance(16, 4, 2, 0)
+        monkeypatch.setattr(gmsc, "_DRAW_CELLS", 1)
+        endless = gmsc_schedules(inst, itertools.count(), sol)
+        assert list(itertools.islice(endless, 3)) == [
+            gmsc_schedule(inst, seed, sol)[0] for seed in range(3)]
+
+    def test_negative_seed_raises_numpys_error(self):
+        with pytest.raises(ValueError) as numpy_error:
+            np.random.SeedSequence(entropy=-1, spawn_key=(1, 1))
+        inst, sol = solved_gmsc_instance(5, 2, 1, 0)
+        for call in (lambda: gmsc_schedule(inst, -1, sol),
+                     lambda: list(gmsc_schedules(inst, [3, -2**40], sol))):
+            with pytest.raises(ValueError) as ours:
+                call()
+            assert str(ours.value) == str(numpy_error.value)
+
+
+class TestStreamSeedingCheck:
+    def test_passes_on_its_own_counts(self):
+        result = stream_seeding_check((1, 2**64 - 1, 2**96, 2**160 + 5), (3, 17), 2, 3)
+        assert result.passed, result.detail
+
+    @pytest.mark.parametrize("target", ["stream_words", "stream_draws"])
+    def test_fails_when_the_bulk_path_drifts(self, target, monkeypatch):
+        real = getattr(gmsc, target)
+
+        def drifted(*args):
+            out = real(*args)
+            out[-1, -1, -1] += 1
+            return out
+
+        monkeypatch.setattr(gmsc, target, drifted)
+        result = stream_seeding_check()
+        assert not result.passed and "differ" in result.detail
 
 
 class TestSerialization:

@@ -404,6 +404,10 @@ class TestConfigFromDoc:
         ({"synthetic": {"rowz": 80}}, "config 'synthetic' key 'rowz' is not one of"),
         ({"synthetic": {"family": "hard", "k": 4, "seed": 1}}, "'synthetic' key 'seed'"),
         ({"dataset": "d.csv", "synthetic": {}}, "both 'dataset' and 'synthetic'"),
+        ({"synthetic": {"family": "hard", "k": 4}, "K": [2, 3], "M": [2], "seeds": [0]},
+         "config gives 'K' and 'M' with synthetic family 'hard'"),
+        ({"synthetic": {"family": "coverage", "n": 5, "k": 2, "m": 2}, "M": 3},
+         "config gives 'M' with synthetic family 'coverage'"),
     ])
     def test_bad_field_is_value_error(self, doc, match):
         with pytest.raises(ValueError, match=match):
