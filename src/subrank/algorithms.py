@@ -61,18 +61,23 @@ bound fails) and when approx + slack is not finite in some row.
 
 The kernel also records each tracker's cover time as a pick covers it,
 so greedy, NG and every BAG run can report their own permutations: each
-ends in one Run record, whose report sums weight * time per agent in
-function order with one sequential accumulate, bit for bit
-core.cover_report, which stays the reference evaluator. The root state,
-gain matrices included, is built once per instance and kept on it
-(Instance._kernel_root); greedy, NG, every BAG run and brute force start
-from copies of it.
+ends in one Run record. The states (agent, function pairs) come from the
+instance's state table, and the kernel lays them out once in an agent
+grid, a row per agent of a 0.0 head cell, the agent's states in function
+order, then padding; each cell keeps its tracker and weight (tracker 0
+and 0.0 on head and padding cells). Any per-agent sum of weight * cover
+time is one gather of tracker times over the grid, one product and one
+sequential accumulate along each row (_Kernel.costs): a Run's report,
+bit for bit core.cover_report, which stays the reference evaluator, and
+brute force's bounds. The root state, gain matrices included, is built
+once per instance and kept on it (Instance._kernel_root); greedy, NG,
+every BAG run and brute force start from copies of it.
 
 Brute force bounds all children of an expanded node in one batch from
 that matrix, summing w * (known or least possible cover time) per agent
-in function order, adding the submodular bound ceil(residual / best
-gain) when every weight is an integer, and advances the kernel only into
-the children that survive.
+over the grid, adding the submodular bound ceil(residual / best gain)
+when every weight is an integer, and advances the kernel only into the
+children that survive.
 
 BAG runs through one engine, _bag_runs, that takes a list of ratios and
 runs them in lockstep: a ratio changes only the round and pass control,
@@ -91,12 +96,13 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import add
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from subrank.core import NEVER_COVERED, CoverReport, Instance
+from subrank.core import (NEVER_COVERED, CoverReport, Instance, bit_windows, per_agent,
+                          sequential_sum)
 
 # Cells per numpy pass when scoring candidates: candidate rows are taken in
 # chunks so a pick's float temporaries stay near this size.
@@ -137,28 +143,33 @@ class _Kernel:
     live holds the items not yet hit by a pick, in one of two forms. When
     every item weighs 1 (_unit_items), the word path: tracker j's items
     are the low bits, in column order, of its own max(1, ceil(width / 64))
-    little-endian 64-bit words from word heads[j] on; words is hits packed
-    that way (read-only, like hits), live one such row of the live items,
-    and bit each item column's bit in it. Otherwise, the float path: live
-    is the weight of each item column, 0.0 once dead. live_weights() gives
-    the float form on either path.
+    little-endian 64-bit words from word heads[j] on; words is hits read
+    that way, a word per window of core.bit_windows (read-only, like
+    hits), live one such row of the live items, and bit each item column's
+    bit in it. Otherwise, the float path: live is the weight of each item
+    column, 0.0 once dead. live_weights() gives the float form on either
+    path.
 
-    States are the (agent, function) pairs in agent then function order;
-    fn maps each to its tracker, and pairs holds its (agent id, weight) as
-    Python numbers for the callers' scalar sums. For per-agent sums, cells
-    places every state in a grid of one row per agent, width cells wide: a
-    0.0 head cell, then the agent's functions in order, then +0.0 padding.
-    remaining lists the unpicked
-    elements in ascending order, gains() their gain matrix and scaled()
-    that matrix over each tracker's denominator, each computed once per
-    state. _advance changes num, live and time in place and rebinds
-    covered, remaining and the matrices; save copies the first four and
-    carries the last three by reference (live is 1.6 KB of words against
-    80 KB of floats on odt K=10, M=100). On the word path a fill is
-    popcounts(words[rows] & live) and _advance adds popcounts(words[e - 1]
-    & live) and clears those bits. On the float path a fill sums hits *
-    live over each tracker's run of item columns, and from _LIVE_FILL_CELLS
-    remaining rows x dead items on it reads only the live columns.
+    States are the instance's: fn (Instance.state_oracle) maps each to its
+    tracker, weight (Instance.state_weight) is its weight, and agent i's
+    states are offsets[i]:offsets[i + 1] (Instance.state_offsets); agent
+    holds each state's agent id. For per-agent sums (costs), the grid has
+    a row per agent, width cells wide: a head cell, then the agent's
+    states in order, then padding. cell_fn and cell_w hold each cell's
+    tracker and weight, tracker 0 and weight 0.0 on head and padding
+    cells. No run changes any of these.
+
+    remaining lists the unpicked elements in ascending order, gains() their
+    gain matrix and scaled() that matrix over each tracker's denominator,
+    each computed once per state. _advance changes num, live and time in
+    place and rebinds covered, remaining and the matrices; save copies the
+    first four and carries the last three by reference (live is 1.6 KB of
+    words against 80 KB of floats on odt K=10, M=100). On the word path a
+    fill is popcounts(words[rows] & live) and _advance adds
+    popcounts(words[e - 1] & live) and clears those bits. On the float
+    path a fill sums hits * live over each tracker's run of item columns,
+    and from _LIVE_FILL_CELLS remaining rows x dead items on it reads only
+    the live columns.
 
     A run starts from start(inst): a copy of the root kept on the instance,
     so the instance's runs build the root and its gain matrix once.
@@ -166,21 +177,19 @@ class _Kernel:
 
     def __init__(self, inst: Instance):
         oracles = inst.oracles
-        chain = itertools.chain.from_iterable
-        ids = [a.id for a in inst.agents]
-        counts = [len(a.functions) for a in inst.agents]
-        weights = list(chain(map(itemgetter(1), a.functions) for a in inst.agents))
-        self.pairs = list(zip(chain(map(itertools.repeat, ids, counts)), weights))
-        self.agent = np.repeat(np.array(ids, dtype=np.int64), counts)
-        self.weight = np.array(weights, dtype=float)
-        self.fn = np.fromiter(chain(inst.oracle_index), dtype=np.intp, count=len(weights))
-        self.agents = len(counts)
-        self.width = 1 + max(counts, default=0)
-        # agent i's states are offsets[i]:offsets[i + 1]
-        self.offsets = list(itertools.accumulate(counts, initial=0))
-        agent_of = np.repeat(np.arange(self.agents, dtype=np.intp), counts)  # of each state
-        first = np.array(self.offsets[:-1], dtype=np.intp)[agent_of]  # of each state's agent
-        self.cells = agent_of * self.width + 1 + np.arange(agent_of.size) - first
+        self.fn, self.weight = inst.state_oracle, inst.state_weight
+        self.offsets = inst.state_offsets
+        counts = np.diff(self.offsets)
+        self.agents = counts.size
+        self.width = 1 + int(counts.max(initial=0))
+        agent_of = np.repeat(np.arange(self.agents), counts)  # of each state
+        self.agent = np.repeat(np.array([a.id for a in inst.agents], np.int64), counts)
+        # the grid: each state's cell, then each cell's tracker and weight
+        cells = agent_of * self.width + 1 + np.arange(agent_of.size) - self.offsets[agent_of]
+        self.cell_fn = np.zeros(self.agents * self.width, dtype=np.intp)
+        self.cell_fn[cells] = self.fn
+        self.cell_w = np.zeros(self.cell_fn.size)
+        self.cell_w[cells] = self.weight
         # the states in agent id order, function order kept, for BAG's frozen sets
         self.position = {a.id: i for i, a in enumerate(inst.agents)}
         self.by_id = np.argsort(self.agent, kind="stable")
@@ -196,13 +205,18 @@ class _Kernel:
             count = (widths + 63) // 64
             self.heads = np.cumsum(count) - count
             self.bit = np.arange(self.owner.size) + (self.heads * 64 - self.starts)[self.owner]
-            self.words, mask = self._pack(widths, count)
+            tracker = np.repeat(np.arange(count.size), count)  # of each word
+            # each word's first column and width; offset counts from its tracker's first item
+            offset = (np.arange(tracker.size) - self.heads[tracker]) * 64
+            windows = (self.starts[tracker] + offset, np.minimum(widths[tracker] - offset, 64))
+            self.words = bit_windows(self.hits, *windows)
             self.words.flags.writeable = False
-            # the live items: every bit of the words but an item-less tracker's dead one
-            self.live = np.where(np.repeat([bool(f.item_weights) for f in oracles], count),
-                                 mask, np.uint64(0))
+            # the live items: every column but an item-less tracker's dead one
+            items = np.repeat(np.array([bool(f.item_weights) for f in oracles], bool), widths)
+            self.live = bit_windows(items[None], *windows)[0]
         else:
-            self.live = np.fromiter(chain(f.item_weights or (0,) for f in oracles), dtype=float)
+            self.live = np.fromiter(itertools.chain.from_iterable(
+                f.item_weights or (0,) for f in oracles), dtype=float)
         self.den = np.array([f.denominator for f in oracles], dtype=float)
         self.num = np.array([f.numerator(0) for f in oracles], dtype=float)
         self.covered = np.array([f.mask_covers(0) for f in oracles], dtype=bool)
@@ -210,34 +224,6 @@ class _Kernel:
         self.remaining = list(range(1, inst.n + 1))
         self._gains: Optional[np.ndarray] = None
         self._scaled: Optional[np.ndarray] = None
-
-    def _pack(self, widths: np.ndarray, count: np.ndarray) -> tuple:
-        """Word path: (words, mask), hits packed into each tracker's own words.
-
-        hits packs into one little-endian bit stream per row; each word takes
-        the 64 stream bits from its first item (two shifts of two adjacent
-        stream words) and masks off the bits past its tracker's columns, so
-        mask has a word's bit set for each of its columns. Rows go in
-        chunks, so the temporaries stay near _CHUNK_CELLS words.
-        """
-        packed = np.packbits(self.hits, axis=1, bitorder="little")
-        # each row's stream, with a zero word past the last
-        stream = np.zeros((packed.shape[0], self.owner.size // 64 + 2), "<u8")
-        stream.view(np.uint8)[:, :packed.shape[1]] = packed
-        tracker = np.repeat(np.arange(count.size), count)  # of each word
-        # each word's first item, counted in its tracker and as a column
-        offset = (np.arange(tracker.size) - self.heads[tracker]) * 64
-        lo = (self.starts[tracker] + offset).astype(np.uint64)
-        first = (lo // 64).astype(np.intp)
-        mask = ~np.uint64(0) >> (64 - np.minimum(widths[tracker] - offset, 64)).astype(np.uint64)
-        words = np.empty((stream.shape[0], tracker.size), "<u8")
-        step = max(1, _CHUNK_CELLS // max(1, tracker.size))
-        for row in range(0, stream.shape[0], step):
-            block = stream[row:row + step]
-            # the next word shifts in two steps, so an aligned word's shift stays below 64
-            words[row:row + step] = (block[:, first] >> lo % 64
-                                     | block[:, first + 1] << 1 << 63 - lo % 64) & mask
-        return words, mask
 
     @classmethod
     def start(cls, inst: Instance) -> "_Kernel":
@@ -313,12 +299,15 @@ class _Kernel:
         member[[self.position[a] for a in agents]] = True
         return self.by_id[member[self.by_id_owner]]
 
-    def agent_sums(self, terms: np.ndarray) -> np.ndarray:
-        """Each agent's row of cells in terms (..., agents * width), added left to right.
+    def costs(self, times: np.ndarray) -> np.ndarray:
+        """Each agent's w * time summed over its functions, per row of times (..., trackers).
 
-        A sequential accumulate, so a row starting from its 0.0 head gives
-        the bits of core.sequential_sum over the row's terms.
+        Reads the grid: a sequential accumulate along each agent's row, so
+        with times >= 0 (head and padding cells then hold 0.0) it gives the
+        bits of core.sequential_sum over the agent's terms in function order.
         """
+        # with no tracker, every cell is a head or padding cell and holds 0.0
+        terms = times[..., self.cell_fn] * self.cell_w if self.den.size else self.cell_w
         rows = terms.reshape(*terms.shape[:-1], self.agents, self.width)
         return np.cumsum(rows, axis=-1)[..., -1]
 
@@ -356,18 +345,15 @@ class _Kernel:
         """cover_report of a permutation whose trackers have these cover times, bit for bit.
 
         Each agent's cost is weight * time summed over its functions in
-        order from its 0.0 head, as cover_report adds it. Reads only the
-        layout, which no run changes. Raises ValueError as cover_report
-        does: NEVER_COVERED for a time of -1, and when there is no agent.
+        order from 0.0 (costs), as cover_report adds it. Reads only the
+        states and the grid, which no run changes. Raises ValueError as
+        cover_report does: NEVER_COVERED for a time of -1, and when there is
+        no agent.
         """
         if (times < 0).any():
             raise ValueError(NEVER_COVERED)
-        state_times = times[self.fn]
-        terms = np.zeros(self.agents * self.width)
-        terms[self.cells] = self.weight * state_times
-        flat = state_times.tolist()
-        cover_times = tuple(tuple(flat[lo:hi]) for lo, hi in zip(self.offsets, self.offsets[1:]))
-        return CoverReport.from_costs(cover_times, self.agent_sums(terms).tolist())
+        cover_times = per_agent(self.offsets, times[self.fn].tolist())
+        return CoverReport.from_costs(cover_times, self.costs(times).tolist())
 
     def save(self) -> tuple:
         return (self.num.copy(), self.covered.copy(), self.live.copy(), self.time.copy(),
@@ -553,7 +539,7 @@ def _greedy_run(inst: Instance, normalized: bool) -> Run:
     Its report is built from the cover times the run's kernel recorded.
     """
     kernel = _Kernel.start(inst)
-    states = np.arange(len(kernel.pairs))
+    states = np.arange(kernel.fn.size)
     chosen = []
     while kernel.remaining:
         e, _ = _pick(kernel, states, normalized)
@@ -724,9 +710,11 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float) -> 
     """
     kernel = _Kernel.start(inst)
     frozen_states: dict = {}  # frozen agents -> their states in agent order
-    start = dict.fromkeys((a.id for a in inst.agents), 0)
-    for agent, w in itertools.compress(kernel.pairs, (~kernel.covered[kernel.fn]).tolist()):
-        start[agent] += w
+    # each agent's Python weights of its uncovered states, added from 0 in
+    # function order, so an agent's int weights stay an int
+    opens = iter((~kernel.covered[kernel.fn]).tolist())
+    start = {a.id: functools.reduce(add, (w for _, w in a.functions if next(opens)), 0)
+             for a in inst.agents}
     # remaining weights in agent id order; each state subtracts from its agent's slot
     ids = np.array(sorted(start), dtype=np.int64)
     rem_weight = np.array([start[a] for a in ids.tolist()], dtype=float)
@@ -830,12 +818,11 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     summed over the agent's functions in function order, as cover_report
     adds its costs; rounding is monotone, so it never exceeds the
     objective of a leaf below the child. The sums read the kernel's agent
-    grid through two arrays built once per run, each cell's tracker and
-    weight (0.0 on head and padding cells), so a batch's terms are one
-    gather of the children's times and one product. A leaf child has
-    every time known, so the same sum is its objective bit for bit; it is
-    closed at once, and only children whose bound is below the incumbent
-    advance the kernel. When every weight is an integer and n * sum(weights) < 2**53,
+    grid (_Kernel.costs), so a batch's terms are one gather of the
+    children's times and one product. A leaf child has every time known,
+    so the same sum is its objective bit for bit; it is closed at once,
+    and only children whose bound is below the incumbent advance the
+    kernel. When every weight is an integer and n * sum(weights) < 2**53,
     so every sum is an exact integer, an uncovered function's time is at
     least depth + 1 + need with need = ceil(residual / the largest gain any
     remaining element has for the function at the node), as live-weight
@@ -850,19 +837,11 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     ng = _greedy_run(inst, normalized=True)
     incumbent = {"perm": ng.permutation, "value": ng.report.minmax}
     kernel = _Kernel.start(inst)
-    exact = (all(w >= 0 and float(w).is_integer() for _, w in kernel.pairs)
-             and inst.n * sum(w for _, w in kernel.pairs) < 2**53)
+    weights = kernel.weight.tolist()
+    exact = (all(w >= 0 and w.is_integer() for w in weights)
+             and inst.n * sequential_sum(weights) < 2**53)
     state = {"nodes": 1, "limit_hit": False}
     chosen: list = []
-    # each grid cell's tracker and weight; head and padding cells read tracker 0 at weight 0.0
-    cell_fn = np.zeros(kernel.agents * kernel.width, dtype=np.intp)
-    cell_fn[kernel.cells] = kernel.fn
-    cell_w = np.zeros(cell_fn.size)
-    cell_w[kernel.cells] = kernel.weight
-
-    def worst(times: np.ndarray) -> np.ndarray:
-        """Max over agents of w * time summed in function order, per row of tracker times."""
-        return kernel.agent_sums(times[..., cell_fn] * cell_w).max(axis=-1)
 
     def close_leaf(value: float, perm: tuple) -> None:
         if value < incumbent["value"]:
@@ -884,7 +863,7 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
             # where after fails the residual is an integer >= 1, so need >= 1
             later = depth + 1 + np.ceil((kernel.den - num) / np.maximum(best, 1.0))
         times = np.where(after, np.where(covered, kernel.time, depth + 1), later)
-        bounds = worst(times).tolist()
+        bounds = kernel.costs(times).max(axis=-1).tolist()
         dead = exact and not best[uncovered].all()  # a function nothing can advance
         leaves = after.all(axis=1).tolist()
         remaining = kernel.remaining
@@ -909,7 +888,7 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
         state["limit_hit"] = True
     elif kernel.covered.all():
         close_leaf(0.0, tuple(kernel.remaining))
-    elif worst(np.where(kernel.covered, 0, 1)) < incumbent["value"]:
+    elif kernel.costs(np.where(kernel.covered, 0, 1)).max() < incumbent["value"]:
         expand(0)
     return BruteForceResult(
         permutation=incumbent["perm"],

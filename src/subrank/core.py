@@ -30,6 +30,10 @@ NEVER_COVERED = "function never reaches the unit threshold on this permutation"
 #: which the vectorised selection kernel relies on.
 MAX_DENOMINATOR = 2**53
 
+# Words per pass of bit_windows: rows are read in chunks so its temporaries
+# stay near this size.
+_WINDOW_CELLS = 1 << 14
+
 
 class SetSystemOracle:
     """Monotone submodular function num(items hit) / denominator.
@@ -155,25 +159,15 @@ def block_masks(hits: np.ndarray, widths: Sequence[int],
     lie side by side from column 0); other columns are ignored. Returns one
     list per block whose entry e - 1 is the int with bit p set when row
     e - 1 marks the block's item p. Blocks of at most 64 items, the common
-    case, are read for all rows at once from the packed matrix as 64-bit
-    words: a block spans at most two, so two shifts and a mask give it. A
-    wider block packs its own columns and reads each row with int.from_bytes.
+    case, are read for all rows at once as bit_windows. A wider block packs
+    its own columns and reads each row with int.from_bytes.
     """
     rows = hits.shape[0]
     if starts is None:
         starts = list(itertools.accumulate(widths, initial=0))
-    narrow = [j for j, w in enumerate(widths) if 0 < w <= 64]
-    values: Iterable = iter(())
-    if narrow:
-        packed = np.packbits(hits, axis=1, bitorder="little")
-        words = np.zeros((rows, hits.shape[1] // 64 + 2), "<u8")  # a zero word past the last
-        words.view(np.uint8)[:, :packed.shape[1]] = packed
-        lo = np.array([starts[j] for j in narrow], np.uint64)
-        w = np.array([widths[j] for j in narrow], np.uint64)
-        first = (lo // 64).astype(np.intp)
-        # the next word shifts in two steps, so an aligned block's shift stays below 64
-        value = words[:, first] >> lo % 64 | words[:, first + 1] << 1 << 63 - lo % 64
-        values = iter((value & ~np.uint64(0) >> 64 - w).T.tolist())  # a list per narrow block
+    narrow = [(lo, w) for lo, w in zip(starts, widths) if 0 < w <= 64]
+    # a list per narrow block; a matrix of wide blocks only is not packed whole
+    values = iter(bit_windows(hits, *zip(*narrow)).T.tolist() if narrow else ())
     masks = []
     for lo, w in zip(starts, widths):
         if w > 64:
@@ -184,6 +178,32 @@ def block_masks(hits: np.ndarray, widths: Sequence[int],
         else:
             masks.append(next(values) if w else [0] * rows)
     return masks
+
+
+def bit_windows(hits: np.ndarray, starts: Sequence[int], widths: Sequence[int]) -> np.ndarray:
+    """Rows x windows uint64: window j of a row is its widths[j] columns from starts[j].
+
+    Column starts[j] + p is bit p, and the bits past widths[j] are 0; each
+    width is 1 to 64. hits packs into one little-endian bit stream per row,
+    and a window takes the 64 stream bits from its first column with two
+    shifts of two adjacent stream words. Rows go in chunks, so the
+    temporaries stay near _WINDOW_CELLS words.
+    """
+    lo = np.asarray(starts, np.uint64)
+    mask = ~np.uint64(0) >> 64 - np.asarray(widths, np.uint64)
+    first = (lo // 64).astype(np.intp)
+    packed = np.packbits(hits, axis=1, bitorder="little")
+    # each row's stream, with a zero word past the last
+    stream = np.zeros((hits.shape[0], hits.shape[1] // 64 + 2), "<u8")
+    stream.view(np.uint8)[:, :packed.shape[1]] = packed
+    out = np.empty((hits.shape[0], lo.size), "<u8")
+    step = max(1, _WINDOW_CELLS // max(1, lo.size))
+    for row in range(0, out.shape[0], step):
+        block = stream[row:row + step]
+        # the next word shifts in two steps, so an aligned window's shift stays below 64
+        out[row:row + step] = (block[:, first] >> lo % 64
+                               | block[:, first + 1] << 1 << 63 - lo % 64) & mask
+    return out
 
 
 def sequential_sum(values: Iterable[float]) -> float:
@@ -221,11 +241,14 @@ class Instance:
     first bad function.
 
     oracles lists the distinct oracles (by identity) in first-appearance
-    order, and oracle_index holds, per agent, the position in oracles of
-    each of its functions, so evaluators can handle a shared oracle once.
-    hits and starts are seal_incidences(oracles, n): the one incidence
-    matrix, whose first n rows the kernel and validate read, and each
-    oracle's first column in it.
+    order, so evaluators can handle a shared oracle once. The states are
+    the (agent, function) pairs in agent then function order, and the state
+    table holds, per state, state_oracle (its oracle's position in oracles,
+    intp) and state_weight (its weight as float64); agent i's states are
+    state_offsets[i]:state_offsets[i + 1] (k + 1 entries, intp). hits and
+    starts are seal_incidences(oracles, n): the one incidence matrix, whose
+    first n rows the kernel and validate read, and each oracle's first
+    column in it.
     """
 
     n: int
@@ -233,7 +256,9 @@ class Instance:
     epsilon: float = field(init=False)
     W: float = field(init=False)
     oracles: tuple = field(init=False, repr=False, compare=False)
-    oracle_index: tuple = field(init=False, repr=False, compare=False)
+    state_oracle: np.ndarray = field(init=False, repr=False, compare=False)
+    state_weight: np.ndarray = field(init=False, repr=False, compare=False)
+    state_offsets: np.ndarray = field(init=False, repr=False, compare=False)
     hits: np.ndarray = field(init=False, repr=False, compare=False)
     starts: np.ndarray = field(init=False, repr=False, compare=False)
     # The selection kernel's root state, built on the first run and kept so
@@ -246,13 +271,12 @@ class Instance:
         seen = set()
         oracles: list = []
         position: dict = {}  # id(oracle) -> its index in oracles
-        index = []
+        state_oracle, weights, offsets = [], [], [0]
         for agent in self.agents:
             if agent.id in seen:
                 raise ValueError(f"duplicate agent id {agent.id}")
             seen.add(agent.id)
-            agent_index = []
-            for f, _ in agent.functions:
+            for f, w in agent.functions:
                 at = position.get(id(f))
                 if at is None:  # each oracle is checked once, where it first appears
                     if not isinstance(f, SetSystemOracle):
@@ -265,22 +289,35 @@ class Instance:
                         )
                     at = position[id(f)] = len(oracles)
                     oracles.append(f)
-                agent_index.append(at)
-            index.append(tuple(agent_index))
+                state_oracle.append(at)
+                weights.append(w)
+            offsets.append(len(state_oracle))
         hits, starts = seal_incidences(oracles, self.n)
         object.__setattr__(self, "hits", hits)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "oracles", tuple(oracles))
-        object.__setattr__(self, "oracle_index", tuple(index))
         eps = min((f.min_nonzero_marginal for f in oracles), default=1.0)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "W", max((a.total_weight() for a in self.agents), default=0.0))
+        object.__setattr__(self, "state_oracle", np.array(state_oracle, np.intp))
+        object.__setattr__(self, "state_weight", np.array(weights, float))
+        object.__setattr__(self, "state_offsets", np.array(offsets, np.intp))
 
     def agent_by_id(self, agent_id: int) -> Agent:
         for agent in self.agents:
             if agent.id == agent_id:
                 return agent
         raise KeyError(f"unknown agent id {agent_id}")
+
+
+def per_agent(offsets: np.ndarray, values: list) -> tuple:
+    """values, one per state, as a tuple per agent of its states' values in order.
+
+    offsets is an Instance's state_offsets: agent i's states are
+    offsets[i]:offsets[i + 1].
+    """
+    bounds = offsets.tolist()
+    return tuple(tuple(values[lo:hi]) for lo, hi in itertools.pairwise(bounds))
 
 
 def make_instance(n: int, agent_functions: Sequence[Sequence[tuple]]) -> Instance:
@@ -400,7 +437,7 @@ def cover_report(inst: Instance, pi: Sequence[int]) -> CoverReport:
     """
     _require_permutation(inst, pi)
     by_oracle = [cover_time(f, pi) for f in inst.oracles]
-    times = tuple(tuple(map(by_oracle.__getitem__, index)) for index in inst.oracle_index)
+    times = per_agent(inst.state_offsets, np.array(by_oracle)[inst.state_oracle].tolist())
     # an agent's cost sums weight * time over its functions in order; from
     # 0.0, so an agent without functions costs a float too
     costs = [
@@ -452,7 +489,8 @@ def validate(inst: Instance) -> list:
         violations.append(Violation(SEVERITY_ERROR, "instance", "weights too large: "
                                     f"2**54 * n * (sum of weights) overflows (sum={total})"))
 
-    for agent, index in zip(inst.agents, inst.oracle_index):
+    positions = per_agent(inst.state_offsets, inst.state_oracle.tolist())
+    for agent, index in zip(inst.agents, positions):
         if not agent.functions:
             violations.append(
                 Violation(SEVERITY_ERROR, f"agent {agent.id}", "agent has no functions")

@@ -473,40 +473,40 @@ def _sweep_cell(cfg: ExperimentConfig, table: Optional[DataTable], K: int, M: in
     return rows
 
 
+def _cell_outcome(task: tuple):
+    """The rows of one sweep cell (cfg, table, K, M, seed), or the text of its ValueError."""
+    try:
+        return _sweep_cell(*task)
+    except ValueError as exc:
+        return str(exc)
+
+
 def sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
     """Run Random / Greedy / NG / tuned BAG over every (cell, seed).
 
-    Cells that fail on their data (ValueError) are logged on one line each
-    and skipped rather than aborting the whole sweep; any other error
-    propagates. The tuned ratio targets cfg.objective; both objectives are
-    recorded for every run. Cells are independent, so jobs > 1 fans them
-    out over processes; rows come back in a fixed canonical order either
-    way. No more processes start than there are cells to run.
+    Cells that fail on their data (ValueError) are logged on one line each,
+    in cell order, and skipped rather than aborting the whole sweep; any
+    other error propagates. The tuned ratio targets cfg.objective; both
+    objectives are recorded for every run. Cells are independent, so jobs >
+    1 fans them out over processes; every cell goes through _cell_outcome
+    either way, and rows come back in a fixed canonical order. No more
+    processes start than there are cells to run.
     """
     table = _source_table(cfg)
-    tasks = [(K, M, seed) for K, M in cfg.cells() for seed in cfg.seeds]
-    rows = []
+    tasks = [(cfg, table, K, M, seed) for K, M in cfg.cells() for seed in cfg.seeds]
     workers = min(jobs, len(tasks))
-    if workers <= 1:
-        for K, M, seed in tasks:
-            try:
-                rows.extend(_sweep_cell(cfg, table, K, M, seed))
-            except ValueError as exc:
-                log.warning("cell K=%s M=%s seed=%s failed: %s; continuing", K, M, seed, exc)
-    else:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(_sweep_cell, cfg, table, K, M, seed): (K, M, seed)
-                for K, M, seed in tasks
-            }
-            for fut in as_completed(futures):
-                K, M, seed = futures[fut]
-                try:
-                    rows.extend(fut.result())
-                except ValueError as exc:
-                    log.warning("cell K=%s M=%s seed=%s failed: %s; continuing",
-                                K, M, seed, exc)
+            outcomes = list(pool.map(_cell_outcome, tasks))
+    else:
+        outcomes = map(_cell_outcome, tasks)
+    rows = []
+    for (_, _, K, M, seed), outcome in zip(tasks, outcomes):
+        if isinstance(outcome, str):
+            log.warning("cell K=%s M=%s seed=%s failed: %s; continuing", K, M, seed, outcome)
+        else:
+            rows.extend(outcome)
     rows.sort(key=lambda r: (r.K, r.M, r.seed, _ALGO_ORDER[r.algorithm]))
     return ResultTable(rows=rows)

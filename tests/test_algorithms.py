@@ -33,7 +33,7 @@ from subrank.functions import (
     random_coverage_instance,
     singleton_function,
 )
-from subrank import algorithms
+from subrank import algorithms, core
 from subrank.algorithms import (
     BagConfig,
     BruteForceResult,
@@ -621,7 +621,7 @@ def test_word_path_matches_float_path(widths, data):
     expected = np.zeros_like(bits)
     expected[:, kernel.bit] = kernel.hits
     assert np.array_equal(bits, expected)
-    with mock.patch.object(algorithms, "_CHUNK_CELLS", 1):  # one row per chunk
+    with mock.patch.object(core, "_WINDOW_CELLS", 1):  # one row per chunk
         assert np.array_equal(_Kernel(inst).words, kernel.words)
     words = _ranker_outputs(inst)
     with _float_path():
@@ -1262,18 +1262,39 @@ def test_run_reports_are_cover_report(inst, drop_fraction):
         assert getattr(trace.report, "minmax" if mode == "minmax" else "average") == value
 
 
+def _mixed_instance():
+    """Unsorted agent ids, int weights, an oracle two agents share and an agent without one."""
+    shared = coverage_function([(1, 1), (2, 1)], {1: {1}, 3: {2}})
+    return Instance(n=3, agents=(
+        Agent(id=3, functions=((shared, 2), (singleton_function(2), 1))),
+        Agent(id=1, functions=()),
+        Agent(id=2, functions=((shared, 3),)),
+    ))
+
+
 @settings(max_examples=150, deadline=None)
 @given(inst=st.one_of(any_family_instances(), fractional_family_instances(),
                       tie_prone_instances()))
 @example(inst=Instance(n=2, agents=()))
 @example(inst=Instance(n=2, agents=(Agent(id=1, functions=()),)))
 @example(inst=hard_family(9, 0.01))
+@example(inst=_mixed_instance())
 def test_greedy_and_ng_reports_are_cover_report(inst):
     """greedy's and NG's own reports are cover_report of their permutations, bit for bit.
 
     On an instance with some f(U) < 1 (or no agent) both raise the same
     ValueError, and the run still returns the public function's permutation.
+    The instance's state table is a walk of agent.functions in agent order.
     """
+    walk = [(f, w) for agent in inst.agents for f, w in agent.functions]
+    assert list(inst.oracles) == list({id(f): f for f, _ in walk}.values())
+    assert inst.state_oracle.dtype == inst.state_offsets.dtype == np.intp
+    assert all(inst.oracles[o] is f for o, (f, _) in zip(inst.state_oracle.tolist(), walk))
+    assert inst.state_oracle.size == len(walk)
+    assert inst.state_weight.dtype == np.float64
+    assert inst.state_weight.tolist() == [float(w) for _, w in walk]
+    assert inst.state_offsets.tolist() == list(
+        itertools.accumulate((len(agent.functions) for agent in inst.agents), initial=0))
     for normalized, public in ((False, greedy), (True, normalized_greedy)):
         run = _greedy_run(inst, normalized)
         assert run.permutation == public(inst)

@@ -303,15 +303,19 @@ class TestExperiment:
         assert capsys.readouterr().err == "error: no sweep cell succeeded\n"
 
     def test_failed_cells_log_one_line_each(self, tmp_path, capsys, caplog):
+        """One line per failed cell, in cell order, from one process or from two."""
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"synthetic": {"family": "hard", "k": 5}, "seeds": [0, 1]}))
-        code = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
-                     "--jobs", "1"])
-        assert code == EXIT_DATA
-        assert "Traceback" not in capsys.readouterr().err + caplog.text
-        failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
-        assert failed == [f"cell K=10 M=10 seed={seed} failed: k=5 is not a perfect square >= 4; "
-                          f"continuing" for seed in (0, 1)]
+        cfg_path.write_text(json.dumps({"synthetic": {"family": "hard", "k": 5},
+                                        "seeds": [0, 1, 2]}))
+        for jobs in ("1", "2"):
+            caplog.clear()
+            code = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                         "--jobs", jobs])
+            assert code == EXIT_DATA
+            assert "Traceback" not in capsys.readouterr().err + caplog.text
+            failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+            assert failed == [f"cell K=10 M=10 seed={seed} failed: k=5 is not a perfect square "
+                              f">= 4; continuing" for seed in (0, 1, 2)]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_is_usage_error(self, jobs, tmp_path, capsys):

@@ -273,9 +273,17 @@ def test_block_masks_match_per_bit_reference_on_any_tiling(rows, gap):
     """Blocks of 0 to 130 items, side by side (gap None) or apart, in three orders.
 
     Gap columns hold the given bit, so a block's mask must ignore its
-    neighbours either way.
+    neighbours either way. Then blocks of every width from 1 to 64 items
+    start at each of the 64 columns of a word, so the narrow blocks' window
+    read is checked at every alignment.
     """
     rng = np.random.default_rng(rows)
+
+    def reference(hits, starts, order):
+        bits = hits.tolist()
+        return [[sum(bits[r][lo + p] << p for p in range(w)) for r in range(rows)]
+                for lo, w in zip(starts, order)]
+
     widths = [0, 1, 7, 8, 9, 63, 64, 65, 130]
     for order in (widths, widths[::-1], rng.permutation(widths).tolist()):
         spacing = 0 if gap is None else 3
@@ -284,10 +292,10 @@ def test_block_masks_match_per_bit_reference_on_any_tiling(rows, gap):
         for lo, w in zip(starts, order):
             hits[:, lo:lo + w] = rng.integers(0, 2, (rows, w))
         masks = block_masks(hits, order) if gap is None else block_masks(hits, order, starts)
-        assert masks == [
-            [sum(int(hits[r, lo + p]) << p for p in range(w)) for r in range(rows)]
-            for lo, w in zip(starts, order)
-        ]
+        assert masks == reference(hits, starts, order)
+    hits = rng.integers(0, 2, (rows, 3 * 64), dtype=np.uint8)
+    starts, order = zip(*((64 + lo, w) for lo in range(64) for w in range(1, 65)))
+    assert block_masks(hits, order, starts) == reference(hits, starts, order)
 
 
 class TestGmscFunction:

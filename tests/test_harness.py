@@ -288,7 +288,7 @@ class TestSweep:
 
     def test_jobs_start_no_more_workers_than_cells(self, monkeypatch):
         # The fork start method launches all max_workers processes on the
-        # first submit, so a huge --jobs on a small sweep must be capped.
+        # first task, so a huge --jobs on a small sweep must be capped.
         # The fake pool runs each cell in this process and starts none.
         import concurrent.futures
 
@@ -304,10 +304,8 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                fut = concurrent.futures.Future()
-                fut.set_result(fn(*args))
-                return fut
+            def map(self, fn, tasks):
+                return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         cfg = small_synthetic_cfg(seeds=(0, 1, 2))
