@@ -60,18 +60,25 @@ is below _SCREEN_MIN_WEIGHT (a term could be subnormal, where a relative
 bound fails) and when approx + slack is not finite in some row.
 
 The kernel also records each tracker's cover time as a pick covers it,
-so greedy, NG and every BAG run can report their own permutations: each
-ends in one Run record. The states (agent, function pairs) come from the
-instance's state table, and the kernel lays them out once in an agent
-grid, a row per agent of a 0.0 head cell, the agent's states in function
-order, then padding; each cell keeps its tracker and weight (tracker 0
-and 0.0 on head and padding cells). Any per-agent sum of weight * cover
-time is one gather of tracker times over the grid, one product and one
-sequential accumulate along each row (_Kernel.costs): a Run's report,
-bit for bit core.cover_report, which stays the reference evaluator, and
-brute force's bounds. The root state, gain matrices included, is built
-once per instance and kept on it (Instance._kernel_root); greedy, NG,
-every BAG run and brute force start from copies of it.
+so greedy, NG and every BAG run report their own permutations: each ends
+in one Run record. A cover time is the first prefix at which a function
+reaches its threshold, so once no tracker is uncovered the order of the
+rest changes no cost, and every run ends by one rule: once no tracker is
+uncovered, or a BAG run stops, the remaining elements follow in ascending
+order. Greedy and NG stop picking there; a stopped BAG run times its tail
+by replaying it through _advance on a snapshot, up to the pick that covers
+the last tracker. After the root, only _advance sets a cover time. The
+states (agent, function pairs) come from the instance's state table, and
+the kernel lays them out once in an agent grid, a row per agent of a 0.0
+head cell, the agent's states in function order, then padding; each cell
+keeps its tracker and weight (tracker 0 and 0.0 on head and padding
+cells). Any per-agent sum of weight * cover time is one gather of tracker
+times over the grid, one product and one sequential accumulate along each
+row (_Kernel.costs): a Run's report, bit for bit core.cover_report, which
+stays the reference evaluator, and brute force's bounds. The root state,
+gain matrices included, is built once per instance and kept on it
+(Instance._kernel_root); greedy, NG, every BAG run and brute force start
+from copies of it.
 
 Brute force bounds all children of an expanded node in one batch from
 that matrix, summing w * (known or least possible cover time) per agent
@@ -145,10 +152,8 @@ class _Kernel:
     are the low bits, in column order, of its own max(1, ceil(width / 64))
     little-endian 64-bit words from word heads[j] on; words is hits read
     that way, a word per window of core.bit_windows (read-only, like
-    hits), live one such row of the live items, and bit each item column's
-    bit in it. Otherwise, the float path: live is the weight of each item
-    column, 0.0 once dead. live_weights() gives the float form on either
-    path.
+    hits) and live one such row of the live items. Otherwise, the float
+    path: live is the weight of each item column, 0.0 once dead.
 
     States are the instance's: fn (Instance.state_oracle) maps each to its
     tracker, weight (Instance.state_weight) is its weight, and agent i's
@@ -204,7 +209,6 @@ class _Kernel:
         if _unit_items(oracles):
             count = (widths + 63) // 64
             self.heads = np.cumsum(count) - count
-            self.bit = np.arange(self.owner.size) + (self.heads * 64 - self.starts)[self.owner]
             tracker = np.repeat(np.arange(count.size), count)  # of each word
             # each word's first column and width; offset counts from its tracker's first item
             offset = (np.arange(tracker.size) - self.heads[tracker]) * 64
@@ -287,12 +291,6 @@ class _Kernel:
         """Word path: the set bits of words (..., all words) per tracker, as floats."""
         return np.add.reduceat(np.bitwise_count(words), self.heads, axis=-1, dtype=float)
 
-    def live_weights(self) -> np.ndarray:
-        """Each item column's live weight, 0.0 once dead, on either path."""
-        if self.words is None:
-            return self.live
-        return np.unpackbits(self.live.view(np.uint8), bitorder="little")[self.bit].astype(float)
-
     def states_of(self, agents: tuple) -> np.ndarray:
         """The states of the agents with these ids, in agent id order then function order."""
         member = np.zeros(self.agents, dtype=bool)
@@ -310,36 +308,6 @@ class _Kernel:
         terms = times[..., self.cell_fn] * self.cell_w if self.den.size else self.cell_w
         rows = terms.reshape(*terms.shape[:-1], self.agents, self.width)
         return np.cumsum(rows, axis=-1)[..., -1]
-
-    def end_times(self) -> np.ndarray:
-        """Tracker cover times once the remaining elements follow in ascending order.
-
-        The state is read, not changed. Each live item of an uncovered
-        tracker counts from its first hit in that tail, so an uncovered
-        tracker's time is where its numerator first reaches the
-        denominator; it stays -1 when the whole tail leaves it uncovered
-        (f(U) < 1).
-        """
-        times = self.time.copy()
-        if self.remaining and not self.covered.all():
-            rows = np.array(self.remaining, dtype=np.intp) - 1
-            trackers = self.den.size
-            # each item's first hit in the tail, counted from the tail's end
-            # (0 for none), in the narrowest type that holds the tail's
-            # length and in column chunks, so temporaries stay near _CHUNK_CELLS
-            countdown = np.arange(rows.size, 0, -1, dtype=np.min_scalar_type(rows.size))[:, None]
-            back = np.empty(self.owner.size, countdown.dtype)
-            step = max(1, _CHUNK_CELLS // rows.size)
-            for lo in range(0, back.size, step):
-                np.max(self.hits[rows, lo:lo + step] * countdown, axis=0, out=back[lo:lo + step])
-            items = (~self.covered[self.owner] & (back > 0)).nonzero()[0]
-            at = (rows.size - back[items].astype(np.intp)) * trackers + self.owner[items]
-            gain = np.bincount(at, weights=self.live_weights()[items],
-                               minlength=rows.size * trackers)
-            reached = self.num + gain.reshape(rows.size, trackers).cumsum(axis=0) >= self.den
-            late = reached[-1] & ~self.covered
-            times[late] = self.hits.shape[0] - rows.size + 1 + reached[:, late].argmax(axis=0)
-        return times
 
     def report(self, times: np.ndarray) -> CoverReport:
         """cover_report of a permutation whose trackers have these cover times, bit for bit.
@@ -536,16 +504,18 @@ class Run:
 def _greedy_run(inst: Instance, normalized: bool) -> Run:
     """The Run of repeated _pick over every function of every agent.
 
-    Its report is built from the cover times the run's kernel recorded.
+    Picks stop once no tracker is uncovered, and the remaining elements
+    follow in ascending order, as _pick would give them then. Its report is
+    built from the cover times the run's kernel recorded.
     """
     kernel = _Kernel.start(inst)
     states = np.arange(kernel.fn.size)
     chosen = []
-    while kernel.remaining:
+    while kernel.remaining and not kernel.covered.all():
         e, _ = _pick(kernel, states, normalized)
         chosen.append(e)
         _advance(kernel, e)
-    return Run(tuple(chosen), functools.partial(kernel.report, kernel.time))
+    return Run((*chosen, *kernel.remaining), functools.partial(kernel.report, kernel.time))
 
 
 def greedy(inst: Instance) -> tuple:
@@ -702,11 +672,13 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float) -> 
     brute_force_opt does), and every run's output equals that of its run
     alone.
 
-    An ending run reports its permutation from the kernel's cover times
-    (Run.report); the runs ending at one node share one report, built when
-    first read. Likewise the picks into a node and the round starts at it
-    find each baseline's lagging set once, and share one snapshot of the
-    remaining weights.
+    A run that stops continues with the remaining elements in ascending
+    order. Its report (Run.report) takes the cover times of that tail from
+    a replay through _advance on a snapshot, up to the pick that covers the
+    last tracker; the runs ending at one node share one replay, and one
+    report built when first read. Likewise the picks into a node and the
+    round starts at it find each baseline's lagging set once, and share one
+    snapshot of the remaining weights.
     """
     kernel = _Kernel.start(inst)
     frozen_states: dict = {}  # frozen agents -> their states in agent order
@@ -736,8 +708,15 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float) -> 
             frozen = run.request(lagging, len(chosen), bool(kernel.remaining))
             if frozen is None:
                 run.run.permutation = tuple(chosen) + tuple(kernel.remaining)
-                report = report or functools.cache(functools.partial(kernel.report,
-                                                                     kernel.end_times()))
+                if report is None:
+                    saved, tail = kernel.save(), kernel.remaining
+                    for e in tail:
+                        if kernel.covered.all():
+                            break
+                        _advance(kernel, e)
+                    # the replay's times; restoring gives the kernel the saved copy
+                    report = functools.cache(functools.partial(kernel.report, kernel.time))
+                    kernel.restore(saved)
                 run.run.score = report
             else:
                 requests.setdefault(frozen, []).append(run)

@@ -131,23 +131,25 @@ def _validated(inst) -> bool:
     return not errors_only(problems)
 
 
-def _check_out_dirs(*paths) -> None:
-    """Raise FileNotFoundError for an output path whose directory is missing.
+def _check_out_paths(*paths) -> None:
+    """Raise OSError for an output file path that names a directory or lies in a missing one.
 
     Called before a command runs, so a run that cannot write its outputs
     prints no report.
     """
-    for path in paths:
-        folder = os.path.dirname(path) if path else ""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise FileNotFoundError(f"output directory does not exist: {folder}")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path is a directory: {path}")
 
 
 def _cmd_solve(args) -> int:
     if args.trace and args.algo != "bag":
         print("error: --trace is only meaningful with --algo bag", file=sys.stderr)
         return EXIT_USAGE
-    _check_out_dirs(args.out, args.trace)
+    _check_out_paths(args.out, args.trace)
     inst = load_instance(args.instance)
     if not _validated(inst):
         return EXIT_DATA
@@ -222,12 +224,13 @@ def _cmd_experiment(args) -> int:
         print(f"error: dataset path does not exist: {cfg.dataset}", file=sys.stderr)
         return EXIT_DATA
     os.makedirs(args.out, exist_ok=True)
+    results_path = os.path.join(args.out, "results.csv")
+    summary_path = os.path.join(args.out, "summary.csv")
+    _check_out_paths(results_path, summary_path)
     results = sweep(cfg, jobs=args.jobs)
     if not results.rows:
         print("error: no sweep cell succeeded", file=sys.stderr)
         return EXIT_DATA
-    results_path = os.path.join(args.out, "results.csv")
-    summary_path = os.path.join(args.out, "summary.csv")
     results.write_csv(results_path)
     results.write_summary_csv(summary_path)
     print(f"wrote {results_path} ({len(results.rows)} rows) and {summary_path}")
@@ -238,7 +241,8 @@ def _cmd_gmsc_bench(args) -> int:
     base = args.seed_base if args.seed_base is not None else default_seed()
     if base < 0:  # rounding seeds feed np.random.SeedSequence
         raise ValueError(f"SUBRANK_SEED must be non-negative for gmsc-bench, got {base}")
-    _check_out_dirs(args.out, args.dump_lp)  # a prefix names its files' directory too
+    lp_paths = (f"{args.dump_lp}_x.csv", f"{args.dump_lp}_y.csv") if args.dump_lp else ()
+    _check_out_paths(args.out, *lp_paths)
     inst = load_instance(args.instance)
     # a function that is not unit-weight gmsc is one error line, before validate's warnings
     list(gmsc_mod.gmsc_sets(inst))
@@ -270,11 +274,9 @@ def _cmd_gmsc_bench(args) -> int:
             for s, cost, ratio in rows:
                 fh.write(f"{s},{cost!r},{ratio!r}\n")
         print(f"wrote {args.out}")
-    if args.dump_lp:
-        x_path = f"{args.dump_lp}_x.csv"
-        y_path = f"{args.dump_lp}_y.csv"
-        gmsc_mod.write_fractional_csv(sol, x_path, y_path)
-        print(f"wrote {x_path} and {y_path}")
+    if lp_paths:
+        gmsc_mod.write_fractional_csv(sol, *lp_paths)
+        print(f"wrote {lp_paths[0]} and {lp_paths[1]}")
     return EXIT_OK
 
 

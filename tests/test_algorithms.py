@@ -448,10 +448,28 @@ def test_one_element_gain_is_linear_in_item_incidence(data):
             assert f.numerator(mask | bits) - f.numerator(mask) == expected
 
 
+def _item_bits(kernel):
+    """Word path: each item column's bit in a row of words, from heads, starts and owner.
+
+    Tracker j's items are the low bits, in column order, of its words from
+    word heads[j] on, so column c of tracker j = owner[c] is bit
+    heads[j] * 64 + c - starts[j].
+    """
+    return np.arange(kernel.owner.size) + (kernel.heads * 64 - kernel.starts)[kernel.owner]
+
+
+def _live_weights(kernel):
+    """Each item column's live weight, 0.0 once dead, on either gain path."""
+    if kernel.words is None:
+        return kernel.live
+    live = np.unpackbits(kernel.live.view(np.uint8), bitorder="little")
+    return live[_item_bits(kernel)].astype(float)
+
+
 def _full_fill(kernel):
     """The gain matrix from every item column, dead ones included, on either gain path."""
     rows = np.array(kernel.remaining, dtype=np.intp) - 1
-    return np.add.reduceat(kernel.hits[rows] * kernel.live_weights(), kernel.starts, axis=1)
+    return np.add.reduceat(kernel.hits[rows] * _live_weights(kernel), kernel.starts, axis=1)
 
 
 def _float_path():
@@ -466,7 +484,7 @@ def _check_kernel(inst, kernel, picks):
     assert gains.shape == (len(kernel.remaining), len(inst.oracles))
     assert np.array_equal(gains, _full_fill(kernel))
     assert np.array_equal(kernel.scaled(), gains / kernel.den)
-    live = kernel.live_weights()
+    live = _live_weights(kernel)
     for j, f in enumerate(inst.oracles):
         mask = f.union_mask(picks)
         at = kernel.starts[j]
@@ -487,7 +505,7 @@ def _check_pair(inst, kernels, picks):
         _check_kernel(inst, kernel, picks)
     word, floats = kernels
     for read in (lambda k: k.num, lambda k: k.covered, lambda k: k.time, lambda k: k.gains(),
-                 lambda k: k.scaled(), lambda k: k.live_weights(), lambda k: k.end_times()):
+                 lambda k: k.scaled(), _live_weights):
         a, b = read(word), read(floats)
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -619,7 +637,7 @@ def test_word_path_matches_float_path(widths, data):
     # each item column's bit holds its hits, and every other bit is 0
     bits = np.unpackbits(kernel.words.view(np.uint8), axis=1, bitorder="little")
     expected = np.zeros_like(bits)
-    expected[:, kernel.bit] = kernel.hits
+    expected[:, _item_bits(kernel)] = kernel.hits
     assert np.array_equal(bits, expected)
     with mock.patch.object(core, "_WINDOW_CELLS", 1):  # one row per chunk
         assert np.array_equal(_Kernel(inst).words, kernel.words)
@@ -1215,6 +1233,19 @@ def test_bag_trace_keeps_each_agents_weight_type(ratio):
     assert {type(w) for weights in lines for w in weights.values()} == {int, float}
 
 
+def _stopped_tail_instance():
+    """Runs at ratios 0.1-0.95 stop after picking 2, with the 0.01 function covered at 6.
+
+    Picking 2 covers the weight-1 function; the remaining weight 0.01 is
+    then at or below the next baseline, so those runs stop, and their
+    shared replay of the tail 1, 3, 4, 5, 6 covers the last tracker only
+    at its end.
+    """
+    f = coverage_function([(1, 1)], {2: {1}})
+    g = coverage_function([(1, 1), (2, 1), (3, 1)], {3: {1}, 5: {2}, 6: {3}})
+    return Instance(n=6, agents=(Agent(id=1, functions=((f, 1.0), (g, 0.01))),))
+
+
 def _report_bits(report):
     """A CoverReport with every float as its exact hex form."""
     return (report.cover_times, [c.hex() for c in report.agent_costs],
@@ -1237,6 +1268,7 @@ def _reference_report(inst, perm):
 @example(inst=Instance(n=2, agents=()), drop_fraction=0.75)
 @example(inst=Instance(n=2, agents=(Agent(id=1, functions=()),)), drop_fraction=0.75)
 @example(inst=hard_family(9, 0.01), drop_fraction=0.75)
+@example(inst=_stopped_tail_instance(), drop_fraction=0.75)
 def test_run_reports_are_cover_report(inst, drop_fraction):
     """Every BAG run's report is cover_report of its permutation, bit for bit.
 
@@ -1279,6 +1311,13 @@ def _mixed_instance():
 @example(inst=Instance(n=2, agents=(Agent(id=1, functions=()),)))
 @example(inst=hard_family(9, 0.01))
 @example(inst=_mixed_instance())
+# covered at the root: a coverage function without items is constant 1
+@example(inst=Instance(n=3, agents=(Agent(id=1, functions=((coverage_function([], {}), 1.0),)),
+                                    Agent(id=2, functions=((coverage_function([], {}), 2),)))))
+# picking 2 then 4 covers everything, and 1, 3, 5, 6 follow
+@example(inst=Instance(n=6, agents=(
+    Agent(id=1, functions=((coverage_function([(1, 1), (2, 1)], {1: {1}, 4: {1, 2}}), 1.0),)),
+    Agent(id=2, functions=((coverage_function([(1, 2)], {2: {1}, 5: {1}}), 2.0),)))))
 def test_greedy_and_ng_reports_are_cover_report(inst):
     """greedy's and NG's own reports are cover_report of their permutations, bit for bit.
 

@@ -163,6 +163,15 @@ class TestSolve:
         assert captured.out == ""  # no report for a run that cannot write its outputs
         assert captured.err == f"error: output directory does not exist: {missing}\n"
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_output_path_naming_a_directory_fails_before_the_run(self, flag, hard4, tmp_path,
+                                                                 capsys):
+        code = main(["solve", "--instance", hard4, "--algo", "bag", flag, str(tmp_path)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output path is a directory: {tmp_path}\n"
+
 
 class TestGenerate:
     def test_hard_k9_is_validate_clean(self, tmp_path, capsys):
@@ -276,6 +285,20 @@ class TestExperiment:
         )
         assert len(results) == 1 + 2 * 4  # seeds x algorithms
         assert (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("name", ["results.csv", "summary.csv"])
+    def test_output_naming_a_directory_fails_before_the_sweep(self, name, experiment_config,
+                                                              tmp_path, monkeypatch, capsys):
+        def no_sweep(cfg, jobs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        (tmp_path / "exp" / name).mkdir(parents=True)
+        code = main(["experiment", "--config", experiment_config, "--out", str(tmp_path / "exp")])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output path is a directory: {tmp_path / 'exp' / name}\n"
 
     def test_rerun_identical_modulo_runtime(self, experiment_config, tmp_path, capsys):
         out1, out2 = tmp_path / "e1", tmp_path / "e2"
@@ -422,6 +445,22 @@ class TestGmscBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: output directory does not exist: {missing}\n"
+
+    @pytest.mark.parametrize("flag,name,directory", [("--out", "bench.csv", "bench.csv"),
+                                                     ("--dump-lp", "lp", "lp_x.csv")])
+    def test_output_path_naming_a_directory_fails_before_the_lp(self, flag, name, directory,
+                                                                gmsc6, tmp_path, monkeypatch,
+                                                                capsys):
+        def no_lp(inst):
+            raise AssertionError("the LP ran")
+
+        monkeypatch.setattr(cli.gmsc_mod, "solve_lp", no_lp)
+        (tmp_path / directory).mkdir()
+        code = main(["gmsc-bench", "--instance", gmsc6, "--seeds", "2", flag, str(tmp_path / name)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output path is a directory: {tmp_path / directory}\n"
 
     @pytest.mark.parametrize("argv", [
         ["--family", "coverage", "--n", "5", "--k", "2", "--m", "2", "--seed", "1"],
