@@ -88,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=BagConfig.ratio, help="bag baseline decay")
     p.add_argument("--drop-fraction", type=float, default=BagConfig.drop_fraction)
     p.add_argument("--seed", type=int, default=None, help="seed for --algo random")
-    p.add_argument("--node-limit", type=int, help="brute-force cap",
+    p.add_argument("--node-limit", type=nonnegative_int, help="brute-force cap",
                    default=inspect.signature(brute_force_opt).parameters["node_limit"].default)
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="write bag pick trace as JSON lines")
@@ -201,6 +201,7 @@ def _require(args, names) -> None:
 
 
 def _cmd_generate(args) -> int:
+    _check_out_paths(args.out)
     seed = args.seed if args.seed is not None else default_seed()
     if args.family == "hard":
         _require(args, ["k"])

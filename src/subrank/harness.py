@@ -17,7 +17,11 @@ Sources: a config names a dataset CSV or a synthetic spec, not both; with
 neither, the cells sample DEFAULT_SYNTHETIC_ODT. _SYNTHETIC gives each
 synthetic family's builder, keys and defaults. Unknown keys are errors,
 and so is K or M in a config doc with a family spec ("hard" or
-"coverage"), whose instance sets its own agents and functions.
+"coverage"), whose instance sets its own agents and functions. A sweep
+resolves its source once: a table, whose (K, M) cells each sample their
+own instance, or a family spec's one instance, which is one cell. A
+fault of the source stops the sweep; a fault of one cell is logged and
+the cell skipped.
 
 Seeding: one master seed per (cell, run) splits into independent streams
 for row sampling, weight sampling, and the random baseline, via
@@ -264,7 +268,10 @@ class ExperimentConfig:
 
     synthetic is a spec whose keys and defaults _SYNTHETIC gives per
     family. With neither a dataset nor a synthetic spec, cells sample
-    DEFAULT_SYNTHETIC_ODT.
+    DEFAULT_SYNTHETIC_ODT. A family spec is one instance and one cell:
+    the sweep ignores K, M and pair_km for it (from_doc rejects K or M
+    given with one). A source that cannot be built stops the sweep; a
+    cell that fails on its data is skipped.
     """
 
     K: tuple
@@ -421,27 +428,23 @@ class ResultTable:
                 )
 
 
-def _source_table(cfg: ExperimentConfig) -> Optional[DataTable]:
-    """The discretized table the cells sample, or None for a family spec."""
+def _source(cfg: ExperimentConfig) -> DataTable | Instance:
+    """The sweep's source, built once: the discretized table or a family's Instance.
+
+    Raises as ingest, discretize or the family's builder does.
+    """
     if cfg.dataset:
         return discretize(ingest(cfg.dataset), cfg.max_values)
     builder, params = _synthetic({} if cfg.synthetic is None else cfg.synthetic)
-    if builder is not synthetic_table:
-        return None  # a family builds each cell's instance itself
-    return discretize(builder(**params), cfg.max_values)
+    source = builder(**params)
+    return discretize(source, cfg.max_values) if builder is synthetic_table else source
 
 
 _ALGO_ORDER = {"random": 0, "greedy": 1, "ng": 2, "bag": 3}
 
 
-def _sweep_cell(cfg: ExperimentConfig, table: Optional[DataTable], K: int, M: int, seed: int):
-    if table is not None:
-        inst = build_instance(table, K, M, seed)
-        cell_k, cell_m = K, M
-    else:
-        builder, params = _synthetic(cfg.synthetic)
-        inst = builder(**params)
-        cell_k, cell_m = len(inst.agents), max(len(a.functions) for a in inst.agents)
+def _sweep_cell(cfg: ExperimentConfig, source: DataTable | Instance, K: int, M: int, seed: int):
+    inst = source if isinstance(source, Instance) else build_instance(source, K, M, seed)
     _, _, algo_seed = _streams(seed)
     rows = []
 
@@ -460,21 +463,20 @@ def _sweep_cell(cfg: ExperimentConfig, table: Optional[DataTable], K: int, M: in
         run = runner()
         ms = (time.perf_counter() - t0) * 1000.0
         report = run.report
-        rows.append(ResultRow(name, cell_k, cell_m, None, seed,
-                              report.minmax, report.average, ms))
+        rows.append(ResultRow(name, K, M, None, seed, report.minmax, report.average, ms))
     t0 = time.perf_counter()
     ratio, _ = tune_ratio(inst, cfg.ratio_grid, cfg.objective)
     t1 = time.perf_counter()
     _, run = balanced_adaptive_greedy(inst, BagConfig(ratio=ratio))
     ms = (time.perf_counter() - t1) * 1000.0
     report = run.report
-    rows.append(ResultRow("bag", cell_k, cell_m, ratio, seed,
+    rows.append(ResultRow("bag", K, M, ratio, seed,
                           report.minmax, report.average, ms, (t1 - t0) * 1000.0))
     return rows
 
 
 def _cell_outcome(task: tuple):
-    """The rows of one sweep cell (cfg, table, K, M, seed), or the text of its ValueError."""
+    """The rows of one sweep cell (cfg, source, K, M, seed), or the text of its ValueError."""
     try:
         return _sweep_cell(*task)
     except ValueError as exc:
@@ -484,16 +486,25 @@ def _cell_outcome(task: tuple):
 def sweep(cfg: ExperimentConfig, jobs: int = 1) -> ResultTable:
     """Run Random / Greedy / NG / tuned BAG over every (cell, seed).
 
-    Cells that fail on their data (ValueError) are logged on one line each,
-    in cell order, and skipped rather than aborting the whole sweep; any
-    other error propagates. The tuned ratio targets cfg.objective; both
-    objectives are recorded for every run. Cells are independent, so jobs >
-    1 fans them out over processes; every cell goes through _cell_outcome
-    either way, and rows come back in a fixed canonical order. No more
-    processes start than there are cells to run.
+    The source is resolved once, before any cell runs. A table's cells are
+    cfg.cells(); a family spec is one instance and so one cell, (its agent
+    count, its most functions per agent), whatever cfg.K and cfg.M hold.
+    A fault of the source (the dataset, the table or the family) raises
+    and stops the sweep. Cells that fail on their data (ValueError, such
+    as M above the table's row count or rows that cannot be told apart)
+    are logged on one line each, in cell order, and skipped; any other
+    error propagates. The tuned ratio targets cfg.objective; both
+    objectives are recorded for every run. Cells are independent, so jobs
+    > 1 fans them out over processes; every cell goes through
+    _cell_outcome either way, and rows come back in a fixed canonical
+    order. No more processes start than there are cells to run.
     """
-    table = _source_table(cfg)
-    tasks = [(cfg, table, K, M, seed) for K, M in cfg.cells() for seed in cfg.seeds]
+    source = _source(cfg)
+    if isinstance(source, Instance):
+        cells = [(len(source.agents), max(len(a.functions) for a in source.agents))]
+    else:
+        cells = cfg.cells()
+    tasks = [(cfg, source, K, M, seed) for K, M in cells for seed in cfg.seeds]
     workers = min(jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -123,6 +123,22 @@ class TestSolve:
         assert rec["element"] == 9 and rec["t"] == 1
         assert "remaining_weights" in rec
 
+    def test_negative_node_limit_is_usage_error(self, hard4, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["solve", "--instance", hard4, "--algo", "brute", "--node-limit", "-5"])
+        assert err.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--node-limit: must be at least 0, got -5" in captured.err
+        assert captured.out == ""
+
+    def test_zero_node_limit_returns_the_ng_order_unproven(self, hard4, capsys):
+        code = main(["solve", "--instance", hard4, "--algo", "brute", "--node-limit", "0"])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert "permutation: 4 1 2 3 5 6" in captured.out  # NG's order, as test_ng_on_hard_family
+        assert captured.err.splitlines()[-1] == (
+            "warning: node limit exceeded; result may be suboptimal")
+
     def test_trace_without_bag_is_usage_error(self, hard4, tmp_path, capsys):
         code = main(
             ["solve", "--instance", hard4, "--algo", "ng", "--trace", str(tmp_path / "t.jsonl")]
@@ -190,6 +206,19 @@ class TestGenerate:
     def test_non_square_k_is_data_error(self, tmp_path, capsys):
         code = main(["generate", "--family", "hard", "--k", "5", "--out", str(tmp_path / "x.json")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("out, message", [
+        ("missing/x.json", "output directory does not exist: {}/missing"),
+        ("folder", "output path is a directory: {}/folder"),
+    ], ids=["missing-directory", "directory"])
+    def test_bad_output_path_fails_before_the_build(self, out, message, tmp_path, capsys):
+        (tmp_path / "folder").mkdir()
+        code = main(["generate", "--family", "hard", "--k", "4", "--out", str(tmp_path / out)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(tmp_path)}\n"
+        assert list(tmp_path.rglob("*")) == [tmp_path / "folder"]  # nothing written
 
     def test_missing_params_is_data_error(self, tmp_path, capsys):
         code = main(["generate", "--family", "coverage", "--out", str(tmp_path / "x.json")])
@@ -320,16 +349,24 @@ class TestExperiment:
 
     def test_all_cells_failing_is_data_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"synthetic": {"family": "hard", "k": 5}}))
+        cfg_path.write_text(json.dumps({"K": [2], "M": [700]}))  # the default table has 600 rows
         code = main(["experiment", "--config", cfg_path.as_posix(), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == "error: no sweep cell succeeded\n"
 
+    def test_bad_family_is_one_error_line(self, tmp_path, capsys, caplog):
+        """A family that cannot be built stops the sweep before any cell runs."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seeds": [0, 1], "synthetic": {"family": "hard", "k": 5}}))
+        code = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "error: k=5 is not a perfect square >= 4\n"
+        assert not [r for r in caplog.records if "failed" in r.getMessage()]
+
     def test_failed_cells_log_one_line_each(self, tmp_path, capsys, caplog):
         """One line per failed cell, in cell order, from one process or from two."""
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"synthetic": {"family": "hard", "k": 5},
-                                        "seeds": [0, 1, 2]}))
+        cfg_path.write_text(json.dumps({"K": [2], "M": [700], "seeds": [0, 1, 2]}))
         for jobs in ("1", "2"):
             caplog.clear()
             code = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
@@ -337,8 +374,8 @@ class TestExperiment:
             assert code == EXIT_DATA
             assert "Traceback" not in capsys.readouterr().err + caplog.text
             failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
-            assert failed == [f"cell K=10 M=10 seed={seed} failed: k=5 is not a perfect square "
-                              f">= 4; continuing" for seed in (0, 1, 2)]
+            assert failed == [f"cell K=2 M=700 seed={seed} failed: M=700 exceeds row count 600; "
+                              f"continuing" for seed in (0, 1, 2)]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_is_usage_error(self, jobs, tmp_path, capsys):

@@ -232,12 +232,16 @@ class TestSweep:
         assert _strip(a.rows) == _strip(b.rows)
 
     def test_hard_family_spec_keeps_known_gap(self):
+        # a family spec is one instance and one cell, whatever K and M a
+        # directly built config holds
         cfg = ExperimentConfig(
-            K=(9,), M=(2,), seeds=(0,),
+            K=(9, 16), M=(2, 3), seeds=(0, 1),
             synthetic={"family": "hard", "k": 9, "delta": 0.01},
             ratio_grid=(2.0 / 3.0,),
         )
         res = sweep(cfg)
+        assert len(res.rows) == 4 * len(cfg.seeds)
+        assert [row["seeds"] for row in res.summary()] == [len(cfg.seeds)] * 4
         by_algo = {r.algorithm: r for r in res.rows}
         assert by_algo["bag"].objective_minmax == 17.0
         assert by_algo["ng"].objective_minmax == 33.0
@@ -250,7 +254,7 @@ class TestSweep:
         assert cells == {(2, 3), (3, 4)}
 
     def test_failing_cells_are_skipped(self, caplog):
-        cfg = small_synthetic_cfg(synthetic={"family": "hard", "k": 5})  # invalid k
+        cfg = small_synthetic_cfg(M=(700,), synthetic=None)  # the default table has 600 rows
         res = sweep(cfg)
         assert res.rows == []
 
@@ -265,7 +269,7 @@ class TestSweep:
     def test_default_table_when_no_source_given(self):
         doc = {"K": [2], "M": [3], "seeds": [0], "ratio_grid": [0.5]}
         cfg = ExperimentConfig.from_doc(doc)
-        assert harness._source_table(cfg).shape == (600, 22)
+        assert harness._source(cfg).shape == (600, 22)
         explicit = ExperimentConfig.from_doc({**doc, "synthetic": DEFAULT_SYNTHETIC_ODT})
         rows = sweep(cfg).rows
         assert len(rows) == 4 and _strip(rows) == _strip(sweep(explicit).rows)
@@ -277,7 +281,7 @@ class TestSweep:
 
     def test_partial_table_spec_takes_the_default_keys(self):
         def table(spec):
-            return harness._source_table(ExperimentConfig.from_doc({"synthetic": spec})).values
+            return harness._source(ExperimentConfig.from_doc({"synthetic": spec})).values
 
         assert np.array_equal(table({"rows": 80}), table({**DEFAULT_SYNTHETIC_ODT, "rows": 80}))
 
@@ -344,7 +348,7 @@ class TestSweep:
         monkeypatch.setattr(harness, "cover_report", counted_score)
         # a cell where greedy and NG rank differently, so each row must come from its own run
         cfg = small_synthetic_cfg(K=(4,), M=(10,), seeds=(0,))
-        rows = harness._sweep_cell(cfg, harness._source_table(cfg), 4, 10, 0)
+        rows = harness._sweep_cell(cfg, harness._source(cfg), 4, 10, 0)
         assert len(builds) == 1
         assert compared == [True] + [False] * 9  # one comparison, then one read per row
         inst = builds[0]

@@ -1,8 +1,11 @@
-"""The test configuration in pyproject.toml, run on throwaway test files."""
+"""The test configuration in pyproject.toml, and the Python syntax floor it declares."""
 
+import ast
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -37,3 +40,25 @@ def test_failing_property_test_fails_and_the_run_goes_on(tmp_path):
     assert "PASSED test_property.py::test_passes" in proc.stdout
     assert "Falsifying example: test_fails(" in proc.stdout
     assert "1 failed, 1 passed" in proc.stdout
+
+
+SYNTAX_FLOOR = (3, 10)  # pyproject.toml's requires-python
+
+
+def test_every_module_parses_at_the_syntax_floor():
+    """Every module under src/ parses with the grammar of the oldest supported Python.
+
+    A best-effort guard: ast.parse's feature_version rejects most newer
+    syntax (except*, for one), but not every newer construct, and it checks
+    nothing of the standard library or the dependencies a module uses.
+    """
+    modules = sorted((ROOT / "src").rglob("*.py"))
+    assert modules
+    for path in modules:
+        ast.parse(path.read_text(), filename=str(path), feature_version=SYNTAX_FLOOR)
+
+
+def test_syntax_floor_rejects_exception_groups():
+    snippet = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(snippet, feature_version=SYNTAX_FLOOR)
