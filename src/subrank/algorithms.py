@@ -117,8 +117,10 @@ _CHUNK_CELLS = 1 << 14
 # A float-path gain fill (weighted items only; unit-weight items take the
 # word path) reads only the live items' columns once remaining rows x dead
 # items reaches this many cells; below it, gathering the live columns costs
-# more than multiplying the dead ones by 0. Replaying file-solve input set
-# 31's 1,467 float-path fills took 26-27 ms with this branch, 52-55 without.
+# more than multiplying the dead ones by 0. On file-solve input set 31's 108
+# ranker runs (1,545 float-path fills, 218 of them past this threshold), the
+# rankers took 110 ms with this branch and 133 ms without it (min of 12
+# alternations, 2 cores, identical outputs).
 _LIVE_FILL_CELLS = 1 << 12
 # A pick screens its candidates (_contenders) once its uncovered states
 # number at least this many per tracker; with fewer, summing every row
@@ -167,10 +169,11 @@ class _Kernel:
     remaining lists the unpicked elements in ascending order, gains() their
     gain matrix and scaled() that matrix over each tracker's denominator,
     each computed once per state. _advance changes num, live and time in
-    place and rebinds covered, remaining and the matrices; save copies the
-    first four and carries the last three by reference (live is 1.6 KB of
-    words against 80 KB of floats on odt K=10, M=100). On the word path a
-    fill is popcounts(words[rows] & live) and _advance adds
+    place and rebinds covered, remaining and the matrices; save copies
+    exactly the three it writes in place (live is 1.6 KB of words against
+    80 KB of floats on odt K=10, M=100) and carries the other four by
+    reference, so snapshots share covered until _advance rebinds it. On the
+    word path a fill is popcounts(words[rows] & live) and _advance adds
     popcounts(words[e - 1] & live) and clears those bits. On the float
     path a fill sums hits * live over each tracker's run of item columns,
     and from _LIVE_FILL_CELLS remaining rows x dead items on it reads only
@@ -234,8 +237,8 @@ class _Kernel:
         """A kernel at the root of inst, copied from the root the instance keeps.
 
         The first call builds the root and fills its gain matrix; the root's
-        arrays are read-only, and every copy gets its own num, covered,
-        live and time.
+        arrays are read-only, every copy gets its own num, live and time,
+        and shares covered until its first _advance rebinds it.
         """
         root = inst._kernel_root
         if root is None:
@@ -324,7 +327,7 @@ class _Kernel:
         return CoverReport.from_costs(cover_times, self.costs(times).tolist())
 
     def save(self) -> tuple:
-        return (self.num.copy(), self.covered.copy(), self.live.copy(), self.time.copy(),
+        return (self.num.copy(), self.covered, self.live.copy(), self.time.copy(),
                 self.remaining, self._gains, self._scaled)
 
     def restore(self, saved: tuple) -> None:

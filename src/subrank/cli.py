@@ -224,14 +224,18 @@ def _cmd_experiment(args) -> int:
     if cfg.dataset and not os.path.exists(cfg.dataset):
         print(f"error: dataset path does not exist: {cfg.dataset}", file=sys.stderr)
         return EXIT_DATA
-    os.makedirs(args.out, exist_ok=True)
     results_path = os.path.join(args.out, "results.csv")
     summary_path = os.path.join(args.out, "summary.csv")
-    _check_out_paths(results_path, summary_path)
+    # only checked here: the directory is made once the sweep has rows to write
+    if os.path.isdir(args.out):
+        _check_out_paths(results_path, summary_path)
+    elif os.path.exists(args.out):
+        raise NotADirectoryError(f"output path is not a directory: {args.out}")
     results = sweep(cfg, jobs=args.jobs)
     if not results.rows:
         print("error: no sweep cell succeeded", file=sys.stderr)
         return EXIT_DATA
+    os.makedirs(args.out, exist_ok=True)
     results.write_csv(results_path)
     results.write_summary_csv(summary_path)
     print(f"wrote {results_path} ({len(results.rows)} rows) and {summary_path}")
@@ -255,6 +259,10 @@ def _cmd_gmsc_bench(args) -> int:
     print(f"T*: {sol.T_star:.6f}  cuts: {len(sol.cuts)}  rounds: {sol.rounds}  "
           f"iterations: {sol.iterations}")
     envelope = gmsc_mod.rounding_envelope(len(inst.agents), sol.T_star)
+    # Imported at call time on purpose: perfbench's traced run replaces
+    # subrank.core.objective after subrank.cli is imported, and only a
+    # call-time import picks up that hook. A module-level import would bind
+    # the untraced function, and core.objective.* would read 0 on gmsc-lp.
     from subrank.core import objective as eval_objective
 
     rows = []

@@ -114,9 +114,8 @@ def seal_incidences(oracles: Sequence[SetSystemOracle], rows: int = 0) -> tuple:
     column. The hit pairs of the oracles not sealed yet go in with one
     fancy-index assignment, and each keeps its block (a view) and its
     element masks; an oracle sealed before, by its table or an earlier
-    instance, is copied into its block, each run of adjacent ones of one
-    height with one np.concatenate. Raises ValueError on an element id
-    below 1.
+    instance, is copied into its block with one slice assignment. Raises
+    ValueError on an element id below 1.
     """
     widths = [len(f.item_weights) for f in oracles]
     bounds = list(itertools.accumulate([w or 1 for w in widths], initial=0))
@@ -132,19 +131,10 @@ def seal_incidences(oracles: Sequence[SetSystemOracle], rows: int = 0) -> tuple:
         columns = np.concatenate([p for _, p in pairs])
         columns += np.repeat(lows, [e.size for e, _ in pairs])  # item position -> column
         hits[elements - 1, columns] = 1
-    # each run of adjacent sealed blocks of one height goes in with one concatenate
-    runs = []  # [first column, end column, blocks] of each run
     for f, w, is_new, lo in zip(oracles, widths, fresh, bounds):
-        if is_new or not w:
-            continue
-        block = f._hits[:size]
-        if runs and runs[-1][1] == lo and len(runs[-1][2][0]) == len(block):
-            runs[-1][1] += w
-            runs[-1][2].append(block)
-        else:
-            runs.append([lo, lo + w, [block]])
-    for lo, end, blocks in runs:
-        np.concatenate(blocks, axis=1, out=hits[:len(blocks[0]), lo:end])
+        if not is_new:
+            block = f._hits[:size]
+            hits[:len(block), lo:lo + w] = block
     hits.flags.writeable = False  # and so is every block viewing it
     for f, lo, w, masks in zip(new, lows, new_widths, block_masks(hits, new_widths, lows)):
         f._seal(hits[:, lo:lo + w], masks)

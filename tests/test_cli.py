@@ -353,6 +353,30 @@ class TestExperiment:
         code = main(["experiment", "--config", cfg_path.as_posix(), "--out", str(tmp_path / "o")])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == "error: no sweep cell succeeded\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_header_only_dataset_is_one_error_line(self, tmp_path, capsys):
+        (tmp_path / "data.csv").write_text("a,b,c\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"dataset": str(tmp_path / "data.csv"), "K": [2],
+                                        "M": [2], "seeds": [0]}))
+        code = main(["experiment", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {tmp_path / 'data.csv'}: no rows\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_output_naming_a_file_fails_before_the_sweep(self, tmp_path, capsys, caplog):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"K": [2], "M": [700], "seeds": [0]}))  # cells would fail
+        out = tmp_path / "o"
+        out.write_text("kept\n")
+        code = main(["experiment", "--config", str(cfg_path), "--out", str(out)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output path is not a directory: {out}\n"
+        assert not [r for r in caplog.records if "failed" in r.getMessage()]
+        assert out.read_text() == "kept\n"
 
     def test_bad_family_is_one_error_line(self, tmp_path, capsys, caplog):
         """A family that cannot be built stops the sweep before any cell runs."""
@@ -362,6 +386,7 @@ class TestExperiment:
         assert code == EXIT_DATA
         assert capsys.readouterr().err == "error: k=5 is not a perfect square >= 4\n"
         assert not [r for r in caplog.records if "failed" in r.getMessage()]
+        assert not (tmp_path / "o").exists()
 
     def test_failed_cells_log_one_line_each(self, tmp_path, capsys, caplog):
         """One line per failed cell, in cell order, from one process or from two."""
@@ -376,6 +401,7 @@ class TestExperiment:
             failed = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
             assert failed == [f"cell K=2 M=700 seed={seed} failed: M=700 exceeds row count 600; "
                               f"continuing" for seed in (0, 1, 2)]
+            assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_nonpositive_jobs_is_usage_error(self, jobs, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -46,16 +47,28 @@ SYNTAX_FLOOR = (3, 10)  # pyproject.toml's requires-python
 
 
 def test_every_module_parses_at_the_syntax_floor():
-    """Every module under src/ parses with the grammar of the oldest supported Python.
+    """Every module of a test run parses with the grammar of the oldest supported Python.
 
-    A best-effort guard: ast.parse's feature_version rejects most newer
-    syntax (except*, for one), but not every newer construct, and it checks
-    nothing of the standard library or the dependencies a module uses.
+    That is src/, the suites in pyproject's testpaths (tests/ and
+    perfbench/) and the root conftest.py. A best-effort guard:
+    ast.parse's feature_version rejects most newer syntax (except*, for
+    one), but not every newer construct, and it checks nothing of the
+    standard library or the dependencies a module uses.
     """
-    modules = sorted((ROOT / "src").rglob("*.py"))
-    assert modules
+    modules = [ROOT / "conftest.py"]
+    for tree in ("src", "tests", "perfbench"):
+        found = sorted((ROOT / tree).rglob("*.py"))
+        assert found, tree
+        modules += found
     for path in modules:
         ast.parse(path.read_text(), filename=str(path), feature_version=SYNTAX_FLOOR)
+
+
+def test_requires_python_is_the_syntax_floor():
+    """pyproject's requires-python names SYNTAX_FLOOR (read by regex: tomllib is 3.11+)."""
+    text = (ROOT / "pyproject.toml").read_text()
+    found = re.findall(r'^requires-python\s*=\s*"([^"]*)"', text, re.MULTILINE)
+    assert found == [">=" + ".".join(map(str, SYNTAX_FLOOR))]
 
 
 def test_syntax_floor_rejects_exception_groups():
