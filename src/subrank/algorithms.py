@@ -63,22 +63,24 @@ The kernel also records each tracker's cover time as a pick covers it,
 so greedy, NG and every BAG run report their own permutations: each ends
 in one Run record. A cover time is the first prefix at which a function
 reaches its threshold, so once no tracker is uncovered the order of the
-rest changes no cost, and every run ends by one rule: once no tracker is
-uncovered, or a BAG run stops, the remaining elements follow in ascending
-order. Greedy and NG stop picking there; a stopped BAG run times its tail
-by replaying it through _advance on a snapshot, up to the pick that covers
-the last tracker. After the root, only _advance sets a cover time. The
-states (agent, function pairs) come from the instance's state table, and
-the kernel lays them out once in an agent grid, a row per agent of a 0.0
-head cell, the agent's states in function order, then padding; each cell
-keeps its tracker and weight (tracker 0 and 0.0 on head and padding
-cells). Any per-agent sum of weight * cover time is one gather of tracker
-times over the grid, one product and one sequential accumulate along each
-row (_Kernel.costs): a Run's report, bit for bit core.cover_report, which
-stays the reference evaluator, and brute force's bounds. The root state,
-gain matrices included, is built once per instance and kept on it
-(Instance._kernel_root); greedy, NG, every BAG run and brute force start
-from copies of it.
+rest changes no cost, and every run ends by one rule, in one function
+(_ended): once no tracker is uncovered, or a BAG run stops, the remaining
+elements follow in ascending order, and the cover times of that tail come
+from replaying it through _advance on a snapshot, up to the pick that
+covers the last tracker. Greedy and NG stop picking there, so their replay
+is empty. After the root, only _advance sets a cover time, and it returns
+the trackers it covers. The states (agent, function pairs) come from the
+instance's state table; the kernel knows agents only by their position in
+it, never by id, and lays them out once in an agent grid, a row per agent
+of a 0.0 head cell, the agent's states in function order, then padding;
+each cell keeps its tracker and weight (tracker 0 and 0.0 on head and
+padding cells). Any per-agent sum of weight * cover time is one gather of
+tracker times over the grid, one product and one sequential accumulate
+along each row (_Kernel.costs): a Run's report, bit for bit
+core.cover_report, which stays the reference evaluator, and brute force's
+bounds. The root state, gain matrices included, is built once per
+instance and kept on it (Instance._kernel_root); greedy, NG, every BAG run
+and brute force start from copies of it.
 
 Brute force bounds all children of an expanded node in one batch from
 that matrix, summing w * (known or least possible cover time) per agent
@@ -89,7 +91,9 @@ children that survive.
 BAG runs through one engine, _bag_runs, that takes a list of ratios and
 runs them in lockstep: a ratio changes only the round and pass control,
 so ratios that share a prefix of picks and freeze the same lagging set
-share one _pick call (and one lagging set per baseline). A single BAG
+share one _pick call (and one lagging set per baseline). Agent ids matter
+only there: a frozen set names agents by id, and _bag_runs keeps its own
+index of the states in agent id order (_frozen_states). A single BAG
 run is the one-ratio case, and ratio tuning runs the whole grid at once
 and scores each run by its report (Run.report). All algorithms are
 deterministic given their inputs (and seed, where one exists).
@@ -159,8 +163,8 @@ class _Kernel:
 
     States are the instance's: fn (Instance.state_oracle) maps each to its
     tracker, weight (Instance.state_weight) is its weight, and agent i's
-    states are offsets[i]:offsets[i + 1] (Instance.state_offsets); agent
-    holds each state's agent id. For per-agent sums (costs), the grid has
+    states are offsets[i]:offsets[i + 1] (Instance.state_offsets). The
+    kernel holds no agent ids. For per-agent sums (costs), the grid has
     a row per agent, width cells wide: a head cell, then the agent's
     states in order, then padding. cell_fn and cell_w hold each cell's
     tracker and weight, tracker 0 and weight 0.0 on head and padding
@@ -169,7 +173,8 @@ class _Kernel:
     remaining lists the unpicked elements in ascending order, gains() their
     gain matrix and scaled() that matrix over each tracker's denominator,
     each computed once per state. _advance changes num, live and time in
-    place and rebinds covered, remaining and the matrices; save copies
+    place, rebinds covered, remaining and the matrices, and returns the
+    mask of the trackers it covers; save copies
     exactly the three it writes in place (live is 1.6 KB of words against
     80 KB of floats on odt K=10, M=100) and carries the other four by
     reference, so snapshots share covered until _advance rebinds it. On the
@@ -191,17 +196,12 @@ class _Kernel:
         self.agents = counts.size
         self.width = 1 + int(counts.max(initial=0))
         agent_of = np.repeat(np.arange(self.agents), counts)  # of each state
-        self.agent = np.repeat(np.array([a.id for a in inst.agents], np.int64), counts)
         # the grid: each state's cell, then each cell's tracker and weight
         cells = agent_of * self.width + 1 + np.arange(agent_of.size) - self.offsets[agent_of]
         self.cell_fn = np.zeros(self.agents * self.width, dtype=np.intp)
         self.cell_fn[cells] = self.fn
         self.cell_w = np.zeros(self.cell_fn.size)
         self.cell_w[cells] = self.weight
-        # the states in agent id order, function order kept, for BAG's frozen sets
-        self.position = {a.id: i for i, a in enumerate(inst.agents)}
-        self.by_id = np.argsort(self.agent, kind="stable")
-        self.by_id_owner = agent_of[self.by_id]
         # The instance's matrix, where an oracle without items has one dead
         # column so reduceat's segments stay nonempty.
         self.hits = inst.hits[:inst.n]
@@ -293,12 +293,6 @@ class _Kernel:
     def popcounts(self, words: np.ndarray) -> np.ndarray:
         """Word path: the set bits of words (..., all words) per tracker, as floats."""
         return np.add.reduceat(np.bitwise_count(words), self.heads, axis=-1, dtype=float)
-
-    def states_of(self, agents: tuple) -> np.ndarray:
-        """The states of the agents with these ids, in agent id order then function order."""
-        member = np.zeros(self.agents, dtype=bool)
-        member[[self.position[a] for a in agents]] = True
-        return self.by_id[member[self.by_id_owner]]
 
     def costs(self, times: np.ndarray) -> np.ndarray:
         """Each agent's w * time summed over its functions, per row of times (..., trackers).
@@ -432,7 +426,7 @@ def _pick(kernel: _Kernel, states: np.ndarray, normalized: bool) -> tuple:
 
 
 def _advance(kernel: _Kernel, e: int) -> np.ndarray:
-    """Add e to every tracker; return the mask of the states it newly covers.
+    """Add e to every tracker; return the mask of the trackers it newly covers.
 
     The trackers e covers get the number of picks so far as their time. A
     covered tracker's numerator may grow past its denominator here; only
@@ -454,7 +448,26 @@ def _advance(kernel: _Kernel, e: int) -> np.ndarray:
     kernel._gains = kernel._scaled = None
     newly = kernel.covered > was_covered
     kernel.time[newly] = kernel.hits.shape[0] - len(remaining)  # picks so far
-    return newly[kernel.fn]
+    return newly
+
+
+def _ended(kernel: _Kernel, chosen: list) -> tuple:
+    """(permutation, score) of a run that stops after the picks chosen, at kernel's state.
+
+    The remaining elements follow in ascending order. score builds the
+    run's report, once, from the cover times of a replay of that tail
+    through _advance on a snapshot, up to the pick that covers the last
+    tracker; the kernel is left as it was.
+    """
+    saved, tail = kernel.save(), kernel.remaining
+    for e in tail:
+        if kernel.covered.all():
+            break
+        _advance(kernel, e)
+    # the replay's times; restoring gives the kernel the saved copy
+    score = functools.cache(functools.partial(kernel.report, kernel.time))
+    kernel.restore(saved)
+    return (*chosen, *tail), score
 
 
 def random_order(inst: Instance, seed: int) -> tuple:
@@ -507,9 +520,9 @@ class Run:
 def _greedy_run(inst: Instance, normalized: bool) -> Run:
     """The Run of repeated _pick over every function of every agent.
 
-    Picks stop once no tracker is uncovered, and the remaining elements
-    follow in ascending order, as _pick would give them then. Its report is
-    built from the cover times the run's kernel recorded.
+    Picks stop once no tracker is uncovered, and the run ends there
+    (_ended): the remaining elements follow in ascending order, as _pick
+    would give them then.
     """
     kernel = _Kernel.start(inst)
     states = np.arange(kernel.fn.size)
@@ -518,7 +531,7 @@ def _greedy_run(inst: Instance, normalized: bool) -> Run:
         e, _ = _pick(kernel, states, normalized)
         chosen.append(e)
         _advance(kernel, e)
-    return Run((*chosen, *kernel.remaining), functools.partial(kernel.report, kernel.time))
+    return Run(*_ended(kernel, chosen))
 
 
 def greedy(inst: Instance) -> tuple:
@@ -582,6 +595,18 @@ def write_trace_jsonl(run: Run, path: str) -> None:
     with open(path, "w") as fh:
         for line in run.pick_lines():
             fh.write(line + "\n")
+
+
+def _frozen_states(ids: np.ndarray, rank: np.ndarray, by_id: np.ndarray,
+                   frozen: tuple) -> np.ndarray:
+    """The states of the frozen agents, in agent id order then function order.
+
+    ids are the agent ids in ascending order, rank holds each state's
+    agent's index in ids, and by_id = np.argsort(rank, kind="stable").
+    """
+    member = np.zeros(ids.size, dtype=bool)
+    member[np.searchsorted(ids, frozen)] = True
+    return by_id[member[rank[by_id]]]
 
 
 class _BagRun:
@@ -675,27 +700,29 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float) -> 
     brute_force_opt does), and every run's output equals that of its run
     alone.
 
-    A run that stops continues with the remaining elements in ascending
-    order. Its report (Run.report) takes the cover times of that tail from
-    a replay through _advance on a snapshot, up to the pick that covers the
-    last tracker; the runs ending at one node share one replay, and one
-    report built when first read. Likewise the picks into a node and the
-    round starts at it find each baseline's lagging set once, and share one
-    snapshot of the remaining weights.
+    A run that stops ends through _ended, and the runs ending at one node
+    share one call, so one replay of the tail and one report built when
+    first read. Likewise the picks into a node and the round starts at it
+    find each baseline's lagging set once, and share one snapshot of the
+    remaining weights.
+
+    Only this engine knows agent ids: remaining weights and frozen sets are
+    kept in agent id order, and each state holds its agent's rank in it.
     """
     kernel = _Kernel.start(inst)
-    frozen_states: dict = {}  # frozen agents -> their states in agent order
     # each agent's Python weights of its uncovered states, added from 0 in
     # function order, so an agent's int weights stay an int
     opens = iter((~kernel.covered[kernel.fn]).tolist())
     start = {a.id: functools.reduce(add, (w for _, w in a.functions if next(opens)), 0)
              for a in inst.agents}
-    # remaining weights in agent id order; each state subtracts from its agent's slot
     ids = np.array(sorted(start), dtype=np.int64)
     rem_weight = np.array([start[a] for a in ids.tolist()], dtype=float)
-    slot = np.searchsorted(ids, kernel.agent)
-    # a pick records them in agent order (Run.agents)
+    # each agent's rank in ids; a pick records the weights in agent order (Run.agents)
     listed = np.searchsorted(ids, list(start))
+    rank = np.repeat(listed, np.diff(kernel.offsets))  # of each state's agent
+    # frozen agents -> their states in agent id order
+    frozen_states = functools.cache(functools.partial(
+        _frozen_states, ids, rank, np.argsort(rank, kind="stable")))
     agents = tuple(start.items())
     # baseline -> lagging agents at this node; rebuilt whenever rem_weight changes
     lagging = functools.cache(functools.partial(_BagRun.lagging, ids, rem_weight))
@@ -706,28 +733,17 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float) -> 
     group = runs
     while True:
         requests: dict = {}  # frozen agents -> the runs asking
-        report = None  # of the runs ending at this node
+        ended = None  # (permutation, score) of the runs ending at this node
         for run in group:
             frozen = run.request(lagging, len(chosen), bool(kernel.remaining))
             if frozen is None:
-                run.run.permutation = tuple(chosen) + tuple(kernel.remaining)
-                if report is None:
-                    saved, tail = kernel.save(), kernel.remaining
-                    for e in tail:
-                        if kernel.covered.all():
-                            break
-                        _advance(kernel, e)
-                    # the replay's times; restoring gives the kernel the saved copy
-                    report = functools.cache(functools.partial(kernel.report, kernel.time))
-                    kernel.restore(saved)
-                run.run.score = report
+                ended = ended or _ended(kernel, chosen)
+                run.run.permutation, run.run.score = ended
             else:
                 requests.setdefault(frozen, []).append(run)
         children: dict = {}  # element -> [(run, score)]
         for frozen, asking in requests.items():
-            if frozen not in frozen_states:
-                frozen_states[frozen] = kernel.states_of(frozen)
-            e, score = _pick(kernel, frozen_states[frozen], True)
+            e, score = _pick(kernel, frozen_states(frozen), True)
             children.setdefault(e, []).extend((run, score) for run in asking)
         if children:
             (e, picked), *others = children.items()
@@ -741,9 +757,9 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float) -> 
         else:
             break
         chosen.append(e)
-        newly = _advance(kernel, e)
+        newly = _advance(kernel, e)[kernel.fn]  # the states e covers
         # unbuffered, so an agent's states subtract one by one in state order
-        np.subtract.at(rem_weight, slot[newly], kernel.weight[newly])
+        np.subtract.at(rem_weight, rank[newly], kernel.weight[newly])
         lagging = functools.cache(functools.partial(_BagRun.lagging, ids, rem_weight))
         weights = tuple(rem_weight[listed].tolist())
         for run, score in picked:

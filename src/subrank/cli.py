@@ -132,17 +132,24 @@ def _validated(inst) -> bool:
 
 
 def _check_out_paths(*paths) -> None:
-    """Raise OSError for an output file path that names a directory or lies in a missing one.
+    """Raise for an output file path that the command cannot write as a file of its own.
 
-    Called before a command runs, so a run that cannot write its outputs
-    prints no report.
+    OSError for a path that names a directory or lies in a missing one, and
+    ValueError for a path whose os.path.realpath repeats an earlier one's,
+    whose write would replace the earlier output. Called before a command
+    runs, so a run that cannot write its outputs prints no report.
     """
+    checked = []
     for path in filter(None, paths):
         folder = os.path.dirname(path)
         if folder and not os.path.isdir(folder):
             raise FileNotFoundError(f"output directory does not exist: {folder}")
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path is a directory: {path}")
+        # realpath stats each component of a path, so a lone output skips it
+        if checked and os.path.realpath(path) in map(os.path.realpath, checked):
+            raise ValueError(f"two outputs name the same file: {path}")
+        checked.append(path)
 
 
 def _cmd_solve(args) -> int:
@@ -227,10 +234,13 @@ def _cmd_experiment(args) -> int:
     results_path = os.path.join(args.out, "results.csv")
     summary_path = os.path.join(args.out, "summary.csv")
     # only checked here: the directory is made once the sweep has rows to write
-    if os.path.isdir(args.out):
+    existing = args.out  # the nearest existing path at or above --out
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise NotADirectoryError(f"output path is not a directory: {existing}")
+    if existing == args.out:
         _check_out_paths(results_path, summary_path)
-    elif os.path.exists(args.out):
-        raise NotADirectoryError(f"output path is not a directory: {args.out}")
     results = sweep(cfg, jobs=args.jobs)
     if not results.rows:
         print("error: no sweep cell succeeded", file=sys.stderr)

@@ -465,11 +465,10 @@ def validate(inst: Instance) -> list:
     pick's score could overflow are one error.
     """
     violations = []
-    # per distinct oracle, the items some element hits: its slice of one packed row
-    every = int.from_bytes(np.packbits(inst.hits[:inst.n].any(axis=0), bitorder="little")
-                           .tobytes(), "little")
-    full = [every >> start & (1 << len(f.item_weights)) - 1
-            for f, start in zip(inst.oracles, inst.starts.tolist())]
+    # per distinct oracle, the items some element hits: its block of one row
+    full = [rows[0] for rows in block_masks(inst.hits[:inst.n].any(axis=0)[None],
+                                            [len(f.item_weights) for f in inst.oracles],
+                                            inst.starts.tolist())]
     # A cost sums weight * cover time with times <= n, so each cost and their
     # sum are at most n * total. A pick term is weight * (gain / den) /
     # residual, with gain / den <= 1 and residual >= 1 / den >= 2**-53, so a

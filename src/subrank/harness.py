@@ -36,7 +36,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -262,6 +262,16 @@ def tune_ratio(
     return best
 
 
+def _repeated(values: Sequence):
+    """The first of values that equals an earlier one, or None."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One sweep: dataset or synthetic source, (K, M) cells, seeds.
@@ -294,8 +304,9 @@ class ExperimentConfig:
         """Config from a parsed JSON document.
 
         Raises ValueError naming the first unknown key or field of the
-        wrong type or range, when both dataset and synthetic are given, or
-        when K or M comes with a family spec, whose instance sets its own.
+        wrong type or range, when both dataset and synthetic are given,
+        when K or M comes with a family spec, whose instance sets its own,
+        or naming a repeated seed or (K, M) cell.
         """
         if not isinstance(doc, dict):
             raise ValueError(f"config must be a JSON object, not {type(doc).__name__}")
@@ -345,7 +356,7 @@ class ExperimentConfig:
         if pair_km and len(K) != len(M):
             raise ValueError(f"config 'pair_km' needs K and M of equal length, "
                              f"got {len(K)} and {len(M)}")
-        return ExperimentConfig(
+        cfg = ExperimentConfig(
             K=K,
             M=M,
             seeds=ints("seeds", [0, 1, 2, 3], 0),
@@ -356,6 +367,14 @@ class ExperimentConfig:
             pair_km=pair_km,
             max_values=max_values,
         )
+        # a repeat would run its cell or seed again and write its rows twice
+        seed = _repeated(cfg.seeds)
+        if seed is not None:
+            raise ValueError(f"config 'seeds' repeats {seed!r}")
+        cell = _repeated(cfg.cells())
+        if cell is not None:
+            raise ValueError(f"config repeats the cell K={cell[0]} M={cell[1]}")
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -371,8 +390,25 @@ class ResultRow:
     tune_ms: Optional[float] = None  # ratio tuning before it (bag only)
 
 
-def _ms(value: Optional[float]) -> str:
-    return "" if value is None else f"{value:.3f}"
+def _write_csv(path: str, header: str, rows: Iterable[dict]) -> None:
+    """Write a CSV: header, then each row's cells in header order.
+
+    None is an empty cell, a *_ms column has 3 places and any other float
+    its repr.
+    """
+    columns = header.split(",")
+
+    def cell(column: str, value) -> str:
+        if value is None:
+            return ""
+        if column.endswith("_ms"):
+            return f"{value:.3f}"
+        return repr(value) if isinstance(value, float) else str(value)
+
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(cell(c, row[c]) for c in columns) + "\n")
 
 
 @dataclass
@@ -380,17 +416,10 @@ class ResultTable:
     rows: list = field(default_factory=list)
 
     CSV_HEADER = "algorithm,K,M,ratio,seed,objective_minmax,objective_avg,tune_ms,runtime_ms"
+    SUMMARY_HEADER = "algorithm,K,M,seeds,objective_minmax,objective_avg,tune_ms,runtime_ms"
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.CSV_HEADER + "\n")
-            for r in self.rows:
-                ratio = "" if r.ratio is None else repr(r.ratio)
-                fh.write(
-                    f"{r.algorithm},{r.K},{r.M},{ratio},{r.seed},"
-                    f"{r.objective_minmax!r},{r.objective_avg!r},"
-                    f"{_ms(r.tune_ms)},{r.runtime_ms:.3f}\n"
-                )
+        _write_csv(path, self.CSV_HEADER, map(vars, self.rows))
 
     def summary(self) -> list:
         """Mean objectives per (algorithm, K, M), averaged over seeds."""
@@ -418,14 +447,7 @@ class ResultTable:
         return out
 
     def write_summary_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("algorithm,K,M,seeds,objective_minmax,objective_avg,tune_ms,runtime_ms\n")
-            for row in self.summary():
-                fh.write(
-                    f"{row['algorithm']},{row['K']},{row['M']},{row['seeds']},"
-                    f"{row['objective_minmax']!r},{row['objective_avg']!r},"
-                    f"{_ms(row['tune_ms'])},{row['runtime_ms']:.3f}\n"
-                )
+        _write_csv(path, self.SUMMARY_HEADER, self.summary())
 
 
 def _source(cfg: ExperimentConfig) -> DataTable | Instance:

@@ -44,6 +44,7 @@ from subrank.algorithms import (
     _Kernel,
     _advance,
     _bag_runs,
+    _frozen_states,
     _greedy_run,
     balanced_adaptive_greedy,
     brute_force_opt,
@@ -1356,12 +1357,15 @@ def test_greedy_and_ng_reports_raise_never_covered():
 @settings(max_examples=100, deadline=None)
 @given(inst=any_family_instances(), data=st.data())
 def test_frozen_states_lookup_matches_isin(inst, data):
-    """states_of gives the index array np.isin over the id-sorted states gives."""
-    kernel = _Kernel(inst)
-    by_id = np.argsort(kernel.agent, kind="stable")
+    """_frozen_states gives the index array np.isin over the id-sorted states gives."""
+    agent = np.repeat(np.array([a.id for a in inst.agents], np.int64),
+                      np.diff(inst.state_offsets))  # of each state
+    by_id = np.argsort(agent, kind="stable")
     frozen = tuple(sorted(data.draw(st.sets(st.sampled_from([a.id for a in inst.agents]),
                                             min_size=1))))
-    expected = by_id[np.isin(kernel.agent[by_id], frozen)]
-    got = kernel.states_of(frozen)
+    expected = by_id[np.isin(agent[by_id], frozen)]
+    ids = np.array(sorted(a.id for a in inst.agents), np.int64)
+    rank = np.searchsorted(ids, agent)
+    got = _frozen_states(ids, rank, np.argsort(rank, kind="stable"), frozen)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)

@@ -188,6 +188,21 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == f"error: output path is a directory: {tmp_path}\n"
 
+    def test_out_and_trace_naming_one_file_fail_before_the_run(self, hard4, tmp_path,
+                                                               monkeypatch, capsys):
+        def no_load(path):
+            raise AssertionError("the instance was loaded")
+
+        monkeypatch.setattr(cli, "load_instance", no_load)
+        out, trace = tmp_path / "x", f"{tmp_path}/./x"  # one file, spelled two ways
+        code = main(["solve", "--instance", hard4, "--algo", "bag", "--out", str(out),
+                     "--trace", trace])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: two outputs name the same file: {trace}\n"
+        assert not out.exists()
+
 
 class TestGenerate:
     def test_hard_k9_is_validate_clean(self, tmp_path, capsys):
@@ -378,6 +393,20 @@ class TestExperiment:
         assert not [r for r in caplog.records if "failed" in r.getMessage()]
         assert out.read_text() == "kept\n"
 
+    def test_output_below_a_file_fails_before_the_sweep(self, tmp_path, capsys, caplog):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"K": [2], "M": [700], "seeds": [0]}))  # cells would fail
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        code = main(["experiment", "--config", str(cfg_path), "--out", str(afile / "sub")])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output path is not a directory: {afile}\n"
+        assert not [r for r in caplog.records if "failed" in r.getMessage()]
+        assert afile.read_text() == "kept\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["afile", "cfg.json"]
+
     def test_bad_family_is_one_error_line(self, tmp_path, capsys, caplog):
         """A family that cannot be built stops the sweep before any cell runs."""
         cfg_path = tmp_path / "cfg.json"
@@ -428,9 +457,11 @@ class TestExperiment:
     {"synthetic": {"rowz": 80}},
     {"dataset": "data.csv", "synthetic": {"rows": 80}},
     {"synthetic": {"family": "hard", "k": 4}, "K": [2, 3], "M": [2]},
+    {"seeds": [0, 0]},
+    {"K": [2, 2], "M": [3, 3], "pair_km": True},
 ], ids=["list", "dataset-object", "K-string", "empty-grid", "unknown-objective",
         "pair-km-lengths", "pair-km-string", "unknown-key", "unknown-synthetic-key",
-        "dataset-and-synthetic", "family-with-K-M"])
+        "dataset-and-synthetic", "family-with-K-M", "repeated-seed", "repeated-cell"])
 def test_bad_config_is_one_line_data_error(doc, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -524,6 +555,21 @@ class TestGmscBench:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: output path is a directory: {tmp_path / directory}\n"
+
+    def test_out_and_lp_dump_naming_one_file_fail_before_the_run(self, gmsc6, tmp_path,
+                                                                 monkeypatch, capsys):
+        def no_load(path):
+            raise AssertionError("the instance was loaded")
+
+        monkeypatch.setattr(cli, "load_instance", no_load)
+        out = tmp_path / "p_x.csv"
+        code = main(["gmsc-bench", "--instance", gmsc6, "--seeds", "2", "--out", str(out),
+                     "--dump-lp", str(tmp_path / "p")])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: two outputs name the same file: {out}\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["g.json"]
 
     @pytest.mark.parametrize("argv", [
         ["--family", "coverage", "--n", "5", "--k", "2", "--m", "2", "--seed", "1"],

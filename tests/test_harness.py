@@ -410,10 +410,17 @@ class TestConfigFromDoc:
          "config gives 'K' and 'M' with synthetic family 'hard'"),
         ({"synthetic": {"family": "coverage", "n": 5, "k": 2, "m": 2}, "M": 3},
          "config gives 'M' with synthetic family 'coverage'"),
+        ({"seeds": [0, 1, 0]}, "^config 'seeds' repeats 0$"),
+        ({"K": [2, 3, 2], "M": [4]}, "^config repeats the cell K=2 M=4$"),
+        ({"K": [2, 3, 2], "M": [4, 5, 4], "pair_km": True}, "^config repeats the cell K=2 M=4$"),
     ])
     def test_bad_field_is_value_error(self, doc, match):
         with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_doc(doc)
+
+    def test_paired_cells_may_share_a_K(self):
+        cfg = ExperimentConfig.from_doc({"K": [2, 2], "M": [3, 4], "pair_km": True})
+        assert cfg.cells() == [(2, 3), (2, 4)]
 
     @pytest.mark.parametrize("family", list(harness._SYNTHETIC))
     def test_builder_parameters_are_the_family_keys(self, family):

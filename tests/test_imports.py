@@ -1,6 +1,6 @@
 """Every module reads each name it imports.
 
-The scan covers src/, tests/, perfbench/ and the root conftest.py.
+The scan covers src/, tests/, tools/, perfbench/ and the root conftest.py.
 """
 
 import ast
@@ -9,7 +9,7 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted([*(path for top in ("src", "tests") for path in (ROOT / top).rglob("*.py")),
+MODULES = sorted([*(path for top in ("src", "tests", "tools") for path in (ROOT / top).rglob("*.py")),
                   *(ROOT / "perfbench").glob("*.py"), ROOT / "conftest.py"])
 
 

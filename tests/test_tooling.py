@@ -50,13 +50,13 @@ def test_every_module_parses_at_the_syntax_floor():
     """Every module of a test run parses with the grammar of the oldest supported Python.
 
     That is src/, the suites in pyproject's testpaths (tests/ and
-    perfbench/) and the root conftest.py. A best-effort guard:
+    perfbench/), tools/ and the root conftest.py. A best-effort guard:
     ast.parse's feature_version rejects most newer syntax (except*, for
     one), but not every newer construct, and it checks nothing of the
     standard library or the dependencies a module uses.
     """
     modules = [ROOT / "conftest.py"]
-    for tree in ("src", "tests", "perfbench"):
+    for tree in ("src", "tests", "perfbench", "tools"):
         found = sorted((ROOT / tree).rglob("*.py"))
         assert found, tree
         modules += found
@@ -75,3 +75,30 @@ def test_syntax_floor_rejects_exception_groups():
     snippet = "try:\n    pass\nexcept* ValueError:\n    pass\n"
     with pytest.raises(SyntaxError):
         ast.parse(snippet, feature_version=SYNTAX_FLOOR)
+
+
+CODE_LINES_SNIPPET = '''"""Module docstring,
+on two lines."""
+
+import os  # a comment
+
+
+# a comment alone
+def f(a,
+      b):
+    """Function docstring."""
+    text = """not a
+docstring"""
+    return (a +
+            b)
+'''
+
+
+def test_code_lines_skips_blank_comment_and_docstring_lines(tmp_path):
+    """Every line of a multi-line statement or string counts; docstrings and comments do not."""
+    path = tmp_path / "snippet.py"
+    path.write_text(CODE_LINES_SNIPPET)
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"7 {path}", "7 total"]
