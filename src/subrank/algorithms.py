@@ -10,18 +10,19 @@ normalized greedy of Azar & Gamzu, "Ranking with submodular valuations"
 (SODA 2011).
 
 The kernel keeps one tracker per distinct oracle, shared by every
-(agent, weight) pair that holds it, and the elements not yet picked, in
-ascending order. Every oracle's numerator is a weighted coverage count
-capped at its denominator, and the cap cannot bind in a one-element step
-of an uncovered function, so each gain is the live weight of the items a
-candidate hits: an element x item incidence matrix times the live item
-weights, summed per oracle. These integer sums are exact in float64
-(Instance caps the denominator at 2**53). The gains depend only on the
-kernel state, not on which states a pick scores, so the kernel computes
-the remaining x trackers gain matrix once per state, on the first ask
-after a pick, then that matrix over each tracker's denominator; every
-_pick at that state (BAG's frozen sets, the ratios of a tuning grid)
-reads the second, and brute force's child bounds the first.
+(agent, weight) pair that holds it, the run's prefix of picks, and the
+elements not yet picked, in ascending order. Every oracle's numerator is
+a weighted coverage count capped at its denominator, and the cap cannot
+bind in a one-element step of an uncovered function, so each gain is the
+live weight of the items a candidate hits: an element x item incidence
+matrix times the live item weights, summed per oracle. These integer
+sums are exact in float64 (Instance caps the denominator at 2**53). The
+gains depend only on the kernel state, not on which states a pick
+scores, so the kernel computes the remaining x trackers gain matrix once
+per state, on the first ask after a pick, then that matrix over each
+tracker's denominator; every _pick at that state (BAG's frozen sets, the
+ratios of a tuning grid) reads the second, and brute force's child
+bounds the first.
 
 The kernel counts gains on one of two paths, chosen once per instance by
 one property of its input: whether every item of every oracle weighs 1
@@ -61,26 +62,29 @@ bound fails) and when approx + slack is not finite in some row.
 
 The kernel also records each tracker's cover time as a pick covers it,
 so greedy, NG and every BAG run report their own permutations: each ends
-in one Run record. A cover time is the first prefix at which a function
-reaches its threshold, so once no tracker is uncovered the order of the
-rest changes no cost, and every run ends by one rule, in one function
-(_ended): once no tracker is uncovered, or a BAG run stops, the remaining
-elements follow in ascending order, and the cover times of that tail come
-from replaying it through _advance on a snapshot, up to the pick that
-covers the last tracker. Greedy and NG stop picking there, so their replay
-is empty. After the root, only _advance sets a cover time, and it returns
-the trackers it covers. The states (agent, function pairs) come from the
-instance's state table; the kernel knows agents only by their position in
-it, never by id, and lays them out once in an agent grid, a row per agent
-of a 0.0 head cell, the agent's states in function order, then padding;
-each cell keeps its tracker and weight (tracker 0 and 0.0 on head and
-padding cells). Any per-agent sum of weight * cover time is one gather of
-tracker times over the grid, one product and one sequential accumulate
-along each row (_Kernel.costs): a Run's report, bit for bit
-core.cover_report, which stays the reference evaluator, and brute force's
-bounds. The root state, gain matrices included, is built once per
-instance and kept on it (Instance._kernel_root); greedy, NG, every BAG run
-and brute force start from copies of it.
+in one Run record. Every run grows the kernel's prefix through _advance
+and keeps none of its own; BAG's runs and brute force read their depth
+from it, and snapshots carry it. A cover time is the first prefix at
+which a function reaches its threshold, so once no tracker is uncovered
+the order of the rest changes no cost, and every run ends by one rule,
+in one function (_ended): once no tracker is uncovered, or a BAG run
+stops, the remaining elements follow in ascending order, and the cover
+times of that tail come from replaying it through _advance on a
+snapshot, up to the pick that covers the last tracker. Greedy and NG
+stop picking there, so their replay is empty. After the root, only
+_advance sets a cover time, and it returns the trackers it covers. The
+states (agent, function pairs) come from the instance's state table; the
+kernel knows agents only by their position in it, never by id, and lays
+them out once in an agent grid, a row per agent of a 0.0 head cell, the
+agent's states in function order, then padding; each cell keeps its
+tracker and weight (tracker 0 and 0.0 on head and padding cells). Any
+per-agent sum of weight * cover time is one gather of tracker times over
+the grid, one product and one sequential accumulate along each row
+(_Kernel.costs): a Run's report, bit for bit core.cover_report, which
+stays the reference evaluator, and brute force's bounds. The root state,
+gain matrices included, is built once per instance and kept on it
+(Instance._kernel_root); greedy, NG, every BAG run and brute force start
+from copies of it.
 
 Brute force bounds all children of an expanded node in one batch from
 that matrix, summing w * (known or least possible cover time) per agent
@@ -142,7 +146,7 @@ def _unit_items(oracles: Sequence) -> bool:
 
 
 class _Kernel:
-    """Selection state of one run: trackers, items, states and remaining elements.
+    """Selection state of one run: trackers, items, states, the prefix and remaining elements.
 
     Trackers are the instance's distinct oracles (Instance.oracles); num,
     den and covered hold each one's numerator, denominator and coverage,
@@ -170,19 +174,20 @@ class _Kernel:
     tracker and weight, tracker 0 and weight 0.0 on head and padding
     cells. No run changes any of these.
 
-    remaining lists the unpicked elements in ascending order, gains() their
-    gain matrix and scaled() that matrix over each tracker's denominator,
-    each computed once per state. _advance changes num, live and time in
-    place, rebinds covered, remaining and the matrices, and returns the
-    mask of the trackers it covers; save copies
-    exactly the three it writes in place (live is 1.6 KB of words against
-    80 KB of floats on odt K=10, M=100) and carries the other four by
-    reference, so snapshots share covered until _advance rebinds it. On the
-    word path a fill is popcounts(words[rows] & live) and _advance adds
-    popcounts(words[e - 1] & live) and clears those bits. On the float
-    path a fill sums hits * live over each tracker's run of item columns,
-    and from _LIVE_FILL_CELLS remaining rows x dead items on it reads only
-    the live columns.
+    chosen is the prefix, the tuple of picks so far, so len(chosen) is the
+    depth; remaining lists the unpicked elements in ascending order, gains()
+    their gain matrix and scaled() that matrix over each tracker's
+    denominator, each computed once per state. _advance changes num, live
+    and time in place, rebinds covered, chosen, remaining and the matrices,
+    and returns the mask of the trackers it covers; save copies exactly the
+    three it writes in place (live is 1.6 KB of words against 80 KB of
+    floats on odt K=10, M=100) and carries the other five by reference, so
+    snapshots share covered until _advance rebinds it, and chosen, a tuple,
+    is never written. On the word path a fill is popcounts(words[rows] &
+    live) and _advance adds popcounts(words[e - 1] & live) and clears those
+    bits. On the float path a fill sums hits * live over each tracker's run
+    of item columns, and from _LIVE_FILL_CELLS remaining rows x dead items
+    on it reads only the live columns.
 
     A run starts from start(inst): a copy of the root kept on the instance,
     so the instance's runs build the root and its gain matrix once.
@@ -218,9 +223,10 @@ class _Kernel:
             windows = (self.starts[tracker] + offset, np.minimum(widths[tracker] - offset, 64))
             self.words = bit_windows(self.hits, *windows)
             self.words.flags.writeable = False
-            # the live items: every column but an item-less tracker's dead one
-            items = np.repeat(np.array([bool(f.item_weights) for f in oracles], bool), widths)
-            self.live = bit_windows(items[None], *windows)[0]
+            # the live items: each word's window, none for an item-less tracker's dead column
+            items = np.array([bool(f.item_weights) for f in oracles], bool)[tracker]
+            self.live = np.where(items, ~np.uint64(0) >> (64 - windows[1]).astype(np.uint64),
+                                 np.uint64(0))
         else:
             self.live = np.fromiter(itertools.chain.from_iterable(
                 f.item_weights or (0,) for f in oracles), dtype=float)
@@ -229,6 +235,7 @@ class _Kernel:
         self.covered = np.array([f.mask_covers(0) for f in oracles], dtype=bool)
         self.time = np.where(self.covered, 0, -1)
         self.remaining = list(range(1, inst.n + 1))
+        self.chosen: tuple = ()
         self._gains: Optional[np.ndarray] = None
         self._scaled: Optional[np.ndarray] = None
 
@@ -322,11 +329,11 @@ class _Kernel:
 
     def save(self) -> tuple:
         return (self.num.copy(), self.covered, self.live.copy(), self.time.copy(),
-                self.remaining, self._gains, self._scaled)
+                self.remaining, self.chosen, self._gains, self._scaled)
 
     def restore(self, saved: tuple) -> None:
-        (self.num, self.covered, self.live, self.time, self.remaining, self._gains,
-         self._scaled) = saved
+        (self.num, self.covered, self.live, self.time, self.remaining, self.chosen,
+         self._gains, self._scaled) = saved
 
 
 def _contenders(scaled: np.ndarray, fn: np.ndarray, weight: np.ndarray,
@@ -426,9 +433,9 @@ def _pick(kernel: _Kernel, states: np.ndarray, normalized: bool) -> tuple:
 
 
 def _advance(kernel: _Kernel, e: int) -> np.ndarray:
-    """Add e to every tracker; return the mask of the trackers it newly covers.
+    """Pick e: add it to every tracker and the prefix; return the mask of the trackers it covers.
 
-    The trackers e covers get the number of picks so far as their time. A
+    The trackers e covers get the prefix's new length as their time. A
     covered tracker's numerator may grow past its denominator here; only
     uncovered trackers' values are read.
     """
@@ -445,21 +452,22 @@ def _advance(kernel: _Kernel, e: int) -> np.ndarray:
     remaining = kernel.remaining.copy()
     remaining.remove(e)
     kernel.remaining = remaining
+    kernel.chosen += (e,)
     kernel._gains = kernel._scaled = None
     newly = kernel.covered > was_covered
-    kernel.time[newly] = kernel.hits.shape[0] - len(remaining)  # picks so far
+    kernel.time[newly] = len(kernel.chosen)
     return newly
 
 
-def _ended(kernel: _Kernel, chosen: list) -> tuple:
-    """(permutation, score) of a run that stops after the picks chosen, at kernel's state.
+def _ended(kernel: _Kernel) -> tuple:
+    """(permutation, score) of a run that stops at kernel's state, after its prefix.
 
     The remaining elements follow in ascending order. score builds the
     run's report, once, from the cover times of a replay of that tail
     through _advance on a snapshot, up to the pick that covers the last
     tracker; the kernel is left as it was.
     """
-    saved, tail = kernel.save(), kernel.remaining
+    saved, chosen, tail = kernel.save(), kernel.chosen, kernel.remaining
     for e in tail:
         if kernel.covered.all():
             break
@@ -526,12 +534,9 @@ def _greedy_run(inst: Instance, normalized: bool) -> Run:
     """
     kernel = _Kernel.start(inst)
     states = np.arange(kernel.fn.size)
-    chosen = []
     while kernel.remaining and not kernel.covered.all():
-        e, _ = _pick(kernel, states, normalized)
-        chosen.append(e)
-        _advance(kernel, e)
-    return Run(*_ended(kernel, chosen))
+        _advance(kernel, _pick(kernel, states, normalized)[0])
+    return Run(*_ended(kernel))
 
 
 def greedy(inst: Instance) -> tuple:
@@ -726,18 +731,17 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float) -> 
     agents = tuple(start.items())
     # baseline -> lagging agents at this node; rebuilt whenever rem_weight changes
     lagging = functools.cache(functools.partial(_BagRun.lagging, ids, rem_weight))
-    chosen: list = []
     runs = [_BagRun(r, drop_fraction, inst.W, agents) for r in ratios]
-    # (kernel snapshot, remaining weights, depth, element, [(run, score)])
+    # (kernel snapshot, remaining weights, element, [(run, score)])
     stack: list = []
     group = runs
     while True:
         requests: dict = {}  # frozen agents -> the runs asking
         ended = None  # (permutation, score) of the runs ending at this node
         for run in group:
-            frozen = run.request(lagging, len(chosen), bool(kernel.remaining))
+            frozen = run.request(lagging, len(kernel.chosen), bool(kernel.remaining))
             if frozen is None:
-                ended = ended or _ended(kernel, chosen)
+                ended = ended or _ended(kernel)
                 run.run.permutation, run.run.score = ended
             else:
                 requests.setdefault(frozen, []).append(run)
@@ -748,22 +752,19 @@ def _bag_runs(inst: Instance, ratios: Sequence[float], drop_fraction: float) -> 
         if children:
             (e, picked), *others = children.items()
             for other in others:
-                node = (kernel.save(), rem_weight.copy(), len(chosen))
-                stack.append((*node, *other))
+                stack.append((kernel.save(), rem_weight.copy(), *other))
         elif stack:
-            saved, rem_weight, depth, e, picked = stack.pop()
+            saved, rem_weight, e, picked = stack.pop()
             kernel.restore(saved)
-            del chosen[depth:]
         else:
             break
-        chosen.append(e)
         newly = _advance(kernel, e)[kernel.fn]  # the states e covers
         # unbuffered, so an agent's states subtract one by one in state order
         np.subtract.at(rem_weight, rank[newly], kernel.weight[newly])
         lagging = functools.cache(functools.partial(_BagRun.lagging, ids, rem_weight))
         weights = tuple(rem_weight[listed].tolist())
         for run, score in picked:
-            run.record(len(chosen), e, score, lagging(run.b), weights)
+            run.record(len(kernel.chosen), e, score, lagging(run.b), weights)
         group = [run for run, _ in picked]
     return [run.run for run in runs]
 
@@ -828,25 +829,27 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
     every child a dead end. With fractional weights the rounding of that
     term could pick another tied leaf, so it is left out.
 
+    The search reads each node's depth and a leaf's prefix from the
+    kernel. When the root covers every function, the root's bound and the
+    incumbent are both sums of w * 0, so nothing is expanded and the NG
+    order, ascending then, is returned.
+
     nodes counts the root and every child entered, those closed or pruned
     on arrival included. Past node_limit the best incumbent is returned
-    flagged non-optimal. Deterministic; intended for n <= 10.
+    flagged non-optimal, and with node_limit < 1 no child is entered.
+    Deterministic; intended for n <= 10.
     """
     ng = _greedy_run(inst, normalized=True)
-    incumbent = {"perm": ng.permutation, "value": ng.report.minmax}
+    perm, value = ng.permutation, ng.report.minmax  # the incumbent
     kernel = _Kernel.start(inst)
     weights = kernel.weight.tolist()
     exact = (all(w >= 0 and w.is_integer() for w in weights)
              and inst.n * sequential_sum(weights) < 2**53)
-    state = {"nodes": 1, "limit_hit": False}
-    chosen: list = []
+    nodes, limit_hit = 1, node_limit < 1
 
-    def close_leaf(value: float, perm: tuple) -> None:
-        if value < incumbent["value"]:
-            incumbent["value"] = value
-            incumbent["perm"] = perm
-
-    def expand(depth: int) -> None:
+    def expand() -> None:
+        nonlocal perm, value, nodes, limit_hit
+        depth = len(kernel.chosen)
         gains = kernel.gains()
         covered = kernel.covered
         uncovered = ~covered
@@ -866,31 +869,22 @@ def brute_force_opt(inst: Instance, node_limit: int = 2_000_000) -> BruteForceRe
         leaves = after.all(axis=1).tolist()
         remaining = kernel.remaining
         for i, e in enumerate([remaining[r] for r in rows.tolist()]):
-            state["nodes"] += 1
-            if state["nodes"] > node_limit:
-                state["limit_hit"] = True
+            nodes += 1
+            if nodes > node_limit:
+                limit_hit = True
                 return
             if leaves[i]:
-                close_leaf(bounds[i], (*chosen, e, *(x for x in remaining if x != e)))
-            elif not dead and bounds[i] < incumbent["value"]:
+                if bounds[i] < value:
+                    perm = (*kernel.chosen, e, *(x for x in remaining if x != e))
+                    value = bounds[i]
+            elif not dead and bounds[i] < value:
                 saved = kernel.save()
                 _advance(kernel, e)
-                chosen.append(e)
-                expand(depth + 1)
-                chosen.pop()
+                expand()
                 kernel.restore(saved)
-                if state["limit_hit"]:
+                if limit_hit:
                     return
 
-    if node_limit < 1:
-        state["limit_hit"] = True
-    elif kernel.covered.all():
-        close_leaf(0.0, tuple(kernel.remaining))
-    elif kernel.costs(np.where(kernel.covered, 0, 1)).max() < incumbent["value"]:
-        expand(0)
-    return BruteForceResult(
-        permutation=incumbent["perm"],
-        value=incumbent["value"],
-        optimal=not state["limit_hit"],
-        nodes=state["nodes"],
-    )
+    if not limit_hit and kernel.costs(np.where(kernel.covered, 0, 1)).max() < value:
+        expand()
+    return BruteForceResult(permutation=perm, value=value, optimal=not limit_hit, nodes=nodes)

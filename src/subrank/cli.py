@@ -24,7 +24,7 @@ from subrank import gmsc as gmsc_mod
 from subrank.core import SEVERITY_ERROR, cover_report, errors_only, sequential_sum, validate
 from subrank.functions import hard_family, random_coverage_instance
 from subrank.instance_io import (InstanceFormatError, dumps, load_instance, load_json,
-                                 save_instance)
+                                 save_instance, write_csv)
 from subrank.algorithms import (
     BagConfig,
     balanced_adaptive_greedy,
@@ -131,13 +131,15 @@ def _validated(inst) -> bool:
     return not errors_only(problems)
 
 
-def _check_out_paths(*paths) -> None:
+def _check_out_paths(source, *paths) -> None:
     """Raise for an output file path that the command cannot write as a file of its own.
 
-    OSError for a path that names a directory or lies in a missing one, and
-    ValueError for a path whose os.path.realpath repeats an earlier one's,
-    whose write would replace the earlier output. Called before a command
-    runs, so a run that cannot write its outputs prints no report.
+    source is the command's input file, or None. OSError for a path that
+    names a directory or lies in a missing one, and ValueError for a path
+    that is the same file as source, or whose os.path.realpath repeats an
+    earlier one's: its write would replace the input or the earlier output.
+    Called before a command runs, so a run that cannot write its outputs
+    prints no report and leaves its input as it was.
     """
     checked = []
     for path in filter(None, paths):
@@ -146,6 +148,9 @@ def _check_out_paths(*paths) -> None:
             raise FileNotFoundError(f"output directory does not exist: {folder}")
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path is a directory: {path}")
+        # a missing output cannot be the input, so only an existing one is compared
+        if source and os.path.exists(path) and os.path.samefile(path, source):
+            raise ValueError(f"output path names the input file: {path}")
         # realpath stats each component of a path, so a lone output skips it
         if checked and os.path.realpath(path) in map(os.path.realpath, checked):
             raise ValueError(f"two outputs name the same file: {path}")
@@ -156,7 +161,7 @@ def _cmd_solve(args) -> int:
     if args.trace and args.algo != "bag":
         print("error: --trace is only meaningful with --algo bag", file=sys.stderr)
         return EXIT_USAGE
-    _check_out_paths(args.out, args.trace)
+    _check_out_paths(args.instance, args.out, args.trace)
     inst = load_instance(args.instance)
     if not _validated(inst):
         return EXIT_DATA
@@ -208,7 +213,7 @@ def _require(args, names) -> None:
 
 
 def _cmd_generate(args) -> int:
-    _check_out_paths(args.out)
+    _check_out_paths(None, args.out)
     seed = args.seed if args.seed is not None else default_seed()
     if args.family == "hard":
         _require(args, ["k"])
@@ -240,7 +245,7 @@ def _cmd_experiment(args) -> int:
     if existing and not os.path.isdir(existing):
         raise NotADirectoryError(f"output path is not a directory: {existing}")
     if existing == args.out:
-        _check_out_paths(results_path, summary_path)
+        _check_out_paths(args.config, results_path, summary_path)
     results = sweep(cfg, jobs=args.jobs)
     if not results.rows:
         print("error: no sweep cell succeeded", file=sys.stderr)
@@ -257,7 +262,7 @@ def _cmd_gmsc_bench(args) -> int:
     if base < 0:  # rounding seeds feed np.random.SeedSequence
         raise ValueError(f"SUBRANK_SEED must be non-negative for gmsc-bench, got {base}")
     lp_paths = (f"{args.dump_lp}_x.csv", f"{args.dump_lp}_y.csv") if args.dump_lp else ()
-    _check_out_paths(args.out, *lp_paths)
+    _check_out_paths(args.instance, args.out, *lp_paths)
     inst = load_instance(args.instance)
     # a function that is not unit-weight gmsc is one error line, before validate's warnings
     list(gmsc_mod.gmsc_sets(inst))
@@ -281,17 +286,14 @@ def _cmd_gmsc_bench(args) -> int:
     for s, perm in zip(seeds, gmsc_mod.gmsc_schedules(inst, seeds, sol)):
         cost = eval_objective(inst, perm, "minmax")
         ratio = cost / sol.T_star if sol.T_star > 0 else float("inf")
-        rows.append((s, cost, ratio))
+        rows.append({"seed": s, "max_agent_cost": cost, "ratio_to_Tstar": ratio})
         if cost <= envelope:
             within += 1
-    mean_cost = sequential_sum(c for _, c, _ in rows) / len(rows)
+    mean_cost = sequential_sum(row["max_agent_cost"] for row in rows) / len(rows)
     print(f"seeds: {args.seeds}  mean max-agent cost: {mean_cost:.6f}")
     print(f"within proven envelope ({envelope:.1f}): {within}/{args.seeds}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("seed,max_agent_cost,ratio_to_Tstar\n")
-            for s, cost, ratio in rows:
-                fh.write(f"{s},{cost!r},{ratio!r}\n")
+        write_csv(args.out, "seed,max_agent_cost,ratio_to_Tstar", rows)
         print(f"wrote {args.out}")
     if lp_paths:
         gmsc_mod.write_fractional_csv(sol, *lp_paths)

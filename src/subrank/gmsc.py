@@ -43,6 +43,7 @@ import numpy as np
 
 from subrank.core import Instance, make_instance
 from subrank.functions import GmscFunction, GmscSet, gmsc_function
+from subrank.instance_io import write_csv
 from subrank import simplex
 
 LP_TOL = 1e-7
@@ -511,9 +512,10 @@ def rounding_envelope(k: int, T_star: float) -> float:
 
 
 def write_fractional_csv(sol: FractionalSolution, x_path: str, y_path: str) -> None:
-    for path, header, grid in ((x_path, "e,t,x", sol.x), (y_path, "set_id,t,y", sol.y)):
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for i, row in enumerate(grid.tolist(), start=1):  # Python floats, not np.float64
-                for t, value in enumerate(row, start=1):
-                    fh.write(f"{i},{t},{value!r}\n")
+    for path, (index, name), grid in ((x_path, ("e", "x"), sol.x),
+                                      (y_path, ("set_id", "y"), sol.y)):
+        # tolist gives Python floats, not np.float64
+        write_csv(path, f"{index},t,{name}",
+                  ({index: i, "t": t, name: value}
+                   for i, row in enumerate(grid.tolist(), start=1)
+                   for t, value in enumerate(row, start=1)))

@@ -36,13 +36,13 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from subrank.core import Agent, Instance, cover_report, sequential_sum
 from subrank.functions import OdtTable, hard_family, odt_function, random_coverage_instance
-from subrank.instance_io import is_integer, is_number
+from subrank.instance_io import is_integer, is_number, write_csv
 from subrank.algorithms import (
     BagConfig,
     Run,
@@ -390,27 +390,6 @@ class ResultRow:
     tune_ms: Optional[float] = None  # ratio tuning before it (bag only)
 
 
-def _write_csv(path: str, header: str, rows: Iterable[dict]) -> None:
-    """Write a CSV: header, then each row's cells in header order.
-
-    None is an empty cell, a *_ms column has 3 places and any other float
-    its repr.
-    """
-    columns = header.split(",")
-
-    def cell(column: str, value) -> str:
-        if value is None:
-            return ""
-        if column.endswith("_ms"):
-            return f"{value:.3f}"
-        return repr(value) if isinstance(value, float) else str(value)
-
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(cell(c, row[c]) for c in columns) + "\n")
-
-
 @dataclass
 class ResultTable:
     rows: list = field(default_factory=list)
@@ -419,7 +398,7 @@ class ResultTable:
     SUMMARY_HEADER = "algorithm,K,M,seeds,objective_minmax,objective_avg,tune_ms,runtime_ms"
 
     def write_csv(self, path: str) -> None:
-        _write_csv(path, self.CSV_HEADER, map(vars, self.rows))
+        write_csv(path, self.CSV_HEADER, map(vars, self.rows))
 
     def summary(self) -> list:
         """Mean objectives per (algorithm, K, M), averaged over seeds."""
@@ -447,7 +426,7 @@ class ResultTable:
         return out
 
     def write_summary_csv(self, path: str) -> None:
-        _write_csv(path, self.SUMMARY_HEADER, self.summary())
+        write_csv(path, self.SUMMARY_HEADER, self.summary())
 
 
 def _source(cfg: ExperimentConfig) -> DataTable | Instance:

@@ -39,6 +39,9 @@ decoder, is that pass's reference and its error path: a fault anywhere,
 or a key not written as its element (such as "01", which int() takes as
 1), sends the document's coverage functions through _coverage one by
 one, so every message, and which fault is raised first, is _coverage's.
+
+write_csv is the one writer of the CSV files that commands write (sweep
+results and summaries, gmsc-bench's per-seed rows and fractional LP).
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import json
 import sys
 from itertools import accumulate, chain, repeat
 from operator import itemgetter, sub
-from typing import IO, Optional, Union
+from typing import IO, Iterable, Optional, Union
 
 import numpy as np
 
@@ -372,6 +375,27 @@ def dumps(doc: dict) -> str:
     of its bytes.
     """
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def write_csv(path: str, header: str, rows: Iterable[dict]) -> None:
+    """Write a CSV: header, then each row's cells in header order.
+
+    None is an empty cell, a *_ms column has 3 places and any other float
+    its repr.
+    """
+    columns = header.split(",")
+
+    def cell(column: str, value) -> str:
+        if value is None:
+            return ""
+        if column.endswith("_ms"):
+            return f"{value:.3f}"
+        return repr(value) if isinstance(value, float) else str(value)
+
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(cell(c, row[c]) for c in columns) + "\n")
 
 
 def save_instance(inst: Instance, path_or_file: Union[str, IO]) -> None:

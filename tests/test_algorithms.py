@@ -479,7 +479,8 @@ def _float_path():
 
 
 def _check_kernel(inst, kernel, picks):
-    """The kernel's gain caches, live items and remaining elements after the picks."""
+    """The kernel's prefix, gain caches, live items and remaining elements after the picks."""
+    assert kernel.chosen == tuple(picks)
     assert kernel.remaining == [e for e in range(1, inst.n + 1) if e not in picks]
     gains = kernel.gains()
     assert gains.shape == (len(kernel.remaining), len(inst.oracles))
@@ -1008,6 +1009,13 @@ def _answer(result):
 @given(inst=brute_instances(), node_limit=st.integers(min_value=0, max_value=40))
 # the sub-unit weight of hard_family takes the guarded path
 @example(inst=hard_family(4), node_limit=40)
+# item-less coverage oracles only: the root covers every function
+@example(inst=Instance(n=3, agents=(
+    Agent(id=1, functions=((coverage_function([], {}), 2.0),)),
+    Agent(id=2, functions=((coverage_function([], {}), 1.0), (coverage_function([], {}), 3.0))))),
+    node_limit=40)
+# no node may be entered, so the result is NG's, flagged non-optimal
+@example(inst=random_coverage_instance(6, 2, 2, 3), node_limit=0)
 def test_brute_force_matches_reference(inst, node_limit):
     """Same permutation, value bits and optimality as the per-child search.
 

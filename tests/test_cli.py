@@ -203,6 +203,22 @@ class TestSolve:
         assert captured.err == f"error: two outputs name the same file: {trace}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, link", [("--out", False), ("--trace", False), ("--out", True)],
+                             ids=["out", "trace", "out-via-symlink"])
+    def test_output_naming_the_instance_fails_before_the_run(self, flag, link, hard4, tmp_path,
+                                                             capsys):
+        kept = Path(hard4).read_bytes()
+        target = Path(hard4)
+        if link:
+            target = tmp_path / "link.json"
+            target.symlink_to(hard4)
+        code = main(["solve", "--instance", hard4, "--algo", "bag", flag, str(target)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output path names the input file: {target}\n"
+        assert Path(hard4).read_bytes() == kept
+
 
 class TestGenerate:
     def test_hard_k9_is_validate_clean(self, tmp_path, capsys):
@@ -343,6 +359,22 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: output path is a directory: {tmp_path / 'exp' / name}\n"
+
+    def test_output_naming_the_config_fails_before_the_sweep(self, experiment_config, tmp_path,
+                                                             monkeypatch, capsys):
+        def no_sweep(cfg, jobs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        config = tmp_path / "exp" / "summary.csv"
+        config.parent.mkdir()
+        config.write_bytes(Path(experiment_config).read_bytes())
+        code = main(["experiment", "--config", str(config), "--out", str(config.parent)])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output path names the input file: {config}\n"
+        assert config.read_bytes() == Path(experiment_config).read_bytes()
 
     def test_rerun_identical_modulo_runtime(self, experiment_config, tmp_path, capsys):
         out1, out2 = tmp_path / "e1", tmp_path / "e2"
@@ -570,6 +602,15 @@ class TestGmscBench:
         assert captured.out == ""
         assert captured.err == f"error: two outputs name the same file: {out}\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["g.json"]
+
+    def test_out_naming_the_instance_fails_before_the_run(self, gmsc6, tmp_path, capsys):
+        kept = Path(gmsc6).read_bytes()
+        code = main(["gmsc-bench", "--instance", gmsc6, "--seeds", "2", "--out", gmsc6])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: output path names the input file: {gmsc6}\n"
+        assert Path(gmsc6).read_bytes() == kept
 
     @pytest.mark.parametrize("argv", [
         ["--family", "coverage", "--n", "5", "--k", "2", "--m", "2", "--seed", "1"],

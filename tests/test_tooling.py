@@ -102,3 +102,30 @@ def test_code_lines_skips_blank_comment_and_docstring_lines(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [f"7 {path}", "7 total"]
+
+
+def _digest_names():
+    names = []
+    for inst in ("cov9", "cov40", "hard16", "gmsc12"):
+        names += [f"solve-{inst}-{algo}.json" for algo in ("random", "greedy", "ng", "bag")]
+        names.append(f"solve-{inst}-bag.jsonl")
+        if inst == "cov9":
+            names.append("solve-cov9-brute.json")
+    return names + ["gmsc-bench.stdout", "gmsc-bench.csv", "lp_x.csv", "lp_y.csv",
+                    "experiment-results.csv", "experiment-summary.csv"]
+
+
+def test_output_digest_is_repeatable_and_names_every_output():
+    """Two runs print the same "sha256 name" lines, one per expected output.
+
+    Each run writes into its own temporary directory, so equal hashes also
+    show that no temporary path reaches a hashed output.
+    """
+    runs = [subprocess.run([sys.executable, str(ROOT / "tools" / "output_digest.py")],
+                           capture_output=True, text=True) for _ in range(2)]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    first, second = (proc.stdout.splitlines() for proc in runs)
+    assert first == second
+    assert all(re.fullmatch(r"[0-9a-f]{64} \S+", line) for line in first)
+    assert [line.split(" ", 1)[1] for line in first] == _digest_names()
